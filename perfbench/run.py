@@ -43,14 +43,16 @@ END_TO_END = (
     ("ok_frac", "ratio"),
 )
 
-#: Per size: timed iterations per run (even when one outlasts
-#: ``--seconds``), set-up samples per run (iterations plus set-up-only
-#: interpreters) and fresh interpreters timing ``import repro.cli``.
 #: A run starts no iteration that would end past this many ``--seconds``,
 #: so a slow host costs medians over fewer iterations, not time.
 RUN_CAP = 2.5
+#: Per size: timed iterations per run (``None``: the workload's
+#: ``min_iterations``, even when that outlasts ``--seconds``, unless
+#: :data:`RUN_CAP` stops the run first), set-up samples per run
+#: (iterations plus set-up-only interpreters) and fresh interpreters
+#: timing ``import repro.cli``.
 RUN_SHAPE = {
-    "full": {"iterations": 3, "setups": 5, "import_probes": 3},
+    "full": {"iterations": None, "setups": 5, "import_probes": 3},
     "small": {"iterations": 1, "setups": 1, "import_probes": 1},
 }
 #: A child that runs longer than this is killed and the run fails.
@@ -88,7 +90,9 @@ class Runner:
         self.seed = seed
         self.size = size
         self.scratch = scratch
-        self.shape = RUN_SHAPE[size]
+        self.shape = dict(RUN_SHAPE[size])
+        if self.shape["iterations"] is None:
+            self.shape["iterations"] = WORKLOADS[workload].min_iterations
         self.env = env_with_src(ROOT)
         self._ids = itertools.count()
 

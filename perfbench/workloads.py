@@ -103,6 +103,9 @@ class Workload:
     """Base: one workload instance for one seed and size."""
 
     name = ""
+    #: Fewest timed iterations of a full-size run.  Short iterations take
+    #: more, so their median resists the host's speed drifting mid-run.
+    min_iterations = 3
 
     def __init__(self, seed: int, size: str, workdir: Path,
                  traced: bool = False, iteration: int = 0) -> None:
@@ -258,6 +261,7 @@ class AttackSweep(Workload):
     """One ``SweepRunner.run_many`` over the attacker x defense grid."""
 
     name = "attack_sweep"
+    min_iterations = 4
 
     def prepare(self) -> None:
         from repro.experiments.common import SweepRunner
@@ -415,6 +419,7 @@ class ServeMix(Workload):
     """
 
     name = "serve_mix"
+    min_iterations = 4
     clients = 2
 
     def prepare(self) -> None:
