@@ -5,8 +5,8 @@ Started by ``run.py`` for every timed iteration, so process-level caches
 one JSON document to ``--out``::
 
     python3 perfbench/child.py --workload attack_sweep --seed 3 \\
-        --iteration 0 --size full --trace 0 --t0 <monotonic spawn time> \\
-        --workdir <scratch dir> --out <result.json> [--setup-only]
+        --size full --trace 0 --t0 <monotonic spawn time> \\
+        --workdir <scratch dir> --out <result.json>
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ def run(args: argparse.Namespace) -> dict:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     workload = WORKLOADS[args.workload](
-        args.seed, args.size, workdir, traced=bool(args.trace),
-        iteration=args.iteration,
+        args.seed, args.size, workdir, traced=bool(args.trace)
     )
     try:
         workload.prepare()
@@ -35,8 +34,6 @@ def run(args: argparse.Namespace) -> dict:
             workload.setup_s if workload.setup_s is not None
             else ready - args.t0
         )
-        if args.setup_only:
-            return {"setup_s": setup_s}
         tracer = holders = root = None
         if args.trace:
             from tracing import ROOT, Tracer, instrument
@@ -77,14 +74,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--iteration", type=int, default=0)
     parser.add_argument("--size", default="full")
     parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--t0", type=float, required=True)
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--spans", default=None)
-    parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args()
     try:
         result = run(args)

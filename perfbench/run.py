@@ -32,7 +32,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-from tracing import PER_LAYER, layer_of  # noqa: E402
+from tracing import PER_LAYER, is_outer, layer_of  # noqa: E402
 from workloads import SIZES, WORKLOADS  # noqa: E402
 
 #: End-to-end metrics every workload reports with tracing off.
@@ -43,17 +43,21 @@ END_TO_END = (
     ("ok_frac", "ratio"),
 )
 
-#: A run starts no iteration that would end past this many ``--seconds``,
-#: so a slow host costs medians over fewer iterations, not time.
-RUN_CAP = 2.5
-#: Per size: timed iterations per run (``None``: the workload's
-#: ``min_iterations``, even when that outlasts ``--seconds``, unless
-#: :data:`RUN_CAP` stops the run first), set-up samples per run
-#: (iterations plus set-up-only interpreters) and fresh interpreters
-#: timing ``import repro.cli``.
+#: Once a run has its ``fewest`` iterations it starts none that would end
+#: past this many ``--seconds``, so a slow host costs medians over fewer
+#: iterations, not time.
+RUN_CAP = 2.0
+#: No iteration starts that would end past this many seconds of the run,
+#: however few it has, so a run's length stays bounded on a slow host.
+RUN_LIMIT_S = 60.0
+#: Per size: timed iterations per run (even when they outlast
+#: ``--seconds``), the fewest a run settles for under :data:`RUN_CAP`, and
+#: fresh interpreters timing ``import repro.cli``.  Four iterations let
+#: the median shrug off a slowdown of the host that spans one of them;
+#: three keep ``paper_quick``, whose iterations take 11-17 s, steady.
 RUN_SHAPE = {
-    "full": {"iterations": None, "setups": 5, "import_probes": 3},
-    "small": {"iterations": 1, "setups": 1, "import_probes": 1},
+    "full": {"iterations": 4, "fewest": 3, "import_probes": 3},
+    "small": {"iterations": 1, "fewest": 1, "import_probes": 1},
 }
 #: A child that runs longer than this is killed and the run fails.
 CHILD_TIMEOUT_S = 150.0
@@ -90,9 +94,7 @@ class Runner:
         self.seed = seed
         self.size = size
         self.scratch = scratch
-        self.shape = dict(RUN_SHAPE[size])
-        if self.shape["iterations"] is None:
-            self.shape["iterations"] = WORKLOADS[workload].min_iterations
+        self.shape = RUN_SHAPE[size]
         self.env = env_with_src(ROOT)
         self._ids = itertools.count()
 
@@ -110,21 +112,17 @@ class Runner:
             process.wait()
             raise ChildFailed(f"{command[1]} timed out") from None
 
-    def child(self, trace: int = 0, setup_only: bool = False,
-              spans: Optional[Path] = None,
-              iteration: int = 0) -> Dict[str, Any]:
+    def child(self, trace: int = 0,
+              spans: Optional[Path] = None) -> Dict[str, Any]:
         index = next(self._ids)
         out = self.scratch / f"child-{index}.json"
         command = [
             sys.executable, str(HERE / "child.py"),
             "--workload", self.workload, "--seed", str(self.seed),
-            "--iteration", str(iteration), "--size", self.size,
-            "--trace", str(trace),
+            "--size", self.size, "--trace", str(trace),
             "--workdir", str(self.scratch / f"work-{index}"),
             "--out", str(out),
         ]
-        if setup_only:
-            command.append("--setup-only")
         if spans is not None:
             command += ["--spans", str(spans)]
         command += ["--t0", repr(time.monotonic())]
@@ -170,24 +168,26 @@ def fmt(values: Sequence[float]) -> str:
 
 def untraced(runner: Runner, seconds: float) -> Dict[str, Any]:
     """Iterate until ``seconds`` have passed and the run shape's count
-    is reached, unless one more iteration would end past
-    :data:`RUN_CAP` x ``seconds``; end-to-end metrics."""
+    is reached, stopping short as :data:`RUN_CAP` and
+    :data:`RUN_LIMIT_S` say; end-to-end metrics."""
+    shape = runner.shape
     iterations: List[Dict[str, Any]] = []
     started = time.monotonic()
     last = 0.0
     while True:
         elapsed = time.monotonic() - started
+        projected = elapsed + last
         if iterations and elapsed >= seconds and (
-            len(iterations) >= runner.shape["iterations"]
-            or elapsed + last > RUN_CAP * seconds
+            len(iterations) >= shape["iterations"]
+            or projected > RUN_LIMIT_S
+            or (len(iterations) >= shape["fewest"]
+                and projected > RUN_CAP * seconds)
         ):
             break
         iteration_started = time.monotonic()
-        iterations.append(runner.child(iteration=len(iterations)))
+        iterations.append(runner.child())
         last = time.monotonic() - iteration_started
     setups = [it["setup_s"] for it in iterations]
-    while len(setups) < runner.shape["setups"]:
-        setups.append(runner.child(setup_only=True)["setup_s"])
     probe = runner.import_probe()
 
     attempted = sum(it["attempted"] for it in iterations)
@@ -285,8 +285,11 @@ def traced(runner: Runner, trace_dir: Path) -> Dict[str, Any]:
     lines += [f"    {layer:20s} {seconds:9.4f} s"
               for layer, seconds in sorted(by_layer.items(),
                                            key=lambda kv: -kv[1])]
+    outer = sum(seconds for name, seconds in traced_run["self_s"].items()
+                if is_outer(name))
     lines.append(f"  trace.coverage {per_layer['trace.coverage']:.4f} "
-                 "(instrumented self time / traced wall)")
+                 "(self time below the outermost layer / traced wall; "
+                 f"{outer:.4f} s of outer-layer self time is unattributed)")
     lines += [f"  {name:32s} {per_layer[name]:.6g} {unit}"
               for name, unit in PER_LAYER]
     notes = plain["notes"] + traced_run["notes"]

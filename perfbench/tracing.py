@@ -106,6 +106,17 @@ LAYERS = (
 ROOT = "workload"
 
 
+#: Prefixes of the spans that wrap a workload's whole unit of work.  Their
+#: self time is what the inner layers do not explain, so
+#: ``trace.coverage`` leaves it out.
+OUTER = ("experiments.", "sweep.", "fuzz.", "client.")
+
+
+def is_outer(name: str) -> bool:
+    """Whether a span is the root or an outermost layer."""
+    return name == ROOT or name.startswith(OUTER)
+
+
 def layer_of(name: str) -> str:
     """The program layer a span name belongs to (``bench`` for the root)."""
     for prefix, layer in LAYERS:
@@ -449,6 +460,6 @@ def layer_metrics(
                  "serve.shed", "fuzz.candidates"):
         out[name] = extra.get(name, 0)
     root = seconds(ROOT)
-    covered = sum(s for name, s in self_s.items() if name != ROOT)
+    covered = sum(s for name, s in self_s.items() if not is_outer(name))
     out["trace.coverage"] = covered / root if root else 0.0
     return out

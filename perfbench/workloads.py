@@ -43,7 +43,7 @@ SIZES: Dict[str, Dict[str, Dict[str, Any]]] = {
         "attack_sweep": {"n_requests": 800, "presets": None},
         "serve_mix": {"n_requests": 400, "misses": 50, "hits_per_miss": 3,
                       "dup_every": 5},
-        "fuzz_budget": {"budget": 240, "n_requests": 160},
+        "fuzz_budget": {"budget": 100, "n_requests": 160},
     },
     "small": {
         "paper_quick": {"n_requests": 40,
@@ -103,14 +103,10 @@ class Workload:
     """Base: one workload instance for one seed and size."""
 
     name = ""
-    #: Fewest timed iterations of a full-size run.  Short iterations take
-    #: more, so their median resists the host's speed drifting mid-run.
-    min_iterations = 3
 
     def __init__(self, seed: int, size: str, workdir: Path,
-                 traced: bool = False, iteration: int = 0) -> None:
+                 traced: bool = False) -> None:
         self.seed = seed
-        self.iteration = iteration
         self.size = size
         self.cfg = SIZES[size][self.name]
         self.workdir = workdir
@@ -261,7 +257,6 @@ class AttackSweep(Workload):
     """One ``SweepRunner.run_many`` over the attacker x defense grid."""
 
     name = "attack_sweep"
-    min_iterations = 4
 
     def prepare(self) -> None:
         from repro.experiments.common import SweepRunner
@@ -308,27 +303,24 @@ class AttackSweep(Workload):
         return check
 
 
-#: Fuzz seeds one run walks through, one per iteration, so a run's
-#: median spans several candidate mixes instead of repeating one.
-FUZZ_SEEDS_PER_RUN = 3
-
-
-def clean_fuzz_seed(seed: int, size: str, iteration: int) -> int:
-    """The fuzz seed of one iteration of a benchmark seed's run.
+def clean_fuzz_seed(seed: int, size: str) -> int:
+    """The fuzz seed of a benchmark seed's run (every iteration's).
 
     At full size it is drawn from the fuzz seeds ``pin.py`` verified to
     find nothing at the pinned budget: some seeds find a real engine
     divergence at this commit (see README), and a benchmark input must
-    not fail.  The reduced self-test size uses the seed as is.
+    not fail.  ``fuzz`` draws its candidates in order from the seed
+    alone, so a seed clean at the pinned budget is clean at any smaller
+    one.  The reduced self-test size uses the seed as is.
     """
     if size != "full":
         return seed
     pinned = json.loads(PINS_PATH.read_text())["fuzz_budget"]
-    if pinned["budget"] != SIZES["full"]["fuzz_budget"]["budget"]:
-        raise RuntimeError("pins.json was made for another fuzz budget; "
+    if pinned["budget"] < SIZES["full"]["fuzz_budget"]["budget"]:
+        raise RuntimeError("pins.json was made for a smaller fuzz budget; "
                            "rerun perfbench/pin.py")
     clean = pinned["clean_seeds"]
-    return clean[(seed * FUZZ_SEEDS_PER_RUN + iteration) % len(clean)]
+    return clean[seed % len(clean)]
 
 
 class FuzzBudget(Workload):
@@ -343,7 +335,7 @@ class FuzzBudget(Workload):
         if faults.active_faults():
             raise RuntimeError("a fault is injected; fuzz_budget runs clean")
         self.fuzz = fuzz_mod
-        self.fuzz_seed = clean_fuzz_seed(self.seed, self.size, self.iteration)
+        self.fuzz_seed = clean_fuzz_seed(self.seed, self.size)
 
     def execute(self):
         return self.fuzz.fuzz(
@@ -363,6 +355,10 @@ class FuzzBudget(Workload):
                           f"{failure.candidate}: "
                           + "+".join(failure.signature))
         check.extras["fuzz_seed"] = self.fuzz_seed
+        check.extras["digest"] = digest([
+            report.seed, report.candidates,
+            [[f.candidate, list(f.signature)] for f in report.failures],
+        ])
         return check
 
     def layer_counts(self, report) -> Dict[str, float]:
@@ -419,7 +415,6 @@ class ServeMix(Workload):
     """
 
     name = "serve_mix"
-    min_iterations = 4
     clients = 2
 
     def prepare(self) -> None:
