@@ -7,19 +7,102 @@ one JSON document to ``--out``::
     python3 perfbench/child.py --workload attack_sweep --seed 3 \\
         --size full --trace 0 --t0 <monotonic spawn time> \\
         --workdir <scratch dir> --out <result.json>
+
+The child pins itself (and so the serve daemon it spawns) to one CPU
+and runs a :class:`SpeedProbe` beside the workload; ``setup_s`` and
+``wall_s`` are host time scaled to the probe's reference speed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
+import threading
 import time
 import traceback
 from pathlib import Path
+from typing import Dict, List, Tuple
+
+#: Seconds the probe's fixed loop takes on a host at reference speed;
+#: about its median on the 2-core container the benchmark was built on.
+REFERENCE_PROBE_S = 50e-6
+#: Seconds the probe sleeps between samples.
+PROBE_EVERY_S = 0.005
+#: Seconds of a window scaled by one median of the probe's samples.
+PROBE_SLICE_S = 0.25
 
 
-def run(args: argparse.Namespace) -> dict:
+class SpeedProbe:
+    """Times a fixed pure-Python loop every few milliseconds.
+
+    A shared host runs the same code up to twice as slowly for seconds
+    at a time, and one CPU's speed hardly tracks the other's.  The probe
+    thread shares the workload's CPU (the process is pinned) and takes
+    the interpreter lock between the workload's bytecodes, so its
+    samples see the speed the workload ran at, moment by moment.
+    Dividing a window's host time by its samples' median, relative to
+    :data:`REFERENCE_PROBE_S`, removes most of the host's drift; each
+    sample costs about 1% of the window.
+    """
+
+    def __init__(self) -> None:
+        self.samples: List[Tuple[float, float]] = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+        self._thread.start()
+
+    def _sample(self) -> None:
+        while not self._stop.wait(PROBE_EVERY_S):
+            started = time.monotonic()
+            total = 0
+            for step in range(1000):
+                total += step
+            self.samples.append((started, time.monotonic() - started))
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join()
+
+    def scaled(self, start: float, end: float) -> float:
+        """Monotonic window ``[start, end]`` in seconds at reference
+        speed.
+
+        The host's speed changes within a window, so each slice of
+        :data:`PROBE_SLICE_S` is scaled by its own samples' median; a
+        slice with fewer than 3 samples uses the whole window's.
+        """
+        inside = [(t, s) for t, s in self.samples if start <= t <= end]
+        if len(inside) < 3:
+            inside = self.samples
+        if not inside:
+            return end - start
+        overall = statistics.median(s for _, s in inside)
+        slices: Dict[int, List[float]] = {}
+        for t, s in inside:
+            slices.setdefault(int((t - start) / PROBE_SLICE_S), []).append(s)
+        total = 0.0
+        lower = start
+        while lower < end:
+            index = int(round((lower - start) / PROBE_SLICE_S))
+            upper = min(end, start + (index + 1) * PROBE_SLICE_S)
+            durations = slices.get(index, [])
+            speed = (statistics.median(durations) if len(durations) >= 3
+                     else overall)
+            total += (upper - lower) * REFERENCE_PROBE_S / speed
+            lower = upper
+        return total
+
+
+def pin_to_one_cpu() -> None:
+    """Keep the probe, the workload and its children on one CPU."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(args: argparse.Namespace, probe: SpeedProbe) -> dict:
     from workloads import WORKLOADS
 
     workdir = Path(args.workdir)
@@ -30,7 +113,7 @@ def run(args: argparse.Namespace) -> dict:
     try:
         workload.prepare()
         ready = time.monotonic()
-        setup_s = (
+        setup_host_s = (
             workload.setup_s if workload.setup_s is not None
             else ready - args.t0
         )
@@ -41,16 +124,19 @@ def run(args: argparse.Namespace) -> dict:
             tracer = Tracer()
             holders = instrument(tracer)
             root = tracer.begin(ROOT)
-        started = time.perf_counter()
+        started = time.monotonic()
         outputs = workload.execute()
-        wall_s = time.perf_counter() - started
+        ended = time.monotonic()
         if tracer is not None:
             tracer.end(root)
             tracer.uninstall()
+        probe.stop()
         check = workload.check(outputs)
         out = {
-            "setup_s": setup_s,
-            "wall_s": wall_s,
+            "setup_s": probe.scaled(ready - setup_host_s, ready),
+            "wall_s": probe.scaled(started, ended),
+            "setup_host_s": setup_host_s,
+            "wall_host_s": ended - started,
             "attempted": check.attempted,
             "failed": check.failed,
             "notes": check.notes,
@@ -81,12 +167,16 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--spans", default=None)
     args = parser.parse_args()
+    pin_to_one_cpu()
+    probe = SpeedProbe()
     try:
-        result = run(args)
+        result = run(args, probe)
         code = 0
     except Exception:
         result = {"error": traceback.format_exc()}
         code = 1
+    finally:
+        probe.stop()
     Path(args.out).write_text(json.dumps(result))
     return code
 

@@ -84,7 +84,7 @@ def serve_mix(cfg) -> dict:
     return pins
 
 
-def fuzz_budget(cfg, wanted: int = 16) -> dict:
+def fuzz_budget(cfg, wanted: int = 64) -> dict:
     """Fuzz seeds that find nothing at the benchmark's budget, plus the
     signatures of every seed passed over on the way."""
     from repro.scenarios.fuzz import fuzz

@@ -5,7 +5,9 @@
 
 Each timed iteration runs in a fresh interpreter (``child.py``), so
 process-level caches start empty; iterations repeat until ``--seconds``
-have passed and every timing is the median over them.  ``--trace 0``
+have passed and every timing is the median over them.  Timings are
+host time scaled to a reference host speed (``child.SpeedProbe``);
+host times print beside them.  ``--trace 0``
 prints the end-to-end metrics; ``--trace 1`` runs one untraced and one
 traced iteration and prints the per-layer metrics instead.  Human
 readable lines go first; the last line of standard output is one JSON
@@ -26,7 +28,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -43,21 +45,15 @@ END_TO_END = (
     ("ok_frac", "ratio"),
 )
 
-#: Once a run has its ``fewest`` iterations it starts none that would end
-#: past this many ``--seconds``, so a slow host costs medians over fewer
-#: iterations, not time.
-RUN_CAP = 2.0
 #: No iteration starts that would end past this many seconds of the run,
 #: however few it has, so a run's length stays bounded on a slow host.
 RUN_LIMIT_S = 60.0
-#: Per size: timed iterations per run (even when they outlast
-#: ``--seconds``), the fewest a run settles for under :data:`RUN_CAP`, and
-#: fresh interpreters timing ``import repro.cli``.  Four iterations let
-#: the median shrug off a slowdown of the host that spans one of them;
-#: three keep ``paper_quick``, whose iterations take 11-17 s, steady.
+#: Per size: the fewest timed iterations a run makes, even when they
+#: outlast ``--seconds``, and fresh interpreters timing
+#: ``import repro.cli``.
 RUN_SHAPE = {
-    "full": {"iterations": 4, "fewest": 3, "import_probes": 3},
-    "small": {"iterations": 1, "fewest": 1, "import_probes": 1},
+    "full": {"fewest": 2, "import_probes": 3},
+    "small": {"fewest": 1, "import_probes": 1},
 }
 #: A child that runs longer than this is killed and the run fails.
 CHILD_TIMEOUT_S = 150.0
@@ -162,26 +158,23 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
-def fmt(values: Sequence[float]) -> str:
+def fmt(values: Iterable[float]) -> str:
     return ", ".join(f"{value:.4g}" for value in values)
 
 
 def untraced(runner: Runner, seconds: float) -> Dict[str, Any]:
-    """Iterate until ``seconds`` have passed and the run shape's count
-    is reached, stopping short as :data:`RUN_CAP` and
-    :data:`RUN_LIMIT_S` say; end-to-end metrics."""
-    shape = runner.shape
+    """Iterate until ``seconds`` have passed and the run shape's
+    ``fewest`` are done, starting none that would end past
+    :data:`RUN_LIMIT_S`; end-to-end metrics."""
     iterations: List[Dict[str, Any]] = []
     started = time.monotonic()
     last = 0.0
     while True:
         elapsed = time.monotonic() - started
-        projected = elapsed + last
-        if iterations and elapsed >= seconds and (
-            len(iterations) >= shape["iterations"]
-            or projected > RUN_LIMIT_S
-            or (len(iterations) >= shape["fewest"]
-                and projected > RUN_CAP * seconds)
+        if iterations and (
+            elapsed + last > RUN_LIMIT_S
+            or (elapsed >= seconds
+                and len(iterations) >= runner.shape["fewest"])
         ):
             break
         iteration_started = time.monotonic()
@@ -209,12 +202,14 @@ def untraced(runner: Runner, seconds: float) -> Dict[str, Any]:
         f"{runner.workload}: seed {runner.seed}, {len(iterations)} "
         f"iteration(s), one fresh interpreter each",
         f"  setup_s      {metrics['setup_s']:.4f} s    "
-        f"(median of {len(setups)}: {fmt(setups)})",
+        f"(median of {len(setups)}: {fmt(setups)}; host time "
+        f"{fmt(it['setup_host_s'] for it in iterations)})",
         f"  import.repro_cli_s {probe['import.repro_cli_s']:.4f} s, "
         f"import.numpy_eager {probe['import.numpy_eager']}  "
         "(fresh-interpreter probe)",
         f"  wall_s       {metrics['wall_s']:.4f} s    "
-        f"(median of {len(walls)}: {fmt(walls)})",
+        f"(median of {len(walls)}: {fmt(walls)}; host time "
+        f"{fmt(it['wall_host_s'] for it in iterations)})",
         f"  peak_rss_mb  {metrics['peak_rss_mb']:.1f} MB",
         f"  ok_frac      {metrics['ok_frac']:.4f}     "
         f"({failed} failed of {attempted} attempted)",
@@ -241,7 +236,8 @@ def workload_lines(workload: str,
             pooled.setdefault(source, []).extend(values)
     requests = sum(len(v) for v in extras[0]["latency_ms"].values())
     rps = [
-        sum(len(v) for v in it["extras"]["latency_ms"].values()) / it["wall_s"]
+        sum(len(v) for v in it["extras"]["latency_ms"].values())
+        / it["wall_host_s"]
         for it in iterations
     ]
     lines = [f"  serve_rps    {statistics.median(rps):.2f} 1/s   "
@@ -279,8 +275,10 @@ def traced(runner: Runner, trace_dir: Path) -> Dict[str, Any]:
     lines = [
         f"{runner.workload}: seed {runner.seed}, traced wall "
         f"{traced_run['wall_s']:.4f} s, untraced wall "
-        f"{plain['wall_s']:.4f} s, spans in {spans.relative_to(ROOT)}",
-        "  self time by layer:",
+        f"{plain['wall_s']:.4f} s (host time {traced_run['wall_host_s']:.4f}"
+        f" and {plain['wall_host_s']:.4f} s), spans in "
+        f"{spans.relative_to(ROOT)}",
+        "  self time by layer (host time):",
     ]
     lines += [f"    {layer:20s} {seconds:9.4f} s"
               for layer, seconds in sorted(by_layer.items(),

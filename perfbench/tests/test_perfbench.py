@@ -20,6 +20,7 @@ BENCH_DIR = Path(__file__).resolve().parent.parent
 ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(BENCH_DIR))
 
+import child  # noqa: E402
 import workloads  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -48,6 +49,30 @@ def test_every_declared_metric_is_emitted(workload, trace):
     assert emitted == {m["name"]: m["unit"] for m in declared}
     if trace == 0:
         assert all(m["value"] > 0 for m in result["metrics"].values())
+
+
+def test_speed_probe_scales_each_slice_by_its_own_samples():
+    probe = child.SpeedProbe()
+    probe.stop()
+    ref = child.REFERENCE_PROBE_S
+    step = child.PROBE_SLICE_S
+    # Slice 0 ran at reference speed, slice 1 twice as slowly; the last
+    # half slice has no samples and takes the window's median (ref).
+    probe.samples = [(100.0 + step * (i / 4), ref) for i in range(4)]
+    probe.samples += [(100.0 + step * (1 + i / 4), 2 * ref)
+                      for i in range(3)]
+    scaled = probe.scaled(100.0, 100.0 + 2.5 * step)
+    assert scaled == pytest.approx(step + step / 2 + step / 2)
+
+
+def test_fuzz_seeds_come_from_the_seed_and_the_clean_pool():
+    walks = workloads.SIZES["full"]["fuzz_budget"]["walks"]
+    pool = json.loads(workloads.PINS_PATH.read_text())["fuzz_budget"]
+    picked = workloads.clean_fuzz_seeds(3, "full", walks)
+    assert picked == workloads.clean_fuzz_seeds(3, "full", walks)
+    assert len(set(picked)) == walks
+    assert set(picked) <= set(pool["clean_seeds"])
+    assert picked != workloads.clean_fuzz_seeds(4, "full", walks)
 
 
 def test_corrupted_sweep_result_counts_as_failure(tmp_path):
