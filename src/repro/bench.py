@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .experiments.common import SweepRunner
 from .sim.config import DefenseConfig, SystemConfig
-from .sim.reference import ReferenceSimulator
-from .sim.system import SystemSimulator
+from .sim.system import build_simulator
 from .workloads.compiled import (
     compiled_cache_stats,
     compiled_rate_mode_traces,
@@ -380,15 +379,10 @@ def _simulation_pass(spec: BenchSpec, n_requests: int):
     """
     system = spec.system()
     defense = spec.defense()
-    compiled = compiled_rate_mode_traces(
+    compiled_rate_mode_traces(
         spec.workload, system.n_cores, n_requests, 0, system.mapper()
     )
-    traces = [entry.trace for entry in compiled]
-    if spec.engine == "reference":
-        def timed_pass() -> int:
-            return ReferenceSimulator(system, traces, defense).run(
-            ).elapsed_cycles
-    elif spec.engine == "batch":
+    if spec.engine == "batch":
         # A single point degenerates to one fast run inside the batch
         # tier; this row exists to time the plumbing, not to show wins
         # (those are the batch-grid rows).
@@ -403,8 +397,9 @@ def _simulation_pass(spec: BenchSpec, n_requests: int):
             )[0].elapsed_cycles
     else:
         def timed_pass() -> int:
-            return SystemSimulator(
-                system, traces, defense, compiled=compiled
+            return build_simulator(
+                system, spec.workload, defense, None, n_requests, 0,
+                spec.engine,
             ).run().elapsed_cycles
     return timed_pass
 
@@ -484,35 +479,39 @@ def _sweep_pass(spec: BenchSpec, n_requests: int):
     return timed_pass
 
 
+def _scenario_builder(spec: BenchSpec, n_requests: int):
+    """``(scenario, build)`` for the preset ``spec.workload`` names.
+
+    ``build()`` returns a fresh simulator of the preset on its own
+    topology and defense.  One build happens here, so the preset's
+    heterogeneous per-core traces (benign victims + attacker
+    generators) are compiled and cached outside any timed region.
+    """
+    from .scenarios.registry import get_scenario
+
+    scenario = get_scenario(spec.workload)
+
+    def build():
+        return build_simulator(
+            scenario.system, scenario.cores, scenario.defense,
+            scenario.tmro_ns, n_requests, 0,
+        )
+
+    build()
+    return scenario, build
+
+
 def _scenario_pass(spec: BenchSpec, n_requests: int):
     """Timed-pass closure for the co-located scenario row.
 
-    Resolves the preset named by ``spec.workload``, pre-compiles its
-    heterogeneous per-core traces (benign victims + attacker
-    generators) outside the timed region, and times the engine alone —
+    Times the engine alone on the preset named by ``spec.workload`` —
     the same contract as the ``fast`` rows, but under adversarial
     co-located traffic on the preset's own topology and defense.
     """
-    from .scenarios.registry import get_scenario
-    from .workloads.compiled import compiled_source_traces
-
-    scenario = get_scenario(spec.workload)
-    system = scenario.system
-    if isinstance(scenario.cores, str):
-        compiled = compiled_rate_mode_traces(
-            scenario.cores, system.n_cores, n_requests, 0, system.mapper()
-        )
-    else:
-        compiled = compiled_source_traces(
-            scenario.cores, n_requests, 0, system.mapper()
-        )
-    traces = [entry.trace for entry in compiled]
+    _scenario, build = _scenario_builder(spec, n_requests)
 
     def timed_pass() -> int:
-        return SystemSimulator(
-            system, traces, scenario.defense, tmro_ns=scenario.tmro_ns,
-            compiled=compiled,
-        ).run().elapsed_cycles
+        return build().run().elapsed_cycles
 
     return timed_pass
 
@@ -527,29 +526,13 @@ def _scenario_invariants_pass(spec: BenchSpec, n_requests: int):
     checking overhead; the monitor-disabled row itself must stay within
     noise of earlier artifacts — the hooks are zero-cost when detached.
     """
-    from .scenarios.registry import get_scenario
     from .security.invariants import monitored_run
-    from .workloads.compiled import compiled_source_traces
 
-    scenario = get_scenario(spec.workload)
-    system = scenario.system
-    if isinstance(scenario.cores, str):
-        compiled = compiled_rate_mode_traces(
-            scenario.cores, system.n_cores, n_requests, 0, system.mapper()
-        )
-    else:
-        compiled = compiled_source_traces(
-            scenario.cores, n_requests, 0, system.mapper()
-        )
-    traces = [entry.trace for entry in compiled]
+    scenario, build = _scenario_builder(spec, n_requests)
 
     def timed_pass() -> int:
-        sim = SystemSimulator(
-            system, traces, scenario.defense, tmro_ns=scenario.tmro_ns,
-            compiled=compiled,
-        )
         result, monitor = monitored_run(
-            sim, tmro_ns=scenario.tmro_ns, checkpoint_cycles=50_000
+            build(), tmro_ns=scenario.tmro_ns, checkpoint_cycles=50_000
         )
         if not monitor.ok:
             raise AssertionError(

@@ -1003,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--serial-grace", type=float, default=5.0,
-        help="seconds with no worker activity before the coordinator "
+        help="seconds with no task progress before the coordinator "
              "degrades to executing tasks in-process",
     )
     sweep_cmd.add_argument(

@@ -14,8 +14,9 @@ many worker processes — on one host or many, sharing only a filesystem
   the result blob, mark done.
 * :mod:`repro.distrib.coordinator` — shards a batch of scenario sweep
   points into recipe tasks, supervises leases (reclaim, speculation),
-  degrades to in-process serial execution when no worker ever shows
-  up, and collects results in submission order.
+  degrades to in-process serial execution when the tasks stop making
+  progress, and collects results in submission order.  Its supervision
+  loop also drives the serve daemon's requests.
 * :mod:`repro.distrib.chaos` — the chaos harness: spawn real worker
   subprocesses, SIGKILL them mid-task, freeze their heartbeats,
   corrupt their claim files — and assert the sweep still completes

@@ -42,7 +42,7 @@ from .coordinator import (
     run_distributed_sweep,
     run_serial_sweep,
 )
-from .queue import FileWorkQueue, _read_json
+from .queue import FileWorkQueue
 
 #: External fault names (injected by the harness, not the worker).
 EXTERNAL_FAULTS = {
@@ -116,10 +116,9 @@ def wait_for_claim(
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        for task_id in queue._ids("claimed"):
-            lease = _read_json(queue._path("claimed", task_id))
-            if lease is not None and "owner" in lease:
-                return task_id, str(lease["owner"])
+        for lease in queue.status().leases:
+            if "owner" in lease:
+                return lease["task_id"], str(lease["owner"])
         time.sleep(poll_s)
     raise TimeoutError(
         f"no task claimed within {timeout_s:.1f}s — did the workers start?"
@@ -285,9 +284,11 @@ def run_chaos_case(
                 )
         for i in range(1, n_workers):
             _spawn(i, None)
+        # Default grace: a fleet whose every worker died (or a sole
+        # worker SIGKILLed holding its claim) must end in degraded
+        # in-process execution, not a timeout.
         outcome = run_distributed_sweep(
             recipes, queue, dist_store,
-            serial_grace_s=timeout_s,   # workers exist; never degrade
             timeout_s=timeout_s,
             checkpoint_stride=checkpoint_stride,
         )

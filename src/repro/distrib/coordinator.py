@@ -6,7 +6,9 @@ restart at any point — resubmitting the same sweep finds every task
 (and every finished result blob) exactly where it left off, because
 task ids are content keys.
 
-Supervision is a polling loop over queue state:
+Supervision is one polling loop, :func:`supervise`, shared with the
+serve daemon (:class:`~repro.serve.engine.RequestEngine` calls it with
+one task per request):
 
 * **Reclaim** — expired or corrupt leases go back to ``pending`` with
   backoff (``FileWorkQueue.reclaim_expired``).
@@ -14,38 +16,40 @@ Supervision is a polling loop over queue state:
   peers (``speculate_after_s``) is re-dispatched while the original
   keeps running; whichever execution finishes first wins, the loser's
   byte-identical result deduplicates.
-* **Degraded serial mode** — when no worker ever shows any sign of
-  life within ``serial_grace_s``, the coordinator stops waiting and
+* **Degraded serial mode** — when none of the supervised tasks shows
+  progress (a new done record, or a lease changing owner, attempts or
+  heartbeats) for ``serial_grace_s``, the supervisor stops waiting and
   executes the tasks itself, in-process, through the *same*
-  claim → execute → complete path.  Degraded mode is sticky: once
-  entered, the coordinator keeps draining every poll (its own
-  completions make the queue look alive, so worker-liveness signals
-  are no longer consulted), and a task that fails into retry backoff
-  is retried by the coordinator itself until it succeeds or poisons.
-  A sweep therefore always completes; distribution is an
-  optimization, not a dependency.
+  claim → execute → complete path.  Degraded mode is sticky (per sweep
+  here, engine-wide in the serve daemon): a task that fails into retry
+  backoff is retried by the supervisor itself until it succeeds or
+  poisons, and a worker that joins late simply claims alongside it.  A
+  sweep therefore always completes, even when its only worker died
+  holding a claim; distribution is an optimization, not a dependency.
 * **Poison** — a task that keeps failing is quarantined by the queue;
-  the coordinator surfaces it as :class:`DistributedSweepError` with
+  the supervisor surfaces it as :class:`DistributedSweepError` with
   the stored tracebacks rather than spinning forever.
 
 Results are collected in submission order, read back from the store by
-the content keys the ``done`` records carry.
+content key; a done task whose blob went missing is recomputed
+in-process (:func:`~repro.distrib.worker.execute_recipe`).
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+import traceback
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..results.store import ResultStore, with_lock_retry
+from ..results.store import ResultStore, content_key
 from ..sim.stats import SimResult
 from .queue import FileWorkQueue, Task
 from .worker import (
     DEFAULT_CHECKPOINT_STRIDE,
-    TASK_KIND,
     execute_claimed_task,
-    result_alias,
+    execute_recipe,
     sweep_task_recipe,
 )
 
@@ -127,78 +131,128 @@ def run_serial_sweep(
     same store addressing, no queue at all.  Blobs written here must
     be byte-identical to what any distributed execution produces.
     """
-    from .worker import build_simulator
-
     started = time.monotonic()
-    task_ids: List[str] = []
-    result_keys: List[str] = []
-    results: List[SimResult] = []
-    for recipe in recipes:
-        from ..results.store import content_key
-
-        task_id = content_key(recipe)
-        payload = store.fetch(recipe)
-        if payload is None:
-            result = build_simulator(recipe).run()
-            payload = result.to_json()
-        else:
-            result = SimResult.from_json(payload)
-        key, _path, _created = with_lock_retry(lambda: store.put(
-            recipe, payload, name=result_alias(task_id), kind=TASK_KIND,
-            meta={"owner": "serial"},
-        ))
-        task_ids.append(task_id)
-        result_keys.append(key)
-        results.append(result)
+    task_ids = [content_key(recipe) for recipe in recipes]
+    results = [
+        SimResult.from_json(execute_recipe(recipe, store, "serial"))
+        for recipe in recipes
+    ]
     return SweepOutcome(
         task_ids=task_ids,
-        result_keys=result_keys,
+        result_keys=list(task_ids),
         results=results,
-        degraded=False,
         duration_s=time.monotonic() - started,
         mode="serial",
     )
 
 
-def _collect(
+def supervise(
     queue: FileWorkQueue,
     store: ResultStore,
     tasks: Sequence[Task],
-) -> tuple:
-    """Read every done task's result back (keys + parsed results)."""
-    result_keys: List[str] = []
-    results: List[SimResult] = []
-    for task in tasks:
-        record = queue.done_record(task.task_id)
-        if record is None:
+    owner: str,
+    degraded: threading.Event,
+    serial_grace_s: float,
+    poll_s: float = 0.05,
+    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
+    speculate_after_s: Optional[float] = None,
+    timeout_s: Optional[float] = None,
+) -> Tuple[List[Dict[str, Any]], int, int]:
+    """Supervise submitted tasks until every one is done.
+
+    Returns ``(payloads, reclaimed, speculated)``: payloads in task
+    order, plus how many of these tasks' expired leases were reclaimed
+    and how many stragglers were re-dispatched.  Each poll checks for
+    done and poison records, reclaims expired leases and speculates on
+    claims older than ``speculate_after_s``.
+
+    **Degrade rule.**  Progress is a new done record or a change in a
+    task's lease (owner, attempts, heartbeats).  When none of these
+    tasks shows progress for ``serial_grace_s`` (counted from the
+    call), ``degraded`` is set and stays set; while it is set, each
+    poll claims the tasks itself as ``owner`` and executes them
+    in-process through the worker's claim → execute → complete path.
+    A failed execution goes back to the queue with its traceback
+    (``queue.fail``), so it retries through backoff or poisons.  A
+    done task whose blob went missing is recomputed in-process.
+
+    Raises :class:`DistributedSweepError` on poisoned tasks or when
+    ``timeout_s`` elapses.
+    """
+    started = last_progress = time.monotonic()
+    waiting = {task.task_id for task in tasks}
+    signatures: Dict[str, Optional[tuple]] = {}
+    reclaimed = speculated = 0
+    while True:
+        finished = {
+            task_id for task_id in waiting
+            if queue.done_record(task_id) is not None
+        }
+        if finished:
+            waiting -= finished
+            last_progress = time.monotonic()
+        poisoned = [
+            record for task_id in sorted(waiting)
+            if (record := queue.poison_record(task_id)) is not None
+        ]
+        if poisoned:
             raise DistributedSweepError(
-                f"task {task.task_id} has no done record at collection"
+                f"{len(poisoned)} task(s) poisoned after repeated "
+                "failures",
+                poison=poisoned,
             )
-        key = record.get("result_key", task.task_id)
-        payload = store.get(key)
-        if payload is None:
-            # The done record survived but the blob did not (operator
-            # deleted the store?).  Recompute serially — correctness
-            # over cleverness.
-            result = _recompute(task, store)
-        else:
-            result = SimResult.from_json(payload)
-        result_keys.append(key)
-        results.append(result)
-    return result_keys, results
-
-
-def _recompute(task: Task, store: ResultStore) -> SimResult:
-    """Serial fallback for a done task whose blob went missing."""
-    from .worker import build_simulator
-
-    result = build_simulator(task.recipe).run()
-    with_lock_retry(lambda: store.put(
-        task.recipe, result.to_json(),
-        name=result_alias(task.task_id), kind=TASK_KIND,
-        meta={"owner": "collector-recompute"},
-    ))
-    return result
+        if not waiting:
+            break
+        if timeout_s is not None and (
+            time.monotonic() - started > timeout_s
+        ):
+            raise DistributedSweepError(
+                f"sweep timed out after {timeout_s:.1f}s "
+                f"({sum(t.task_id not in waiting for t in tasks)}"
+                f"/{len(tasks)} done; " +
+                "; ".join(queue.status().summary_lines()) + ")"
+            )
+        reclaimed += len(waiting.intersection(queue.reclaim_expired()))
+        now = time.time()
+        for task_id in sorted(waiting):
+            lease = queue.lease(task_id)
+            signature = None if lease is None else (
+                lease.get("owner"), lease.get("attempts"),
+                lease.get("heartbeats"),
+            )
+            if signature != signatures.get(task_id):
+                signatures[task_id] = signature
+                last_progress = time.monotonic()
+            if (
+                speculate_after_s is not None and lease
+                and now - lease.get("claimed_at", now) > speculate_after_s
+                and queue.speculate(task_id)
+            ):
+                speculated += 1
+        if degraded.is_set() or (
+            time.monotonic() - last_progress >= serial_grace_s
+        ):
+            degraded.set()
+            claimable = set(waiting)
+            while claimable:
+                claimed = queue.claim(owner, want=claimable)
+                if claimed is None:
+                    break  # the rest wait out a retry backoff
+                claimable.discard(claimed.task_id)
+                try:
+                    execute_claimed_task(
+                        queue, store, claimed,
+                        checkpoint_stride=checkpoint_stride,
+                    )
+                except Exception:
+                    queue.fail(
+                        claimed.task_id, owner, traceback.format_exc()
+                    )
+            if len(claimable) < len(waiting):
+                continue  # executed something: re-check right away
+        time.sleep(poll_s)
+    payloads = [execute_recipe(task.recipe, store, owner) for task in tasks]
+    return payloads, reclaimed, speculated
 
 
 def run_distributed_sweep(
@@ -214,128 +268,30 @@ def run_distributed_sweep(
     """Submit task recipes and supervise until every one is terminal.
 
     Workers are *external*: anything running ``repro worker`` against
-    the same queue/store directories.  The coordinator only submits,
-    reclaims, speculates, and — when ``serial_grace_s`` elapses with
-    no sign of any worker — degrades to executing the remaining tasks
-    itself through the identical claim path.  Raises
-    :class:`DistributedSweepError` on poisoned tasks or ``timeout_s``.
+    the same queue/store directories.  The coordinator submits, then
+    hands every task to :func:`supervise`, which reclaims, speculates
+    and — after ``serial_grace_s`` without progress — degrades to
+    executing the remaining tasks itself for the rest of the sweep.
+    Raises :class:`DistributedSweepError` on poisoned tasks or
+    ``timeout_s``.
     """
     started = time.monotonic()
     tasks = [queue.submit(recipe) for recipe in recipes]
-    wanted = {task.task_id for task in tasks}
-    reclaimed_total = 0
-    speculated_total = 0
-    degraded = False
-    worker_seen = False
-
-    def _progress() -> tuple:
-        """(done, poisoned, claimed-by-others) among *our* tasks."""
-        done = sum(
-            1 for task in tasks
-            if queue.done_record(task.task_id) is not None
-        )
-        poisoned = [
-            record for task in tasks
-            if (record := queue.poison_record(task.task_id)) is not None
-        ]
-        return done, poisoned
-
-    baseline_done, _ = _progress()
-    while True:
-        done, poisoned = _progress()
-        if poisoned:
-            raise DistributedSweepError(
-                f"{len(poisoned)} task(s) poisoned after repeated "
-                "failures",
-                poison=poisoned,
-            )
-        if done == len(tasks):
-            break
-        if timeout_s is not None and (
-            time.monotonic() - started > timeout_s
-        ):
-            status = queue.status()
-            raise DistributedSweepError(
-                f"sweep timed out after {timeout_s:.1f}s "
-                f"({done}/{len(tasks)} done; " +
-                "; ".join(status.summary_lines()) + ")"
-            )
-        reclaimed_total += len([
-            task_id for task_id in queue.reclaim_expired()
-            if task_id in wanted
-        ])
-        status = queue.status()
-        if status.claimed or done > baseline_done:
-            worker_seen = True
-        if speculate_after_s is not None:
-            now = time.time()
-            for lease in status.leases:
-                if lease["task_id"] not in wanted:
-                    continue
-                if now - lease.get("claimed_at", now) > speculate_after_s:
-                    if queue.speculate(lease["task_id"]):
-                        speculated_total += 1
-        if degraded or (
-            not worker_seen
-            and time.monotonic() - started > serial_grace_s
-        ):
-            # Once degraded, *stay* degraded: our own completions make
-            # the queue look alive (done counts rise, claims appear),
-            # but no worker exists to pick up a task that failed into
-            # retry backoff — the coordinator must keep draining until
-            # every task is done or poisoned.
-            degraded = True
-            executed = _drain_in_process(
-                queue, store, wanted, checkpoint_stride
-            )
-            if executed:
-                continue  # progress made: re-check done/poison now
-            # Nothing claimable (every open task is in retry backoff):
-            # fall through to the poll sleep instead of busy-spinning.
-        time.sleep(poll_s)
-
-    result_keys, results = _collect(queue, store, tasks)
-    return SweepOutcome(
-        task_ids=[task.task_id for task in tasks],
-        result_keys=result_keys,
-        results=results,
-        degraded=degraded,
-        reclaimed=reclaimed_total,
-        speculated=speculated_total,
-        duration_s=time.monotonic() - started,
-        mode="degraded serial" if degraded else "distributed",
+    degraded = threading.Event()
+    payloads, reclaimed, speculated = supervise(
+        queue, store, tasks, "coordinator-serial", degraded,
+        serial_grace_s, poll_s=poll_s,
+        checkpoint_stride=checkpoint_stride,
+        speculate_after_s=speculate_after_s, timeout_s=timeout_s,
     )
-
-
-def _drain_in_process(
-    queue: FileWorkQueue,
-    store: ResultStore,
-    wanted: set,
-    checkpoint_stride: Optional[int],
-) -> int:
-    """Degraded mode: the coordinator executes claimable tasks itself.
-
-    Same claim → execute → complete path a worker takes, so a worker
-    that appears mid-drain cooperates instead of conflicting — the
-    queue's rename semantics and the store's dedup don't care who the
-    executor is.  Returns how many claims were processed (success or
-    failure); zero means every open task is waiting out a retry
-    backoff, so the caller should sleep rather than spin.
-    """
-    owner = "coordinator-serial"
-    executed = 0
-    while True:
-        queue.reclaim_expired()
-        claimed = queue.claim(owner, want=wanted)
-        if claimed is None:
-            return executed
-        executed += 1
-        try:
-            execute_claimed_task(
-                queue, store, claimed,
-                checkpoint_stride=checkpoint_stride,
-            )
-        except Exception:
-            import traceback
-
-            queue.fail(claimed.task_id, owner, traceback.format_exc())
+    task_ids = [task.task_id for task in tasks]
+    return SweepOutcome(
+        task_ids=task_ids,
+        result_keys=list(task_ids),
+        results=[SimResult.from_json(payload) for payload in payloads],
+        degraded=degraded.is_set(),
+        reclaimed=reclaimed,
+        speculated=speculated,
+        duration_s=time.monotonic() - started,
+        mode="degraded serial" if degraded.is_set() else "distributed",
+    )

@@ -604,6 +604,14 @@ class FileWorkQueue:
         """The poison record for a task (None if not quarantined)."""
         return _read_json(self._path("poison", task_id))
 
+    def lease(self, task_id: str) -> Optional[Dict[str, Any]]:
+        """A task's claim file (None if unclaimed or unreadable).
+
+        Mid-claim it may briefly hold pending-state JSON with no
+        ``owner``/``deadline`` (see :meth:`claim`).
+        """
+        return _read_json(self._path("claimed", task_id))
+
     def status(self) -> QueueStatus:
         """Census all five state dirs (see :class:`QueueStatus`)."""
         leases = []

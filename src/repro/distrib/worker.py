@@ -10,10 +10,9 @@ to produce the byte-identical result blob.
 Execution of one claimed task:
 
 1. Rebuild the simulator from the task recipe
-   (:func:`~repro.scenarios.spec.spec_from_recipe` + the same
-   compiled-trace path :func:`~repro.sim.system.simulate_workload`
-   uses — bit-identical construction is what makes checkpoints and
-   dedup sound).
+   (:func:`~repro.scenarios.spec.spec_from_recipe` + the one simulator
+   builder, :func:`repro.sim.system.build_simulator` — bit-identical
+   construction is what makes checkpoints and dedup sound).
 2. If the store holds a checkpoint for this task (a previous owner died
    mid-run), restore it and continue from its cycle.
 3. Run in ``checkpoint_stride``-cycle strides, snapshotting the engine
@@ -44,9 +43,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..results import store as store_mod
-from ..results.store import ResultStore, with_lock_retry
+from ..results.store import ResultStore, content_key, with_lock_retry
 from ..scenarios.spec import spec_from_recipe
 from ..security import faults
+from ..sim import system as sim_system
 from ..sim.stats import SimResult
 from ..sim.system import SystemSimulator
 from .queue import ClaimedTask, FileWorkQueue, worker_identity
@@ -125,34 +125,39 @@ def result_alias(task_id: str) -> str:
 
 
 def build_simulator(recipe: Dict[str, Any]) -> SystemSimulator:
-    """Reconstruct the exact simulator a task recipe describes.
+    """The unrun simulator a task recipe describes.
 
-    Mirrors :func:`repro.sim.system.simulate_workload`'s construction
-    path (same compiled-trace caches, same seeds) so a worker-built
-    simulator is bit-identical to a serial in-process one — the
+    The recipe adapter over :func:`repro.sim.system.build_simulator`:
+    the same compiled-trace caches and seeds as every in-process run,
+    so a worker-built simulator is bit-identical to a serial one — the
     precondition for both checkpoint restore and content-key dedup.
     """
-    from ..workloads.compiled import (
-        compiled_rate_mode_traces,
-        compiled_source_traces,
+    spec = spec_from_recipe(recipe["scenario"])
+    return sim_system.build_simulator(
+        spec.system, spec.cores, spec.defense, spec.tmro_ns,
+        int(recipe["n_requests"]), int(recipe["seed"]),
     )
 
-    spec = spec_from_recipe(recipe["scenario"])
-    system = spec.system
-    n_requests = int(recipe["n_requests"])
-    seed = int(recipe["seed"])
-    if isinstance(spec.cores, str):
-        compiled = compiled_rate_mode_traces(
-            spec.cores, system.n_cores, n_requests, seed, system.mapper()
-        )
-    else:
-        compiled = compiled_source_traces(
-            spec.cores, n_requests, seed, system.mapper()
-        )
-    return SystemSimulator(
-        system, defense=spec.defense, tmro_ns=spec.tmro_ns,
-        compiled=compiled,
-    )
+
+def execute_recipe(
+    recipe: Dict[str, Any], store: ResultStore, owner: str
+) -> Dict[str, Any]:
+    """The result payload of one task recipe, computed only on a miss.
+
+    Fetches the blob; when it is missing, builds and runs the simulator
+    in-process and puts the result under the recipe, aliased the way a
+    worker's result is.  The serial sweep runs every recipe through
+    here, and supervisors call it for a done task whose blob went
+    missing.
+    """
+    payload = store.fetch(recipe)
+    if payload is None:
+        payload = build_simulator(recipe).run().to_json()
+        with_lock_retry(lambda: store.put(
+            recipe, payload, name=result_alias(content_key(recipe)),
+            kind=TASK_KIND, meta={"owner": owner},
+        ))
+    return payload
 
 
 def _encode_snapshot(snap) -> str:

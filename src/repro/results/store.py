@@ -196,7 +196,7 @@ def git_sha() -> str:
 _TMP_COUNTER = itertools.count()
 
 #: Test-only crash hook: when set, called after the temp write and
-#: before the rename in :func:`_atomic_write`.  The chaos harness
+#: before the rename in :func:`atomic_write_text`.  The chaos harness
 #: points it at ``os._exit`` to simulate a writer dying mid-``put`` —
 #: the exact window that leaves an orphaned ``*.tmp`` behind.  Never
 #: set in production code.
@@ -221,10 +221,6 @@ def atomic_write_text(path: Path, text: str) -> None:
     if _CRASH_AFTER_TMP_WRITE is not None:
         _CRASH_AFTER_TMP_WRITE()
     os.replace(tmp, path)
-
-
-#: Historical private name; the worker and crash tests still bind it.
-_atomic_write = atomic_write_text
 
 
 def _tmp_writer_pid(path: Path) -> Optional[int]:
@@ -315,8 +311,9 @@ class ResultStore:
         created = overwrite or self._load_blob(key) is None
         if created:
             self.objects_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(path, json.dumps(blob, indent=2, sort_keys=True,
-                                           allow_nan=False) + "\n")
+            atomic_write_text(path, json.dumps(
+                blob, indent=2, sort_keys=True, allow_nan=False
+            ) + "\n")
         if name is not None:
             self.alias(name, key, kind, meta)
         return key, path, created
@@ -425,7 +422,7 @@ class ResultStore:
                 if not (e.get("name") == name and e.get("key") == key)
             ]
             index["entries"].append(entry)
-            _atomic_write(
+            atomic_write_text(
                 self.index_path, json.dumps(index, indent=2) + "\n"
             )
 
@@ -446,7 +443,7 @@ class ResultStore:
             ]
             removed = before - len(index["entries"])
             if removed:
-                _atomic_write(
+                atomic_write_text(
                     self.index_path, json.dumps(index, indent=2) + "\n"
                 )
         return removed
@@ -530,7 +527,7 @@ class ResultStore:
         """Find (and unless ``dry_run``, delete) orphaned temp files.
 
         A writer killed between the temp write and the rename in
-        :func:`_atomic_write` leaves its ``*.tmp`` file behind forever.
+        :func:`atomic_write_text` leaves its ``*.tmp`` file behind forever.
         A temp file is stale when its embedded writer pid is dead on
         this host, or — when the pid cannot be judged (other host,
         foreign name) — when it is older than ``grace_s``.  Live

@@ -44,13 +44,8 @@ from ..results.store import ResultStore
 from ..security import faults
 from ..security.invariants import monitored_run
 from ..sim.config import DefenseConfig, SystemConfig
-from ..sim.reference import ReferenceSimulator
 from ..sim.snapshot import state_fingerprint
-from ..sim.system import SystemSimulator
-from ..workloads.compiled import (
-    compiled_rate_mode_traces,
-    compiled_source_traces,
-)
+from ..sim.system import build_simulator
 from ..workloads.sources import (
     ATTACK_PATTERNS,
     AttackerSource,
@@ -374,28 +369,6 @@ def _result_fields(result) -> Dict[str, Any]:
     }
 
 
-def _build_sim(spec: ScenarioSpec, engine: str, n_requests: int, seed: int):
-    """One simulator for the spec, sharing the compiled-trace cache."""
-    system = spec.system
-    if isinstance(spec.cores, str):
-        compiled = compiled_rate_mode_traces(
-            spec.cores, system.n_cores, n_requests, seed, system.mapper()
-        )
-    else:
-        compiled = compiled_source_traces(
-            spec.cores, n_requests, seed, system.mapper()
-        )
-    if engine == "fast":
-        return SystemSimulator(
-            system, defense=spec.defense, tmro_ns=spec.tmro_ns,
-            compiled=compiled,
-        )
-    return ReferenceSimulator(
-        system, [entry.trace for entry in compiled],
-        defense=spec.defense, tmro_ns=spec.tmro_ns,
-    )
-
-
 def check_scenario(
     spec: ScenarioSpec,
     n_requests: int = DEFAULT_FUZZ_REQUESTS,
@@ -413,7 +386,10 @@ def check_scenario(
     names = set()
     describes: List[str] = []
     for engine in ("fast", "reference"):
-        sim = _build_sim(spec, engine, n_requests, seed)
+        sim = build_simulator(
+            spec.system, spec.cores, spec.defense, spec.tmro_ns,
+            n_requests, seed, engine,
+        )
         result, monitor = monitored_run(
             sim, tmro_ns=spec.tmro_ns, checkpoint_cycles=checkpoint_cycles
         )
@@ -456,8 +432,13 @@ def bisect_divergence(
     ``(clean_cycle, divergent_cycle)`` window bounds the first
     mismatched event.  None when the engines agree end to end.
     """
-    fast = _build_sim(spec, "fast", n_requests, seed)
-    reference = _build_sim(spec, "reference", n_requests, seed)
+    fast, reference = (
+        build_simulator(
+            spec.system, spec.cores, spec.defense, spec.tmro_ns,
+            n_requests, seed, engine,
+        )
+        for engine in ("fast", "reference")
+    )
     prev_stop = 0
     stop = stride
     while True:

@@ -20,12 +20,15 @@ what makes the robustness claims testable in-process:
   any watermark sheds the request with an explicit retry-after instead
   of growing threads without bound.
 * **Execution** — a miss submits the task to the shared
-  :class:`~repro.distrib.queue.FileWorkQueue` and awaits the done
-  record, exactly like the sweep coordinator.  When no external worker
-  shows signs of life within ``serial_grace_s`` the engine turns
-  *sticky-degraded* (the coordinator's discipline) and executes claims
-  in-process through the same claim → execute → complete path, so a
-  request always completes; workers are an optimization.
+  :class:`~repro.distrib.queue.FileWorkQueue` and supervises it with
+  the sweep coordinator's own loop
+  (:func:`~repro.distrib.coordinator.supervise`), so both follow one
+  degrade rule: when the task shows no progress (a done record, or a
+  lease changing owner, attempts or heartbeats) for
+  ``serial_grace_s``, the engine turns *sticky-degraded* engine-wide
+  and executes claims in-process through the same
+  claim → execute → complete path.  A request always completes;
+  workers are an optimization.
 
 Deadlines are a property of the *wait*, not the work: a handler whose
 client deadline expires gets the content key back (202-style) while
@@ -40,18 +43,12 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..distrib.queue import FileWorkQueue, _read_json, worker_identity
-from ..distrib.worker import (
-    DEFAULT_CHECKPOINT_STRIDE,
-    TASK_KIND,
-    build_simulator,
-    execute_claimed_task,
-    result_alias,
-)
-from ..results.store import ResultStore, content_key, with_lock_retry
+from ..distrib.coordinator import supervise
+from ..distrib.queue import FileWorkQueue, worker_identity
+from ..distrib.worker import DEFAULT_CHECKPOINT_STRIDE
+from ..results.store import ResultStore, content_key
 from ..security import faults
 from .journal import RequestJournal
 
@@ -149,7 +146,8 @@ class RequestEngine:
         self.checkpoint_stride = checkpoint_stride
         self.owner = owner or f"serve:{worker_identity()}"
         self.stats = ServeStats()
-        self.degraded = False
+        #: Sticky and engine-wide: set once any request degrades.
+        self.degraded = threading.Event()
         self.draining = False
         self._lock = threading.Lock()
         self._inflight: Dict[str, InFlight] = {}
@@ -293,7 +291,7 @@ class RequestEngine:
         return {
             "owner": self.owner,
             "draining": self.draining,
-            "degraded": self.degraded,
+            "degraded": self.degraded.is_set(),
             "inflight": inflight,
             "waiters": waiters,
             "stats": self.stats.to_json(),
@@ -375,9 +373,20 @@ class RequestEngine:
         thread.start()
 
     def _resolve(self, entry: InFlight) -> None:
-        """Drive one request to a terminal state (resolver thread)."""
+        """Drive one request to a terminal state (resolver thread).
+
+        The task goes through the sweep coordinator's own supervision
+        loop, with this engine's sticky ``degraded`` flag: once one
+        request degrades, every later one executes in-process at once.
+        """
         try:
-            entry.payload = self._execute(entry)
+            task = self.queue.submit(entry.recipe)
+            payloads, _reclaimed, _speculated = supervise(
+                self.queue, self.store, [task], self.owner, self.degraded,
+                self.serial_grace_s, poll_s=self.poll_s,
+                checkpoint_stride=self.checkpoint_stride,
+            )
+            entry.payload = payloads[0]
             # The result blob is durable; only now may the journal
             # entry die — the crash-recovery invariant.
             self.journal.resolve(entry.key)
@@ -395,87 +404,3 @@ class RequestEngine:
             with self._lock:
                 self._inflight.pop(entry.key, None)
             entry.done.set()
-
-    def _execute(self, entry: InFlight) -> Dict[str, Any]:
-        """Submit to the queue and supervise until the result lands.
-
-        The sweep coordinator's discipline, scoped to one task: poll
-        the done record, reclaim expired leases, and — when the task
-        shows no progress for ``serial_grace_s`` — turn sticky-degraded
-        and execute claims in-process through the identical
-        claim → execute → complete path.
-        """
-        queue = self.queue
-        queue.submit(entry.recipe)
-        last_progress = time.monotonic()
-        last_signature = self._progress_signature(entry.key)
-        while True:
-            record = queue.done_record(entry.key)
-            if record is not None:
-                key = record.get("result_key", entry.key)
-                payload = self.store.get(key)
-                if payload is None:
-                    # Done record without a blob (operator deleted the
-                    # store?): recompute in-process, same discipline as
-                    # the coordinator's collector.
-                    payload = self._recompute(entry)
-                return payload
-            poison = queue.poison_record(entry.key)
-            if poison is not None:
-                raise RequestFailed(
-                    f"task {entry.key} poisoned after "
-                    f"{poison.get('attempts', '?')} attempt(s):\n"
-                    f"{poison.get('error', '?')}"
-                )
-            queue.reclaim_expired()
-            signature = self._progress_signature(entry.key)
-            if signature != last_signature:
-                last_signature = signature
-                last_progress = time.monotonic()
-            if self.degraded or (
-                time.monotonic() - last_progress > self.serial_grace_s
-            ):
-                # Sticky, engine-wide: once no worker showed progress
-                # for one request, stop waiting for any of them.
-                self.degraded = True
-                claimed = queue.claim(self.owner, want={entry.key})
-                if claimed is not None:
-                    try:
-                        with_lock_retry(lambda: execute_claimed_task(
-                            queue, self.store, claimed,
-                            checkpoint_stride=self.checkpoint_stride,
-                        ))
-                    except Exception:
-                        queue.fail(
-                            entry.key, self.owner,
-                            traceback.format_exc(),
-                        )
-                    continue
-            time.sleep(self.poll_s)
-
-    def _progress_signature(self, key: str) -> Optional[Tuple]:
-        """What this task's claim looks like right now.
-
-        Any change — a claim appearing, a heartbeat landing, a retry
-        bumping attempts — counts as external progress and re-arms the
-        degrade grace period.  None when unclaimed.
-        """
-        lease = _read_json(self.queue._path("claimed", key))
-        if lease is None:
-            return None
-        return (
-            lease.get("owner"),
-            lease.get("attempts"),
-            lease.get("heartbeats"),
-        )
-
-    def _recompute(self, entry: InFlight) -> Dict[str, Any]:
-        """In-process fallback for a done task whose blob went missing."""
-        result = build_simulator(entry.recipe).run()
-        payload = result.to_json()
-        with_lock_retry(lambda: self.store.put(
-            entry.recipe, payload,
-            name=result_alias(entry.key), kind=TASK_KIND,
-            meta={"owner": self.owner},
-        ))
-        return payload

@@ -56,7 +56,7 @@ from ..trackers.batch_kernels import (
 )
 from .config import DefenseConfig, SystemConfig
 from .stats import SimResult
-from .system import SystemSimulator
+from .system import SystemSimulator, build_simulator
 
 __all__ = [
     "BatchStats",
@@ -239,19 +239,6 @@ class _Recorder:
         )
 
 
-def _compiled_for(workload, system: SystemConfig,
-                  n_requests_per_core: int, seed: int):
-    """Compiled traces for a workload key (same dispatch and process
-    caches as :func:`~repro.sim.system.simulate_workload`)."""
-    from ..workloads.compiled import compiled_point_traces
-
-    if not isinstance(workload, str):
-        system.validate_sources(tuple(workload))
-    return compiled_point_traces(
-        workload, system.n_cores, n_requests_per_core, seed, system.mapper()
-    )
-
-
 def _follower_result(leader: SimResult, rfm_mitigations: int) -> SimResult:
     """The leader's result with the follower's own RFM-mitigation count.
 
@@ -311,17 +298,14 @@ def simulate_batch(
 
     results: Dict[tuple, SimResult] = {}
 
-    def full_sim(key) -> SimResult:
-        workload, defense, tmro_ns = key
-        compiled = _compiled_for(workload, system, n_requests_per_core, seed)
-        return SystemSimulator(
-            system, defense=defense, tmro_ns=tmro_ns, compiled=compiled
-        ).run()
+    def build(key) -> SystemSimulator:
+        # key is (workload, defense, tmro_ns): the builder's own order.
+        return build_simulator(system, *key, n_requests_per_core, seed)
 
     for lanes in groups.values():
         if len(lanes) == 1:
             st.singletons += 1
-            results[lanes[0]] = full_sim(lanes[0])
+            results[lanes[0]] = build(lanes[0]).run()
             continue
         st.groups += 1
         leader_key = min(
@@ -330,12 +314,7 @@ def simulate_batch(
                 (key[1] or DefenseConfig()).tracker
             ],
         )
-        workload, leader_defense, leader_tmro = leader_key
-        compiled = _compiled_for(workload, system, n_requests_per_core, seed)
-        simulator = SystemSimulator(
-            system, defense=leader_defense, tmro_ns=leader_tmro,
-            compiled=compiled,
-        )
+        simulator = build(leader_key)
         recorder = _Recorder(simulator)
         results[leader_key] = simulator.run()
         st.leaders += 1
@@ -346,7 +325,7 @@ def simulate_batch(
             # genuine fast-engine run, but no follower can replay it.
             for key in followers:
                 st.fallbacks += 1
-                results[key] = full_sim(key)
+                results[key] = build(key).run()
             continue
 
         timeline = recorder.timeline(system.banks_per_channel, timings)
@@ -371,6 +350,6 @@ def simulate_batch(
                 results[key] = _follower_result(results[leader_key], rfm)
             else:
                 st.fallbacks += 1
-                results[key] = full_sim(key)
+                results[key] = build(key).run()
 
     return [results[key] for key in normalized]

@@ -435,6 +435,47 @@ class SystemSimulator:
 ENGINE_NAMES = ("reference", "fast", "batch")
 
 
+def build_simulator(
+    system: SystemConfig,
+    workload,
+    defense: Optional[DefenseConfig] = None,
+    tmro_ns: Optional[float] = None,
+    n_requests: int = 2000,
+    seed: int = 0,
+    engine: str = "fast",
+):
+    """The unrun simulator of one sweep point.
+
+    ``workload`` is a rate-mode name or a per-core source tuple (see
+    :func:`simulate_workload`); source tuples are validated against
+    ``system``.  Traces resolve through the process-local compiled-trace
+    cache, so every caller building the same point gets bit-identical
+    input.  ``engine`` is ``"fast"`` (:class:`SystemSimulator`) or
+    ``"reference"`` (:class:`~repro.sim.reference.ReferenceSimulator`).
+    """
+    from ..workloads.compiled import compiled_point_traces
+
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"cannot build a {engine!r} simulator")
+    if not isinstance(workload, str):
+        system.validate_sources(tuple(workload))
+    compiled = compiled_point_traces(
+        workload, system.n_cores, n_requests, seed, system.mapper()
+    )
+    if engine == "reference":
+        from .reference import ReferenceSimulator
+
+        return ReferenceSimulator(
+            system,
+            [entry.trace for entry in compiled],
+            defense,
+            tmro_ns=tmro_ns,
+        )
+    return SystemSimulator(
+        system, defense=defense, tmro_ns=tmro_ns, compiled=compiled
+    )
+
+
 def simulate_workload(
     name,
     defense: Optional[DefenseConfig] = None,
@@ -463,8 +504,6 @@ def simulate_workload(
     All three produce bit-identical results; ``"batch"`` raises
     ImportError when NumPy is unavailable — fall back to ``"fast"``.
     """
-    from ..workloads.compiled import compiled_point_traces
-
     system = system or SystemConfig()
     if engine not in ENGINE_NAMES:
         raise ValueError(
@@ -479,21 +518,6 @@ def simulate_workload(
             n_requests_per_core=n_requests_per_core,
             seed=seed,
         )[0]
-    if not isinstance(name, str):
-        system.validate_sources(tuple(name))
-    compiled = compiled_point_traces(
-        name, system.n_cores, n_requests_per_core, seed, system.mapper()
-    )
-    if engine == "reference":
-        from .reference import ReferenceSimulator
-
-        return ReferenceSimulator(
-            system,
-            [entry.trace for entry in compiled],
-            defense,
-            tmro_ns=tmro_ns,
-        ).run()
-    simulator = SystemSimulator(
-        system, defense=defense, tmro_ns=tmro_ns, compiled=compiled
-    )
-    return simulator.run()
+    return build_simulator(
+        system, name, defense, tmro_ns, n_requests_per_core, seed, engine
+    ).run()

@@ -113,7 +113,10 @@ class TestSerialAndDegraded:
         # worker-liveness signal, so the degraded drain never ran again
         # and the retrying task waited forever for a worker that did
         # not exist.  Degraded mode must stay sticky: keep draining
-        # through the backoff until the retry succeeds.
+        # through the backoff until the retry succeeds.  The shared
+        # supervision loop (coordinator.supervise) looks
+        # execute_claimed_task up in the coordinator module, so the
+        # failure is injected there.
         import repro.distrib.coordinator as coordinator_mod
 
         recipes = small_recipes()
