@@ -4,8 +4,6 @@ from .controller import (
     BANK_QUEUE_CAPACITY,
     VICTIMS_PER_MITIGATION,
     ChannelController,
-    Completion,
-    ServiceResult,
 )
 from .request import InFlightRequest
 
@@ -13,7 +11,5 @@ __all__ = [
     "BANK_QUEUE_CAPACITY",
     "VICTIMS_PER_MITIGATION",
     "ChannelController",
-    "Completion",
-    "ServiceResult",
     "InFlightRequest",
 ]

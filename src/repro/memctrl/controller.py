@@ -1,11 +1,14 @@
 """Channel memory controller: queues, FR-FCFS scheduling, page policy.
 
-One :class:`ChannelController` owns the banks of one channel.  The system
-simulator drives it with two calls:
+One :class:`ChannelController` owns the banks of one channel.  Both
+simulation engines drive it with two calls:
 
 * :meth:`enqueue` — a core's LLC miss arrives;
-* :meth:`service` — the bank is (possibly) free: do the highest-priority
-  piece of work and report when to look again and which requests finished.
+* :meth:`step` — the bank is (possibly) free: do the highest-priority
+  piece of work and return the cycle to look again.  A finished demand
+  request is reported through the ``done_core``/``done_cycle`` fields,
+  which the caller reads and resets to ``-1``; a step finishes at most
+  one request.
 
 Scheduling priority per bank (Section III and the baseline of Table II):
 
@@ -21,18 +24,21 @@ ImPress-N earns its window credits and ImPress-P its EACT records.
 
 **Hot-path engineering** (see ``docs/performance.md``): the scheme's
 per-bank activate/close/RFM kernels are hoisted into flat lists at
-construction, so the service path never goes through
+construction, so the step path never goes through
 ``scheme.on_row_closed -> tracker_for -> record`` dynamic dispatch; the
-timing fields used per step are cached as plain ints; and ``service`` /
-``_serve_demand`` read each per-bank object exactly once into locals.
-Scheduling decisions are unchanged — ``tests/test_sim_golden.py`` pins
-the pre-refactor results.
+timing fields used per step are cached as plain ints; ``step`` /
+``_serve_demand`` read each per-bank object exactly once into locals;
+and a step allocates nothing — it returns an int and reports a
+completion through two int fields (``repro check``'s
+``no-alloc-in-kernels`` rule keeps it that way).  Scheduling decisions
+are unchanged — ``tests/test_sim_golden.py`` pins the pre-refactor
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.mitigation import MitigationScheme
 from ..dram.bank import Bank
@@ -47,24 +53,6 @@ BANK_QUEUE_CAPACITY = 16
 #: Victim refreshes per mitigation: blast radius 2 -> 4 rows, each an
 #: ACT + PRE taking one tRC (Appendix B's 4-activation mitigation cost).
 VICTIMS_PER_MITIGATION = 4
-
-
-@dataclass(slots=True)
-class Completion:
-    """A demand request finished: data back at ``cycle`` for ``core_id``."""
-
-    cycle: int
-    core_id: int
-    is_write: bool
-
-
-@dataclass(slots=True)
-class ServiceResult:
-    """What a service step did and when the bank needs attention next."""
-
-    next_wake: Optional[int] = None
-    completions: Sequence[Completion] = ()
-    worked: bool = False
 
 
 @dataclass(slots=True)
@@ -88,6 +76,7 @@ class ChannelController:
         "tmro_cycles", "mop_burst_lines", "idle_close_cycles", "banks",
         "refresh", "state", "counts", "core_demand_acts", "row_hits",
         "row_misses", "row_conflicts", "rfm_mitigations", "tmro_closures",
+        "done_core", "done_cycle",
         "_act_kernels", "_close_kernels", "_rfm_kernels",
         "_tPRE", "_tRC", "_tRCD", "_tCCD", "_tCAS", "_tRAS", "_tRFM",
     )
@@ -135,8 +124,12 @@ class ChannelController:
         self.row_conflicts = 0
         self.rfm_mitigations = 0
         self.tmro_closures = 0
+        #: The request the last :meth:`step` finished: its core (-1 when
+        #: none) and the cycle its data returned (writes: column issue).
+        self.done_core = -1
+        self.done_cycle = 0
         # Hot-path caches: the scheme's per-bank kernels (no per-step
-        # scheme/tracker indirection) and the timing fields the service
+        # scheme/tracker indirection) and the timing fields the step
         # loop touches, as plain ints.
         self._act_kernels = list(scheme.act_kernels())
         self._close_kernels = list(scheme.close_kernels())
@@ -222,12 +215,18 @@ class ChannelController:
 
     # -- the scheduling step ---------------------------------------------
 
-    def service(self, bank_id: int, cycle: int) -> ServiceResult:
-        """Do one piece of work on the bank at ``cycle``."""
+    def step(self, bank_id: int, cycle: int) -> int:
+        """Do one piece of work on the bank at ``cycle``.
+
+        Returns the next cycle the bank needs attention; a value below
+        ``cycle`` means no wakeup (a postponed refresh).  When the step
+        finished a demand request, ``done_core``/``done_cycle`` name it
+        and the caller must reset ``done_core`` to -1.
+        """
         book = self.state[bank_id]
         busy_until = book.busy_until
         if busy_until > cycle:
-            return ServiceResult(next_wake=busy_until)
+            return busy_until
         bank = self.banks[bank_id]
         tpre = self._tPRE
 
@@ -246,7 +245,7 @@ class ChannelController:
             refresh.issue(start)
             self.counts.refreshes += 1
             book.busy_until = done
-            return ServiceResult(next_wake=done, worked=True)
+            return done
 
         # 2. RFM (in-DRAM tracker configurations).
         if self.use_rfm and book.acts_since_rfm >= self.rfmth:
@@ -266,7 +265,7 @@ class ChannelController:
             if self._rfm_kernels[bank_id](start) is not None:
                 self.rfm_mitigations += 1
             book.busy_until = done
-            return ServiceResult(next_wake=done, worked=True)
+            return done
 
         # 3. Mitigative victim refreshes (MC-based trackers).
         if book.pending_mitigations > 0:
@@ -285,7 +284,7 @@ class ChannelController:
             book.busy_until = done
             # Keep the bank's ACT clock coherent for the next demand ACT.
             bank.block_until(done)
-            return ServiceResult(next_wake=done, worked=True)
+            return done
 
         # 4. tMRO expiry (ExPress / tMRO sweeps).
         tmro = self.tmro_cycles
@@ -298,7 +297,7 @@ class ChannelController:
             pre_cycle = self._close_row(bank_id, cycle)
             self.tmro_closures += 1
             book.busy_until = pre_cycle + tpre
-            return ServiceResult(next_wake=book.busy_until, worked=True)
+            return book.busy_until
 
         # 5. Demand requests, hits first.
         if book.queue:
@@ -314,7 +313,7 @@ class ChannelController:
         ):
             pre_cycle = self._close_row(bank_id, cycle)
             book.busy_until = pre_cycle + tpre
-            return ServiceResult(next_wake=book.busy_until, worked=True)
+            return book.busy_until
 
         # Nothing to do: wake for refresh, tMRO expiry or idle close.
         wake = refresh._next_due
@@ -327,7 +326,7 @@ class ChannelController:
                 idle_wake = book.last_use + idle_close
                 if idle_wake < wake:
                     wake = idle_wake
-        return ServiceResult(next_wake=wake)
+        return wake
 
     def _serve_demand(
         self,
@@ -335,9 +334,11 @@ class ChannelController:
         cycle: int,
         book: BankBookkeeping,
         bank: Bank,
-    ) -> ServiceResult:
+    ) -> int:
         """Serve one demand request; the caller guarantees a non-empty
-        queue and passes the bank state it already fetched."""
+        queue and passes the bank state it already fetched.  Returns the
+        next wake cycle and records the completion in ``done_core`` /
+        ``done_cycle``."""
         queue = book.queue
         counts = self.counts
         tccd = self._tCCD
@@ -399,7 +400,7 @@ class ChannelController:
         # When nothing else is pending on this bank, skip the busy_until
         # no-op wakeup: report the real next deadline (refresh / tMRO /
         # idle close), clamped to busy_until so no work happens earlier
-        # than it would have.  This removes one service round-trip per
+        # than it would have.  This removes one step round-trip per
         # request without moving any command to a different cycle.
         wake = busy_until
         if not queue and book.pending_mitigations == 0 and not (
@@ -419,14 +420,9 @@ class ChannelController:
                         deadline = idle_wake
             if deadline > wake:
                 wake = deadline
-        done_cycle = col_cycle if request.is_write else data_cycle
-        return ServiceResult(
-            next_wake=wake,
-            completions=[
-                Completion(done_cycle, request.core_id, request.is_write)
-            ],
-            worked=True,
-        )
+        self.done_core = request.core_id
+        self.done_cycle = col_cycle if request.is_write else data_cycle
+        return wake
 
     # -- wrap-up -----------------------------------------------------------
 

@@ -197,18 +197,20 @@ class ReferenceSimulator:
                 self._try_issue(self.cores[payload], cycle)
             elif kind == EVENT_BANK:
                 channel, bank = self._unflatten(payload)
-                result = self.controllers[channel].service(bank, cycle)
-                extra = self.system.extra_latency_cycles
-                for completion in result.completions:
+                controller = self.controllers[channel]
+                next_wake = controller.step(bank, cycle)
+                if controller.done_core >= 0:
                     self._push(
-                        completion.cycle + extra, EVENT_DONE, completion.core_id
+                        controller.done_cycle
+                        + self.system.extra_latency_cycles,
+                        EVENT_DONE,
+                        controller.done_core,
                     )
+                    controller.done_core = -1
                     remaining -= 1
                     pending_done += 1
-                if result.next_wake is not None and result.next_wake >= cycle:
-                    self._push(
-                        max(result.next_wake, cycle + 1), EVENT_BANK, payload
-                    )
+                if next_wake >= cycle:
+                    self._push(max(next_wake, cycle + 1), EVENT_BANK, payload)
             else:  # EVENT_DONE
                 pending_done -= 1
                 core = self.cores[payload]

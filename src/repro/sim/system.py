@@ -28,6 +28,9 @@ then flushed so ImPress-P records their final EACTs.
 * Traces are pre-compiled to ``(channel, bank, row)`` arrays once per
   ``(trace, mapper)`` via :mod:`repro.workloads.compiled`, so the issue
   path does list indexing instead of per-request address arithmetic.
+* A bank event allocates nothing: :meth:`ChannelController.step`
+  returns the next wake as an int, and the controller's
+  ``done_core``/``done_cycle`` become the DONE event directly.
 
 Behavior is bit-identical to :class:`repro.sim.reference.ReferenceSimulator`
 (the preserved original loop); ``tests/test_engine_equivalence.py``
@@ -81,8 +84,8 @@ class SystemSimulator:
     __slots__ = (
         "system", "defense", "mapper", "controllers", "cores",
         "_compiled", "_heap", "_seq", "_now", "_started", "_remaining",
-        "_pending_done", "_bank_wake", "_service_fns", "_local_banks",
-        "_chan_states",
+        "_pending_done", "_bank_wake", "_bank_ctrls", "_local_banks",
+        "_books", "_issue_arrays",
     )
 
     def __init__(
@@ -156,45 +159,38 @@ class SystemSimulator:
         self._pending_done = 0
         #: Cycle of each bank's single live heap entry, -1 when none.
         self._bank_wake: List[int] = [-1] * total_banks
-        # Flat-bank dispatch tables: the event loop indexes a bound
-        # ``service`` method and a local bank id instead of doing a
-        # div/mod + controller lookup per bank event.
+        # Flat-bank dispatch tables: the event loop indexes a controller
+        # and a local bank id, and the issue path a bank's bookkeeping
+        # (skipping can_accept/enqueue re-validation), instead of doing
+        # a div/mod + controller lookup per event.
         per = system.banks_per_channel
-        self._service_fns = [
-            self.controllers[flat // per].service for flat in range(total_banks)
-        ]
-        self._local_banks = [flat % per for flat in range(total_banks)]
-        #: Per-channel bank bookkeeping lists for direct queue access on
-        #: the issue path (skips can_accept/enqueue re-validation).
-        self._chan_states = [
-            controller.state for controller in self.controllers
+        self._bank_ctrls = [c for c in self.controllers for _ in range(per)]
+        self._local_banks = list(range(per)) * system.channels
+        self._books = [book for c in self.controllers for book in c.state]
+        #: Per-core compiled arrays for the issue path.  Built here, not
+        #: at first run, so a restore into a fresh simulator finds them.
+        self._issue_arrays = [
+            (entry.channels, entry.banks, entry.rows, entry.columns,
+             entry.flat_banks, entry.is_write, entry.gaps, entry.length)
+            for entry in self._compiled
         ]
 
     # -- core issue logic -------------------------------------------------
 
     def _try_issue(self, core: CoreState, cycle: int) -> None:
-        compiled = self._compiled[core.core_id]
-        banks = compiled.banks
-        channels = compiled.channels
-        rows = compiled.rows
-        columns = compiled.columns
-        flats = compiled.flat_banks
-        writes = compiled.is_write
-        gaps = compiled.gaps
-        length = compiled.length
-        chan_states = self._chan_states
+        (channels, banks, rows, columns, flats, writes, gaps,
+         length) = self._issue_arrays[core.core_id]
+        books = self._books
         heap = self._heap
         push = heapq.heappush
         bank_wake = self._bank_wake
         core_id = core.core_id
         mlp = core.mlp
-        while core.index < length and core.outstanding < mlp:
-            index = core.index
-            bank = banks[index]
-            channel = channels[index]
-            # Direct queue access: the capacity check here is the same
-            # one can_accept/enqueue would repeat.
-            book = chan_states[channel][bank]
+        index = core.index
+        outstanding = core.outstanding
+        while index < length and outstanding < mlp:
+            flat = flats[index]
+            book = books[flat]
             queue = book.queue
             if len(queue) >= BANK_QUEUE_CAPACITY:
                 self._seq += 1
@@ -203,25 +199,24 @@ class SystemSimulator:
                     (((cycle + QUEUE_RETRY_CYCLES) << _SEQ_BITS | self._seq)
                      << _LOW_BITS) | _CORE_TAG | core_id,
                 )
-                return
+                break
             queue.append(
                 InFlightRequest(
                     core_id=core_id,
                     is_write=writes[index],
                     enqueue_cycle=cycle,
-                    channel=channel,
-                    bank=bank,
+                    channel=channels[index],
+                    bank=banks[index],
                     row=rows[index],
                     column=columns[index],
                 )
             )
             # Wake the bank when it can actually serve: an arrival at a
-            # busy bank would only get a busy-return from service(), so
+            # busy bank would only get a busy-return from step(), so
             # schedule straight for busy_until instead of polling now.
             wake_at = book.busy_until
             if wake_at < cycle:
                 wake_at = cycle
-            flat = flats[index]
             wake = bank_wake[flat]
             if wake < 0 or wake_at < wake:
                 bank_wake[flat] = wake_at
@@ -231,13 +226,13 @@ class SystemSimulator:
                     ((wake_at << _SEQ_BITS | self._seq) << _LOW_BITS)
                     | _BANK_TAG | flat,
                 )
-            core.index = index + 1
-            core.outstanding += 1
-            if core.outstanding >= mlp:
+            index += 1
+            outstanding += 1
+            if outstanding >= mlp:
                 core.stalled_on_mlp = True
-                return
-            if core.index < length:
-                gap = gaps[core.index]
+                break
+            if index < length:
+                gap = gaps[index]
                 if gap > 0:
                     self._seq += 1
                     push(
@@ -245,8 +240,10 @@ class SystemSimulator:
                         (((cycle + gap) << _SEQ_BITS | self._seq)
                          << _LOW_BITS) | _CORE_TAG | core_id,
                     )
-                    return
+                    break
                 # gap == 0: keep issuing at this cycle.
+        core.index = index
+        core.outstanding = outstanding
 
     # -- main loop ----------------------------------------------------------
 
@@ -302,9 +299,8 @@ class SystemSimulator:
         push = heapq.heappush
         pop = heapq.heappop
         cores = self.cores
-        compiled = self._compiled
         bank_wake = self._bank_wake
-        service_fns = self._service_fns
+        bank_ctrls = self._bank_ctrls
         local_banks = self._local_banks
         extra = self.system.extra_latency_cycles
         threshold = (
@@ -331,26 +327,25 @@ class SystemSimulator:
                 if bank_wake[payload] != cycle:
                     continue    # superseded by an earlier wakeup
                 bank_wake[payload] = -1
-                result = service_fns[payload](local_banks[payload], cycle)
-                completions = result.completions
-                if completions:
-                    for completion in completions:
-                        self._seq += 1
-                        push(
-                            heap,
-                            (((completion.cycle + extra) << _SEQ_BITS
-                              | self._seq) << _LOW_BITS)
-                            | _DONE_TAG | completion.core_id,
-                        )
-                    remaining -= len(completions)
-                    pending_done += len(completions)
-                wake = result.next_wake
-                if wake is not None and wake >= cycle:
+                controller = bank_ctrls[payload]
+                wake = controller.step(local_banks[payload], cycle)
+                core_id = controller.done_core
+                if core_id >= 0:
+                    controller.done_core = -1
+                    self._seq += 1
+                    push(
+                        heap,
+                        (((controller.done_cycle + extra) << _SEQ_BITS
+                          | self._seq) << _LOW_BITS) | _DONE_TAG | core_id,
+                    )
+                    remaining -= 1
+                    pending_done += 1
+                if wake >= cycle:
                     if wake <= cycle:
                         wake = cycle + 1
                     # bank_wake[payload] is -1 here: it was cleared at
-                    # pop and neither service() nor the DONE pushes
-                    # touch it, so this push is never superseded.
+                    # pop and neither step() nor the DONE push touch
+                    # it, so this push is never superseded.
                     bank_wake[payload] = wake
                     self._seq += 1
                     push(
@@ -360,11 +355,18 @@ class SystemSimulator:
                     )
             elif kind == EVENT_DONE:
                 pending_done -= 1
+                # Inlined CoreState.retire.
                 core = cores[payload]
-                core.retire(cycle)
+                outstanding = core.outstanding - 1
+                if outstanding < 0:
+                    raise RuntimeError("retire with no outstanding request")
+                core.outstanding = outstanding
+                core.retired += 1
+                if outstanding == 0 and core.index >= core.trace_length:
+                    core.finish_cycle = cycle
                 if core.stalled_on_mlp:
                     core.stalled_on_mlp = False
-                    if core.index < compiled[payload].length:
+                    if core.index < core.trace_length:
                         self._try_issue(core, cycle)
             else:  # EVENT_CORE
                 self._try_issue(cores[payload], cycle)

@@ -14,9 +14,9 @@ and hand-fixed once (see docs/static_analysis.md for the full history):
 * ``slots-on-hot-classes`` — the PR 2/3 hot-path work made per-event
   allocation the enemy; ``__slots__`` keeps instance layout flat and
   catches attribute typos in kernels.
-* ``no-alloc-in-kernels`` — the PR 3 allocation-free tracker kernels:
-  a list/dict born per ACT re-introduces the dispatch overhead the
-  kernels exist to remove.
+* ``no-alloc-in-kernels`` — the PR 3 allocation-free tracker kernels
+  and the allocation-free controller step: a list/dict born per ACT or
+  per bank event re-introduces the overhead the kernels exist to remove.
 * ``no-wallclock-nondeterminism`` — byte-identical replay dies the
   moment simulation state reads the clock or an unseeded RNG.
 * ``simresult-parity`` — the "new metric collected by one engine only"
@@ -408,6 +408,15 @@ _KERNEL_BUILDER = re.compile(r"^(raw_kernel|_build_\w*kernels?)$")
 
 _ALLOC_CALLS = {"list", "dict", "set", "frozenset", "sorted", "tuple"}
 
+#: Per-event methods, by class: the controller step and the ACT/PRE/
+#: demand helpers it calls run once per bank event, the event loop and
+#: the issue path once per event.  Building a request object is fine;
+#: a container born per event is not.
+_HOT_METHODS = {
+    "ChannelController": {"step", "_serve_demand", "_activate", "_close_row"},
+    "SystemSimulator": {"run_until", "_try_issue"},
+}
+
 
 @register_rule
 class NoAllocInKernels(FileRule):
@@ -417,14 +426,26 @@ class NoAllocInKernels(FileRule):
     ``record_unit`` and the closures returned by ``raw_kernel`` /
     ``_build_*_kernels`` run once per ACT/PRE, and one list or dict
     born there re-introduces the per-event overhead that rebuild
-    removed.  Bind-time code (the builder bodies) may allocate.
+    removed.  Bind-time code (the builder bodies) may allocate.  The
+    same holds for the per-event methods in :data:`_HOT_METHODS`: the
+    controller step and the fast engine's event loop.
     """
 
     rule_id = "no-alloc-in-kernels"
     summary = ("no list/dict/set/comprehension allocation inside "
-               "record_unit or act/close/RFM kernel closures")
+               "record_unit, act/close/RFM kernel closures, the "
+               "controller step or the fast engine's event loop")
 
     def check_file(self, parsed: ParsedFile) -> Iterator[Finding]:
+        for node in ast.walk(parsed.tree):
+            if isinstance(node, ast.ClassDef) and node.name in _HOT_METHODS:
+                hot = _HOT_METHODS[node.name]
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) \
+                            and method.name in hot:
+                        yield from self._scan_kernel(
+                            parsed, method, f"{node.name}.{method.name}"
+                        )
         for func in _functions(parsed.tree):
             if func.name == "record_unit":
                 yield from self._scan_kernel(parsed, func, func.name)

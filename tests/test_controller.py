@@ -1,4 +1,10 @@
-"""Unit tests for the channel memory controller."""
+"""Unit tests for the channel memory controller.
+
+A step that did work shows as a change in the command counters; a
+finished demand request shows in ``done_core``/``done_cycle``.
+"""
+
+import dataclasses
 
 import pytest
 
@@ -10,6 +16,8 @@ from repro.memctrl.controller import (
     ChannelController,
 )
 from repro.memctrl.request import InFlightRequest
+from repro.sim.config import DefenseConfig, SystemConfig
+from repro.sim.system import build_simulator
 from repro.trackers.base import AccountingTracker
 from repro.trackers.para import ParaTracker
 
@@ -31,15 +39,32 @@ def demand(core, bank, row, column=0, cycle=0, write=False):
     )
 
 
+def commands(controller):
+    """The command counters; a step did work iff they moved."""
+    return dataclasses.astuple(controller.counts)
+
+
 class TestDemandPath:
     def test_miss_then_hit(self, timings):
         controller = make_controller(timings)
         controller.enqueue(demand(0, 0, 5, 0))
-        controller.enqueue(demand(0, 0, 5, 1))
-        first = controller.service(0, 0)
-        assert first.worked and len(first.completions) == 1
-        second = controller.service(0, first.next_wake)
-        assert second.worked
+        controller.enqueue(demand(1, 0, 5, 1))
+        assert controller.done_core == -1
+        before = commands(controller)
+        first = controller.step(0, 0)
+        assert commands(controller) != before
+        # Miss: ACT at 0, column at tRCD, read data tCAS later.
+        assert controller.done_core == 0
+        assert controller.done_cycle == timings.tRCD + timings.tCAS
+        controller.done_core = -1
+        before = commands(controller)
+        second = controller.step(0, first)
+        assert commands(controller) != before
+        # Hit: next column tCCD after the first.
+        assert controller.done_core == 1
+        assert controller.done_cycle == (
+            timings.tRCD + timings.tCCD + timings.tCAS
+        )
         assert controller.row_misses == 1
         assert controller.row_hits == 1
         assert controller.counts.demand_acts == 1
@@ -48,12 +73,12 @@ class TestDemandPath:
         controller = make_controller(timings, idle_close_cycles=None,
                                      mop_burst_lines=None)
         controller.enqueue(demand(0, 0, 5))
-        controller.service(0, 0)
+        controller.step(0, 0)
         controller.enqueue(demand(0, 0, 9))
-        # Step at busy_until: next_wake now reports the real next
-        # deadline (refresh/tMRO/idle), not the bank-free cycle.
+        # Step at busy_until: the returned wake now reports the real
+        # next deadline (refresh/tMRO/idle), not the bank-free cycle.
         cycle = max(controller.state[0].busy_until, timings.tRAS)
-        controller.service(0, cycle)
+        controller.step(0, cycle)
         assert controller.row_conflicts == 1
         assert controller.counts.precharges >= 1
 
@@ -61,19 +86,21 @@ class TestDemandPath:
         controller = make_controller(timings, idle_close_cycles=None,
                                      mop_burst_lines=None)
         controller.enqueue(demand(0, 0, 5))
-        controller.service(0, 0)
+        controller.step(0, 0)
         # Queue a conflicting row first, then a hit to the open row.
         controller.enqueue(demand(0, 0, 9, 2))
         controller.enqueue(demand(0, 0, 5, 1))
-        controller.service(0, controller.state[0].busy_until)
+        controller.step(0, controller.state[0].busy_until)
         assert controller.row_hits == 1  # the younger hit won
 
     def test_write_completes_at_column_issue(self, timings):
         controller = make_controller(timings)
         controller.enqueue(demand(0, 0, 5, write=True))
-        result = controller.service(0, 0)
-        completion = result.completions[0]
-        assert completion.is_write
+        controller.step(0, 0)
+        # A write completes at its column issue (ACT at 0 + tRCD), not
+        # tCAS later as a read would.
+        assert controller.done_core == 0
+        assert controller.done_cycle == timings.tRCD
         assert controller.counts.writes == 1
 
     def test_queue_capacity(self, timings):
@@ -110,8 +137,8 @@ class TestMopAndIdleClose:
                                      idle_close_cycles=None)
         controller.enqueue(demand(0, 0, 5, 0))
         controller.enqueue(demand(0, 0, 5, 1))
-        wake = controller.service(0, 0).next_wake
-        controller.service(0, wake)
+        wake = controller.step(0, 0)
+        controller.step(0, wake)
         assert not controller.banks[0].is_open
         assert controller.counts.precharges == 1
 
@@ -119,13 +146,14 @@ class TestMopAndIdleClose:
         controller = make_controller(timings, mop_burst_lines=None,
                                      idle_close_cycles=100)
         controller.enqueue(demand(0, 0, 5))
-        wake = controller.service(0, 0).next_wake
-        # With nothing queued, the demand service reports the idle-close
+        wake = controller.step(0, 0)
+        # With nothing queued, the demand step reports the idle-close
         # deadline directly as its next wake.
         assert wake == controller.state[0].last_use + 100
         assert controller.banks[0].is_open
-        late = controller.service(0, wake + 200)
-        assert late.worked
+        before = commands(controller)
+        controller.step(0, wake + 200)
+        assert commands(controller) != before
         assert not controller.banks[0].is_open
 
 
@@ -137,9 +165,10 @@ class TestTmro:
             idle_close_cycles=None,
         )
         controller.enqueue(demand(0, 0, 5))
-        wake = controller.service(0, 0).next_wake
-        result = controller.service(0, tmro + 10)
-        assert result.worked
+        controller.step(0, 0)
+        before = commands(controller)
+        controller.step(0, tmro + 10)
+        assert commands(controller) != before
         assert controller.tmro_closures == 1
         assert not controller.banks[0].is_open
 
@@ -150,17 +179,18 @@ class TestTmro:
             idle_close_cycles=None,
         )
         controller.enqueue(demand(0, 0, 5))
-        wake = controller.service(0, 0).next_wake
-        idle = controller.service(0, wake)
-        assert idle.next_wake <= tmro + timings.tRC
+        wake = controller.step(0, 0)
+        idle = controller.step(0, wake)
+        assert idle <= tmro + timings.tRC
 
 
 class TestRefresh:
     def test_refresh_issues_when_due(self, timings):
         controller = make_controller(timings)
         due = controller.refresh[0].next_due
-        result = controller.service(0, due)
-        assert result.worked
+        before = commands(controller)
+        controller.step(0, due)
+        assert commands(controller) != before
         assert controller.counts.refreshes == 1
 
     def test_refresh_closes_open_row_first(self, timings):
@@ -168,9 +198,10 @@ class TestRefresh:
                                      idle_close_cycles=None)
         due = controller.refresh[0].next_due
         controller.enqueue(demand(0, 0, 5))
-        controller.service(0, due - timings.tRC)
-        result = controller.service(0, due)
-        assert result.worked
+        controller.step(0, due - timings.tRC)
+        before = commands(controller)
+        controller.step(0, due)
+        assert commands(controller) != before
         assert controller.counts.refreshes == 1
         assert controller.counts.precharges == 1
 
@@ -184,9 +215,9 @@ class TestRfm:
         cycle = 0
         for row in (1, 2):
             controller.enqueue(demand(0, 0, row))
-            controller.service(0, cycle)
+            controller.step(0, cycle)
             cycle = controller.state[0].busy_until + timings.tRC
-        result = controller.service(0, cycle)
+        controller.step(0, cycle)
         assert controller.counts.rfms == 1
 
 
@@ -197,9 +228,10 @@ class TestMitigations:
             timings=timings, num_banks=1, scheme=scheme,
         )
         controller.enqueue(demand(0, 0, 5))
-        first = controller.service(0, 0)
-        result = controller.service(0, first.next_wake)
-        assert result.worked  # the mitigation block
+        first = controller.step(0, 0)
+        before = commands(controller)
+        controller.step(0, first)
+        assert commands(controller) != before  # the mitigation block
         assert controller.counts.mitigative_acts == VICTIMS_PER_MITIGATION
 
     def test_impress_p_records_eact_on_close(self, timings):
@@ -210,10 +242,31 @@ class TestMitigations:
             mop_burst_lines=None, idle_close_cycles=None,
         )
         controller.enqueue(demand(0, 0, 5))
-        controller.service(0, 0)
+        controller.step(0, 0)
         controller.flush_open_rows(timings.tRAS + timings.tRC)
         assert tracker.recorded_for(5) > 1.0
 
     def test_hit_rate(self, timings):
         controller = make_controller(timings)
         assert controller.hit_rate() == 0.0
+
+
+class TestCompletionHandoff:
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_no_completion_left_after_run_until(self, engine):
+        """Each engine consumes a step's completion before the next
+        event, so none can leak across a stop or a snapshot."""
+        sim = build_simulator(
+            SystemConfig(n_cores=2, banks_per_channel=8), "mcf",
+            DefenseConfig(tracker="graphene", scheme="impress-p"),
+            n_requests=150, engine=engine,
+        )
+        stop = 0
+        done = False
+        while not done:
+            done = sim.run_until(stop_cycle=stop)
+            assert [c.done_core for c in sim.controllers] == [-1] * len(
+                sim.controllers
+            )
+            stop += 97
+        assert sum(sim.finish().core_requests) == 300

@@ -342,6 +342,44 @@ def test_no_alloc_fires_in_kernel_closures(tmp_path):
     assert [f.line for f in report.findings] == [4, 11]
 
 
+def test_no_alloc_fires_in_controller_step_and_event_loop(tmp_path):
+    write_tree(tmp_path, {"memctrl/controller.py": """
+        class ChannelController:
+            __slots__ = ("done_core",)
+
+            def step(self, bank_id, cycle):
+                return self._serve_demand(bank_id, cycle)
+
+            def _serve_demand(self, bank_id, cycle):
+                request = InFlightRequest(core_id=0)   # not a container
+                return ServiceResult(
+                    completions=[Completion(cycle, request.core_id)],
+                )
+
+            def flush_open_rows(self, cycle):
+                return [cycle]             # wrap-up, not per event
+
+        class SystemSimulator:
+            __slots__ = ()
+
+            def run_until(self, stop_cycle):
+                pending = {}               # per-call dict in the loop
+                return pending
+
+            def _try_issue(self, core, cycle):
+                return [x for x in core]   # per-issue comprehension
+
+        class OtherController:
+            def step(self, bank_id, cycle):
+                return [bank_id]           # not a hot class
+    """})
+    report = check(tmp_path, "no-alloc-in-kernels")
+    assert [f.line for f in report.findings] == [11, 21, 25]
+    assert "ChannelController._serve_demand" in report.findings[0].message
+    assert "SystemSimulator.run_until" in report.findings[1].message
+    assert "SystemSimulator._try_issue" in report.findings[2].message
+
+
 def test_no_alloc_quiet_on_integer_kernels(tmp_path):
     write_tree(tmp_path, {"trackers/impl.py": """
         class Tracker:
