@@ -502,7 +502,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.distributed:
             outcome = run_serial_sweep(recipes, store)
         else:
-            from .distrib.chaos import spawn_worker
+            from .chaos import reap, spawn, worker_command
             from .distrib.queue import FileWorkQueue
 
             queue_dir = Path(
@@ -512,10 +512,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             queue = FileWorkQueue(queue_dir, lease_s=args.lease)
             for i in range(args.spawn_workers):
-                workers.append(spawn_worker(
-                    queue_dir, Path(args.results_dir), args.lease,
-                    stride or 0,
-                    log_path=queue_dir / f"worker-{i}.log",
+                workers.append(spawn(
+                    worker_command(
+                        queue_dir, Path(args.results_dir), args.lease,
+                        stride or 0,
+                    ),
+                    queue_dir / f"worker-{i}.log",
                 ))
             try:
                 outcome = run_distributed_sweep(
@@ -530,10 +532,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 return 1
     finally:
         for proc in workers:
-            try:
-                proc.wait(timeout=30.0)
-            except Exception:
-                proc.kill()
+            reap(proc, 30.0)
     print(f"{'scenario':<26} {'task/result key':<18} {'cycles':>12}")
     for spec, key, result in zip(
         specs, outcome.result_keys, outcome.results

@@ -17,10 +17,11 @@ many worker processes — on one host or many, sharing only a filesystem
   degrades to in-process serial execution when the tasks stop making
   progress, and collects results in submission order.  Its supervision
   loop also drives the serve daemon's requests.
-* :mod:`repro.distrib.chaos` — the chaos harness: spawn real worker
-  subprocesses, SIGKILL them mid-task, freeze their heartbeats,
-  corrupt their claim files — and assert the sweep still completes
-  with blobs bit-identical to a serial run.
+
+The chaos harness that spawns real worker subprocesses, SIGKILLs them
+mid-task, freezes their heartbeats and corrupts their claim files
+lives one level up in :mod:`repro.chaos`, next to the serve daemon's
+crash cases.
 
 Exactly-once delivery is not implemented — it falls out of content
 addressing: a retried or speculatively re-executed task recomputes the

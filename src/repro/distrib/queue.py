@@ -81,8 +81,15 @@ def worker_identity() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    """Temp-write + rename, per-process-unique temp names (store idiom)."""
+def atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
+    """Temp-write + rename, per-process-unique temp names (store idiom).
+
+    The queue's state files and the serve journal's entries go through
+    this helper, not :func:`repro.results.store.atomic_write_text`:
+    that one carries the ``_CRASH_AFTER_TMP_WRITE`` test hook, and under
+    the ``worker-kill-mid-put`` fault the hook would then fire in the
+    heartbeat thread's claim writes instead of the result blob's put.
+    """
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
     )
@@ -232,7 +239,7 @@ class FileWorkQueue:
         task = Task(task_id=task_id, recipe=dict(recipe))
         body_path = self._path("tasks", task_id)
         if not body_path.is_file():
-            _atomic_write_json(body_path, {
+            atomic_write_json(body_path, {
                 "version": QUEUE_VERSION,
                 "task_id": task_id,
                 "recipe": task.recipe,
@@ -243,7 +250,7 @@ class FileWorkQueue:
             for state in ("pending", "claimed", "done", "poison")
         )
         if not in_flight:
-            _atomic_write_json(self._path("pending", task_id), {
+            atomic_write_json(self._path("pending", task_id), {
                 "attempts": 0,
                 "not_before": 0.0,
             })
@@ -316,7 +323,7 @@ class FileWorkQueue:
                 continue
             attempts = int(state.get("attempts", 0)) + 1
             deadline = now + self.lease_s
-            _atomic_write_json(claimed_path, {
+            atomic_write_json(claimed_path, {
                 "owner": owner,
                 "attempts": attempts,
                 "claimed_at": now,
@@ -347,7 +354,7 @@ class FileWorkQueue:
             return False
         lease["deadline"] = now + self.lease_s
         lease["heartbeats"] = int(lease.get("heartbeats", 0)) + 1
-        _atomic_write_json(path, lease)
+        atomic_write_json(path, lease)
         return True
 
     # -- terminal transitions --------------------------------------------
@@ -366,7 +373,7 @@ class FileWorkQueue:
         done_path = self._path("done", task_id)
         first = not done_path.is_file()
         if first:
-            _atomic_write_json(done_path, {
+            atomic_write_json(done_path, {
                 "task_id": task_id,
                 "result_key": result_key,
                 "owner": owner,
@@ -407,7 +414,7 @@ class FileWorkQueue:
         # the rename is the single visible transition: the pending file
         # never holds the old lease JSON (which a concurrent claimant
         # would read as zero backoff).
-        _atomic_write_json(claimed_path, {
+        atomic_write_json(claimed_path, {
             "attempts": attempts,
             "not_before": now + self._backoff(attempts),
             "last_error": error,
@@ -440,7 +447,7 @@ class FileWorkQueue:
             return False
         # Same single-visible-transition discipline as fail(): the
         # pending state lands in the claim file before the rename.
-        _atomic_write_json(claimed_path, {
+        atomic_write_json(claimed_path, {
             "attempts": max(0, int(lease.get("attempts", 1)) - 1),
             "not_before": now,
             "released_by": owner,
@@ -465,7 +472,7 @@ class FileWorkQueue:
             os.rename(self._path(from_state, task_id), poison_path)
         except OSError:
             return  # lost the race; someone else decided
-        _atomic_write_json(poison_path, {
+        atomic_write_json(poison_path, {
             "task_id": task_id,
             "attempts": attempts,
             "error": error,
@@ -549,7 +556,7 @@ class FileWorkQueue:
             pending_path = self._path("pending", task_id)
             # Retry state goes into the claim file *before* the rename
             # (the same single-visible-transition discipline as fail()).
-            _atomic_write_json(claimed_path, {
+            atomic_write_json(claimed_path, {
                 "attempts": attempts,
                 "not_before": now + self._backoff(attempts),
                 "last_error": error,
@@ -583,7 +590,7 @@ class FileWorkQueue:
         # rename (the same single-visible-transition discipline as
         # fail()): the pending file is born claimable at the preserved
         # attempt count, never briefly holding the stale lease.
-        _atomic_write_json(claimed_path, {
+        atomic_write_json(claimed_path, {
             "attempts": max(0, int(lease.get("attempts", 1)) - 1),
             "not_before": now,
             "speculative": True,

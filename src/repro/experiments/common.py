@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..cache import CacheStats
-from ..sim.batch import batch_available, simulate_batch
+from ..sim.batch import _normalize_point, batch_available, simulate_batch
 from ..sim.config import DefenseConfig, SystemConfig
 from ..sim.metrics import geomean, normalized_weighted_speedup
 from ..sim.stats import SimResult
@@ -35,19 +35,6 @@ SweepPointLike = Union[
     Tuple[str, Optional[DefenseConfig]],
     SweepPoint,
 ]
-
-
-def _normalize_point(point) -> SweepPoint:
-    """Canonicalize a point spec into the cache-key triple."""
-    sweep_point = getattr(point, "sweep_point", None)
-    if sweep_point is not None:
-        return sweep_point()
-    if isinstance(point, str):
-        return (point, None, None)
-    workload, *rest = point
-    defense = rest[0] if rest else None
-    tmro_ns = rest[1] if len(rest) > 1 else None
-    return (workload, defense, tmro_ns)
 
 
 def _evaluate_point(

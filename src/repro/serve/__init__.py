@@ -17,7 +17,9 @@ The package splits along testability lines:
   SIGTERM graceful-drain lifecycle.
 * :mod:`~repro.serve.client` — the deadline/retry/backoff contract
   (``repro request``).
-* :mod:`~repro.serve.chaos` — kill/restart/byte-compare harness.
+
+The kill/restart/byte-compare harness is :mod:`repro.chaos`, shared
+with the distributed sweep's worker chaos cases.
 """
 
 from .client import (

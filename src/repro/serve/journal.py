@@ -27,17 +27,15 @@ answered, and the client's retry resubmits it under the same key.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-JOURNAL_VERSION = 1
+from ..distrib.queue import atomic_write_json
 
-_TMP_COUNTER = itertools.count()
+JOURNAL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -69,19 +67,12 @@ class RequestJournal:
         path = self._path(key)
         if path.is_file():
             return False
-        payload = {
+        atomic_write_json(path, {
             "version": JOURNAL_VERSION,
             "key": key,
             "recipe": dict(recipe),
             "journaled_at": time.time(),
-        }
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
-        )
-        tmp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        os.replace(tmp, path)
+        })
         return True
 
     def resolve(self, key: str) -> bool:

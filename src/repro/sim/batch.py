@@ -109,8 +109,9 @@ _LEADER_RANK = {
 def _normalize_point(point) -> Tuple[object, Optional[DefenseConfig],
                                      Optional[float]]:
     """Canonicalize a point spec into the ``(workload, defense, tmro_ns)``
-    triple (mirrors ``repro.experiments.common._normalize_point``, kept
-    local so the sim package does not import the experiments layer)."""
+    triple that keys the sweep cache.  The one copy: it lives here so
+    the sim package does not import the experiments layer, and
+    ``repro.experiments.common`` imports it from here."""
     sweep_point = getattr(point, "sweep_point", None)
     if sweep_point is not None:
         return sweep_point()

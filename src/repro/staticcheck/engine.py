@@ -176,15 +176,12 @@ class FileRule(Rule):
 
     ``scope`` is a tuple of posix path fragments; a file participates
     when any fragment occurs in its check-root-relative path (empty
-    scope means every file).  ``exclude`` fragments veto.
+    scope means every file).
     """
 
     scope: Tuple[str, ...] = ()
-    exclude: Tuple[str, ...] = ()
 
     def applies_to(self, rel: str) -> bool:
-        if any(fragment in rel for fragment in self.exclude):
-            return False
         if not self.scope:
             return True
         return any(fragment in rel for fragment in self.scope)

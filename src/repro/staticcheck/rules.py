@@ -265,16 +265,16 @@ class AtomicWriteOnly(FileRule):
     index, claim or journal path can be interrupted mid-write, leaving
     torn JSON that reads back as corruption (or worse, an empty
     index).  All such writes go through the ``atomic_write_text`` /
-    ``_atomic_write_json`` helpers; only temp files, lock sidecars and
-    log streams may be written directly.  The chaos harnesses are
-    excluded — manufacturing torn state is their job.
+    ``atomic_write_json`` helpers; only temp files, lock sidecars and
+    log streams may be written directly.  The crash harness
+    (:mod:`repro.chaos`), whose job is manufacturing torn state, sits
+    outside the scope, so nothing inside it is exempt.
     """
 
     rule_id = "atomic-write-only"
     summary = ("no bare open(path, 'w')/write_text on durable "
                "store/queue/journal paths; use the temp+replace helpers")
     scope = ("distrib/", "results/", "serve/", "experiments/orchestrator.py")
-    exclude = ("chaos",)
 
     def check_file(self, parsed: ParsedFile) -> Iterator[Finding]:
         blessed_spans: List[Tuple[int, int]] = []
@@ -313,7 +313,7 @@ class AtomicWriteOnly(FileRule):
                 file=parsed.rel, line=node.lineno, rule_id=self.rule_id,
                 message=(
                     f"bare write to {shown!r}; durable paths must use "
-                    "atomic_write_text/_atomic_write_json (temp + "
+                    "atomic_write_text/atomic_write_json (temp + "
                     "os.replace) so a crash never leaves torn JSON"
                 ),
             )

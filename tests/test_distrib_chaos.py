@@ -14,9 +14,22 @@ frozen or killed worker *mid-task*, making the reclaim path load-
 bearing rather than decorative.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.distrib.chaos import run_chaos_case
+import repro
+from repro.chaos import (
+    ChaosReport,
+    reap,
+    run_chaos_case,
+    spawn,
+    wait_for_claim,
+    worker_command,
+)
 from repro.distrib.coordinator import run_serial_sweep, shard_points
 from repro.distrib.worker import KILL_MID_PUT_EXIT, KILL_MID_TASK_EXIT
 from repro.results.store import store_for
@@ -49,14 +62,15 @@ def serial_reference(tmp_path_factory):
     return store
 
 
-def run_case(tmp_path, serial_reference, fault):
+def run_case(tmp_path, serial_reference, fault, n_workers=2,
+             checkpoint_stride=CHAOS_STRIDE):
     return run_chaos_case(
         tmp_path,
         chaos_recipes(),
         fault=fault,
-        n_workers=2,
+        n_workers=n_workers,
         lease_s=CHAOS_LEASE_S,
-        checkpoint_stride=CHAOS_STRIDE,
+        checkpoint_stride=checkpoint_stride,
         timeout_s=300.0,
         serial_store=serial_reference,
     )
@@ -72,25 +86,41 @@ class TestChaosMatrix:
     def test_fault_free_fleet(self, tmp_path, serial_reference):
         report = run_case(tmp_path, serial_reference, None)
         assert_byte_identical(report)
-        assert all(code == 0 for code in report.worker_exit_codes)
+        assert all(code == 0 for code in report.exit_codes)
 
     def test_worker_kill_mid_task(self, tmp_path, serial_reference):
         report = run_case(
             tmp_path, serial_reference, "worker-kill-mid-task"
         )
         assert_byte_identical(report)
-        # The saboteur really died at its first checkpoint...
-        assert KILL_MID_TASK_EXIT in report.worker_exit_codes
-        # ...and left a resumable checkpoint plus an expired lease
-        # behind for the survivor.
+        # The saboteur really died at its first checkpoint, leaving a
+        # resumable checkpoint plus an expired lease behind for the
+        # survivor; the verdict reads that off its exit code.
+        assert report.exit_codes[0] == KILL_MID_TASK_EXIT
         assert report.fault_fired
+
+    def test_fault_that_never_fires_fails_the_case(
+        self, tmp_path, serial_reference
+    ):
+        # A stride no task reaches means no checkpoint, so the
+        # kill-mid-task saboteur finishes normally: a vacuous run.
+        report = run_case(
+            tmp_path, serial_reference, "worker-kill-mid-task",
+            n_workers=1, checkpoint_stride=10**12,
+        )
+        assert report.exit_codes == [0]
+        assert not report.mismatched_keys
+        assert not report.fault_fired
+        assert not report.ok
+        assert any("never fired" in line for line in report.summary_lines())
 
     def test_worker_kill_mid_put(self, tmp_path, serial_reference):
         report = run_case(
             tmp_path, serial_reference, "worker-kill-mid-put"
         )
         assert_byte_identical(report)
-        assert KILL_MID_PUT_EXIT in report.worker_exit_codes
+        assert report.exit_codes[0] == KILL_MID_PUT_EXIT
+        assert report.fault_fired
         # Dying between the temp write and the rename leaves an
         # orphaned *.tmp in the distributed store; gc must report it
         # (dry run) and then remove it without touching the results.
@@ -114,7 +144,8 @@ class TestChaosMatrix:
         # own late completion then deduplicated, so every worker still
         # exits cleanly.
         assert report.outcome.reclaimed >= 1
-        assert all(code == 0 for code in report.worker_exit_codes)
+        assert report.fault_fired
+        assert all(code == 0 for code in report.exit_codes)
 
     def test_corrupt_claim_file(self, tmp_path, serial_reference):
         report = run_case(
@@ -130,7 +161,6 @@ class TestGracefulWorkerShutdown:
         """SIGTERM = deploy rollover: release penalty-free, exit 0."""
         import signal
 
-        from repro.distrib.chaos import spawn_worker, wait_for_claim
         from repro.distrib.queue import FileWorkQueue, _read_json
         from repro.distrib.worker import checkpoint_recipe
 
@@ -138,18 +168,16 @@ class TestGracefulWorkerShutdown:
         queue = FileWorkQueue(tmp_path / "queue", lease_s=30.0)
         store = store_for(tmp_path)
         task_id = queue.submit(recipes[0]).task_id
-        proc = spawn_worker(
-            tmp_path / "queue", tmp_path, 30.0, 100_000,
-            log_path=tmp_path / "worker.log",
+        proc = spawn(
+            worker_command(tmp_path / "queue", tmp_path, 30.0, 100_000),
+            tmp_path / "worker.log",
         )
         try:
             wait_for_claim(queue, timeout_s=60.0)
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=120.0) == 0
+            assert reap(proc, 120.0) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30.0)
+            reap(proc, 0)
         # The claim went back to pending with the attempt uncounted
         # (not a lease expiry, not a failure) and the checkpoint is
         # durable for the next claimant to resume from.
@@ -163,3 +191,47 @@ class TestGracefulWorkerShutdown:
         log = (tmp_path / "worker.log").read_text()
         assert "graceful shutdown" in log
         assert "1 released" in log
+
+
+class TestHarnessCore:
+    def test_spawn_and_reap_leak_no_resource(self, tmp_path):
+        """Under ``-X dev`` a leaked log handle or unreaped child warns."""
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.chaos import reap, spawn\n"
+            "proc = spawn([sys.executable, '-c', 'print(1)'],\n"
+            "             Path(sys.argv[1]))\n"
+            "assert reap(proc, 30.0) == 0\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", script, str(tmp_path / "child.log")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert (tmp_path / "child.log").read_text() == "1\n"
+
+    def test_reap_kills_a_process_that_outlives_its_timeout(self, tmp_path):
+        proc = spawn(
+            [sys.executable, "-c", "import time; time.sleep(60)"],
+            tmp_path / "sleeper.log",
+        )
+        assert reap(proc, 0.1) is None
+        assert proc.returncode is not None
+        assert reap(proc, 0) == proc.returncode
+
+    def test_report_needs_fired_fault_and_no_failures(self):
+        report = ChaosReport(
+            fault="sigkill-after-accept", keys=["k"], mismatched_keys=[],
+            exit_codes=[-9, 0], fault_fired=True,
+        )
+        assert report.ok
+        report.failures.append("graceful drain exited 1, want 0")
+        assert not report.ok
+        report.failures.clear()
+        report.fault_fired = False
+        assert not report.ok

@@ -14,7 +14,7 @@ import pytest
 
 from repro.distrib.queue import (
     FileWorkQueue,
-    _atomic_write_json,
+    atomic_write_json,
     _read_json,
     worker_identity,
 )
@@ -118,7 +118,7 @@ class TestClaim:
         queue.complete(task.task_id, "w1", task.task_id)
         # A speculated copy could leave a pending marker behind a
         # finished task; claiming must retire it, never re-run.
-        _atomic_write_json(
+        atomic_write_json(
             queue._path("pending", task.task_id),
             {"attempts": 0, "not_before": 0.0},
         )
@@ -276,7 +276,7 @@ class TestReclaim:
         queue.claim("w1", now=1000.0)
         # done lands (a speculated copy finished) but the claim file
         # lingers; reclaim must release it, not re-pend the task.
-        _atomic_write_json(
+        atomic_write_json(
             queue._path("done", task.task_id),
             {"task_id": task.task_id, "result_key": task.task_id},
         )

@@ -11,6 +11,10 @@ with it) and assert the acceptance criteria of the serving layer:
   serial run, and then drains clean on SIGTERM (exit 0, empty journal).
 * ``sigkill-after-accept``: every request is 202-accepted and the
   daemon is SIGKILLed mid-flight; restart + replay completes all keys.
+
+The journal, blob, drain and store checks of both cases are the
+harness verdict's ``failures`` (:func:`repro.chaos.run_serve_chaos_case`);
+``report.ok`` asserts them all.
 * graceful drain: SIGTERM with a request in flight exits 0 with an
   empty in-flight set and the request answered (blob durable) — an
   accepted request is never silently dropped.
@@ -25,12 +29,14 @@ from repro.distrib.coordinator import run_serial_sweep
 from repro.distrib.worker import sweep_task_recipe
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
-from repro.serve.chaos import (
-    ServeClient,
+from repro.chaos import (
+    reap,
     run_serve_chaos_case,
-    spawn_daemon,
+    serve_command,
+    spawn,
     wait_for_endpoint,
 )
+from repro.serve.client import ServeClient
 from repro.serve.engine import KILL_MID_REQUEST_EXIT
 from repro.serve.journal import RequestJournal
 from repro.serve.server import serve_dir
@@ -73,14 +79,13 @@ class TestServeChaos:
             timeout_s=120.0,
             serial_store=serial_reference,
         )
+        # ``ok`` includes the kill window's signature: the request
+        # exists only in the journal — exactly one entry, zero result
+        # blobs — and the drain leaves the journal empty.
         assert report.ok, "\n".join(report.summary_lines())
-        assert report.first_exit == KILL_MID_REQUEST_EXIT
-        # The kill window's signature: the request exists only in the
-        # journal — exactly one entry, zero result blobs.
-        assert report.journal_depth_after_kill == 1
-        assert report.blobs_present_after_kill == 0
-        assert report.drain_exit == 0
-        assert report.journal_depth_after_drain == 0
+        assert report.fault_fired
+        assert report.exit_codes == [KILL_MID_REQUEST_EXIT, 0]
+        assert not report.failures
         assert not report.mismatched_keys
 
     def test_sigkill_after_accept_replays_all_keys(
@@ -93,11 +98,12 @@ class TestServeChaos:
             timeout_s=120.0,
             serial_store=serial_reference,
         )
+        # ``ok`` includes: every accepted request was journaled before
+        # the SIGKILL, and the drain leaves the journal empty.
         assert report.ok, "\n".join(report.summary_lines())
-        # Every accepted request was journaled before the SIGKILL.
-        assert report.journal_depth_after_kill == len(recipes)
-        assert report.drain_exit == 0
-        assert report.journal_depth_after_drain == 0
+        assert report.exit_codes == [-signal.SIGKILL, 0]
+        assert report.keys == [content_key(r) for r in recipes]
+        assert not report.failures
         assert not report.mismatched_keys
 
 
@@ -107,9 +113,7 @@ class TestGracefulDrain:
     ):
         recipe = chaos_recipes()[0]
         key = content_key(recipe)
-        proc = spawn_daemon(
-            tmp_path, log_path=tmp_path / "daemon.log",
-        )
+        proc = spawn(serve_command(tmp_path), tmp_path / "daemon.log")
         try:
             endpoint = wait_for_endpoint(tmp_path, proc.pid, 30.0)
             client = ServeClient(
@@ -122,11 +126,9 @@ class TestGracefulDrain:
             # SIGTERM with the request in flight: stop accepting,
             # finish the work, exit 0.
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=120.0) == 0
+            assert reap(proc, 120.0) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30.0)
+            reap(proc, 0)
         store = store_for(tmp_path)
         journal = RequestJournal(serve_dir(tmp_path) / "journal")
         # The accepted request was answered, not dropped: blob durable,
@@ -139,15 +141,13 @@ class TestGracefulDrain:
         )
 
     def test_sigterm_idle_daemon_exits_zero_quickly(self, tmp_path):
-        proc = spawn_daemon(tmp_path, log_path=tmp_path / "daemon.log")
+        proc = spawn(serve_command(tmp_path), tmp_path / "daemon.log")
         try:
             wait_for_endpoint(tmp_path, proc.pid, 30.0)
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30.0) == 0
+            assert reap(proc, 30.0) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30.0)
+            reap(proc, 0)
         # The endpoint advertisement is retired on clean shutdown.
         from repro.serve.server import read_endpoint
 

@@ -133,7 +133,7 @@ def test_rename_is_final_fires_on_handoff_rewrite(tmp_path):
         def requeue(self, claimed_path, task_id):
             pending_path = self._path("pending", task_id)
             os.rename(claimed_path, pending_path)
-            _atomic_write_json(pending_path, {"attempts": 1})
+            atomic_write_json(pending_path, {"attempts": 1})
     """})
     report = check(tmp_path, "rename-is-final")
     assert [f.line for f in report.findings] == [7]
@@ -161,7 +161,7 @@ def test_rename_is_final_quiet_on_claim_handshake(tmp_path):
             pending_path = self._path("pending", task_id)
             claimed_path = self._path("claimed", task_id)
             os.rename(pending_path, claimed_path)
-            _atomic_write_json(claimed_path, payload)
+            atomic_write_json(claimed_path, payload)
 
         def put(tmp, path, text):
             tmp.write_text(text)
@@ -235,12 +235,15 @@ def test_atomic_write_only_quiet_on_blessed_patterns(tmp_path):
     assert check(tmp_path, "atomic-write-only").findings == []
 
 
-def test_atomic_write_only_excludes_chaos_harness(tmp_path):
+def test_atomic_write_only_exempts_no_chaos_module_in_scope(tmp_path):
+    # The crash harness lives above distrib/ and serve/ now; a torn
+    # write planted at the old in-scope harness path is flagged.
     write_tree(tmp_path, {"distrib/chaos.py": """
         def tear(path):
-            path.write_text("{tor")   # manufacturing torn state is the job
+            path.write_text("{tor")
     """})
-    assert check(tmp_path, "atomic-write-only").findings == []
+    findings = check(tmp_path, "atomic-write-only").findings
+    assert [(f.file, f.line) for f in findings] == [("distrib/chaos.py", 3)]
 
 
 def test_atomic_write_only_suppression_counted(tmp_path):

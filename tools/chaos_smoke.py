@@ -8,7 +8,8 @@ one of which is SIGKILLed while it holds the first claim — and
 finally a byte-for-byte comparison of every result blob against the
 serial run.
 
-Exit 0 means the sweep completed and every blob is byte-identical.
+Exit 0 means the fault fired, the sweep completed and every blob is
+byte-identical.
 Any other outcome exits 1 after printing the report, and leaves the
 queue/store directories in place (CI uploads them as the forensic
 artifact).
@@ -25,7 +26,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.distrib.chaos import EXTERNAL_FAULTS, run_chaos_case  # noqa: E402
+from repro.chaos import EXTERNAL_FAULTS, run_chaos_case  # noqa: E402
 from repro.distrib.coordinator import shard_points  # noqa: E402
 from repro.scenarios.spec import ScenarioSpec  # noqa: E402
 from repro.security.faults import KNOWN_FAULTS  # noqa: E402
@@ -42,8 +43,11 @@ def main(argv=None):
     )
     parser.add_argument(
         "--fault", default="sigkill-claim-holder",
-        choices=sorted(EXTERNAL_FAULTS) + sorted(
-            name for name in KNOWN_FAULTS if name.startswith("worker-")
+        # The worker case's faults: the two external ones that hit a
+        # claim, and the in-process worker-* ones.
+        choices=sorted(
+            name for name in [*EXTERNAL_FAULTS, *KNOWN_FAULTS]
+            if "claim" in name or name.startswith("worker-")
         ),
         help="which death to inject (default: SIGKILL the claim holder)",
     )

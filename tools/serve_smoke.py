@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """CI serve smoke: SIGKILL the daemon mid-flight, demand full recovery.
 
-The script drives the serving layer's whole crash-recovery contract in
-one pass:
+Runs one serve chaos case (the same harness ``tests/test_serve_chaos.py``
+uses) with the ``sigkill-after-accept`` fault, which drives the serving
+layer's whole crash-recovery contract in one pass:
 
 1. start a real ``repro serve`` daemon;
 2. send three concurrent requests — two *identical* (they must
@@ -12,11 +13,11 @@ one pass:
 3. SIGKILL the daemon (no drain, no cleanup);
 4. assert the journal holds exactly the two accepted keys;
 5. restart the daemon and let journal replay finish both requests;
-6. assert the store holds *exactly* the expected result blobs (after
+6. SIGTERM the daemon and require a clean drain: exit 0, empty
+   journal, endpoint file retired;
+7. assert the store holds *exactly* the expected result blobs (after
    a gc pass retires checkpoint debris), byte-identical to a serial
-   reference run;
-7. SIGTERM the daemon and require a clean drain: exit 0, empty
-   journal, endpoint file retired.
+   reference run.
 
 Exit 0 means every assertion held.  Any other outcome exits 1 after
 printing the forensics, and leaves the base directory in place (CI
@@ -28,33 +29,16 @@ Usage:
 """
 
 import argparse
-import http.client
-import signal
 import sys
-import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.distrib.coordinator import run_serial_sweep  # noqa: E402
+from repro.chaos import run_serve_chaos_case  # noqa: E402
 from repro.distrib.worker import sweep_task_recipe  # noqa: E402
-from repro.results.store import content_key, store_for  # noqa: E402
 from repro.scenarios.spec import ScenarioSpec  # noqa: E402
-from repro.serve.chaos import (  # noqa: E402
-    poll_until_done,
-    spawn_daemon,
-    wait_for_endpoint,
-)
-from repro.serve.client import ServeClient  # noqa: E402
-from repro.serve.journal import RequestJournal  # noqa: E402
-from repro.serve.server import read_endpoint, serve_dir  # noqa: E402
 from repro.sim.config import SystemConfig  # noqa: E402
-
-
-def fail(message):
-    print(f"FAIL: {message}")
-    return 1
 
 
 def main(argv=None):
@@ -72,7 +56,6 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    base = Path(args.base_dir)
     system = SystemConfig(n_cores=1, banks_per_channel=8)
     shared = sweep_task_recipe(
         ScenarioSpec.benign("mcf", system=system).recipe(),
@@ -82,98 +65,16 @@ def main(argv=None):
         ScenarioSpec.benign("add_copy", system=system).recipe(),
         args.requests, 0,
     )
-    keys = [content_key(shared), content_key(distinct)]
-    print(f"serve smoke: 2x identical + 1 distinct request, "
-          f"keys {keys}")
-
-    serial_store = store_for(base / "serial")
-    run_serial_sweep([shared, distinct], serial_store)
-
-    daemon_dir = base / "daemon"
-    journal = RequestJournal(serve_dir(daemon_dir) / "journal")
-    store = store_for(daemon_dir)
-
-    # -- first life: accept three requests, then die hard -------------
-    first = spawn_daemon(
-        daemon_dir, log_path=base / "daemon-1.log",
+    print("serve smoke: 2x identical + 1 distinct request")
+    report = run_serve_chaos_case(
+        Path(args.base_dir), [shared, shared, distinct],
+        fault="sigkill-after-accept", timeout_s=180.0,
     )
-    responses = []
-    try:
-        endpoint = wait_for_endpoint(daemon_dir, first.pid, 60.0)
-        client = ServeClient(endpoint["host"], endpoint["port"],
-                             timeout_s=10.0)
-
-        def accept(recipe):
-            try:
-                responses.append(client.call(
-                    "POST", "/request", {"recipe": recipe, "wait_s": 0}
-                ))
-            except (OSError, http.client.HTTPException) as exc:
-                responses.append(exc)
-
-        threads = [
-            threading.Thread(target=accept, args=(recipe,))
-            for recipe in (shared, shared, distinct)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        first.send_signal(signal.SIGKILL)
-        first.wait(timeout=30.0)
-    finally:
-        if first.poll() is None:
-            first.kill()
-            first.wait(timeout=30.0)
-    print(f"accepted: {responses}")
-    accepted = [r for r in responses if isinstance(r, tuple)]
-    if len(accepted) != 3 or any(c not in (200, 202) for c, _ in accepted):
-        return fail(f"expected three 202/200 accepts, got {responses}")
-
-    journaled = sorted(entry.key for entry in journal.entries())
-    print(f"journal after SIGKILL: {journaled}")
-    if journaled != sorted(keys):
-        return fail(
-            f"journal should hold exactly the two accepted keys "
-            f"{sorted(keys)}, holds {journaled} — coalescing or the "
-            "write-ahead discipline is broken"
-        )
-
-    # -- second life: replay must finish everything --------------------
-    second = spawn_daemon(daemon_dir, log_path=base / "daemon-2.log")
-    try:
-        endpoint = wait_for_endpoint(daemon_dir, second.pid, 60.0)
-        client = ServeClient(endpoint["host"], endpoint["port"],
-                             timeout_s=10.0)
-        for key in keys:
-            poll_until_done(client, key, timeout_s=180.0)
-        print("replay completed every journaled key")
-        second.send_signal(signal.SIGTERM)
-        drain_exit = second.wait(timeout=120.0)
-    finally:
-        if second.poll() is None:
-            second.kill()
-            second.wait(timeout=30.0)
-    if drain_exit != 0:
-        return fail(f"graceful drain exited {drain_exit}, want 0")
-    if journal.depth() != 0:
-        return fail(f"journal not empty after drain: {journal.depth()}")
-    if read_endpoint(daemon_dir) is not None:
-        return fail("endpoint file not retired on clean shutdown")
-
-    # -- the store holds exactly the expected blobs ---------------------
-    store.gc(blob_grace_s=0.0)   # retire checkpoint debris
-    blobs = sorted(
-        path.stem for path in store.objects_dir.glob("*.json")
-    )
-    if blobs != sorted(keys):
-        return fail(
-            f"store should hold exactly {sorted(keys)}, holds {blobs}"
-        )
-    for key in keys:
-        if (store.blob_path(key).read_bytes()
-                != serial_store.blob_path(key).read_bytes()):
-            return fail(f"blob {key} differs from the serial reference")
+    for line in report.summary_lines():
+        print(line)
+    if not report.ok:
+        print("FAIL: the daemon did not recover to the serial reference")
+        return 1
     print("OK: coalesced journal, full replay, clean drain, "
           "byte-identical blobs")
     return 0
