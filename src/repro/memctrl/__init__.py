@@ -5,11 +5,9 @@ from .controller import (
     VICTIMS_PER_MITIGATION,
     ChannelController,
 )
-from .request import InFlightRequest
 
 __all__ = [
     "BANK_QUEUE_CAPACITY",
     "VICTIMS_PER_MITIGATION",
     "ChannelController",
-    "InFlightRequest",
 ]

@@ -3,7 +3,8 @@
 One :class:`ChannelController` owns the banks of one channel.  Both
 simulation engines drive it with two calls:
 
-* :meth:`enqueue` — a core's LLC miss arrives;
+* :meth:`enqueue` — a core's LLC miss arrives as a packed int (the
+  fast engine appends to the bank's queue directly);
 * :meth:`step` — the bank is (possibly) free: do the highest-priority
   piece of work and return the cycle to look again.  A finished demand
   request is reported through the ``done_core``/``done_cycle`` fields,
@@ -28,9 +29,12 @@ construction, so the step path never goes through
 ``scheme.on_row_closed -> tracker_for -> record`` dynamic dispatch; the
 timing fields used per step are cached as plain ints; ``step`` /
 ``_serve_demand`` read each per-bank object exactly once into locals;
-and a step allocates nothing — it returns an int and reports a
-completion through two int fields (``repro check``'s
-``no-alloc-in-kernels`` rule keeps it that way).  Scheduling decisions
+a bank queue holds one packed int per request (``row | core_id |
+is_write``, see :mod:`.request`), so issuing a request builds no
+object; ``_serve_demand`` issues the demand ACT inline; and a step
+allocates nothing — it returns an int and reports a completion through
+two int fields (``repro check``'s ``no-alloc-in-kernels`` rule keeps
+it that way).  Scheduling decisions
 are unchanged — ``tests/test_sim_golden.py`` pins the pre-refactor
 results.
 """
@@ -45,7 +49,7 @@ from ..dram.bank import Bank
 from ..dram.commands import CommandCounts
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import CycleTimings
-from .request import InFlightRequest
+from .request import CORE_ID_MASK, ROW_SHIFT
 
 #: Demand-queue capacity per bank; cores back off when it fills.
 BANK_QUEUE_CAPACITY = 16
@@ -59,7 +63,7 @@ VICTIMS_PER_MITIGATION = 4
 class BankBookkeeping:
     """Controller-side per-bank state beyond the DRAM bank itself."""
 
-    queue: List[InFlightRequest] = field(default_factory=list)
+    queue: List[int] = field(default_factory=list)   # packed requests
     pending_mitigations: int = 0      # aggressors awaiting victim refresh
     acts_since_rfm: int = 0
     busy_until: int = 0
@@ -147,8 +151,8 @@ class ChannelController:
     def can_accept(self, bank_id: int) -> bool:
         return len(self.state[bank_id].queue) < BANK_QUEUE_CAPACITY
 
-    def enqueue(self, request: InFlightRequest) -> None:
-        bank_id = request.bank
+    def enqueue(self, bank_id: int, request: int) -> None:
+        """Queue a packed request (:func:`~.request.pack_request`)."""
         if not self.can_accept(bank_id):
             raise RuntimeError(f"bank {bank_id} queue full")
         self.state[bank_id].queue.append(request)
@@ -186,32 +190,6 @@ class ChannelController:
                 row, book.act_cycle, pre_cycle
             )
         return pre_cycle
-
-    def _activate(self, bank_id: int, row: int, cycle: int,
-                  mitigative: bool = False) -> int:
-        """ACT ``row``; inlined ``Bank.activate`` (same assertion caveat)."""
-        bank = self.banks[bank_id]
-        book = self.state[bank_id]
-        ready = bank._ready_act
-        act_cycle = cycle if cycle >= ready else ready
-        bank.open_row = row
-        bank.act_cycle = act_cycle
-        bank._ready_pre = act_cycle + self._tRAS
-        bank._ready_col = act_cycle + self._tRCD
-        bank._ready_act = act_cycle + self._tRC
-        if bank._activate_hooks is not None:
-            for hook in bank._activate_hooks:
-                hook(row, act_cycle)
-        book.act_cycle = act_cycle
-        book.acts_since_rfm += 1
-        if mitigative:
-            self.counts.mitigative_acts += 1
-        else:
-            self.counts.demand_acts += 1
-            act_kernel = self._act_kernels[bank_id]
-            if act_kernel is not None:
-                book.pending_mitigations += act_kernel(row)
-        return act_cycle
 
     # -- the scheduling step ---------------------------------------------
 
@@ -342,15 +320,17 @@ class ChannelController:
         queue = book.queue
         counts = self.counts
         tccd = self._tCCD
-        request: Optional[InFlightRequest] = None
+        request = -1
         open_row = bank.open_row
         if open_row is not None:
             for queued in queue:
-                if queued.row == open_row:
+                if queued >> ROW_SHIFT == open_row:
                     request = queued
                     break
-        if request is not None:
+        if request >= 0:
             # Row hit: column access only (inlined Bank.column_access).
+            # remove() drops the first equal int, which is this entry:
+            # an earlier equal int would have matched the row first.
             self.row_hits += 1
             queue.remove(request)
             ready = bank._ready_col
@@ -367,18 +347,36 @@ class ChannelController:
                 start = self._close_row(bank_id, cycle) + self._tPRE
             else:
                 self.row_misses += 1
-            act_cycle = self._activate(bank_id, request.row, start)
-            core_acts = self.core_demand_acts
-            core_id = request.core_id
-            core_acts[core_id] = core_acts.get(core_id, 0) + 1
+            # The demand ACT (inlined Bank.activate minus its timing
+            # assertions, which cannot fire: start respects _ready_act).
+            row = request >> ROW_SHIFT
+            ready = bank._ready_act
+            act_cycle = start if start >= ready else ready
+            bank.open_row = row
+            bank.act_cycle = act_cycle
+            bank._ready_pre = act_cycle + self._tRAS
             col_cycle = act_cycle + self._tRCD
-            bank_col = bank._ready_col
-            if col_cycle < bank_col:
-                col_cycle = bank_col
+            bank._ready_col = col_cycle
+            bank._ready_act = act_cycle + self._tRC
+            if bank._activate_hooks is not None:
+                for hook in bank._activate_hooks:
+                    hook(row, act_cycle)
+            book.act_cycle = act_cycle
+            book.acts_since_rfm += 1
+            counts.demand_acts += 1
+            # Looked up per ACT: the batch recorder swaps these slots
+            # after construction.
+            act_kernel = self._act_kernels[bank_id]
+            if act_kernel is not None:
+                book.pending_mitigations += act_kernel(row)
+            core_acts = self.core_demand_acts
+            core_id = (request >> 1) & CORE_ID_MASK
+            core_acts[core_id] = core_acts.get(core_id, 0) + 1
             bank._ready_col = col_cycle + tccd
             data_cycle = col_cycle + self._tCAS
             book.columns_since_act = 1
-        if request.is_write:
+        is_write = request & 1
+        if is_write:
             counts.writes += 1
         else:
             counts.reads += 1
@@ -420,8 +418,8 @@ class ChannelController:
                         deadline = idle_wake
             if deadline > wake:
                 wake = deadline
-        self.done_core = request.core_id
-        self.done_cycle = col_cycle if request.is_write else data_cycle
+        self.done_core = (request >> 1) & CORE_ID_MASK
+        self.done_cycle = col_cycle if is_write else data_cycle
         return wake
 
     # -- wrap-up -----------------------------------------------------------

@@ -1,82 +1,45 @@
-"""In-flight memory requests as seen by the controller.
+"""Queued demand requests as packed ints.
 
-:class:`InFlightRequest` is on the simulator's hot path — one instance
-per LLC miss — so it is a ``__slots__`` class holding the decomposed
-address as plain ints rather than a nested :class:`MappedAddress`.  The
-``mapped`` keyword/property is kept for callers that already have a
-decomposed address object.
+A bank queue holds one int per LLC miss waiting at that bank, laid out
+most-significant first as ``row | core_id | is_write``::
+
+    request = row << ROW_SHIFT | core_id << 1 | is_write
+
+The controller reads exactly these three fields; the channel and bank
+are implied by the queue the request sits in.  Building the int costs
+two shifts and two ORs on the issue path and allocates no object;
+ints are also immutable, so engine snapshots share them instead of
+copying.
+
+:data:`CORE_ID_BITS` is the width of the core-id field.  The fast
+engine's event payload (``repro.sim.system``) is the same width, and
+both engines reject a core count that does not fit it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
-from ..dram.address import MappedAddress
+#: Width of the core-id field (and of the fast engine's event payload).
+CORE_ID_BITS = 16
+#: Largest core id the field holds; both engines reject ``n_cores``
+#: above it.
+CORE_ID_MASK = (1 << CORE_ID_BITS) - 1
+#: The row sits above the core id and the write flag.
+ROW_SHIFT = CORE_ID_BITS + 1
 
 
-class InFlightRequest:
-    """One demand request queued at a bank."""
+def pack_request(row: int, core_id: int, is_write: bool) -> int:
+    """One queued demand as an int (see the module docstring)."""
+    if not 0 <= core_id <= CORE_ID_MASK:
+        raise ValueError(f"core id {core_id} does not fit {CORE_ID_BITS} bits")
+    return row << ROW_SHIFT | core_id << 1 | bool(is_write)
 
-    __slots__ = (
-        "core_id",
-        "channel",
-        "bank",
-        "row",
-        "column",
-        "is_write",
-        "enqueue_cycle",
+
+def unpack_request(request: int) -> Tuple[int, int, bool]:
+    """Inverse of :func:`pack_request`: ``(row, core_id, is_write)``."""
+    return (
+        request >> ROW_SHIFT,
+        (request >> 1) & CORE_ID_MASK,
+        bool(request & 1),
     )
-
-    def __init__(
-        self,
-        core_id: int,
-        mapped: Optional[MappedAddress] = None,
-        is_write: bool = False,
-        enqueue_cycle: int = 0,
-        *,
-        channel: Optional[int] = None,
-        bank: Optional[int] = None,
-        row: Optional[int] = None,
-        column: int = 0,
-    ) -> None:
-        self.core_id = core_id
-        if mapped is not None:
-            if channel is not None or bank is not None or row is not None:
-                raise TypeError(
-                    "pass either 'mapped' or explicit coordinates, not both"
-                )
-            self.channel = mapped.channel
-            self.bank = mapped.bank
-            self.row = mapped.row
-            self.column = mapped.column
-        elif channel is None or bank is None or row is None:
-            # Preserve the old dataclass's required-field contract: an
-            # address must be supplied, either packed or decomposed.
-            raise TypeError(
-                "InFlightRequest needs 'mapped' or explicit "
-                "channel/bank/row coordinates"
-            )
-        else:
-            self.channel = channel
-            self.bank = bank
-            self.row = row
-            self.column = column
-        self.is_write = is_write
-        self.enqueue_cycle = enqueue_cycle
-
-    @property
-    def mapped(self) -> MappedAddress:
-        """The request's address as a :class:`MappedAddress`."""
-        return MappedAddress(
-            channel=self.channel,
-            bank=self.bank,
-            row=self.row,
-            column=self.column,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"InFlightRequest(core_id={self.core_id}, channel={self.channel},"
-            f" bank={self.bank}, row={self.row}, column={self.column},"
-            f" is_write={self.is_write}, enqueue_cycle={self.enqueue_cycle})"
-        )

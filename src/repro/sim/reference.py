@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from ..core.mitigation import MitigationScheme
 from ..dram.commands import CommandCounts
 from ..memctrl.controller import ChannelController
-from ..memctrl.request import InFlightRequest
+from ..memctrl.request import CORE_ID_BITS, CORE_ID_MASK, pack_request
 from ..workloads.trace import Trace
 from .config import DefenseConfig, SystemConfig
 from .core import CoreState
@@ -57,6 +57,11 @@ class ReferenceSimulator:
     ) -> None:
         if len(traces) != system.n_cores:
             raise ValueError("need one trace per core")
+        if system.n_cores > CORE_ID_MASK:
+            raise ValueError(
+                f"n_cores {system.n_cores} exceeds the {CORE_ID_BITS}-bit "
+                "core-id field"
+            )
         self.system = system
         self.defense = defense or DefenseConfig()
         self.mapper = system.mapper()
@@ -120,12 +125,8 @@ class ReferenceSimulator:
                 self._push(cycle + QUEUE_RETRY_CYCLES, EVENT_CORE, core.core_id)
                 return
             controller.enqueue(
-                InFlightRequest(
-                    core_id=core.core_id,
-                    mapped=mapped,
-                    is_write=request.is_write,
-                    enqueue_cycle=cycle,
-                )
+                mapped.bank,
+                pack_request(mapped.row, core.core_id, request.is_write),
             )
             self._push(
                 cycle, EVENT_BANK, self._flat_bank(mapped.channel, mapped.bank)

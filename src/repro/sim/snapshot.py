@@ -23,9 +23,11 @@ Design rules:
   whoever registered them (the invariant monitor, tests); snapshots
   neither capture nor clear them, so a monitor stays attached across a
   restore.
-* **Queued requests are shared, not copied.**  ``InFlightRequest``
-  objects are never mutated after construction, so the queue snapshot
-  is a tuple of the live references.
+* **Queued requests are shared, not copied.**  A queued request is a
+  packed int (:mod:`repro.memctrl.request`), immutable by nature, so
+  the queue snapshot is a tuple of the live values.  :func:`restore`
+  rejects a queue entry that is not an int: such a snapshot was
+  pickled by an older code version whose queues held objects.
 """
 
 from __future__ import annotations
@@ -179,6 +181,14 @@ def restore(sim, snap: EngineSnapshot) -> None:
         sim.controllers
     ):
         raise ValueError("snapshot topology does not match the simulator")
+    for ctrl_snap in snap.controllers:
+        for queue in ctrl_snap.queues:
+            for request in queue:
+                if type(request) is not int:
+                    raise ValueError(
+                        f"snapshot queue holds a {type(request).__name__}, "
+                        "not a packed int request"
+                    )
     sim._now = snap.now
     sim._seq = snap.seq
     sim._started = snap.started

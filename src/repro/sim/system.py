@@ -28,6 +28,10 @@ then flushed so ImPress-P records their final EACTs.
 * Traces are pre-compiled to ``(channel, bank, row)`` arrays once per
   ``(trace, mapper)`` via :mod:`repro.workloads.compiled`, so the issue
   path does list indexing instead of per-request address arithmetic.
+* An issued request is one packed int (``row | core_id | is_write``,
+  :mod:`repro.memctrl.request`) appended straight to its bank's
+  queue; the issue path reads only the compiled rows, flat banks,
+  write flags and gaps, and builds no per-request object.
 * A bank event allocates nothing: :meth:`ChannelController.step`
   returns the next wake as an int, and the controller's
   ``done_core``/``done_cycle`` become the DONE event directly.
@@ -45,7 +49,7 @@ from typing import List, Optional, Sequence
 from ..core.mitigation import MitigationScheme
 from ..dram.commands import CommandCounts
 from ..memctrl.controller import BANK_QUEUE_CAPACITY, ChannelController
-from ..memctrl.request import InFlightRequest
+from ..memctrl.request import CORE_ID_BITS, CORE_ID_MASK, ROW_SHIFT
 from ..workloads.compiled import CompiledTrace, compile_traces, mapper_key
 from ..workloads.trace import Trace
 from .config import DefenseConfig, SystemConfig
@@ -63,7 +67,7 @@ EVENT_DONE = 2
 # Heap order on the packed int therefore equals order on the old
 # (cycle, seq, kind, payload) tuple, because seq is globally unique.
 _SEQ_BITS = 44                      # > 17e12 events; far beyond any run
-_PAYLOAD_BITS = 16
+_PAYLOAD_BITS = CORE_ID_BITS       # a core id or a flat bank id
 _KIND_SHIFT = _PAYLOAD_BITS
 _LOW_BITS = _PAYLOAD_BITS + 2       # kind needs 2 bits
 _CYCLE_SHIFT = _SEQ_BITS + _LOW_BITS
@@ -109,6 +113,11 @@ class SystemSimulator:
             )
         if len(traces) != system.n_cores:
             raise ValueError("need one trace per core")
+        if system.n_cores > CORE_ID_MASK:
+            raise ValueError(
+                f"n_cores {system.n_cores} exceeds the {CORE_ID_BITS}-bit "
+                "core-id field"
+            )
         self.system = system
         self.defense = defense or DefenseConfig()
         self.mapper = system.mapper()
@@ -121,8 +130,8 @@ class SystemSimulator:
         if len(compiled) != system.n_cores:
             raise ValueError("need one compiled trace per core")
         total_banks = system.channels * system.banks_per_channel
-        if total_banks > _PAYLOAD_MASK or system.n_cores > _PAYLOAD_MASK:
-            raise ValueError("bank/core count exceeds event payload range")
+        if total_banks > _PAYLOAD_MASK:
+            raise ValueError("bank count exceeds event payload range")
         self._compiled: List[CompiledTrace] = list(compiled)
         timings = system.timings
         tmro_cycles = (
@@ -170,21 +179,21 @@ class SystemSimulator:
         #: Per-core compiled arrays for the issue path.  Built here, not
         #: at first run, so a restore into a fresh simulator finds them.
         self._issue_arrays = [
-            (entry.channels, entry.banks, entry.rows, entry.columns,
-             entry.flat_banks, entry.is_write, entry.gaps, entry.length)
+            (entry.rows, entry.flat_banks, entry.is_write, entry.gaps,
+             entry.length)
             for entry in self._compiled
         ]
 
     # -- core issue logic -------------------------------------------------
 
     def _try_issue(self, core: CoreState, cycle: int) -> None:
-        (channels, banks, rows, columns, flats, writes, gaps,
-         length) = self._issue_arrays[core.core_id]
+        rows, flats, writes, gaps, length = self._issue_arrays[core.core_id]
         books = self._books
         heap = self._heap
         push = heapq.heappush
         bank_wake = self._bank_wake
         core_id = core.core_id
+        core_bits = core_id << 1
         mlp = core.mlp
         index = core.index
         outstanding = core.outstanding
@@ -200,17 +209,8 @@ class SystemSimulator:
                      << _LOW_BITS) | _CORE_TAG | core_id,
                 )
                 break
-            queue.append(
-                InFlightRequest(
-                    core_id=core_id,
-                    is_write=writes[index],
-                    enqueue_cycle=cycle,
-                    channel=channels[index],
-                    bank=banks[index],
-                    row=rows[index],
-                    column=columns[index],
-                )
-            )
+            # The packed request of memctrl.request (row | core | write).
+            queue.append(rows[index] << ROW_SHIFT | core_bits | writes[index])
             # Wake the bank when it can actually serve: an arrival at a
             # busy bank would only get a busy-return from step(), so
             # schedule straight for busy_until instead of polling now.

@@ -408,12 +408,13 @@ _KERNEL_BUILDER = re.compile(r"^(raw_kernel|_build_\w*kernels?)$")
 
 _ALLOC_CALLS = {"list", "dict", "set", "frozenset", "sorted", "tuple"}
 
-#: Per-event methods, by class: the controller step and the ACT/PRE/
-#: demand helpers it calls run once per bank event, the event loop and
-#: the issue path once per event.  Building a request object is fine;
-#: a container born per event is not.
+#: Per-event methods, by class: the controller step and the PRE/demand
+#: helpers it calls run once per bank event, the event loop and the
+#: issue path once per event.  Besides containers, these may not build
+#: objects either: a call to a capitalized name is flagged unless it
+#: sits in a ``raise`` statement.
 _HOT_METHODS = {
-    "ChannelController": {"step", "_serve_demand", "_activate", "_close_row"},
+    "ChannelController": {"step", "_serve_demand", "_close_row"},
     "SystemSimulator": {"run_until", "_try_issue"},
 }
 
@@ -428,13 +429,15 @@ class NoAllocInKernels(FileRule):
     born there re-introduces the per-event overhead that rebuild
     removed.  Bind-time code (the builder bodies) may allocate.  The
     same holds for the per-event methods in :data:`_HOT_METHODS`: the
-    controller step and the fast engine's event loop.
+    controller step and the fast engine's event loop, which also build
+    no objects (a capitalized call) outside a ``raise``.
     """
 
     rule_id = "no-alloc-in-kernels"
     summary = ("no list/dict/set/comprehension allocation inside "
                "record_unit, act/close/RFM kernel closures, the "
-               "controller step or the fast engine's event loop")
+               "controller step or the fast engine's event loop, and "
+               "no object construction in the latter two")
 
     def check_file(self, parsed: ParsedFile) -> Iterator[Finding]:
         for node in ast.walk(parsed.tree):
@@ -444,7 +447,8 @@ class NoAllocInKernels(FileRule):
                     if isinstance(method, ast.FunctionDef) \
                             and method.name in hot:
                         yield from self._scan_kernel(
-                            parsed, method, f"{node.name}.{method.name}"
+                            parsed, method, f"{node.name}.{method.name}",
+                            objects=True,
                         )
         for func in _functions(parsed.tree):
             if func.name == "record_unit":
@@ -459,8 +463,14 @@ class NoAllocInKernels(FileRule):
                         )
 
     def _scan_kernel(
-        self, parsed: ParsedFile, func: ast.FunctionDef, label: str
+        self, parsed: ParsedFile, func: ast.FunctionDef, label: str,
+        objects: bool = False,
     ) -> Iterator[Finding]:
+        raised = {
+            id(inner)
+            for stmt in ast.walk(func) if isinstance(stmt, ast.Raise)
+            for inner in ast.walk(stmt)
+        }
         for node in ast.walk(func):
             alloc = None
             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -475,6 +485,10 @@ class NoAllocInKernels(FileRule):
             elif isinstance(node, ast.Call) \
                     and _call_name(node) in _ALLOC_CALLS:
                 alloc = f"{_call_name(node)}()"
+            elif objects and isinstance(node, ast.Call) \
+                    and _last_segment(node)[:1].isupper() \
+                    and id(node) not in raised:
+                alloc = f"{_last_segment(node)}() object construction"
             if alloc is not None:
                 yield Finding(
                     file=parsed.rel, line=node.lineno, rule_id=self.rule_id,

@@ -9,17 +9,22 @@ import dataclasses
 import pytest
 
 from repro.core.mitigation import ImpressPScheme, NoRpScheme
-from repro.dram.address import MappedAddress
 from repro.memctrl.controller import (
     BANK_QUEUE_CAPACITY,
     VICTIMS_PER_MITIGATION,
     ChannelController,
 )
-from repro.memctrl.request import InFlightRequest
+from repro.memctrl.request import (
+    CORE_ID_MASK,
+    pack_request,
+    unpack_request,
+)
 from repro.sim.config import DefenseConfig, SystemConfig
-from repro.sim.system import build_simulator
+from repro.sim.reference import ReferenceSimulator
+from repro.sim.system import SystemSimulator, build_simulator
 from repro.trackers.base import AccountingTracker
 from repro.trackers.para import ParaTracker
+from repro.workloads.trace import Trace
 
 
 def make_controller(timings, scheme_cls=NoRpScheme, num_banks=2, **kwargs):
@@ -30,13 +35,9 @@ def make_controller(timings, scheme_cls=NoRpScheme, num_banks=2, **kwargs):
     )
 
 
-def demand(core, bank, row, column=0, cycle=0, write=False):
-    return InFlightRequest(
-        core_id=core,
-        mapped=MappedAddress(channel=0, bank=bank, row=row, column=column),
-        is_write=write,
-        enqueue_cycle=cycle,
-    )
+def demand(core, bank, row, write=False):
+    """``enqueue`` arguments: the bank and the packed request."""
+    return bank, pack_request(row, core, write)
 
 
 def commands(controller):
@@ -47,8 +48,8 @@ def commands(controller):
 class TestDemandPath:
     def test_miss_then_hit(self, timings):
         controller = make_controller(timings)
-        controller.enqueue(demand(0, 0, 5, 0))
-        controller.enqueue(demand(1, 0, 5, 1))
+        controller.enqueue(*demand(0, 0, 5))
+        controller.enqueue(*demand(1, 0, 5))
         assert controller.done_core == -1
         before = commands(controller)
         first = controller.step(0, 0)
@@ -72,9 +73,9 @@ class TestDemandPath:
     def test_conflict_closes_and_reopens(self, timings):
         controller = make_controller(timings, idle_close_cycles=None,
                                      mop_burst_lines=None)
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         controller.step(0, 0)
-        controller.enqueue(demand(0, 0, 9))
+        controller.enqueue(*demand(0, 0, 9))
         # Step at busy_until: the returned wake now reports the real
         # next deadline (refresh/tMRO/idle), not the bank-free cycle.
         cycle = max(controller.state[0].busy_until, timings.tRAS)
@@ -85,17 +86,32 @@ class TestDemandPath:
     def test_fr_fcfs_prefers_hit(self, timings):
         controller = make_controller(timings, idle_close_cycles=None,
                                      mop_burst_lines=None)
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         controller.step(0, 0)
         # Queue a conflicting row first, then a hit to the open row.
-        controller.enqueue(demand(0, 0, 9, 2))
-        controller.enqueue(demand(0, 0, 5, 1))
+        controller.enqueue(*demand(0, 0, 9))
+        controller.enqueue(*demand(0, 0, 5))
         controller.step(0, controller.state[0].busy_until)
         assert controller.row_hits == 1  # the younger hit won
 
+    def test_hit_scan_takes_first_match_and_keeps_order(self, timings):
+        controller = make_controller(timings, idle_close_cycles=None,
+                                     mop_burst_lines=None)
+        controller.enqueue(*demand(0, 0, 5))
+        controller.step(0, 0)
+        controller.enqueue(*demand(2, 0, 9))
+        controller.enqueue(*demand(3, 0, 5))
+        controller.enqueue(*demand(1, 0, 5))
+        controller.done_core = -1
+        controller.step(0, controller.state[0].busy_until)
+        assert controller.done_core == 3
+        assert controller.state[0].queue == [
+            pack_request(9, 2, False), pack_request(5, 1, False),
+        ]
+
     def test_write_completes_at_column_issue(self, timings):
         controller = make_controller(timings)
-        controller.enqueue(demand(0, 0, 5, write=True))
+        controller.enqueue(*demand(0, 0, 5, write=True))
         controller.step(0, 0)
         # A write completes at its column issue (ACT at 0 + tRCD), not
         # tCAS later as a read would.
@@ -106,37 +122,35 @@ class TestDemandPath:
     def test_queue_capacity(self, timings):
         controller = make_controller(timings)
         for i in range(BANK_QUEUE_CAPACITY):
-            controller.enqueue(demand(0, 0, i))
+            controller.enqueue(*demand(0, 0, i))
         assert not controller.can_accept(0)
         with pytest.raises(RuntimeError):
-            controller.enqueue(demand(0, 0, 99))
+            controller.enqueue(*demand(0, 0, 99))
 
 
-class TestInFlightRequest:
-    def test_requires_an_address(self):
-        with pytest.raises(TypeError):
-            InFlightRequest(core_id=0, is_write=True, enqueue_cycle=5)
+class TestPackedRequest:
+    @pytest.mark.parametrize("core", [0, 1, CORE_ID_MASK])
+    @pytest.mark.parametrize("row", [0, 1, 12345, 2**40])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_round_trip(self, core, row, write):
+        request = pack_request(row, core, write)
+        assert type(request) is int
+        assert unpack_request(request) == (row, core, write)
 
-    def test_rejects_mixed_address_forms(self):
-        mapped = MappedAddress(channel=0, bank=1, row=2, column=0)
-        with pytest.raises(TypeError):
-            InFlightRequest(core_id=0, mapped=mapped, row=7)
-
-    def test_flattened_coordinates_match_mapped(self):
-        mapped = MappedAddress(channel=1, bank=3, row=7, column=2)
-        via_mapped = InFlightRequest(core_id=0, mapped=mapped)
-        via_ints = InFlightRequest(core_id=0, channel=1, bank=3, row=7,
-                                   column=2)
-        assert via_mapped.mapped == via_ints.mapped == mapped
-        assert (via_ints.channel, via_ints.bank, via_ints.row) == (1, 3, 7)
+    def test_core_id_limits(self):
+        assert CORE_ID_MASK == 65535
+        with pytest.raises(ValueError):
+            pack_request(0, CORE_ID_MASK + 1, False)
+        with pytest.raises(ValueError):
+            pack_request(0, -1, False)
 
 
 class TestMopAndIdleClose:
     def test_mop_burst_closes_after_n_columns(self, timings):
         controller = make_controller(timings, mop_burst_lines=2,
                                      idle_close_cycles=None)
-        controller.enqueue(demand(0, 0, 5, 0))
-        controller.enqueue(demand(0, 0, 5, 1))
+        controller.enqueue(*demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         wake = controller.step(0, 0)
         controller.step(0, wake)
         assert not controller.banks[0].is_open
@@ -145,7 +159,7 @@ class TestMopAndIdleClose:
     def test_idle_close_fires(self, timings):
         controller = make_controller(timings, mop_burst_lines=None,
                                      idle_close_cycles=100)
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         wake = controller.step(0, 0)
         # With nothing queued, the demand step reports the idle-close
         # deadline directly as its next wake.
@@ -164,7 +178,7 @@ class TestTmro:
             timings, tmro_cycles=tmro, mop_burst_lines=None,
             idle_close_cycles=None,
         )
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         controller.step(0, 0)
         before = commands(controller)
         controller.step(0, tmro + 10)
@@ -178,7 +192,7 @@ class TestTmro:
             timings, tmro_cycles=tmro, mop_burst_lines=None,
             idle_close_cycles=None,
         )
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         wake = controller.step(0, 0)
         idle = controller.step(0, wake)
         assert idle <= tmro + timings.tRC
@@ -197,7 +211,7 @@ class TestRefresh:
         controller = make_controller(timings, mop_burst_lines=None,
                                      idle_close_cycles=None)
         due = controller.refresh[0].next_due
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         controller.step(0, due - timings.tRC)
         before = commands(controller)
         controller.step(0, due)
@@ -214,7 +228,7 @@ class TestRfm:
         )
         cycle = 0
         for row in (1, 2):
-            controller.enqueue(demand(0, 0, row))
+            controller.enqueue(*demand(0, 0, row))
             controller.step(0, cycle)
             cycle = controller.state[0].busy_until + timings.tRC
         controller.step(0, cycle)
@@ -227,7 +241,7 @@ class TestMitigations:
         controller = ChannelController(
             timings=timings, num_banks=1, scheme=scheme,
         )
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         first = controller.step(0, 0)
         before = commands(controller)
         controller.step(0, first)
@@ -241,7 +255,7 @@ class TestMitigations:
             timings=timings, num_banks=1, scheme=scheme,
             mop_burst_lines=None, idle_close_cycles=None,
         )
-        controller.enqueue(demand(0, 0, 5))
+        controller.enqueue(*demand(0, 0, 5))
         controller.step(0, 0)
         controller.flush_open_rows(timings.tRAS + timings.tRC)
         assert tracker.recorded_for(5) > 1.0
@@ -270,3 +284,50 @@ class TestCompletionHandoff:
             )
             stop += 97
         assert sum(sim.finish().core_requests) == 300
+
+
+class TestEngineRequestPath:
+    @pytest.mark.parametrize("engine", [SystemSimulator, ReferenceSimulator])
+    def test_core_count_must_fit_core_id_field(self, engine):
+        system = SystemConfig(n_cores=CORE_ID_MASK + 1)
+        with pytest.raises(ValueError, match="core-id field"):
+            engine(system, [Trace([])] * system.n_cores)
+
+    @staticmethod
+    def _hooked_run(engine, defense):
+        """One run with an ACT and a close hook on every bank; returns
+        the per-bank hook logs and the result."""
+        sim = build_simulator(
+            SystemConfig(n_cores=2, banks_per_channel=8), "mcf", defense,
+            n_requests=300, engine=engine,
+        )
+        logs = []
+        for controller in sim.controllers:
+            for bank in controller.banks:
+                log = []
+                bank.add_activate_hook(
+                    lambda row, cycle, log=log: log.append(("act", row, cycle))
+                )
+                bank.add_close_hook(
+                    lambda row, open_cycles, total, log=log: log.append(
+                        ("close", row, open_cycles, total)
+                    )
+                )
+                logs.append(log)
+        return logs, sim.run()
+
+    @pytest.mark.parametrize("defense", [
+        DefenseConfig(tracker="graphene", scheme="impress-p"),
+        DefenseConfig(tracker="para", scheme="no-rp", trh=100),
+    ])
+    def test_bank_hooks_fire_alike_in_both_engines(self, defense):
+        """Every demand ACT and every close reaches the bank's hooks, in
+        the same order and with the same arguments in both engines."""
+        fast_logs, fast = self._hooked_run("fast", defense)
+        ref_logs, ref = self._hooked_run("reference", defense)
+        assert fast_logs == ref_logs
+        for logs, result in ((fast_logs, fast), (ref_logs, ref)):
+            acts = sum(entry[0] == "act" for log in logs for entry in log)
+            assert acts == result.counts.demand_acts > 0
+        if defense.tracker == "para":
+            assert fast.counts.mitigative_acts > 0

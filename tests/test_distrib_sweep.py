@@ -16,6 +16,7 @@ take pytest down with them); this file owns the deterministic claims:
   while the result stays fetchable.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -38,6 +39,7 @@ from repro.distrib.worker import (
     CHECKPOINT_KIND,
     _encode_snapshot,
 )
+from repro.memctrl.request import unpack_request
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.config import SystemConfig
@@ -302,6 +304,80 @@ class TestCheckpointResume:
         )
         assert execution.resumed_from_cycle is None  # scratch, not crash
         assert queue.done_record(task_id) is not None
+
+    @pytest.mark.parametrize("class_removed", [True, False])
+    def test_object_queue_checkpoint_falls_back_to_scratch(
+        self, tmp_path, monkeypatch, class_removed,
+    ):
+        """A checkpoint from a code version whose bank queues held
+        request objects, not packed ints, reruns the task from scratch:
+        it neither crashes nor poisons, and the blob is byte-identical.
+        With the old class gone the pickle does not load; with a class
+        of that name still importable, ``restore`` rejects the queue."""
+        import repro.memctrl.request as request_mod
+
+        class InFlightRequest:
+            """Stand-in for the queue entry class of older versions."""
+
+            def __init__(self, core_id, row, is_write):
+                self.core_id = core_id
+                self.row = row
+                self.is_write = is_write
+
+        InFlightRequest.__module__ = request_mod.__name__
+        InFlightRequest.__qualname__ = "InFlightRequest"
+        monkeypatch.setattr(
+            request_mod, "InFlightRequest", InFlightRequest, raising=False,
+        )
+
+        recipe = checkpointable_recipe()
+        task_id = content_key(recipe)
+        serial_store = store_for(tmp_path / "serial")
+        run_serial_sweep([recipe], serial_store)
+
+        sim = build_simulator(recipe)
+        assert not sim.run_until(50_000)
+        snap = sim.snapshot()
+        controllers = tuple(
+            dataclasses.replace(ctrl, queues=tuple(
+                tuple(
+                    InFlightRequest(core, row, write)
+                    for row, core, write in map(unpack_request, queue)
+                )
+                for queue in ctrl.queues
+            ))
+            for ctrl in snap.controllers
+        )
+        assert any(
+            queue for ctrl in controllers for queue in ctrl.queues
+        ), "checkpoint must hold queued requests"
+        old_snap = dataclasses.replace(snap, controllers=controllers)
+        encoded = _encode_snapshot(old_snap)
+        if class_removed:
+            monkeypatch.delattr(request_mod, "InFlightRequest")
+
+        queue = FileWorkQueue(
+            tmp_path / "queue", max_attempts=1, backoff_base_s=0.0,
+        )
+        store = store_for(tmp_path)
+        store.put(
+            checkpoint_recipe(task_id),
+            {"task_id": task_id, "cycle": sim.now, "engine": snap.engine,
+             "snapshot_b64": encoded},
+            name=checkpoint_alias(task_id),
+            kind=CHECKPOINT_KIND,
+            overwrite=True,
+        )
+        queue.submit(recipe)
+        summary = run_worker(
+            queue, store, owner="w1", idle_exit_s=0.2, poll_s=0.01,
+            checkpoint_stride=50_000,
+        )
+        assert (summary.executed, summary.failed) == (1, 0)
+        assert queue.poison_record(task_id) is None
+        assert queue.done_record(task_id)["result_key"] == task_id
+        assert blob_bytes(store, task_id) == \
+            blob_bytes(serial_store, task_id)
 
     def test_completed_task_checkpoint_becomes_garbage(self, tmp_path):
         recipe = checkpointable_recipe()

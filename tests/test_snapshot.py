@@ -9,6 +9,7 @@ rewind a finished run back to the checkpoint, and every tracker's
 snapshot/restore round-trips its kernel state including RNG streams.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -151,6 +152,28 @@ class TestRunUntilSemantics:
         )
         with pytest.raises(ValueError, match="topology"):
             other.restore(snap)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_non_int_queue_entry_rejected(self, engine):
+        """Queues hold packed ints; a snapshot whose queue holds
+        anything else (an older version's request objects) is refused
+        before any state is written."""
+        sim = _build(engine)
+        sim.run_until(stop_cycle=400)
+        snap = capture(sim)
+        ctrl = snap.controllers[0]
+        stale = dataclasses.replace(
+            ctrl, queues=((object(),),) + ctrl.queues[1:],
+        )
+        stale_snap = dataclasses.replace(
+            snap, controllers=(stale,) + snap.controllers[1:],
+        )
+        target = _build(engine)
+        before = state_fingerprint(target)
+        with pytest.raises(ValueError, match="not a packed int"):
+            target.restore(stale_snap)
+        assert state_fingerprint(target) == before
+        assert target.now == 0
 
     def test_fingerprints_match_across_engines_at_stop(self):
         """Both engines, stepped to the same stop cycle, agree on all

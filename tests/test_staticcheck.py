@@ -377,10 +377,36 @@ def test_no_alloc_fires_in_controller_step_and_event_loop(tmp_path):
                 return [bank_id]           # not a hot class
     """})
     report = check(tmp_path, "no-alloc-in-kernels")
-    assert [f.line for f in report.findings] == [11, 21, 25]
-    assert "ChannelController._serve_demand" in report.findings[0].message
-    assert "SystemSimulator.run_until" in report.findings[1].message
-    assert "SystemSimulator._try_issue" in report.findings[2].message
+    assert [f.line for f in report.findings] == [9, 10, 11, 11, 21, 25]
+    assert "InFlightRequest() object" in report.findings[0].message
+    assert "ServiceResult() object" in report.findings[1].message
+    assert "list literal" in report.findings[2].message
+    assert "Completion() object" in report.findings[3].message
+    for finding in report.findings[:4]:
+        assert "ChannelController._serve_demand" in finding.message
+    assert "SystemSimulator.run_until" in report.findings[4].message
+    assert "SystemSimulator._try_issue" in report.findings[5].message
+
+
+def test_no_alloc_exempts_raise_but_not_objects_in_hot_methods(tmp_path):
+    write_tree(tmp_path, {"sim/system.py": """
+        class SystemSimulator:
+            __slots__ = ("_heap",)
+
+            def run_until(self, stop_cycle):
+                if stop_cycle < 0:
+                    raise RuntimeError(f"bad stop {stop_cycle}")
+                return self._heap
+
+            def _try_issue(self, core, cycle):
+                return requests.Pending(core, cycle)   # dotted class
+
+            def snapshot(self):
+                return Snapshot(self._heap)    # not a per-event method
+    """})
+    report = check(tmp_path, "no-alloc-in-kernels")
+    assert [f.line for f in report.findings] == [11]
+    assert "Pending() object" in report.findings[0].message
 
 
 def test_no_alloc_quiet_on_integer_kernels(tmp_path):
