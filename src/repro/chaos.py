@@ -325,10 +325,12 @@ def run_chaos_case(
     name (injected here once the saboteur claims); None runs
     fault-free.
 
-    When a fault is requested the saboteur is spawned *first* and the
-    clean workers only after its first claim appears — otherwise a
-    fast clean worker could drain the queue before the fault ever
-    fires.  Whether it fired is read off the saboteur, never assumed:
+    The first worker (the saboteur, when a fault is requested) is
+    spawned *first* and the others only after its first claim appears
+    — otherwise a fast clean worker could drain the queue before the
+    fault ever fires, and a sweep that started before any worker
+    announced itself would degrade and do the work in-process.
+    Whether the fault fired is read off the saboteur, never assumed:
     its exit status for the kills, a reclaim of its lease for a frozen
     heartbeat, a successful overwrite for a corrupted claim.  The
     distributed store is fresh, so every blob byte compared at the end
@@ -360,19 +362,18 @@ def run_chaos_case(
 
     try:
         _spawn(0, worker_fault)   # the saboteur (clean if fault is None)
-        if fault is not None:
-            task_id, owner = wait_for_claim(queue)
-            if fault == "sigkill-claim-holder":
-                notes.append(
-                    f"SIGKILLed {owner} holding {task_id}"
-                    if sigkill_owner(owner) else f"could not kill {owner}"
-                )
-            elif fault == "corrupt-claim-file":
-                fault_fired = corrupt_claim(queue, task_id)
-                notes.append(
-                    f"corrupted claim of {task_id} (owner {owner})"
-                    if fault_fired else f"claim of {task_id} already gone"
-                )
+        task_id, owner = wait_for_claim(queue)
+        if fault == "sigkill-claim-holder":
+            notes.append(
+                f"SIGKILLed {owner} holding {task_id}"
+                if sigkill_owner(owner) else f"could not kill {owner}"
+            )
+        elif fault == "corrupt-claim-file":
+            fault_fired = corrupt_claim(queue, task_id)
+            notes.append(
+                f"corrupted claim of {task_id} (owner {owner})"
+                if fault_fired else f"claim of {task_id} already gone"
+            )
         for i in range(1, n_workers):
             _spawn(i, None)
         # Default grace: a fleet whose every worker died (or a sole

@@ -502,6 +502,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.distributed:
             outcome = run_serial_sweep(recipes, store)
         else:
+            import time
+
             from .chaos import reap, spawn, worker_command
             from .distrib.queue import FileWorkQueue
 
@@ -519,6 +521,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     ),
                     queue_dir / f"worker-{i}.log",
                 ))
+            # A worker-less first poll degrades at once, so give the
+            # fleet up to the grace to announce itself.
+            deadline = time.monotonic() + args.serial_grace
+            while (
+                workers and not queue.live_workers()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
             try:
                 outcome = run_distributed_sweep(
                     recipes, queue, store,
@@ -1002,8 +1012,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--serial-grace", type=float, default=5.0,
-        help="seconds with no task progress before the coordinator "
-             "degrades to executing tasks in-process",
+        help="seconds with no task progress, while some worker is "
+             "live, before the coordinator degrades to executing tasks "
+             "in-process (with no live worker it degrades at once)",
     )
     sweep_cmd.add_argument(
         "--speculate-after", type=float, default=None, metavar="S",
@@ -1124,8 +1135,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--serial-grace", type=float, default=2.0,
-        help="seconds with no worker progress before the daemon "
-             "executes requests in-process (sticky degraded mode)",
+        help="seconds with no worker progress, while some worker is "
+             "live, before the daemon executes requests in-process "
+             "(sticky degraded mode; with no live worker it degrades "
+             "at once)",
     )
     serve_cmd.add_argument(
         "--checkpoint-stride", type=int, default=50_000,

@@ -18,14 +18,17 @@ one task per request):
   byte-identical result deduplicates.
 * **Degraded serial mode** — when none of the supervised tasks shows
   progress (a new done record, or a lease changing owner, attempts or
-  heartbeats) for ``serial_grace_s``, the supervisor stops waiting and
+  heartbeats) for the grace, the supervisor stops waiting and
   executes the tasks itself, in-process, through the *same*
-  claim → execute → complete path.  Degraded mode is sticky (per sweep
-  here, engine-wide in the serve daemon): a task that fails into retry
-  backoff is retried by the supervisor itself until it succeeds or
-  poisons, and a worker that joins late simply claims alongside it.  A
-  sweep therefore always completes, even when its only worker died
-  holding a claim; distribution is an optimization, not a dependency.
+  claim → execute → complete path.  The grace is ``serial_grace_s``
+  while some ``repro worker`` has a live presence record in the queue
+  and 0 when none does: with no worker to wait for, the first poll
+  degrades.  Degraded mode is sticky (per sweep here, engine-wide in
+  the serve daemon): a task that fails into retry backoff is retried
+  by the supervisor itself until it succeeds or poisons, and a worker
+  that joins late simply claims alongside it.  A sweep therefore
+  always completes, even when its only worker died holding a claim;
+  distribution is an optimization, not a dependency.
 * **Poison** — a task that keeps failing is quarantined by the queue;
   the supervisor surfaces it as :class:`DistributedSweepError` with
   the stored tracebacks rather than spinning forever.
@@ -167,11 +170,14 @@ def supervise(
     claims older than ``speculate_after_s``.
 
     **Degrade rule.**  Progress is a new done record or a change in a
-    task's lease (owner, attempts, heartbeats).  When none of these
-    tasks shows progress for ``serial_grace_s`` (counted from the
-    call), ``degraded`` is set and stays set; while it is set, each
-    poll claims the tasks itself as ``owner`` and executes them
-    in-process through the worker's claim → execute → complete path.
+    task's lease (owner, attempts, heartbeats).  While some worker's
+    presence record is live (:meth:`FileWorkQueue.live_workers`), the
+    grace is ``serial_grace_s``; with none live it is 0, since there is
+    no worker to wait for.  When none of these tasks shows progress for
+    the grace (counted from the call), ``degraded`` is set and stays
+    set; while it is set, each poll claims the tasks itself as
+    ``owner`` and executes them in-process through the worker's
+    claim → execute → complete path.
     A failed execution goes back to the queue with its traceback
     (``queue.fail``), so it retries through backoff or poisons.  A
     done task whose blob went missing is recomputed in-process.
@@ -229,8 +235,10 @@ def supervise(
                 and queue.speculate(task_id)
             ):
                 speculated += 1
-        if degraded.is_set() or (
-            time.monotonic() - last_progress >= serial_grace_s
+        if (
+            degraded.is_set()
+            or time.monotonic() - last_progress >= serial_grace_s
+            or not queue.live_workers()
         ):
             degraded.set()
             claimable = set(waiting)
@@ -270,8 +278,9 @@ def run_distributed_sweep(
     Workers are *external*: anything running ``repro worker`` against
     the same queue/store directories.  The coordinator submits, then
     hands every task to :func:`supervise`, which reclaims, speculates
-    and — after ``serial_grace_s`` without progress — degrades to
-    executing the remaining tasks itself for the rest of the sweep.
+    and — after ``serial_grace_s`` without progress, or at once when no
+    worker has a live presence record — degrades to executing the
+    remaining tasks itself for the rest of the sweep.
     Raises :class:`DistributedSweepError` on poisoned tasks or
     ``timeout_s``.
     """

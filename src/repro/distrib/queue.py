@@ -1,6 +1,6 @@
 """Filesystem-backed work queue with lease-based claims.
 
-The queue is a directory five subdirectories deep, sharing nothing but
+The queue is a directory of six subdirectories, sharing nothing but
 POSIX rename semantics — which is exactly what makes it usable by
 worker processes on any host that can see the filesystem:
 
@@ -37,6 +37,16 @@ worker processes on any host that can see the filesystem:
     ``max_attempts`` times is quarantined here with its traceback
     instead of looping forever.
 
+``workers/<owner>.json``
+    Not task state: a *presence record* saying "a ``repro worker`` with
+    this owner id is alive" (``owner``, ``started_at``,
+    ``refreshed_at`` and ``deadline = refreshed_at + lease_s``).  The
+    worker writes it before its first claim, refreshes it at the
+    heartbeat cadence and removes it on every graceful exit; a
+    SIGKILLed worker's record simply stops counting once its deadline
+    passes.  Supervisors read it to tell "no worker exists" from "a
+    worker is slow to claim".  An unreadable record counts as absent.
+
 Every state transition is a single ``os.rename`` (one winner).  The
 transitions back to ``pending`` (fail, reclaim, speculate) write the
 retry state into the claim file *before* the rename, so the rename is
@@ -66,7 +76,7 @@ from ..results.store import content_key
 QUEUE_VERSION = 1
 
 #: Subdirectories; creation order is irrelevant (all made eagerly).
-_STATE_DIRS = ("tasks", "pending", "claimed", "done", "poison")
+_STATE_DIRS = ("tasks", "pending", "claimed", "done", "poison", "workers")
 
 #: Grace period before an *unreadable* claim file (torn write, chaos
 #: corruption) counts as expired — judged by file mtime, since the
@@ -131,7 +141,11 @@ class ClaimedTask:
 
 @dataclass
 class QueueStatus:
-    """A point-in-time census of the queue for ``repro queue status``."""
+    """A point-in-time census of the queue for ``repro queue status``.
+
+    ``workers`` holds one ``{"owner", "heartbeat_age_s"}`` entry per
+    live presence record.
+    """
 
     pending: int
     claimed: int
@@ -140,6 +154,7 @@ class QueueStatus:
     total_tasks: int
     leases: List[Dict[str, Any]] = field(default_factory=list)
     poison: List[Dict[str, Any]] = field(default_factory=list)
+    workers: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def open_tasks(self) -> int:
@@ -157,6 +172,7 @@ class QueueStatus:
             "open_tasks": self.open_tasks,
             "leases": [dict(lease) for lease in self.leases],
             "poison": [dict(entry) for entry in self.poison],
+            "workers": [dict(worker) for worker in self.workers],
         }
 
     def summary_lines(self) -> List[str]:
@@ -181,6 +197,11 @@ class QueueStatus:
                 f"  poisoned {entry['task_id']} after "
                 f"{entry.get('attempts', '?')} attempt(s): "
                 f"{first_line[-1] if first_line else '?'}"
+            )
+        for worker in self.workers:
+            lines.append(
+                f"  live worker {worker['owner']} (heartbeat "
+                f"{worker['heartbeat_age_s']:.1f}s ago)"
             )
         return lines
 
@@ -619,8 +640,60 @@ class FileWorkQueue:
         """
         return _read_json(self._path("claimed", task_id))
 
+    # -- worker presence -------------------------------------------------
+
+    def _worker_path(self, owner: str) -> Path:
+        return self.root / "workers" / f"{owner}.json"
+
+    def announce(
+        self, owner: str, started_at: float, now: Optional[float] = None
+    ) -> None:
+        """Write (or refresh) ``owner``'s presence record.
+
+        The record stays live for ``lease_s``; a worker refreshes it at
+        its heartbeat cadence, so it lapses exactly when a lease would.
+        """
+        if now is None:
+            now = time.time()
+        atomic_write_json(self._worker_path(owner), {
+            "owner": owner,
+            "started_at": started_at,
+            "refreshed_at": now,
+            "deadline": now + self.lease_s,
+        })
+
+    def retire(self, owner: str) -> None:
+        """Remove ``owner``'s presence record (a graceful worker exit)."""
+        try:
+            self._worker_path(owner).unlink()
+        except OSError:
+            pass
+
+    def live_workers(
+        self, now: Optional[float] = None
+    ) -> List[Dict[str, Any]]:
+        """Presence records whose deadline has not passed, by owner.
+
+        A missing, torn or corrupt record, or one past its deadline (a
+        SIGKILLed worker), is simply not live.
+        """
+        if now is None:
+            now = time.time()
+        live = []
+        for path in sorted((self.root / "workers").glob("*.json")):
+            record = _read_json(path) or {}
+            if (
+                isinstance(record.get("owner"), str)
+                and isinstance(record.get("refreshed_at"), (int, float))
+                and isinstance(record.get("deadline"), (int, float))
+                and record["deadline"] > now
+            ):
+                live.append(record)
+        return live
+
     def status(self) -> QueueStatus:
-        """Census all five state dirs (see :class:`QueueStatus`)."""
+        """Census the state dirs and live workers (a :class:`QueueStatus`)."""
+        now = time.time()
         leases = []
         for task_id in self._ids("claimed"):
             lease = _read_json(self._path("claimed", task_id)) or {}
@@ -639,6 +712,13 @@ class FileWorkQueue:
             total_tasks=len(self._ids("tasks")),
             leases=leases,
             poison=poison,
+            workers=[
+                {
+                    "owner": record["owner"],
+                    "heartbeat_age_s": max(0.0, now - record["refreshed_at"]),
+                }
+                for record in self.live_workers(now)
+            ],
         )
 
     def drain(self) -> Dict[str, int]:

@@ -197,22 +197,54 @@ def _try_resume(
     return int(payload.get("cycle", sim.now))
 
 
+def _heartbeat_interval(queue: FileWorkQueue) -> float:
+    """The heartbeat cadence: a third of the lease, at least 10 ms."""
+    return max(0.01, queue.lease_s / 3.0)
+
+
+class _Presence:
+    """One worker's presence record in the queue.
+
+    The executing task's heartbeat thread calls :meth:`announce` on
+    every beat; the worker loop calls :meth:`refresh`, throttled to the
+    same cadence so an idle worker does not rewrite the record on every
+    poll.
+    """
+
+    def __init__(self, queue: FileWorkQueue, owner: str) -> None:
+        self.queue = queue
+        self.owner = owner
+        self.interval_s = _heartbeat_interval(queue)
+        self.started_at = time.time()
+        self.refreshed = float("-inf")
+
+    def announce(self) -> None:
+        self.refreshed = time.monotonic()
+        self.queue.announce(self.owner, self.started_at)
+
+    def refresh(self) -> None:
+        if time.monotonic() - self.refreshed >= self.interval_s:
+            self.announce()
+
+
 class _HeartbeatThread(threading.Thread):
-    """Refreshes one claim's lease until stopped.
+    """Refreshes one claim's lease (and its worker's presence) until stopped.
 
     Under the ``worker-freeze-heartbeat`` fault the thread sends its
     first beat and then goes silent while the simulation keeps
-    running — the straggler whose lease expires under it.
+    running — the straggler whose lease, and presence record, expire
+    under it.
     """
 
     def __init__(
         self, queue: FileWorkQueue, claimed: ClaimedTask,
-        interval_s: float,
+        interval_s: float, presence: Optional[_Presence] = None,
     ) -> None:
         super().__init__(daemon=True)
         self.queue = queue
         self.claimed = claimed
         self.interval_s = interval_s
+        self.presence = presence
         self.stop_event = threading.Event()
         self.beats = 0
 
@@ -221,6 +253,8 @@ class _HeartbeatThread(threading.Thread):
         while not self.stop_event.wait(self.interval_s):
             if frozen and self.beats >= 1:
                 continue
+            if self.presence is not None:
+                self.presence.announce()
             if not self.queue.heartbeat(
                 self.claimed.task_id, self.claimed.owner
             ):
@@ -253,6 +287,7 @@ def execute_claimed_task(
     checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
     heartbeat_interval_s: Optional[float] = None,
     stop_event: Optional[threading.Event] = None,
+    presence: Optional[_Presence] = None,
 ) -> Optional[TaskExecution]:
     """Run one claimed task to completion and mark it done.
 
@@ -265,19 +300,25 @@ def execute_claimed_task(
     durable, the claim is *released* back to pending with no attempt
     penalty (:meth:`FileWorkQueue.release`), and None is returned —
     the next claimant resumes from that checkpoint.
+
+    ``presence`` (set by :func:`run_worker` only; supervisors executing
+    in-process have none) is refreshed with every lease heartbeat.
     """
     task = claimed.task
     recipe = task.recipe
-    sim = build_simulator(recipe)
-    resumed_from = None
-    if checkpoint_stride:
-        resumed_from = _try_resume(store, task.task_id, sim)
-
     if heartbeat_interval_s is None:
-        heartbeat_interval_s = max(0.01, queue.lease_s / 3.0)
-    heartbeat = _HeartbeatThread(queue, claimed, heartbeat_interval_s)
+        heartbeat_interval_s = _heartbeat_interval(queue)
+    # Heartbeat from the claim on: building a large simulator can
+    # outlast a short lease (and the worker's presence record).
+    heartbeat = _HeartbeatThread(
+        queue, claimed, heartbeat_interval_s, presence
+    )
     heartbeat.start()
     try:
+        sim = build_simulator(recipe)
+        resumed_from = None
+        if checkpoint_stride:
+            resumed_from = _try_resume(store, task.task_id, sim)
         checkpoints = 0
         if checkpoint_stride:
             target = sim.now + checkpoint_stride
@@ -379,48 +420,59 @@ def run_worker(
     summary reports ``stopped``.  ``fault`` injects one named chaos
     fault process-wide before the first claim (the ``repro worker
     --fault`` path).
+
+    The worker announces itself with a presence record in the queue
+    before its first claim, refreshes it at the heartbeat cadence
+    (``lease_s / 3``) and removes it on every exit that gets to run a
+    ``finally``.
     """
     if owner is None:
         owner = worker_identity()
     if fault is not None:
         faults.inject(fault)
     summary = WorkerSummary(owner=owner)
+    presence = _Presence(queue, owner)
     last_work = time.monotonic()
-    while True:
-        if stop_event is not None and stop_event.is_set():
-            summary.stopped = True
-            break
-        if max_tasks is not None and summary.executed >= max_tasks:
-            break
-        claimed = queue.claim(owner)
-        if claimed is None:
-            queue.reclaim_expired()
-            status = queue.status()
-            if status.total_tasks and not status.open_tasks:
-                break  # every task done or poisoned
-            if time.monotonic() - last_work > idle_exit_s:
+    try:
+        while True:
+            presence.refresh()
+            if stop_event is not None and stop_event.is_set():
+                summary.stopped = True
                 break
-            time.sleep(poll_s)
-            continue
-        last_work = time.monotonic()
-        try:
-            execution = execute_claimed_task(
-                queue, store, claimed,
-                checkpoint_stride=checkpoint_stride,
-                stop_event=stop_event,
-            )
-        except Exception:
-            summary.failed += 1
-            queue.fail(
-                claimed.task_id, owner, traceback.format_exc()
-            )
-            continue
-        if execution is None:
-            # Graceful stop mid-task: claim already released.
-            summary.released += 1
-            summary.stopped = True
-            break
-        summary.executed += 1
-        if not execution.first_writer:
-            summary.deduplicated += 1
+            if max_tasks is not None and summary.executed >= max_tasks:
+                break
+            claimed = queue.claim(owner)
+            if claimed is None:
+                queue.reclaim_expired()
+                status = queue.status()
+                if status.total_tasks and not status.open_tasks:
+                    break  # every task done or poisoned
+                if time.monotonic() - last_work > idle_exit_s:
+                    break
+                time.sleep(poll_s)
+                continue
+            last_work = time.monotonic()
+            try:
+                execution = execute_claimed_task(
+                    queue, store, claimed,
+                    checkpoint_stride=checkpoint_stride,
+                    stop_event=stop_event,
+                    presence=presence,
+                )
+            except Exception:
+                summary.failed += 1
+                queue.fail(
+                    claimed.task_id, owner, traceback.format_exc()
+                )
+                continue
+            if execution is None:
+                # Graceful stop mid-task: claim already released.
+                summary.released += 1
+                summary.stopped = True
+                break
+            summary.executed += 1
+            if not execution.first_writer:
+                summary.deduplicated += 1
+    finally:
+        queue.retire(owner)
     return summary

@@ -24,11 +24,12 @@ what makes the robustness claims testable in-process:
   the sweep coordinator's own loop
   (:func:`~repro.distrib.coordinator.supervise`), so both follow one
   degrade rule: when the task shows no progress (a done record, or a
-  lease changing owner, attempts or heartbeats) for
-  ``serial_grace_s``, the engine turns *sticky-degraded* engine-wide
-  and executes claims in-process through the same
-  claim → execute → complete path.  A request always completes;
-  workers are an optimization.
+  lease changing owner, attempts or heartbeats) for ``serial_grace_s``
+  while a worker's presence record is live — or at once when no
+  ``repro worker`` has announced itself in the queue — the engine
+  turns *sticky-degraded* engine-wide and executes claims in-process
+  through the same claim → execute → complete path.  A request always
+  completes; workers are an optimization.
 
 Deadlines are a property of the *wait*, not the work: a handler whose
 client deadline expires gets the content key back (202-style) while

@@ -132,6 +132,15 @@ class TestScenarioCommands:
         assert "graphene/impress-p" in out
         assert "graphene/no-rp" in out
 
+    def test_workerless_distributed_sweep_skips_the_grace(
+        self, capsys, tmp_path
+    ):
+        # Waiting out the grace would hit the timeout and exit 1.
+        assert main(["sweep", "benign_mcf", "--distributed",
+                     "--requests", "400", "--serial-grace", "600",
+                     "--timeout", "60", "--results-dir", str(tmp_path)]) == 0
+        assert "degraded serial" in capsys.readouterr().out
+
     def test_scenario_sweep_unknown_tracker(self, capsys):
         code = main(
             ["scenario", "sweep", "colocated_hammer_mcf",
@@ -269,6 +278,23 @@ class TestJsonOutput:
         assert doc["claimed"] == 1
         assert doc["open_tasks"] == 1
         assert doc["leases"][0]["owner"] == "w1"
+
+    def test_queue_status_lists_live_workers(self, capsys, tmp_path):
+        import json
+        import time
+
+        from repro.distrib.queue import FileWorkQueue
+
+        queue = FileWorkQueue(tmp_path / "queue")
+        queue.announce("w1", started_at=time.time())
+        assert main(["queue", "status", "--queue-dir",
+                     str(tmp_path / "queue")]) == 0
+        assert "live worker w1 (heartbeat" in capsys.readouterr().out
+        assert main(["queue", "status", "--queue-dir",
+                     str(tmp_path / "queue"), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [w["owner"] for w in doc["workers"]] == ["w1"]
+        assert doc["workers"][0]["heartbeat_age_s"] >= 0.0
 
     def test_results_gc_json(self, capsys, tmp_path):
         import json

@@ -15,6 +15,7 @@ bearing rather than decorative.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from repro.chaos import (
     worker_command,
 )
 from repro.distrib.coordinator import run_serial_sweep, shard_points
+from repro.distrib.queue import FileWorkQueue
 from repro.distrib.worker import KILL_MID_PUT_EXIT, KILL_MID_TASK_EXIT
 from repro.results.store import store_for
 from repro.scenarios.spec import ScenarioSpec
@@ -87,6 +89,13 @@ class TestChaosMatrix:
         report = run_case(tmp_path, serial_reference, None)
         assert_byte_identical(report)
         assert all(code == 0 for code in report.exit_codes)
+        # The fleet did the work: the coordinator never degraded, and
+        # every done record names a worker, not the coordinator.
+        assert not report.outcome.degraded
+        queue = FileWorkQueue(tmp_path / "dist" / "queue")
+        owners = {queue.done_record(key)["owner"] for key in report.keys}
+        assert "coordinator-serial" not in owners
+        assert all(re.fullmatch(r".+:\d+", owner) for owner in owners)
 
     def test_worker_kill_mid_task(self, tmp_path, serial_reference):
         report = run_case(
@@ -173,11 +182,15 @@ class TestGracefulWorkerShutdown:
             tmp_path / "worker.log",
         )
         try:
-            wait_for_claim(queue, timeout_s=60.0)
+            _, owner = wait_for_claim(queue, timeout_s=60.0)
+            assert [w["owner"] for w in queue.live_workers()] == [owner]
             proc.send_signal(signal.SIGTERM)
             assert reap(proc, 120.0) == 0
         finally:
             reap(proc, 0)
+        # The graceful exit retired the worker's presence record.
+        assert queue.live_workers() == []
+        assert not list((queue.root / "workers").glob("*.json"))
         # The claim went back to pending with the attempt uncounted
         # (not a lease expiry, not a failure) and the checkpoint is
         # durable for the next claimant to resume from.
@@ -191,6 +204,29 @@ class TestGracefulWorkerShutdown:
         log = (tmp_path / "worker.log").read_text()
         assert "graceful shutdown" in log
         assert "1 released" in log
+
+
+class TestSpawnedFleetSweep:
+    def test_spawned_workers_announce_before_supervision(
+        self, tmp_path, capsys
+    ):
+        """``--spawn-workers`` waits for the fleet, so it is not degraded."""
+        from repro.cli import main
+
+        assert main([
+            "sweep", "benign_mcf", "benign_add_copy", "--distributed",
+            "--spawn-workers", "1", "--requests", "2000",
+            "--serial-grace", "60", "--results-dir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(distributed mode)" in out
+        queue = FileWorkQueue(tmp_path / "queue")
+        owners = {record["owner"] for record in (
+            queue.done_record(task_id) for task_id in queue._ids("done")
+        )}
+        assert len(queue._ids("done")) == 2
+        assert "coordinator-serial" not in owners
+        assert queue.live_workers() == []
 
 
 class TestHarnessCore:

@@ -434,3 +434,60 @@ class TestStatusJson:
         assert doc["leases"][0]["task_id"] == claimed.task_id
         assert doc["poison"][0]["error"] == "boom"
         json.dumps(doc)   # round-trippable, no exotic types
+
+
+class TestPresence:
+    def test_live_record_appears_with_a_sane_age(self, tmp_path):
+        queue = make_queue(tmp_path)
+        now = time.time()
+        queue.announce("w1", started_at=now - 10.0, now=now - 1.0)
+        status = queue.status()
+        assert [w["owner"] for w in status.workers] == ["w1"]
+        assert 1.0 <= status.workers[0]["heartbeat_age_s"] < 4.0
+        doc = status.to_json()
+        assert doc["workers"][0]["owner"] == "w1"
+        json.dumps(doc)
+        assert any("live worker w1" in line
+                   for line in status.summary_lines())
+        record = _read_json(queue.root / "workers" / "w1.json")
+        assert record["started_at"] == pytest.approx(now - 10.0)
+        assert record["deadline"] == pytest.approx(now - 1.0 + 5.0)
+
+    def test_stale_and_corrupt_records_are_not_live(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.announce("stale", started_at=0.0, now=time.time() - 6.0)
+        workers = queue.root / "workers"
+        (workers / "torn.json").write_text('{"owner": "torn", "dead')
+        (workers / "list.json").write_text("[1, 2]\n")
+        atomic_write_json(workers / "nodeadline.json", {"owner": "x"})
+        assert queue.live_workers() == []
+        status = queue.status()
+        assert status.workers == []
+        assert status.to_json()["workers"] == []
+        assert not any("live worker" in line
+                       for line in status.summary_lines())
+
+    def test_retire_removes_the_record_and_tolerates_absence(
+        self, tmp_path
+    ):
+        queue = make_queue(tmp_path)
+        queue.announce("w1", started_at=time.time())
+        assert len(queue.live_workers()) == 1
+        queue.retire("w1")
+        queue.retire("w1")
+        assert queue.live_workers() == []
+        assert not list((queue.root / "workers").iterdir())
+
+    def test_serve_status_lists_live_workers(self, tmp_path):
+        from repro.results.store import store_for
+        from repro.serve.engine import RequestEngine
+        from repro.serve.journal import RequestJournal
+
+        queue = make_queue(tmp_path)
+        engine = RequestEngine(
+            store_for(tmp_path), queue, RequestJournal(tmp_path / "j"),
+        )
+        assert engine.status()["queue"]["workers"] == []
+        queue.announce("w1", started_at=time.time())
+        workers = engine.status()["queue"]["workers"]
+        assert [w["owner"] for w in workers] == ["w1"]

@@ -17,6 +17,7 @@ take pytest down with them); this file owns the deterministic claims:
 """
 
 import dataclasses
+import threading
 import time
 
 import pytest
@@ -42,6 +43,7 @@ from repro.distrib.worker import (
 from repro.memctrl.request import unpack_request
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
+from repro.security import faults
 from repro.sim.config import SystemConfig
 
 
@@ -222,6 +224,118 @@ class TestWorkerLoop:
         for key in serial.result_keys:
             assert blob_bytes(serial_store, key) == \
                 blob_bytes(dist_store, key)
+
+
+class TestPresenceLifecycle:
+    """Written before the first claim, refreshed, removed on every exit."""
+
+    @staticmethod
+    def spy(queue, method):
+        """Record, per call of ``queue.<method>``, the live owners and
+        whether a non-main thread made the call."""
+        calls = []
+        real = getattr(queue, method)
+
+        def wrapped(*args, **kwargs):
+            calls.append((
+                [worker["owner"] for worker in queue.live_workers()],
+                threading.current_thread() is not threading.main_thread(),
+            ))
+            return real(*args, **kwargs)
+
+        setattr(queue, method, wrapped)
+        return calls
+
+    @staticmethod
+    def assert_retired(queue):
+        assert queue.live_workers() == []
+        assert not list((queue.root / "workers").glob("*.json"))
+
+    def test_record_live_at_every_claim_and_removed_when_drained(
+        self, tmp_path
+    ):
+        queue = FileWorkQueue(tmp_path / "queue")
+        store = store_for(tmp_path)
+        for recipe in small_recipes():
+            queue.submit(recipe)
+        claims = self.spy(queue, "claim")
+        summary = run_worker(
+            queue, store, owner="w1", idle_exit_s=30.0, poll_s=0.01,
+        )
+        assert summary.executed == 2
+        assert claims and all(owners == ["w1"] for owners, _ in claims)
+        self.assert_retired(queue)
+
+    def test_removed_on_idle_exit(self, tmp_path):
+        queue = FileWorkQueue(tmp_path / "queue")
+        claims = self.spy(queue, "claim")
+        summary = run_worker(
+            queue, store_for(tmp_path), owner="w1", idle_exit_s=0.05,
+            poll_s=0.01,
+        )
+        assert summary.executed == 0 and not summary.stopped
+        assert claims and all(owners == ["w1"] for owners, _ in claims)
+        self.assert_retired(queue)
+
+    def test_removed_when_max_tasks_reached(self, tmp_path):
+        queue = FileWorkQueue(tmp_path / "queue")
+        for recipe in small_recipes():
+            queue.submit(recipe)
+        summary = run_worker(
+            queue, store_for(tmp_path), owner="w1", max_tasks=1,
+            idle_exit_s=30.0, poll_s=0.01,
+        )
+        assert summary.executed == 1
+        assert queue.status().open_tasks == 1
+        self.assert_retired(queue)
+
+    def test_live_while_running_and_removed_on_stop_event(self, tmp_path):
+        queue = FileWorkQueue(tmp_path / "queue")
+        stop = threading.Event()
+        summaries = []
+        thread = threading.Thread(target=lambda: summaries.append(
+            run_worker(
+                queue, store_for(tmp_path), owner="w1",
+                idle_exit_s=30.0, poll_s=0.01, stop_event=stop,
+            )
+        ))
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not queue.live_workers() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert [w["owner"] for w in queue.live_workers()] == ["w1"]
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert summaries[0].stopped
+        self.assert_retired(queue)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_heartbeat_refreshes_the_record_unless_frozen(
+        self, tmp_path, frozen
+    ):
+        # A ~0.25s task under a 0.06s lease: the heartbeat thread beats
+        # every 0.02s, and each beat refreshes the presence record too.
+        queue = FileWorkQueue(tmp_path / "queue", lease_s=0.06)
+        queue.submit(checkpointable_recipe(n_requests=40_000))
+        announces = self.spy(queue, "announce")
+        fault = "worker-freeze-heartbeat" if frozen else None
+        try:
+            summary = run_worker(
+                queue, store_for(tmp_path), owner="w1", max_tasks=1,
+                checkpoint_stride=None, fault=fault,
+            )
+        finally:
+            faults.clear()
+        assert summary.executed == 1
+        from_heartbeat = sum(threaded for _, threaded in announces)
+        if frozen:
+            assert from_heartbeat == 1   # the first beat, then silence
+        else:
+            assert from_heartbeat >= 2
+        self.assert_retired(queue)
 
 
 class TestCheckpointResume:
@@ -430,6 +544,9 @@ class TestFailurePaths:
         recipes = small_recipes()
         queue = FileWorkQueue(tmp_path / "queue")
         store = store_for(tmp_path)
+        # A live worker that never claims: with no worker at all the
+        # first poll would degrade instead of waiting out the grace.
+        queue.announce("idle-worker", time.time())
         with pytest.raises(DistributedSweepError) as excinfo:
             run_distributed_sweep(
                 recipes, queue, store, poll_s=0.01,

@@ -162,3 +162,50 @@ def test_late_worker_joins_degraded_drain(tmp_path, monkeypatch, setting):
     assert status.done == len(recipes)
     assert status.poisoned == 0 and not status.poison
     assert_matches_serial(tmp_path, recipes, store)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_workerless_first_task_degrades_at_once(
+    tmp_path, monkeypatch, setting
+):
+    # No presence record: there is no worker to wait for, so the long
+    # grace never applies and the first poll executes in-process.
+    recipes = recipes_for(["add_copy"], 400)
+    queue = FileWorkQueue(tmp_path / "queue")
+    store = store_for(tmp_path / "dist")
+    started = time.monotonic()
+    assert run_supervised(
+        setting, tmp_path, monkeypatch, recipes, queue, store, 30.0
+    )
+    assert time.monotonic() - started < 15.0
+    assert queue.status().done == 1
+    assert_matches_serial(tmp_path, recipes, store)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_live_worker_that_never_claims_keeps_the_grace(
+    tmp_path, monkeypatch, setting
+):
+    recipes = recipes_for(["add_copy"], 400)
+    task_id = content_key(recipes[0])
+    queue = FileWorkQueue(tmp_path / "queue")
+    queue.announce("silent-worker", started_at=time.time())
+    store = store_for(tmp_path / "dist")
+    degraded = []
+    thread = threading.Thread(target=lambda: degraded.append(
+        run_supervised(
+            setting, tmp_path, monkeypatch, recipes, queue, store, 0.5
+        )
+    ))
+    started = time.monotonic()
+    thread.start()
+    time.sleep(0.2)
+    # Not degraded yet: the supervisor has not claimed the task.
+    early = (queue.lease(task_id), queue.done_record(task_id))
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert early == (None, None)
+    assert degraded == [True]
+    assert time.monotonic() - started >= 0.5
+    assert queue.done_record(task_id)["owner"] != "silent-worker"
+    assert_matches_serial(tmp_path, recipes, store)
