@@ -2,13 +2,12 @@
 
 One counters shape for every process-local cache in the repo (the
 compiled-trace cache, the :class:`~repro.experiments.common.SweepRunner`
-run cache), so ``repro bench`` serializes them identically.
+run cache), so every reader sees the same counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass
@@ -23,12 +22,3 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def to_json(self) -> Dict[str, float]:
-        """The counters as the artifact dict shape ``repro bench`` writes."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": self.size,
-            "hit_rate": self.hit_rate,
-        }

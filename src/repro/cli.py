@@ -19,8 +19,6 @@ Commands:
   with security metrics and a content-addressed results artifact,
   ``sweep`` a preset grid across defense configurations, ``report``
   a metric diff between two result stores/commits.
-* ``bench`` — time the canonical simulations and write a tracked
-  ``BENCH_<n>.json`` throughput artifact (see docs/performance.md).
 * ``fuzz`` — seeded random walk over the scenario space under the
   online invariant monitor in both engines, shrinking any failure to a
   minimal stored reproducer (see docs/fuzzing.md); ``--replay KEY``
@@ -182,12 +180,6 @@ def _cmd_size(args: argparse.Namespace) -> int:
     print(f"  ImPress-P storage factor: "
           f"{precise.total_bits_per_channel / base.total_bits_per_channel:.2f}x")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import command_from_args
-
-    return command_from_args(args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -763,15 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--alpha", type=float, default=1.0)
     size.set_defaults(func=_cmd_size)
 
-    from .bench import add_bench_arguments
-
-    bench = sub.add_parser(
-        "bench",
-        help="time canonical simulations; write BENCH_<n>.json artifact",
-    )
-    add_bench_arguments(bench)
-    bench.set_defaults(func=_cmd_bench)
-
     from .staticcheck.cli import add_check_arguments
 
     check = sub.add_parser(
@@ -878,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="diff scenario metrics between two result stores "
              "(results dirs or store roots; compare runs across "
-             "commits the way bench_compare --trajectory does)",
+             "commits)",
     )
     scenario_report.add_argument(
         "dir_a", help="results dir or store root of side A"

@@ -108,8 +108,8 @@ class SweepRunner:
     The cache is unbounded by design — a full experiment sweep touches a
     few hundred configurations at most, and entries must stay alive for
     the whole sweep because later figures re-request earlier baselines.
-    Long-lived callers (e.g. ``repro bench``) can inspect growth via
-    :meth:`cache_stats` and drop everything with :meth:`clear_cache`.
+    Long-lived callers can inspect growth via :meth:`cache_stats` and
+    drop everything with :meth:`clear_cache`.
 
     **Intra-experiment parallelism.**  :meth:`run_many` evaluates a
     batch of points through a persistent process pool (``jobs`` > 1)

@@ -5,8 +5,7 @@
   ``objects/``, and the name → key ``index.json`` alias layer shared
   by scenario artifacts and the experiment orchestrator's cache.
 * :mod:`~repro.results.report` — ``repro scenario report``: diff
-  scenario metrics across two stores/commits the way
-  ``tools/bench_compare.py --trajectory`` does for perf.
+  scenario metrics across two stores/commits.
 """
 
 from .report import compare_stores, render_report, resolve_store, run_report

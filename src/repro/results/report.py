@@ -2,10 +2,9 @@
 
 ``repro scenario report A B`` (and the ``tools/scenario_report.py``
 wrapper CI uses) diffs the latest run of every scenario name present in
-both stores, metric by metric — the same comparison story
-``tools/bench_compare.py --trajectory`` gives perf artifacts, applied
-to security/performance metrics.  Each side may be a results directory
-(the store lives at ``<dir>/store``) or a store root itself.
+both stores, security and performance metric by metric.  Each side may
+be a results directory (the store lives at ``<dir>/store``) or a store
+root itself.
 
 A ratio column (``B/A``) makes cross-commit drift obvious: check out
 two commits, run the same presets into two results dirs, and report

@@ -8,7 +8,8 @@ first moment a defense's guarantee is broken.  An
 :class:`~repro.sim.reference.ReferenceSimulator`) through the banks'
 lazy observer hooks and the controllers' kernel dispatch lists — both of
 which cost nothing when no monitor is attached, so default runs are
-unaffected (``repro bench`` pins this).
+unaffected (perfbench's ``paper_quick``, ``attack_sweep`` and
+``serve_mix`` workloads time default runs, hooks detached).
 
 Invariants checked:
 

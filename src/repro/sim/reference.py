@@ -9,9 +9,9 @@ two reasons:
   seeded workloads through both engines and asserts the
   :class:`~repro.sim.stats.SimResult` fields are bit-identical, which is
   the contract the optimized engine must honor.
-* **Benchmarking** — ``repro bench`` times this engine on the canonical
-  configuration to report the optimized engine's speedup factor in the
-  ``BENCH_*.json`` artifacts.
+* **Benchmarking** — ``tools/microbench.py`` times this engine against
+  the optimized one on the same single-core run (``single_core`` /
+  ``single_core_reference``) and reports the speedup factor.
 
 Do not optimize this module; it is deliberately the slow, obviously
 correct formulation.

@@ -1,9 +1,9 @@
 """Command surface for ``repro check``.
 
-Follows the bench-module split: :func:`add_check_arguments` installs
-the options, :func:`command_from_args` executes them, and both the
-``repro check`` subcommand and the ``tools/staticcheck_smoke.py`` CI
-wrapper build on the same pair so the two surfaces cannot drift.
+:func:`add_check_arguments` installs the options,
+:func:`command_from_args` executes them, and both the ``repro check``
+subcommand and the ``tools/staticcheck_smoke.py`` CI wrapper build on
+the same pair so the two surfaces cannot drift.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ Three contracts:
 
 import pytest
 
+from repro.scenarios.registry import get_scenario
 from repro.security import faults
 from repro.security.invariants import (
     DEFAULT_TMRO_SLACK_CYCLES,
@@ -22,7 +23,7 @@ from repro.security.invariants import (
 )
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.reference import ReferenceSimulator
-from repro.sim.system import SystemSimulator
+from repro.sim.system import SystemSimulator, build_simulator
 from repro.workloads.attacks import hammer_trace, row_press_trace
 from repro.workloads.synthetic import rate_mode_traces
 
@@ -104,16 +105,36 @@ class TestCleanRuns:
         assert monitor.ok, [v.describe() for v in monitor.violations]
 
 
+def add_copy():
+    """A benign stream mix: ``(simulator, tmro_ns)``."""
+    system = SystemConfig(n_cores=2, banks_per_channel=8)
+    defense = DefenseConfig(tracker="graphene", scheme="impress-p")
+    traces = rate_mode_traces("add_copy", 2, REQUESTS, seed=5)
+    return SystemSimulator(system, traces, defense), None
+
+
+def colocated_hammer_mcf():
+    """The co-located attack preset on its own topology and defense."""
+    scenario = get_scenario("colocated_hammer_mcf")
+    sim = build_simulator(
+        scenario.system, scenario.cores, scenario.defense,
+        scenario.tmro_ns, REQUESTS, 0,
+    )
+    return sim, scenario.tmro_ns
+
+
 class TestNonPerturbation:
-    def test_monitored_result_is_bit_identical(self):
-        system = SystemConfig(n_cores=2, banks_per_channel=8)
-        defense = DefenseConfig(tracker="graphene", scheme="impress-p")
-        traces = rate_mode_traces("add_copy", 2, REQUESTS, seed=5)
-        straight = SystemSimulator(system, traces, defense).run()
+    @pytest.mark.parametrize(
+        "make_sim", [add_copy, colocated_hammer_mcf],
+        ids=lambda make_sim: make_sim.__name__,
+    )
+    def test_monitored_result_is_bit_identical(self, make_sim):
+        straight = make_sim()[0].run()
+        sim, tmro_ns = make_sim()
         monitored, monitor = monitored_run(
-            SystemSimulator(system, traces, defense),
-            checkpoint_cycles=7_000,
+            sim, tmro_ns=tmro_ns, checkpoint_cycles=7_000,
         )
+        assert monitor.ok, [v.describe() for v in monitor.violations]
         assert result_fields(monitored) == result_fields(straight)
         assert monitor.last_checkpoint_cycle == straight.elapsed_cycles
 

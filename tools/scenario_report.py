@@ -8,10 +8,8 @@ Usage (the CI scenario-smoke diff):
 Each argument is a results directory (the store lives at
 ``<dir>/store``) or a store root itself.  For every scenario name
 present in both stores the latest run's metrics are compared with a
-``B/A`` ratio column — the scenario analogue of
-``tools/bench_compare.py --trajectory``.  Exits non-zero when nothing
-was comparable, so an empty or mislocated store cannot silently pass a
-CI gate.
+``B/A`` ratio column.  Exits non-zero when nothing was comparable, so
+an empty or mislocated store cannot silently pass a CI gate.
 
 This is a thin wrapper over :mod:`repro.results.report` (the same code
 behind ``repro scenario report``); it only bootstraps ``sys.path`` so
