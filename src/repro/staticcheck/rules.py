@@ -23,6 +23,9 @@ and hand-fixed once (see docs/static_analysis.md for the full history):
   bug class: engines must assign the same ``SimResult`` fields, and
   the batch tier's follower substitution list must keep covering every
   mutable field.
+* ``columnar-traces`` — per-request ``TraceRequest`` objects once cost
+  a ``repro serve`` cold miss as much host time as its simulations;
+  generators fill ``Trace`` columns instead.
 """
 
 from __future__ import annotations
@@ -722,3 +725,44 @@ class SimResultParity(Rule):
                             "siblings would share one container"
                         ),
                     )
+
+
+# -- columnar-traces -------------------------------------------------------
+
+
+#: The one module that may build per-request trace objects: the
+#: cached request view of :class:`~repro.workloads.trace.Trace`.
+_TRACE_MODULE = "workloads/trace.py"
+
+
+@register_rule
+class ColumnarTraces(FileRule):
+    """Trace generators write columns; no ``TraceRequest(...)`` elsewhere.
+
+    A generator that built one frozen, self-validating ``TraceRequest``
+    per request (and a rate-mode offset that rebuilt every one of them)
+    cost as much host time as the simulations on a ``repro serve`` cold
+    miss.  Generators now append to ``Trace``'s address/write/gap
+    columns and validate once per trace in ``Trace.from_columns``; only
+    ``workloads/trace.py`` itself builds the lazy per-request view.
+    """
+
+    rule_id = "columnar-traces"
+    summary = ("no TraceRequest(...) in the package outside "
+               "workloads/trace.py; generators fill Trace columns")
+    scope = ("repro/",)
+
+    def check_file(self, parsed: ParsedFile) -> Iterator[Finding]:
+        if parsed.rel.endswith(_TRACE_MODULE):
+            return
+        for node in ast.walk(parsed.tree):
+            if isinstance(node, ast.Call) \
+                    and _last_segment(node) == "TraceRequest":
+                yield Finding(
+                    file=parsed.rel, line=node.lineno, rule_id=self.rule_id,
+                    message=(
+                        "TraceRequest(...) builds one object per request; "
+                        "append to address/write/gap columns and return "
+                        "Trace.from_columns(...)"
+                    ),
+                )

@@ -19,11 +19,11 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..dram.address import MopAddressMapper, MappedAddress, LINE_BYTES
 from ..dram.timing import CycleTimings
-from .trace import Trace, TraceRequest
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,38 @@ def decoy_pattern_accesses(
 # Trace-level attacks for the performance simulator
 # ----------------------------------------------------------------------
 
+def _row_addresses(
+    mapper: MopAddressMapper,
+    channel: int,
+    bank: int,
+    rows: List[int],
+    n_columns: int,
+) -> Dict[int, List[int]]:
+    """``row -> [address of column 0 .. n_columns - 1]`` for one bank.
+
+    One ``address_of`` call per distinct (row, column); the generators
+    below index these tables instead of mapping every request.
+    """
+    return {
+        row: [
+            mapper.address_of(
+                MappedAddress(
+                    channel=channel, bank=bank, row=row, column=column
+                )
+            )
+            for column in range(n_columns)
+        ]
+        for row in dict.fromkeys(rows)
+    }
+
+
+def _cycled(pattern: List[int], n: int) -> List[int]:
+    """The first ``n`` items of ``pattern`` repeated end to end."""
+    if n <= 0:
+        return []
+    return (pattern * -(-n // len(pattern)))[:n]
+
+
 def hammer_trace(
     mapper: MopAddressMapper,
     bank: int,
@@ -154,16 +186,12 @@ def hammer_trace(
     """Alternating same-bank rows: every access is a row conflict (ACT)."""
     if not rows:
         raise ValueError("need at least one aggressor row")
-    requests = []
-    for i in range(n_requests):
-        row = rows[i % len(rows)]
-        address = mapper.address_of(
-            MappedAddress(channel=channel, bank=bank, row=row, column=0)
-        )
-        requests.append(
-            TraceRequest(address=address, is_write=False, gap_cycles=gap_cycles)
-        )
-    return Trace(requests)
+    table = _row_addresses(mapper, channel, bank, rows, 1)
+    return Trace.from_columns(
+        _cycled([table[row][0] for row in rows], n_requests),
+        [False] * n_requests,
+        [gap_cycles] * n_requests,
+    )
 
 
 def row_press_trace(
@@ -179,20 +207,13 @@ def row_press_trace(
     With an open-page policy the row stays open between the spaced hits;
     a large ``hold_gap_cycles`` stretches tON toward the refresh limit.
     """
-    requests = []
-    for i in range(n_requests):
-        address = mapper.address_of(
-            MappedAddress(
-                channel=channel, bank=bank, row=row,
-                column=i % mapper.lines_per_row_group,
-            )
-        )
-        requests.append(
-            TraceRequest(
-                address=address, is_write=False, gap_cycles=hold_gap_cycles
-            )
-        )
-    return Trace(requests)
+    columns = min(n_requests, mapper.lines_per_row_group)
+    table = _row_addresses(mapper, channel, bank, [row], columns)
+    return Trace.from_columns(
+        _cycled(table[row], n_requests),
+        [False] * n_requests,
+        [hold_gap_cycles] * n_requests,
+    )
 
 
 def k_sided_rows(victim_row: int, k: int) -> List[int]:
@@ -261,27 +282,19 @@ def row_press_dwell_trace(
     if hits_per_dwell < 1:
         raise ValueError("hits_per_dwell must be at least 1")
     lines = mapper.lines_per_row_group
-    requests = []
-    dwell = 0
-    while len(requests) < n_requests:
-        row = rows[dwell % len(rows)]
-        for hit in range(hits_per_dwell):
-            if len(requests) >= n_requests:
-                break
-            requests.append(
-                TraceRequest(
-                    address=mapper.address_of(
-                        MappedAddress(
-                            channel=channel, bank=bank, row=row,
-                            column=hit % lines,
-                        )
-                    ),
-                    is_write=False,
-                    gap_cycles=0 if hit == 0 else hold_gap_cycles,
-                )
-            )
-        dwell += 1
-    return Trace(requests)
+    table = _row_addresses(
+        mapper, channel, bank, rows, min(hits_per_dwell, lines)
+    )
+    addresses = [
+        table[row][hit % lines]
+        for row in rows for hit in range(hits_per_dwell)
+    ]
+    gaps = [0] + [hold_gap_cycles] * (hits_per_dwell - 1)
+    return Trace.from_columns(
+        _cycled(addresses, n_requests),
+        [False] * n_requests,
+        _cycled(gaps, n_requests),
+    )
 
 
 def decoy_trace(
@@ -306,37 +319,19 @@ def decoy_trace(
     if hold_hits < 1:
         raise ValueError("hold_hits must be at least 1")
     lines = mapper.lines_per_row_group
-    requests = []
-    while len(requests) < n_requests:
-        for hit in range(hold_hits + 1):
-            if len(requests) >= n_requests:
-                break
-            requests.append(
-                TraceRequest(
-                    address=mapper.address_of(
-                        MappedAddress(
-                            channel=channel, bank=bank, row=target_row,
-                            column=hit % lines,
-                        )
-                    ),
-                    is_write=False,
-                    gap_cycles=0 if hit == 0 else hold_gap_cycles,
-                )
-            )
-        if len(requests) < n_requests:
-            requests.append(
-                TraceRequest(
-                    address=mapper.address_of(
-                        MappedAddress(
-                            channel=channel, bank=bank, row=decoy_row,
-                            column=0,
-                        )
-                    ),
-                    is_write=False,
-                    gap_cycles=0,
-                )
-            )
-    return Trace(requests)
+    table = _row_addresses(
+        mapper, channel, bank, [target_row, decoy_row],
+        min(hold_hits + 1, lines),
+    )
+    target = table[target_row]
+    addresses = [target[hit % lines] for hit in range(hold_hits + 1)]
+    addresses.append(table[decoy_row][0])
+    gaps = [0] + [hold_gap_cycles] * hold_hits + [0]
+    return Trace.from_columns(
+        _cycled(addresses, n_requests),
+        [False] * n_requests,
+        _cycled(gaps, n_requests),
+    )
 
 
 def refresh_sync_hammer_trace(
@@ -362,19 +357,12 @@ def refresh_sync_hammer_trace(
         raise ValueError("burst_acts must be at least 1")
     if idle_gap_cycles < 0:
         raise ValueError("idle_gap_cycles must be non-negative")
-    requests = []
-    for i in range(n_requests):
-        in_burst = i % burst_acts
-        gap = idle_gap_cycles if i > 0 and in_burst == 0 else 0
-        row = rows[i % len(rows)]
-        requests.append(
-            TraceRequest(
-                address=mapper.address_of(
-                    MappedAddress(channel=channel, bank=bank, row=row,
-                                  column=0)
-                ),
-                is_write=False,
-                gap_cycles=gap,
-            )
-        )
-    return Trace(requests)
+    table = _row_addresses(mapper, channel, bank, rows, 1)
+    gaps = _cycled([idle_gap_cycles] + [0] * (burst_acts - 1), n_requests)
+    if gaps:
+        gaps[0] = 0
+    return Trace.from_columns(
+        _cycled([table[row][0] for row in rows], n_requests),
+        [False] * n_requests,
+        gaps,
+    )

@@ -10,7 +10,9 @@ list indexing and lets every config in a sweep share the result.
 Layers:
 
 * :func:`compile_trace` / :func:`compile_traces` — pure compilation of
-  one trace (or one per-core set) against a mapper.
+  one trace (or one per-core set) against a mapper.  It maps the
+  trace's ``addresses`` column and shares its ``writes`` and ``gaps``
+  columns; no per-request object is built or read.
 * :func:`compiled_rate_mode_traces` — a bounded, process-local cache in
   front of trace *generation + compilation*, keyed by the full recipe
   ``(workload, n_cores, n_requests, seed, mapper geometry)``.  Trace
@@ -54,7 +56,10 @@ class CompiledTrace:
     ``banks[i]``, ``rows[i]``, ``columns[i]`` are the decomposed address
     of request ``i``; ``flat_banks[i]`` is the simulator's flattened
     ``channel * banks_per_channel + bank`` id; ``is_write[i]`` and
-    ``gaps[i]`` carry the request's direction and think time.  The source
+    ``gaps[i]`` carry the request's direction and think time.  The
+    mapped columns are derived from ``trace.addresses``; ``is_write``
+    and ``gaps`` *are* the trace's ``writes`` and ``gaps`` lists,
+    shared rather than copied (neither side mutates them).  The source
     :class:`Trace` stays reachable via ``trace``.
     """
 
@@ -72,17 +77,16 @@ class CompiledTrace:
     )
 
     def __init__(self, trace: Trace, mapper: MopAddressMapper) -> None:
-        requests = trace.requests
         lines_per_group = mapper.lines_per_row_group
         total_banks = mapper.total_banks
         n_channels = mapper.channels
         banks_per_channel = mapper.banks_per_channel
-        lines = [request.address >> LINE_SHIFT for request in requests]
+        lines = [address >> LINE_SHIFT for address in trace.addresses]
         groups = [line // lines_per_group for line in lines]
         flat = [group % total_banks for group in groups]
         self.trace = trace
         self.key = mapper_key(mapper)
-        self.length = len(requests)
+        self.length = len(lines)
         self.columns = [line % lines_per_group for line in lines]
         self.rows = [group // total_banks for group in groups]
         self.channels = [f % n_channels for f in flat]
@@ -91,8 +95,8 @@ class CompiledTrace:
             channel * banks_per_channel + bank
             for channel, bank in zip(self.channels, self.banks)
         ]
-        self.is_write = [request.is_write for request in requests]
-        self.gaps = [request.gap_cycles for request in requests]
+        self.is_write = trace.writes
+        self.gaps = trace.gaps
 
     def __len__(self) -> int:
         return self.length

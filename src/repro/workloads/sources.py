@@ -244,16 +244,22 @@ class PhasedAttackerSource:
         mapper: MopAddressMapper,
     ) -> Trace:
         """Concatenate phase traces, cycling until ``n_requests``."""
-        requests: List[Any] = []
+        addresses: List[int] = []
+        writes: List[bool] = []
+        gaps: List[int] = []
         phase_idx = 0
-        while len(requests) < n_requests:
+        while len(addresses) < n_requests:
             phase = self.phases[phase_idx % len(self.phases)]
             chunk = phase.build(core_id, self.phase_len, seed, mapper)
             if len(chunk) == 0:
                 break
-            requests.extend(chunk)
+            addresses.extend(chunk.addresses)
+            writes.extend(chunk.writes)
+            gaps.extend(chunk.gaps)
             phase_idx += 1
-        return Trace(requests[:n_requests])
+        return Trace.from_columns(
+            addresses[:n_requests], writes[:n_requests], gaps[:n_requests]
+        )
 
 
 #: Anything that can sit in a scenario's per-core assignment tuple.

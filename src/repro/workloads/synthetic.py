@@ -20,7 +20,7 @@ from .profiles import (
     mix_components,
     profile_for,
 )
-from .trace import Trace, TraceRequest
+from .trace import Trace
 
 #: Footprint of one synthetic core's address space, in lines.  Large
 #: enough that rate-mode copies never collide.
@@ -50,33 +50,51 @@ def _geometric(rng: random.Random, mean: float) -> int:
     return length
 
 
-def _gap(rng: random.Random, mean: int) -> int:
-    """Bounded, jittered think time around the profile mean."""
+def _gap_column(rng: random.Random, mean: int, n: int) -> List[int]:
+    """``n`` bounded, jittered think times around the profile mean."""
     if mean <= 0:
-        return 0
-    return max(0, int(rng.gauss(mean, mean * 0.3)))
+        return [0] * n
+    gauss = rng.gauss
+    sigma = mean * 0.3
+    gaps = [int(gauss(mean, sigma)) for _ in range(n)]
+    return [gap if gap > 0 else 0 for gap in gaps]
 
 
 def spec_like_trace(
     profile: WorkloadProfile, n_requests: int, seed: int = 0
 ) -> Trace:
-    """Runs of consecutive lines at random locations (SPEC-like)."""
+    """Runs of consecutive lines at random locations (SPEC-like).
+
+    RNG call order: per run ``randrange`` for the start line and the
+    :func:`_geometric` loop for its length; then per request
+    ``random()`` for the write flag and ``gauss`` for the gap.  Each
+    gap is drawn as in :func:`_gap_column`, inlined because it is the
+    hot line of trace generation.
+    """
     rng = random.Random(seed)
-    requests: List[TraceRequest] = []
-    while len(requests) < n_requests:
-        start_line = rng.randrange(CORE_FOOTPRINT_LINES)
-        run = _geometric(rng, profile.run_lines)
-        for offset in range(run):
-            if len(requests) >= n_requests:
-                break
-            requests.append(
-                TraceRequest(
-                    address=(start_line + offset) * LINE_BYTES,
-                    is_write=rng.random() < profile.write_fraction,
-                    gap_cycles=_gap(rng, profile.gap_cycles),
-                )
-            )
-    return Trace(requests)
+    rand = rng.random
+    gauss = rng.gauss
+    write_fraction = profile.write_fraction
+    gap_mean = profile.gap_cycles
+    gap_sigma = gap_mean * 0.3
+    addresses: List[int] = []
+    writes: List[bool] = []
+    gaps: List[int] = []
+    remaining = n_requests
+    while remaining > 0:
+        address = rng.randrange(CORE_FOOTPRINT_LINES) * LINE_BYTES
+        run = min(_geometric(rng, profile.run_lines), remaining)
+        remaining -= run
+        for _ in range(run):
+            addresses.append(address)
+            address += LINE_BYTES
+            writes.append(rand() < write_fraction)
+            if gap_mean > 0:
+                gap = int(gauss(gap_mean, gap_sigma))
+                gaps.append(gap if gap > 0 else 0)
+            else:
+                gaps.append(0)
+    return Trace.from_columns(addresses, writes, gaps)
 
 
 def stream_like_trace(
@@ -105,21 +123,17 @@ def stream_like_trace(
     # lockstep start would make bank collisions an all-or-nothing
     # artifact of the initial alignment.
     positions = [8 * rng.randrange(256) for _ in range(n_streams)]
-    requests: List[TraceRequest] = []
-    stream_index = 0
-    while len(requests) < n_requests:
-        kind = profile.streams[stream_index]
-        line = bases[stream_index] + positions[stream_index]
-        positions[stream_index] += 1
-        requests.append(
-            TraceRequest(
-                address=line * LINE_BYTES,
-                is_write=(kind == "w"),
-                gap_cycles=_gap(rng, profile.gap_cycles),
-            )
-        )
-        stream_index = (stream_index + 1) % n_streams
-    return Trace(requests)
+    starts = [base + position for base, position in zip(bases, positions)]
+    kinds = profile.streams
+    indices = range(n_requests)
+    return Trace.from_columns(
+        [
+            (starts[i % n_streams] + i // n_streams) * LINE_BYTES
+            for i in indices
+        ],
+        [kinds[i % n_streams] == "w" for i in indices],
+        _gap_column(rng, profile.gap_cycles, n_requests),
+    )
 
 
 def trace_for_profile(

@@ -1,15 +1,24 @@
 """Memory-request traces: the interface between workloads and the core model.
 
-A workload is an iterator of :class:`TraceRequest` items — the LLC-miss
-stream of one core.  ``gap_cycles`` is the core-side think time between
-retiring the previous request's issue slot and issuing this one; memory-
-bound workloads have small gaps, compute-bound ones large gaps.
+A workload is the LLC-miss stream of one core.  :class:`Trace` stores it
+as three parallel columns — ``addresses`` (line-aligned byte
+addresses), ``writes`` (direction flags) and ``gaps`` (the core-side
+think time, in cycles, between retiring the previous request's issue
+slot and issuing this one; memory-bound workloads have small gaps,
+compute-bound ones large gaps).
+
+Generators append straight to the columns and hand them to
+:meth:`Trace.from_columns`, which checks the per-request guarantees
+once per trace.  :class:`~repro.workloads.compiled.CompiledTrace` reads
+the columns directly.  The per-request :class:`TraceRequest` view —
+what the reference engine and tests index and iterate — is built on
+first use and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -28,33 +37,79 @@ class TraceRequest:
 
 
 class Trace:
-    """A finite, replayable request stream."""
+    """A finite, replayable request stream, stored column-wise.
+
+    The columns are shared, not copied, by derived objects (compiled
+    traces, the request view), so nothing may mutate them after
+    construction.
+    """
+
+    __slots__ = ("addresses", "writes", "gaps", "_requests")
 
     def __init__(self, requests: Iterable[TraceRequest]) -> None:
-        self.requests: List[TraceRequest] = list(requests)
+        requests = list(requests)
+        self.addresses: List[int] = [r.address for r in requests]
+        self.writes: List[bool] = [r.is_write for r in requests]
+        self.gaps: List[int] = [r.gap_cycles for r in requests]
+        self._requests: Optional[List[TraceRequest]] = requests
+
+    @classmethod
+    def from_columns(
+        cls, addresses: List[int], writes: List[bool], gaps: List[int]
+    ) -> "Trace":
+        """Adopt three parallel columns (not copied) as a trace.
+
+        Checks, once per trace, what :class:`TraceRequest` checks per
+        request: every address and every gap is non-negative.
+        """
+        if not len(addresses) == len(writes) == len(gaps):
+            raise ValueError(
+                f"column lengths differ: {len(addresses)} addresses, "
+                f"{len(writes)} writes, {len(gaps)} gaps"
+            )
+        if addresses and min(addresses) < 0:
+            raise ValueError("address must be non-negative")
+        if gaps and min(gaps) < 0:
+            raise ValueError("gap_cycles must be non-negative")
+        trace = cls.__new__(cls)
+        trace.addresses = addresses
+        trace.writes = writes
+        trace.gaps = gaps
+        trace._requests = None
+        return trace
+
+    @property
+    def requests(self) -> List[TraceRequest]:
+        """The per-request view, built on first use and cached."""
+        if self._requests is None:
+            self._requests = [
+                TraceRequest(address, is_write, gap)
+                for address, is_write, gap in zip(
+                    self.addresses, self.writes, self.gaps
+                )
+            ]
+        return self._requests
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.addresses)
 
     def __iter__(self) -> Iterator[TraceRequest]:
         return iter(self.requests)
 
     def __getitem__(self, index: int) -> TraceRequest:
-        return self.requests[index]
+        # The reference engine indexes once per request: skip the
+        # property call once the view exists.
+        return (self._requests or self.requests)[index]
 
     def offset_by(self, byte_offset: int) -> "Trace":
         """Shift all addresses — used for rate-mode core copies."""
-        return Trace(
-            TraceRequest(
-                address=request.address + byte_offset,
-                is_write=request.is_write,
-                gap_cycles=request.gap_cycles,
-            )
-            for request in self.requests
+        return Trace.from_columns(
+            [address + byte_offset for address in self.addresses],
+            self.writes,
+            self.gaps,
         )
 
     def write_fraction(self) -> float:
-        if not self.requests:
+        if not self.writes:
             return 0.0
-        writes = sum(1 for request in self.requests if request.is_write)
-        return writes / len(self.requests)
+        return sum(self.writes) / len(self.writes)

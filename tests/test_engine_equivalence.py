@@ -129,6 +129,23 @@ class TestSeededEquivalence:
             DefenseConfig(tracker="graphene", scheme="no-rp", trh=150),
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 1: the fast engine orders a same-cycle tie "
+            "differently from the reference (5200/192 vs 5196/188 "
+            "demand/mitigative ACTs); drop this marker with that fix"
+        ),
+    )
+    def test_paper_point_para_trh2000(self):
+        """The `repro run --quick` point where the engines disagree."""
+        system = SystemConfig()
+        traces = rate_mode_traces("mcf", system.n_cores, 800, seed=0)
+        assert_equivalent(
+            system, traces,
+            DefenseConfig(tracker="para", scheme="no-rp", trh=2000),
+        )
+
     def test_row_press_traffic(self):
         system = SystemConfig(n_cores=1, banks_per_channel=4)
         mapper = system.mapper()

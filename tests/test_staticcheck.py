@@ -30,6 +30,7 @@ ALL_RULE_IDS = (
     "no-alloc-in-kernels",
     "no-wallclock-nondeterminism",
     "simresult-parity",
+    "columnar-traces",
 )
 
 
@@ -493,6 +494,61 @@ def test_no_wallclock_suppression_counted(tmp_path):
             return time.time()  # repro: allow[no-wallclock-nondeterminism] display only
     """})
     report = check(tmp_path, "no-wallclock-nondeterminism")
+    assert report.findings == []
+    assert len(report.suppressed) == 1
+
+
+# -- columnar-traces --------------------------------------------------------
+
+
+_PLANTED_TRACE_REQUEST = """
+    from repro.workloads import trace
+
+    def generate(n):
+        return trace.Trace([trace.TraceRequest(address=64 * i)
+                            for i in range(n)])
+"""
+
+
+def test_columnar_traces_fires_on_planted_generator(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/workloads/synthetic.py": _PLANTED_TRACE_REQUEST,
+        "src/repro/sim/helper.py": """
+            from repro.workloads.trace import TraceRequest
+
+            REQ = TraceRequest(0)
+        """,
+    })
+    report = check(tmp_path, "columnar-traces")
+    assert [(f.file, f.line) for f in report.findings] == [
+        ("src/repro/sim/helper.py", 4),
+        ("src/repro/workloads/synthetic.py", 5),
+    ]
+    assert "Trace.from_columns" in report.findings[0].message
+
+
+def test_columnar_traces_quiet_in_trace_module_and_outside_package(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/workloads/trace.py": _PLANTED_TRACE_REQUEST,
+        "tools/make_trace.py": _PLANTED_TRACE_REQUEST,
+        "src/repro/workloads/attacks.py": """
+            from repro.workloads.trace import Trace
+
+            def generate(n):
+                return Trace.from_columns([0] * n, [False] * n, [0] * n)
+        """,
+    })
+    assert check(tmp_path, "columnar-traces").findings == []
+
+
+def test_columnar_traces_suppression_counted(tmp_path):
+    write_tree(tmp_path, {"src/repro/workloads/legacy.py": """
+        from repro.workloads.trace import TraceRequest
+
+        def one():
+            return TraceRequest(0)  # repro: allow[columnar-traces] single probe
+    """})
+    report = check(tmp_path, "columnar-traces")
     assert report.findings == []
     assert len(report.suppressed) == 1
 

@@ -82,6 +82,46 @@ class TestTrace:
         assert trace.write_fraction() == 0.5
         assert Trace([]).write_fraction() == 0.0
 
+    def test_from_columns_adopts_columns(self):
+        addresses, writes, gaps = [0, 64], [True, False], [5, 0]
+        trace = Trace.from_columns(addresses, writes, gaps)
+        assert trace.addresses is addresses
+        assert len(trace) == 2
+        assert trace[0] == TraceRequest(0, is_write=True, gap_cycles=5)
+        assert list(trace) == [
+            TraceRequest(0, True, 5), TraceRequest(64, False, 0)
+        ]
+        assert len(Trace.from_columns([], [], [])) == 0
+
+    def test_from_columns_rejects_negative_address(self):
+        with pytest.raises(ValueError, match="address"):
+            Trace.from_columns([0, -64], [False, False], [0, 0])
+
+    def test_from_columns_rejects_negative_gap(self):
+        with pytest.raises(ValueError, match="gap_cycles"):
+            Trace.from_columns([0, 64], [False, False], [3, -1])
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([0, 64], [False], [0, 0]),
+            ([0], [False], [0, 0]),
+            ([0, 64], [False, True], []),
+        ],
+        ids=["writes-short", "gaps-long", "gaps-empty"],
+    )
+    def test_from_columns_rejects_unequal_lengths(self, columns):
+        with pytest.raises(ValueError, match="column lengths differ"):
+            Trace.from_columns(*columns)
+
+    def test_offset_by_shifts_only_addresses(self):
+        trace = Trace.from_columns([0, 64], [True, False], [1, 2])
+        shifted = trace.offset_by(4096)
+        assert shifted.addresses == [4096, 4160]
+        assert shifted.writes is trace.writes
+        assert shifted.gaps is trace.gaps
+        assert trace.addresses == [0, 64]
+
 
 class TestSpecLikeTraces:
     def test_length_and_determinism(self):
