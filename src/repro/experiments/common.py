@@ -8,7 +8,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..cache import CacheStats
-from ..sim.batch import _normalize_point, batch_available, simulate_batch
+from ..sim.batch import (
+    TimelineStore,
+    _normalize_point,
+    batch_available,
+    simulate_batch,
+)
 from ..sim.config import DefenseConfig, SystemConfig
 from ..sim.metrics import geomean, normalized_weighted_speedup
 from ..sim.stats import SimResult
@@ -133,6 +138,11 @@ class SweepRunner:
     _cache: Dict[tuple, SimResult] = field(default_factory=dict)
     _hits: int = 0
     _misses: int = 0
+    #: Plain recorded timelines the batch tier lends across
+    #: :meth:`run_many` calls (see :class:`~repro.sim.batch.TimelineStore`).
+    _timelines: TimelineStore = field(
+        default_factory=TimelineStore, repr=False, compare=False
+    )
     _pool: Optional[multiprocessing.pool.Pool] = field(
         default=None, repr=False, compare=False
     )
@@ -232,6 +242,7 @@ class SweepRunner:
                     system=self.system,
                     n_requests_per_core=self.n_requests,
                     seed=self.seed,
+                    timelines=self._timelines,
                 ),
             ):
                 cache[key] = result
@@ -266,8 +277,9 @@ class SweepRunner:
         )
 
     def clear_cache(self) -> None:
-        """Drop every cached run and reset the counters."""
+        """Drop every cached run and recorded timeline; reset the counters."""
         self._cache.clear()
+        self._timelines.clear()
         self._hits = 0
         self._misses = 0
 

@@ -11,27 +11,43 @@ because a tracker can only bend the schedule through three channels:
 3. the act/close kernels' mitigation counts, which queue 4×tRC victim
    blocks on the bank.
 
-(1) and (2) are construction-time scalars, so points agreeing on them —
-the group's *timing signature* — share a timeline until (3) fires.  The
-batch engine exploits this with a **leader/replay** scheme:
+(1) and (2) are construction-time scalars — a lane's *timing
+signature* — and the traces are the only other input, so lanes are
+grouped by a content digest of their compiled traces
+(:attr:`~repro.workloads.compiled.CompiledTraceSet.digest`), not by
+workload name: ``add``/``triad`` lanes with equal defenses are
+simulated once and copied (*aliased*).  Within a digest the batch
+engine runs a **leader/replay** worklist:
 
-* **Record** — one *leader* lane per group runs the real fast engine
+* **Record** — the least-bending remaining lane (tracker rank, then
+  the plainest signature) runs the real fast engine as the *leader*,
   with recording shims wrapped around its per-bank kernel slots,
   capturing every demand ACT, row close and RFM per bank
   (structure-of-arrays int64 NumPy timelines, ``tests`` pin them).
-* **Replay** — every *follower* lane replays the recorded streams
+* **Cover** — the leader covers every lane with its own signature.
+  If it did not fire and its signature never bound (plain, or
+  *inert*: see :meth:`_Recording.inert`), it recorded the plain
+  timeline, and it also covers every lane whose tMRO and RFMTH are
+  inert on that recording — at ``--quick`` no bank reaches 80 ACTs in
+  most workloads, so most RFM lanes join the plain one.
+* **Replay** — every covered lane replays the recorded streams
   through its own tracker kernels, vectorized per bank
   (:mod:`repro.trackers.batch_kernels`), with an exact scalar replay
-  for the combinations the vector kernels cannot decide.  A follower
+  for the combinations the vector kernels cannot decide.  A lane
   whose replay proves "no synchronous mitigation anywhere" gets the
   leader's :class:`~repro.sim.stats.SimResult` verbatim with only its
   own ``rfm_mitigations`` substituted — bit-identical to what a full
   fast-engine run would produce (``tests/test_batch_engine.py`` pins
   this against the oracle across the equivalence matrix).
 * **Fall back** — if the leader itself fired (its run is still a valid
-  fast-engine run) or a follower's replay diverges, that lane is
+  fast-engine run) or a covered lane's replay diverges, that lane is
   simulated for real on the fast engine.  Correctness never depends on
   the replay verdicts; they only decide which lanes get to skip work.
+* **Repeat** — lanes the leader did not cover form the next round.
+
+A :class:`TimelineStore` lent by the caller (``SweepRunner`` owns one)
+keeps plain recordings across calls, so a later call whose lanes all
+carry inert tMRO or RFM settings records no leader at all.
 
 The fast engine stays the oracle; without NumPy the tier is simply
 unavailable (:func:`batch_available`) and every caller falls back to
@@ -42,6 +58,7 @@ tier".
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,12 +71,14 @@ from ..trackers.batch_kernels import (
     replay_lane_python,
     replay_lane_vector,
 )
+from ..workloads.compiled import compiled_point_traces
 from .config import DefenseConfig, SystemConfig
 from .stats import SimResult
 from .system import SystemSimulator, build_simulator
 
 __all__ = [
     "BatchStats",
+    "TimelineStore",
     "batch_available",
     "simulate_batch",
 ]
@@ -74,18 +93,24 @@ def batch_available() -> bool:
 class BatchStats:
     """How a :func:`simulate_batch` call divided its work.
 
-    ``points`` counts input lanes (after the call's own dedup the
-    unique lanes are ``leaders + replayed + fallbacks + singletons``).
+    ``points`` counts input lanes.  Each unique lane lands in exactly
+    one of ``leaders``, ``replayed``, ``fallbacks``, ``singletons`` and
+    ``aliased``, so those five sum to the unique lanes.  A round whose
+    recorded leader covered no other lane counts its leader as a
+    singleton.  ``joined`` counts the replayed or fallback lanes whose
+    timing signature differs from their leader's (an inert join).
     ``vector_replays`` / ``python_replays`` count replay *attempts*;
     a lane may appear in both when the vector verdict was "unknown".
     """
 
     points: int = 0        #: input lanes (including duplicates)
-    groups: int = 0        #: multi-lane timing-signature groups
+    groups: int = 0        #: leaders (recorded or stored) covering a lane
     leaders: int = 0       #: lanes simulated for real, with recording
     replayed: int = 0      #: follower lanes served by replay
     fallbacks: int = 0     #: follower lanes re-simulated for real
-    singletons: int = 0    #: lanes alone in their group (plain fast run)
+    singletons: int = 0    #: lanes simulated with no follower
+    aliased: int = 0       #: lanes copying an identical-content lane
+    joined: int = 0        #: followers of another timing signature
     vector_replays: int = 0
     python_replays: int = 0
 
@@ -258,12 +283,180 @@ def _follower_result(leader: SimResult, rfm_mitigations: int) -> SimResult:
     )
 
 
+def _leader_order(lane) -> tuple:
+    """Sort key putting the least-bending lane first.
+
+    Tracker rank first (a leader that fires serves nobody), then the
+    plainest signature: no tMRO before the longest tMRO, no RFM before
+    the highest RFMTH.  An inert leader records the plain timeline, so
+    every lane inert on it can join.
+    """
+    (_workload, defense, _tmro_ns), (tmro, uses_rfm, rfmth) = lane
+    return (
+        _LEADER_RANK[(defense or DefenseConfig()).tracker],
+        tmro is not None, -(tmro or 0), uses_rfm, -(rfmth or 0),
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class _Recording:
+    """A leader's run and what its recorded timeline proves.
+
+    ``tmro_floor`` is the longest recorded ``pre - act`` plus the
+    system's ``idle_close_cycles`` (None when idle close is disabled);
+    ``max_bank_acts`` the most demand ACTs any bank recorded.
+    """
+
+    result: SimResult
+    timeline: object          # trackers.batch_kernels.RecordedTimeline
+    signature: tuple
+    fired: bool
+    tmro_floor: Optional[int]
+    max_bank_acts: int
+
+    def inert(self, signature: tuple) -> bool:
+        """Whether a lane's timing signature never binds on this timeline.
+
+        *RFM* is inert iff every bank recorded fewer ACTs than the
+        lane's RFMTH: ``acts_since_rfm`` only grows by one per ACT, so
+        the controller's ``acts_since_rfm >= rfmth`` tests (step's RFM
+        priority and ``_serve_demand``'s deadline guard) stay false.
+
+        *tMRO* ``T`` is inert iff ``T > (pre - act) + idle_close`` for
+        every recorded close, end-of-run flush closes included:
+
+        * every step that sees the row open runs at a cycle ≤ its
+          ``pre``, so step's ``cycle - act_cycle >= tmro`` is false;
+        * every open-row wake the controller computes (step's idle
+          wake, ``_serve_demand``'s deadline) is taken with an empty
+          queue, so it also computes ``last_use + idle_close``, and
+          ``last_use ≤ pre`` gives ``act + T > last_use + idle_close``:
+          ``min(refresh, act + T, idle)`` is the plain
+          ``min(refresh, idle)``;
+        * so every heap push and every ``bank_wake`` equals the plain
+          run's, stale-entry ties included, and by induction the two
+          runs take the same steps.
+        """
+        tmro, uses_rfm, rfmth = signature
+        if tmro is not None and (
+            self.tmro_floor is None or tmro <= self.tmro_floor
+        ):
+            return False
+        return not uses_rfm or rfmth > self.max_bank_acts
+
+    @property
+    def plain(self) -> bool:
+        """True when the recording is the plain (no tMRO, no RFM) timeline."""
+        return not self.fired and self.inert(self.signature)
+
+    def detached(self) -> "_Recording":
+        """A copy sharing the event arrays but not the derived records.
+
+        Derived record streams, cached per scheme shape, outweigh the
+        event arrays and are cheap to re-derive, so a
+        :class:`TimelineStore` keeps none: it stores a detached copy and
+        lends detached copies out, whose caches die with the call.
+        """
+        timeline = self.timeline
+        return _Recording(
+            self.result,
+            type(timeline)(timeline.banks, timeline.banks_per_channel,
+                           timeline.timings),
+            self.signature, self.fired, self.tmro_floor, self.max_bank_acts,
+        )
+
+    def covers(self, signature: tuple) -> bool:
+        """Whether a lane with ``signature`` shares this timeline."""
+        return signature == self.signature or (
+            self.plain and self.inert(signature)
+        )
+
+
+#: Bound on a :class:`TimelineStore` (entries, one per distinct trace
+#: set).  A ``--quick`` paper rebuild stores 5 (~0.2 MB each at 800
+#: requests per core).
+TIMELINE_STORE_MAX_ENTRIES = 64
+
+
+class TimelineStore:
+    """Plain recorded timelines kept across :func:`simulate_batch` calls.
+
+    Keyed by ``(system, trace digest)``; holds only recordings whose
+    leader did not fire and whose signature is plain or inert, as
+    NumPy arrays (no Python event lists).  Least-recently-used entries
+    beyond :data:`TIMELINE_STORE_MAX_ENTRIES` are dropped.
+    ``SweepRunner`` owns one, so a figure whose lanes all carry inert
+    tMRO or RFM settings replays against the plain timeline an earlier
+    figure recorded.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[tuple, _Recording]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> Optional[_Recording]:
+        """A detached copy of the recording under ``key``, or None."""
+        recording = self._entries.get(key)
+        if recording is None:
+            return None
+        self._entries.move_to_end(key)
+        return recording.detached()
+
+    def put(self, key: tuple, recording: _Recording) -> None:
+        self._entries[key] = recording.detached()
+        self._entries.move_to_end(key)
+        while len(self._entries) > TIMELINE_STORE_MAX_ENTRIES:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+def _may_share(leader: tuple, signature: tuple, system: SystemConfig) -> bool:
+    """Whether a leader with signature ``leader`` could cover ``signature``.
+
+    Equal signatures always share.  Otherwise both must be able to be
+    inert, and a row stays open at least ``tRAS``, so a tMRO at or
+    below ``tRAS + idle_close`` never is (ExPress's default 224 cycles
+    against 96 + 150, say).
+    """
+    if signature == leader:
+        return True
+    idle_close = system.idle_close_cycles
+    return all(
+        tmro is None or (
+            idle_close is not None
+            and tmro > system.timings.tRAS + idle_close
+        )
+        for tmro in (leader[0], signature[0])
+    )
+
+
+def _python_logs(timeline) -> List[_BankLog]:
+    """Per-bank Python lists for the scalar replay, rebuilt on demand."""
+    logs = []
+    for events in timeline.banks:
+        log = _BankLog()
+        log.kinds = events.kinds.tolist()
+        log.rows = events.rows.tolist()
+        log.a = events.a.tolist()
+        log.b = events.b.tolist()
+        logs.append(log)
+    return logs
+
+
 def simulate_batch(
     points: Sequence[object],
     system: Optional[SystemConfig] = None,
     n_requests_per_core: int = 2000,
     seed: int = 0,
     stats: Optional[BatchStats] = None,
+    *,
+    timelines: Optional[TimelineStore] = None,
 ) -> List[SimResult]:
     """Simulate a batch of sweep points; results in input order.
 
@@ -275,6 +468,9 @@ def simulate_batch(
     lanes the replay cannot prove safe are simply simulated for real.
     A single-lane batch therefore degenerates to one fast-engine run.
 
+    ``timelines`` lends plain recordings across calls: lanes it covers
+    replay against them, and this call's plain leaders are added.
+
     Raises ImportError when NumPy is unavailable; callers that want the
     graceful fallback should guard on :func:`batch_available`.  Pass a
     :class:`BatchStats` to observe how the work was divided.
@@ -283,19 +479,34 @@ def simulate_batch(
         raise ImportError(NUMPY_IMPORT_HINT)
     system = system or SystemConfig()
     timings = system.timings
+    per = system.banks_per_channel
     st = stats if stats is not None else BatchStats()
 
     normalized = [_normalize_point(point) for point in points]
     st.points += len(normalized)
-    unique: List[tuple] = []
-    for key in normalized:
-        if key not in unique:
-            unique.append(key)
-    groups: Dict[tuple, List[tuple]] = {}
-    for key in unique:
+    digests: Dict[object, str] = {}
+    first_of: Dict[tuple, tuple] = {}
+    aliases: Dict[tuple, tuple] = {}
+    worklists: Dict[str, List[tuple]] = {}
+    for key in dict.fromkeys(normalized):
         workload, defense, tmro_ns = key
-        signature = (workload, _timing_signature(defense, tmro_ns, timings))
-        groups.setdefault(signature, []).append(key)
+        digest = digests.get(workload)
+        if digest is None:
+            if not isinstance(workload, str):
+                system.validate_sources(tuple(workload))
+            digest = digests[workload] = compiled_point_traces(
+                workload, system.n_cores, n_requests_per_core, seed,
+                system.mapper(),
+            ).digest
+        signature = _timing_signature(defense, tmro_ns, timings)
+        first = first_of.setdefault(
+            (digest, defense or DefenseConfig(), signature[0]), key
+        )
+        if first != key:
+            aliases[key] = first
+            st.aliased += 1
+        else:
+            worklists.setdefault(digest, []).append((key, signature))
 
     results: Dict[tuple, SimResult] = {}
 
@@ -303,54 +514,88 @@ def simulate_batch(
         # key is (workload, defense, tmro_ns): the builder's own order.
         return build_simulator(system, *key, n_requests_per_core, seed)
 
-    for lanes in groups.values():
-        if len(lanes) == 1:
-            st.singletons += 1
-            results[lanes[0]] = build(lanes[0]).run()
-            continue
-        st.groups += 1
-        leader_key = min(
-            lanes,
-            key=lambda key: _LEADER_RANK[
-                (key[1] or DefenseConfig()).tracker
-            ],
-        )
-        simulator = build(leader_key)
+    def record(key, signature) -> _Recording:
+        simulator = build(key)
         recorder = _Recorder(simulator)
-        results[leader_key] = simulator.run()
-        st.leaders += 1
+        results[key] = simulator.run()
+        timeline = recorder.timeline(per, timings)
+        idle_close = system.idle_close_cycles
+        own = results[key]   # the caller's copy stays the caller's
+        return _Recording(
+            _follower_result(own, own.rfm_mitigations),
+            timeline, signature, recorder.fired,
+            None if idle_close is None
+            else timeline.max_open_cycles() + idle_close,
+            timeline.max_bank_acts(),
+        )
 
-        followers = [key for key in lanes if key != leader_key]
-        if recorder.fired:
+    def replay(key, recording: _Recording) -> None:
+        if recording.fired:
             # The leader bent its own timeline; its result is still a
-            # genuine fast-engine run, but no follower can replay it.
-            for key in followers:
-                st.fallbacks += 1
-                results[key] = build(key).run()
-            continue
+            # genuine fast-engine run, but no lane can replay it.
+            st.fallbacks += 1
+            results[key] = build(key).run()
+            return
+        defense = key[1] or DefenseConfig()
+        st.vector_replays += 1
+        verdict, rfm = replay_lane_vector(defense, recording.timeline)
+        if verdict == "unknown":
+            st.python_replays += 1
+            try:
+                valid, rfm = replay_lane_python(
+                    defense, timings, per, system.channels,
+                    _python_logs(recording.timeline),
+                )
+            except ValueError:
+                # PRAC's out-of-range row: re-simulate so the error
+                # (or its absence) comes from the real engine.
+                valid = False
+            verdict = "valid" if valid else "diverged"
+        if verdict == "valid":
+            st.replayed += 1
+            results[key] = _follower_result(recording.result, rfm)
+        else:
+            st.fallbacks += 1
+            results[key] = build(key).run()
 
-        timeline = recorder.timeline(system.banks_per_channel, timings)
-        for key in followers:
-            defense = key[1] or DefenseConfig()
-            st.vector_replays += 1
-            verdict, rfm = replay_lane_vector(defense, timeline)
-            if verdict == "unknown":
-                st.python_replays += 1
-                try:
-                    valid, rfm = replay_lane_python(
-                        defense, timings, system.banks_per_channel,
-                        system.channels, recorder.logs,
-                    )
-                except Exception:
-                    # e.g. PRAC's out-of-range row: re-simulate so the
-                    # error (or its absence) comes from the real engine.
-                    valid = False
-                verdict = "valid" if valid else "diverged"
-            if verdict == "valid":
-                st.replayed += 1
-                results[key] = _follower_result(results[leader_key], rfm)
-            else:
-                st.fallbacks += 1
-                results[key] = build(key).run()
+    # Per trace digest: take the stored plain recording, or run the
+    # least-bending lane as a recorded leader; serve every lane it
+    # covers; repeat on the lanes left over.
+    for digest, lanes in worklists.items():
+        store_key = (system, digest)
+        recording = (
+            timelines.get(store_key) if timelines is not None else None
+        )
+        lanes.sort(key=_leader_order)
+        while lanes:
+            leader = None
+            if recording is None:
+                (leader, signature), lanes = lanes[0], lanes[1:]
+                if not any(
+                    _may_share(signature, other, system)
+                    for _key, other in lanes
+                ):
+                    # Nothing left could replay it: skip the recording.
+                    st.singletons += 1
+                    results[leader] = build(leader).run()
+                    continue
+                recording = record(leader, signature)
+                if timelines is not None and recording.plain:
+                    timelines.put(store_key, recording)
+            served = [lane for lane in lanes if recording.covers(lane[1])]
+            lanes = [lane for lane in lanes if not recording.covers(lane[1])]
+            if leader is not None:
+                if served:
+                    st.leaders += 1
+                else:
+                    st.singletons += 1
+            st.groups += bool(served)
+            for key, signature in served:
+                st.joined += signature != recording.signature
+                replay(key, recording)
+            recording = None
 
+    for key, first in aliases.items():
+        original = results[first]
+        results[key] = _follower_result(original, original.rfm_mitigations)
     return [results[key] for key in normalized]

@@ -109,6 +109,25 @@ class RecordedTimeline:
         self.timings = timings
         self._derived = {}
 
+    def max_open_cycles(self) -> int:
+        """The longest ``pre - act`` over every recorded close (0 if none)."""
+        longest = 0
+        for events in self.banks:
+            close = events.kinds == EV_CLOSE
+            if close.any():
+                longest = max(
+                    longest, int((events.b[close] - events.a[close]).max())
+                )
+        return longest
+
+    def max_bank_acts(self) -> int:
+        """The most demand ACTs any one bank recorded."""
+        return max(
+            (int(np.count_nonzero(events.kinds == EV_ACT))
+             for events in self.banks),
+            default=0,
+        )
+
     def records(self, scheme: str, scale: int):
         """Per-bank derived record streams for one scheme shape (cached)."""
         key = (scheme, scale)

@@ -21,12 +21,19 @@ Layers:
 * :func:`compiled_source_traces` — the same cache for heterogeneous
   per-core source tuples (:mod:`repro.workloads.sources`): benign
   profile copies, attacker generators and idle cores in any mix.
+* :class:`CompiledTraceSet` — what the cache holds: one per-core set,
+  plus a content :attr:`~CompiledTraceSet.digest` over its columns.
+  Recipes that generate byte-identical traces (``add``/``triad``,
+  ``copy``/``scale``) get equal digests, which is how the batch tier
+  (:mod:`repro.sim.batch`) simulates them once.
 """
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..cache import CacheStats
 from ..dram.address import LINE_SHIFT, MopAddressMapper
@@ -107,15 +114,69 @@ def compile_trace(trace: Trace, mapper: MopAddressMapper) -> CompiledTrace:
     return CompiledTrace(trace, mapper)
 
 
+class CompiledTraceSet(list):
+    """One per-core list of :class:`CompiledTrace`, plus its content digest.
+
+    A plain list to every reader; :attr:`digest` is computed on first
+    use and kept for the set's lifetime (the cache's entries live as
+    long as they are cached), so serve and the fuzzer, which never ask,
+    never pay for it.
+    """
+
+    _digest: Optional[str] = None
+
+    @property
+    def digest(self) -> str:
+        """sha256 over the mapper geometry and every core's columns.
+
+        Two sets with equal digests drive any simulator identically:
+        the engines read only the ``addresses``/``writes``/``gaps``
+        columns and the mapping, and a system's other inputs (timings,
+        defense, seed) are the caller's to hold fixed.
+        """
+        if self._digest is None:
+            h = hashlib.sha256(repr(
+                (len(self), self[0].key if self else None)
+            ).encode())
+            for entry in self:
+                trace = entry.trace
+                h.update(len(trace).to_bytes(8, "little"))
+                for column in (trace.addresses, trace.writes, trace.gaps):
+                    try:
+                        h.update(array("q", column).tobytes())
+                    except OverflowError:   # an address beyond 2**63
+                        h.update(repr(column).encode())
+            self._digest = h.hexdigest()
+        return self._digest
+
+
 def compile_traces(
     traces: Sequence[Trace], mapper: MopAddressMapper
-) -> List[CompiledTrace]:
+) -> CompiledTraceSet:
     """Compile one per-core trace set against a single mapper."""
-    return [CompiledTrace(trace, mapper) for trace in traces]
+    return CompiledTraceSet(CompiledTrace(trace, mapper) for trace in traces)
 
 
-_cache: "OrderedDict[tuple, List[CompiledTrace]]" = OrderedDict()
+_cache: "OrderedDict[tuple, CompiledTraceSet]" = OrderedDict()
 _stats = CacheStats()
+
+
+def _cached(key: tuple, mapper: MopAddressMapper,
+            generate) -> CompiledTraceSet:
+    """The cached set under ``key``, generating and compiling on a miss."""
+    cached = _cache.get(key)
+    if cached is not None:
+        _cache.move_to_end(key)
+        _stats.hits += 1
+        _stats.size = len(_cache)
+        return cached
+    _stats.misses += 1
+    compiled = compile_traces(generate(), mapper)
+    _cache[key] = compiled
+    while len(_cache) > CACHE_MAX_ENTRIES:
+        _cache.popitem(last=False)
+    _stats.size = len(_cache)
+    return compiled
 
 
 def compiled_rate_mode_traces(
@@ -124,7 +185,7 @@ def compiled_rate_mode_traces(
     n_requests_per_core: int,
     seed: int,
     mapper: MopAddressMapper,
-) -> List[CompiledTrace]:
+) -> CompiledTraceSet:
     """Generate + compile a rate-mode trace set, with process-local reuse.
 
     The cache key is the complete generation recipe plus the mapper
@@ -136,20 +197,10 @@ def compiled_rate_mode_traces(
     from .synthetic import rate_mode_traces
 
     key = (name, n_cores, n_requests_per_core, seed, mapper_key(mapper))
-    cached = _cache.get(key)
-    if cached is not None:
-        _cache.move_to_end(key)
-        _stats.hits += 1
-        _stats.size = len(_cache)
-        return cached
-    _stats.misses += 1
-    traces = rate_mode_traces(name, n_cores, n_requests_per_core, seed)
-    compiled = compile_traces(traces, mapper)
-    _cache[key] = compiled
-    while len(_cache) > CACHE_MAX_ENTRIES:
-        _cache.popitem(last=False)
-    _stats.size = len(_cache)
-    return compiled
+    return _cached(
+        key, mapper,
+        lambda: rate_mode_traces(name, n_cores, n_requests_per_core, seed),
+    )
 
 
 def compiled_source_traces(
@@ -157,7 +208,7 @@ def compiled_source_traces(
     n_requests_per_core: int,
     seed: int,
     mapper: MopAddressMapper,
-) -> List[CompiledTrace]:
+) -> CompiledTraceSet:
     """Generate + compile a heterogeneous per-core source set, cached.
 
     The scenario-layer sibling of :func:`compiled_rate_mode_traces`:
@@ -170,20 +221,10 @@ def compiled_source_traces(
 
     key = ("sources", sources, n_requests_per_core, seed,
            mapper_key(mapper))
-    cached = _cache.get(key)
-    if cached is not None:
-        _cache.move_to_end(key)
-        _stats.hits += 1
-        _stats.size = len(_cache)
-        return cached
-    _stats.misses += 1
-    traces = build_core_traces(sources, n_requests_per_core, seed, mapper)
-    compiled = compile_traces(traces, mapper)
-    _cache[key] = compiled
-    while len(_cache) > CACHE_MAX_ENTRIES:
-        _cache.popitem(last=False)
-    _stats.size = len(_cache)
-    return compiled
+    return _cached(
+        key, mapper,
+        lambda: build_core_traces(sources, n_requests_per_core, seed, mapper),
+    )
 
 
 def compiled_point_traces(
@@ -192,7 +233,7 @@ def compiled_point_traces(
     n_requests_per_core: int,
     seed: int,
     mapper: MopAddressMapper,
-) -> List[CompiledTrace]:
+) -> CompiledTraceSet:
     """Dispatch a sweep-point workload key to the matching cache.
 
     ``workload`` is either a rate-mode name (string) or a heterogeneous

@@ -21,6 +21,7 @@ from repro.experiments.common import SweepRunner
 from repro.sim import simulate_workload
 from repro.sim.batch import (
     BatchStats,
+    TimelineStore,
     _Recorder,
     batch_available,
     simulate_batch,
@@ -319,3 +320,306 @@ class TestStatsAccounting:
             + stats.singletons == unique
         )
         assert stats.vector_replays >= stats.replayed
+
+
+def _plain_bounds(workload, system=SMALL, n_requests=REQUESTS, seed=7):
+    """The inertness bounds of ``workload``'s plain recorded timeline:
+    ``(max pre - act + idle_close, max per-bank demand ACTs)``."""
+    compiled = compiled_rate_mode_traces(
+        workload, system.n_cores, n_requests, seed, system.mapper()
+    )
+    simulator = SystemSimulator(system, compiled=compiled)
+    recorder = _Recorder(simulator)
+    simulator.run()
+    timeline = recorder.timeline(system.banks_per_channel, system.timings)
+    return (
+        timeline.max_open_cycles() + system.idle_close_cycles,
+        timeline.max_bank_acts(),
+    )
+
+
+def _tmro_ns(cycles, system=SMALL):
+    """A tMRO in ns that the clock rounds to exactly ``cycles``."""
+    clock = system.timings.clock
+    tmro_ns = clock.ns(cycles)
+    assert clock.cycles(tmro_ns) == cycles
+    return tmro_ns
+
+
+class TestTimelineSharing:
+    """Lanes join one recorded timeline by trace content and inertness."""
+
+    def test_equal_traces_share_one_leader(self):
+        # add/triad generate byte-identical traces, so their lanes are
+        # simulated once and copied.
+        graphene = DefenseConfig(tracker="graphene", scheme="no-rp")
+        points = [
+            ("add", None, None), ("triad", None, None),
+            ("add", graphene, None), ("triad", graphene, None),
+        ]
+        stats = BatchStats()
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.aliased == 2
+        assert stats.leaders == 1 and stats.replayed == 1
+        assert stats.singletons == stats.fallbacks == 0
+
+    def test_aliased_results_are_independent_copies(self):
+        first, second = simulate_batch(
+            [("copy", None, None), ("scale", None, None)],
+            system=SMALL, n_requests_per_core=60, seed=0,
+        )
+        second.counts.reads += 1
+        second.core_cycles[0] += 1
+        assert first.counts.reads != second.counts.reads
+        assert first.core_cycles[0] != second.core_cycles[0]
+
+    def test_tmro_at_inertness_bound_does_not_join(self):
+        floor, _acts = _plain_bounds("mcf")
+        stats = BatchStats()
+        points = [("mcf", None, None), ("mcf", None, _tmro_ns(floor))]
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.joined == 0 and stats.replayed == 0
+        assert stats.singletons == 2
+
+    def test_tmro_one_cycle_above_bound_replays(self):
+        floor, _acts = _plain_bounds("mcf")
+        graphene = DefenseConfig(tracker="graphene", scheme="express")
+        stats = BatchStats()
+        points = [
+            ("mcf", None, None),
+            ("mcf", None, _tmro_ns(floor + 1)),
+            ("mcf", graphene, _tmro_ns(floor + 1)),
+        ]
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.leaders == 1 and stats.replayed == 2
+        assert stats.joined == 2
+
+    def test_rfmth_at_max_bank_acts_is_not_inert(self):
+        _floor, acts = _plain_bounds("mcf")
+        mint = DefenseConfig(tracker="mint", scheme="no-rp", rfmth=acts)
+        stats = BatchStats()
+        points = [("mcf", None, None), ("mcf", mint, None)]
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.joined == 0 and stats.singletons == 2
+
+    def test_rfmth_above_max_bank_acts_replays(self):
+        _floor, acts = _plain_bounds("mcf")
+        stats = BatchStats()
+        points = [("mcf", None, None)] + [
+            ("mcf", DefenseConfig(tracker=tracker, scheme="no-rp",
+                                  rfmth=acts + 1), None)
+            for tracker in ("mint", "mithril")
+        ]
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.leaders == 1 and stats.replayed == 2
+        assert stats.joined == 2
+
+    def test_unshareable_leader_is_not_recorded(self, monkeypatch):
+        # A tMRO at or below tRAS + idle_close can never be inert, so
+        # neither lane could replay the other's recording.
+        import repro.sim.batch as batch
+
+        recorded = []
+
+        class CountingRecorder(batch._Recorder):
+            def __init__(self, simulator):
+                recorded.append(simulator)
+                super().__init__(simulator)
+
+        monkeypatch.setattr(batch, "_Recorder", CountingRecorder)
+        bound = SMALL.timings.tRAS + SMALL.idle_close_cycles
+        stats = BatchStats()
+        points = [("mcf", None, None), ("mcf", None, _tmro_ns(bound))]
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.singletons == 2 and not recorded
+
+    def test_tmro_never_joins_without_idle_close(self):
+        system = SystemConfig(n_cores=2, banks_per_channel=8,
+                              idle_close_cycles=None)
+        stats = BatchStats()
+        points = [("mcf", None, None), ("mcf", None, 1.0e6)]
+        assert_batch_matches_fast(points, system, REQUESTS, 7, stats=stats)
+        assert stats.joined == 0 and stats.singletons == 2
+
+    def test_fired_leader_serves_no_other_signature(self):
+        # PARA at a tiny TRH fires, so its recording is not the plain
+        # timeline: the long-tMRO lane, inert on the plain timeline,
+        # must get a leader of its own.
+        para = DefenseConfig(tracker="para", scheme="no-rp", trh=20.0)
+        stats = BatchStats()
+        points = [("mcf", para, None), ("mcf", para, 1.0e6)]
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        assert stats.joined == 0 and stats.singletons == 2
+
+    def test_stats_identity(self):
+        floor, acts = _plain_bounds("add")
+        points = [
+            ("add", None, None), ("triad", None, None),
+            ("copy", None, None), ("scale", None, None),
+            ("add", None, _tmro_ns(floor + 1)),
+            ("add", None, _tmro_ns(floor)),
+            ("add", DefenseConfig(tracker="mint", scheme="no-rp",
+                                  rfmth=acts + 1), None),
+            ("add", DefenseConfig(tracker="para", scheme="no-rp",
+                                  trh=200.0), None),
+            ("triad", DefenseConfig(tracker="graphene", scheme="no-rp"),
+             None),
+            ("add", None, None),                      # duplicate
+        ]
+        stats = BatchStats()
+        assert_batch_matches_fast(points, SMALL, REQUESTS, 7, stats=stats)
+        unique = len(set(points))
+        assert stats.points == len(points)
+        assert stats.aliased == 2 and stats.joined >= 2
+        assert (
+            stats.leaders + stats.replayed + stats.fallbacks
+            + stats.singletons + stats.aliased == unique
+        )
+
+
+class TestTimelineStore:
+    """Plain recordings outlive one call when a store is lent."""
+
+    EXPRESS = [
+        ("mcf", DefenseConfig(tracker="graphene", scheme="express",
+                              tmro_ns=4000.0), None),
+        ("mcf", DefenseConfig(tracker="mint", scheme="express",
+                              tmro_ns=4000.0, rfmth=10_000), None),
+    ]
+
+    def _capture_stats(self, monkeypatch):
+        import repro.experiments.common as common
+
+        captured = []
+        real = common.simulate_batch
+
+        def simulate_batch(points, *args, **kwargs):
+            captured.append(BatchStats())
+            return real(points, *args, stats=captured[-1], **kwargs)
+
+        monkeypatch.setattr(common, "simulate_batch", simulate_batch)
+        return captured
+
+    def test_second_run_many_records_no_new_leader(self, monkeypatch):
+        captured = self._capture_stats(monkeypatch)
+        runner = SweepRunner(system=SMALL, n_requests=REQUESTS, seed=7)
+        runner.run_many([
+            ("mcf", None, None),
+            ("mcf", DefenseConfig(tracker="graphene", scheme="no-rp"),
+             None),
+        ])
+        results = runner.run_many(self.EXPRESS)
+        stats = captured[-1]
+        assert stats.leaders == 0 and stats.singletons == 0
+        assert stats.replayed == 2 and stats.joined == 2
+        for (workload, defense, tmro_ns), result in zip(
+            self.EXPRESS, results
+        ):
+            oracle = simulate_workload(
+                workload, defense, system=SMALL,
+                n_requests_per_core=REQUESTS, tmro_ns=tmro_ns, seed=7,
+            )
+            assert result_blob(result) == result_blob(oracle)
+
+    def test_clear_cache_drops_timelines(self, monkeypatch):
+        captured = self._capture_stats(monkeypatch)
+        runner = SweepRunner(system=SMALL, n_requests=REQUESTS, seed=7)
+        runner.run_many([
+            ("mcf", None, None),
+            ("mcf", DefenseConfig(tracker="graphene", scheme="no-rp"),
+             None),
+        ])
+        assert len(runner._timelines) == 1
+        runner.clear_cache()
+        assert len(runner._timelines) == 0
+        runner.run_many(self.EXPRESS)
+        assert captured[-1].leaders == 1
+
+    def test_store_is_bounded_and_skips_fired_leaders(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        monkeypatch.setattr(batch, "TIMELINE_STORE_MAX_ENTRIES", 2)
+        graphene = DefenseConfig(tracker="graphene", scheme="no-rp")
+        store = TimelineStore()
+        for workload in ("mcf", "copy", "add"):
+            simulate_batch(
+                [(workload, None, None), (workload, graphene, None)],
+                system=SMALL, n_requests_per_core=60, seed=0,
+                timelines=store,
+            )
+        assert len(store) == 2
+        para = DefenseConfig(tracker="para", scheme="no-rp", trh=20.0)
+        fired = TimelineStore()
+        simulate_batch(
+            [("mcf", para, None), ("mcf", para, 1.0e6)],
+            system=SMALL, n_requests_per_core=60, seed=0, timelines=fired,
+        )
+        assert len(fired) == 0
+
+    def test_stored_scalar_replay_matches(self):
+        # DSAC under ImPress-P always takes the scalar replay, which
+        # rebuilds Python event lists from the stored arrays.
+        store = TimelineStore()
+        simulate_batch(
+            [("mcf", None, None),
+             ("mcf", DefenseConfig(tracker="graphene", scheme="no-rp"),
+              None)],
+            system=SMALL, n_requests_per_core=REQUESTS, seed=7,
+            timelines=store,
+        )
+        stats = BatchStats()
+        points = [("mcf", DefenseConfig(tracker="dsac", scheme="impress-p"),
+                   None)]
+        [result] = simulate_batch(points, system=SMALL,
+                                  n_requests_per_core=REQUESTS, seed=7,
+                                  stats=stats, timelines=store)
+        assert stats.python_replays == 1 and stats.replayed == 1
+        oracle = simulate_workload(
+            "mcf", points[0][1], system=SMALL,
+            n_requests_per_core=REQUESTS, seed=7,
+        )
+        assert result_blob(result) == result_blob(oracle)
+
+
+class TestScalarReplayErrors:
+    POINTS = [
+        ("mcf", None, None),
+        ("mcf", DefenseConfig(tracker="dsac", scheme="impress-p"), None),
+    ]
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("planted scalar-replay bug")
+
+        monkeypatch.setattr(batch, "replay_lane_python", broken)
+        with pytest.raises(RuntimeError, match="planted"):
+            simulate_batch(self.POINTS, system=SMALL,
+                           n_requests_per_core=60, seed=0)
+
+    def test_value_error_falls_back(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        def out_of_range(*args, **kwargs):
+            raise ValueError("row out of range")
+
+        monkeypatch.setattr(batch, "replay_lane_python", out_of_range)
+        stats = BatchStats()
+        assert_batch_matches_fast(self.POINTS, SMALL, 60, 0, stats=stats)
+        assert stats.python_replays == 1 and stats.fallbacks == 1
+
+
+class TestTraceDigest:
+    def test_equal_content_equal_digest(self):
+        mapper = SMALL.mapper()
+        digest = {
+            name: compiled_rate_mode_traces(name, 2, 60, 0, mapper).digest
+            for name in ("add", "triad", "copy", "mcf")
+        }
+        assert digest["add"] == digest["triad"]
+        assert len({digest["add"], digest["copy"], digest["mcf"]}) == 3
+        other = SystemConfig(n_cores=2, banks_per_channel=16).mapper()
+        assert compiled_rate_mode_traces(
+            "add", 2, 60, 0, other
+        ).digest != digest["add"]

@@ -5,12 +5,19 @@ Runs a small mixed-tracker grid twice — once through
 ``repro.sim.batch.simulate_batch`` (the NumPy leader/replay tier) and
 once per-point through ``simulate_workload`` (the fast engine oracle) —
 and asserts every lane's canonical JSON blob is byte-identical.  Also
-asserts the batch run actually exercised the replay path (``replayed >
-0``), so a silent degradation to per-lane full simulations cannot pass
-as equivalence.
+asserts the batch run actually exercised each sharing path, so a
+silent degradation to per-lane full simulations cannot pass as
+equivalence:
+
+* the replay path (``replayed > 0``);
+* trace-content aliasing (``aliased > 0``): ``add`` and ``triad``
+  generate byte-identical traces;
+* an inert join (``joined > 0``): a long-tMRO ExPress lane and a MINT
+  lane whose RFMTH no bank reaches replay against the plain timeline.
 
 Exit codes: 0 identical (or NumPy missing — the tier is optional, so
-the smoke degrades to a skip), 1 any lane diverged.
+the smoke degrades to a skip), 1 any lane diverged or a sharing path
+went unused.
 
 Usage (the CI perf-smoke equivalence gate):
 
@@ -54,6 +61,12 @@ def main() -> int:
          None),
         ("copy", None, 66.0),
         ("copy", DefenseConfig(tracker="graphene", scheme="no-rp"), 66.0),
+        ("add", None, None),
+        ("triad", None, None),
+        ("add", DefenseConfig(tracker="graphene", scheme="express",
+                              tmro_ns=4000.0), None),
+        ("triad", DefenseConfig(tracker="mint", scheme="no-rp",
+                                rfmth=10_000), None),
     ]
 
     stats = BatchStats()
@@ -83,13 +96,20 @@ def main() -> int:
         f"equivalence-smoke: {len(points)} lanes -> "
         f"{stats.leaders} leaders, {stats.replayed} replayed "
         f"({stats.vector_replays} vector / {stats.python_replays} python), "
-        f"{stats.fallbacks} fallbacks, {stats.singletons} singletons"
+        f"{stats.fallbacks} fallbacks, {stats.singletons} singletons, "
+        f"{stats.aliased} aliased; {stats.joined} joined across signatures"
     )
     if mismatches:
         print(f"FAIL: {mismatches} lane(s) diverged from the fast engine")
         return 1
     if stats.replayed == 0:
         print("FAIL: no lane took the replay path; the smoke proved nothing")
+        return 1
+    if stats.aliased == 0:
+        print("FAIL: no lane shared an identical-content lane's run")
+        return 1
+    if stats.joined == 0:
+        print("FAIL: no lane joined a timeline of another timing signature")
         return 1
     print("OK: batch engine bit-identical to the fast engine")
     return 0
