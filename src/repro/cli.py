@@ -55,12 +55,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import importlib
 from pathlib import Path
 from typing import List, Optional
 
-from . import experiments
-from .experiments import registry
-from .experiments.orchestrator import Orchestrator
 from .core.analysis import impress_n_effective_threshold
 from .dram.timing import default_cycle_timings
 from .security.verifier import effective_threshold
@@ -69,21 +67,18 @@ from .sim.system import ENGINE_NAMES, simulate_workload
 from .trackers.para import para_probability
 from .trackers.sizing import graphene_entries, graphene_storage, mithril_entries
 
+#: ``repro experiment <name>`` -> module under :mod:`repro.experiments`.
+#: The figure modules are imported only by the commands that run them,
+#: so every other command starts without the experiments layer.
 EXPERIMENT_MODULES = {
-    "tables": experiments.tables,
-    "fig3": experiments.fig3,
-    "fig4": experiments.fig4,
-    "fig5": experiments.fig5,
-    "fig6_7_8": experiments.fig6_7_8,
-    "fig12": experiments.fig12,
-    "fig13": experiments.fig13,
-    "fig14": experiments.fig14,
-    "fig15": experiments.fig15,
-    "fig16": experiments.fig16,
-    "fig18_19": experiments.fig18_19,
-    "energy": experiments.energy,
-    "ablation": experiments.ablation,
-    "all": experiments.runner,
+    **{
+        name: name
+        for name in (
+            "tables", "fig3", "fig4", "fig5", "fig6_7_8", "fig12", "fig13",
+            "fig14", "fig15", "fig16", "fig18_19", "energy", "ablation",
+        )
+    },
+    "all": "runner",
 }
 
 
@@ -93,11 +88,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         known = ", ".join(sorted(EXPERIMENT_MODULES))
         print(f"unknown experiment {args.name!r}; choose from: {known}")
         return 2
-    module.main()
+    importlib.import_module(f".experiments.{module}", __package__).main()
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments.orchestrator import Orchestrator
+
     only = None
     if args.only:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
@@ -135,6 +132,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_experiments(args: argparse.Namespace) -> int:
+    from .experiments import registry
+
     print(f"{'name':<10} {'cost':>6}  {'tags':<28} {'paper ref':<28} title")
     for exp in registry.all_experiments():
         tags = ",".join(exp.tags)
@@ -198,6 +197,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _print_scenario_run(
             args.workload, n_requests=args.requests, seed=0, jobs=1
         )
+    if args.engine == "batch":
+        from .sim.batch import batch_available
+        from .trackers.batch_kernels import NUMPY_IMPORT_HINT
+
+        if not batch_available():
+            print(NUMPY_IMPORT_HINT)
+            return 2
     defense = DefenseConfig(
         tracker=args.tracker, scheme=args.scheme, trh=args.trh,
         alpha=args.alpha,

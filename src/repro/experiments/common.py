@@ -5,20 +5,26 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.pool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..cache import CacheStats
-from ..sim.batch import (
-    TimelineStore,
-    _normalize_point,
-    batch_available,
-    simulate_batch,
-)
-from ..sim.config import DefenseConfig, SystemConfig
+from ..sim.config import DefenseConfig, SystemConfig, _normalize_point
 from ..sim.metrics import geomean, normalized_weighted_speedup
 from ..sim.stats import SimResult
 from ..sim.system import simulate_workload
 from ..workloads.profiles import SPEC_NAMES, STREAM_NAMES
+
+if TYPE_CHECKING:
+    from ..sim.batch import TimelineStore
 
 #: One sweep point: ``(workload, defense, tmro_ns)`` — the same triple
 #: that keys the :class:`SweepRunner` cache.  The workload slot is a
@@ -40,6 +46,18 @@ SweepPointLike = Union[
     Tuple[str, Optional[DefenseConfig]],
     SweepPoint,
 ]
+
+
+def _batch_tier():
+    """:mod:`repro.sim.batch` when the batch tier can run, else None.
+
+    Imported here, on the first serial multi-point sweep, so that a
+    process that never batches (the daemon, a worker, the fuzzer, a
+    single ``repro simulate``) never loads NumPy.
+    """
+    from ..sim import batch
+
+    return batch if batch.batch_available() else None
 
 
 def _evaluate_point(
@@ -133,15 +151,17 @@ class SweepRunner:
     #: Route serial :meth:`run_many` batches through the NumPy batch
     #: engine tier (:func:`repro.sim.batch.simulate_batch`) when it is
     #: available.  Results are bit-identical to per-point runs; set
-    #: False to force the per-point fast engine.
+    #: False to force the per-point fast engine.  The tier (and NumPy)
+    #: is imported by the first such batch, not by the runner.
     use_batch: bool = True
     _cache: Dict[tuple, SimResult] = field(default_factory=dict)
     _hits: int = 0
     _misses: int = 0
     #: Plain recorded timelines the batch tier lends across
-    #: :meth:`run_many` calls (see :class:`~repro.sim.batch.TimelineStore`).
-    _timelines: TimelineStore = field(
-        default_factory=TimelineStore, repr=False, compare=False
+    #: :meth:`run_many` calls (see :class:`~repro.sim.batch.TimelineStore`);
+    #: created by the first batched call.
+    _timelines: Optional[TimelineStore] = field(
+        default=None, repr=False, compare=False
     )
     _pool: Optional[multiprocessing.pool.Pool] = field(
         default=None, repr=False, compare=False
@@ -229,15 +249,24 @@ class SweepRunner:
             ):
                 cache[key] = result
                 self._misses += 1
-        elif self.use_batch and len(needed) > 1 and batch_available():
+        elif (
+            self.use_batch
+            and len(needed) > 1
+            and (batch := _batch_tier()) is not None
+        ):
             # Serial in-process path: route the whole point group
             # through the batch engine tier, which replays compatible
             # lanes against one recorded leader run (bit-identical to
             # per-point runs; lanes it cannot prove safe are simulated
-            # for real inside simulate_batch).
+            # for real inside simulate_batch).  The function is looked
+            # up on the module at call time, so a rebinding of
+            # ``repro.sim.batch.simulate_batch`` (a tracer, a test
+            # double) sees every call.
+            if self._timelines is None:
+                self._timelines = batch.TimelineStore()
             for key, result in zip(
                 needed,
-                simulate_batch(
+                batch.simulate_batch(
                     needed,
                     system=self.system,
                     n_requests_per_core=self.n_requests,
@@ -279,7 +308,8 @@ class SweepRunner:
     def clear_cache(self) -> None:
         """Drop every cached run and recorded timeline; reset the counters."""
         self._cache.clear()
-        self._timelines.clear()
+        if self._timelines is not None:
+            self._timelines.clear()
         self._hits = 0
         self._misses = 0
 

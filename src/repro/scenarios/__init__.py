@@ -9,7 +9,11 @@ topology × defense) points over the paper's design space.
 * :mod:`~repro.scenarios.grid` — cross-product expansion feeding
   :meth:`~repro.experiments.common.SweepRunner.run_many`.
 * :mod:`~repro.scenarios.run` — execution, security metrics, and the
-  disk-cached results artifacts behind ``repro scenario run``.
+  disk-cached results artifacts behind ``repro scenario run``.  Its
+  names resolve on first access (module ``__getattr__``): it runs on
+  :class:`~repro.experiments.common.SweepRunner`, and the daemon and
+  workers, which only parse specs, should not load the experiments
+  layer.
 * :mod:`~repro.scenarios.fuzz` — the seeded spec-space fuzzer with
   shrinking reproducers behind ``repro fuzz`` (imported lazily; it
   pulls in both simulation engines).
@@ -17,15 +21,6 @@ topology × defense) points over the paper's design space.
 
 from .grid import ScenarioGrid
 from .registry import SCENARIOS, get_scenario, is_scenario, scenario_names
-from .run import (
-    DEFAULT_SCENARIO_REQUESTS,
-    ScenarioReport,
-    run_scenario,
-    run_scenario_cached,
-    scenario_baseline_recipe,
-    scenario_config_hash,
-    scenario_run_recipe,
-)
 from .spec import ScenarioSpec, spec_from_recipe
 
 __all__ = [
@@ -44,3 +39,21 @@ __all__ = [
     "scenario_run_recipe",
     "spec_from_recipe",
 ]
+
+_RUN_NAMES = frozenset({
+    "DEFAULT_SCENARIO_REQUESTS",
+    "ScenarioReport",
+    "run_scenario",
+    "run_scenario_cached",
+    "scenario_baseline_recipe",
+    "scenario_config_hash",
+    "scenario_run_recipe",
+})
+
+
+def __getattr__(name: str):
+    if name in _RUN_NAMES:
+        from . import run
+
+        return getattr(run, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,10 @@
-"""System simulation: configs, cores, event loop, stats, metrics."""
+"""System simulation: configs, cores, event loop, stats, metrics.
+
+The batch tier's names (:mod:`repro.sim.batch`, which imports NumPy)
+resolve on first access through the module ``__getattr__``, so
+importing the package, or any single-point engine, leaves NumPy
+unloaded.
+"""
 
 from .config import (
     DEFAULT_EXPRESS_TMRO_NS,
@@ -7,7 +13,6 @@ from .config import (
     DefenseConfig,
     SystemConfig,
 )
-from .batch import BatchStats, batch_available, simulate_batch
 from .core import CoreState
 from .metrics import (
     geomean,
@@ -41,3 +46,13 @@ __all__ = [
     "SystemSimulator",
     "simulate_workload",
 ]
+
+_BATCH_NAMES = frozenset({"BatchStats", "batch_available", "simulate_batch"})
+
+
+def __getattr__(name: str):
+    if name in _BATCH_NAMES:
+        from . import batch
+
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

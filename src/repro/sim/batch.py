@@ -72,7 +72,7 @@ from ..trackers.batch_kernels import (
     replay_lane_vector,
 )
 from ..workloads.compiled import compiled_point_traces
-from .config import DefenseConfig, SystemConfig
+from .config import DefenseConfig, SystemConfig, _normalize_point
 from .stats import SimResult
 from .system import SystemSimulator, build_simulator
 
@@ -129,23 +129,6 @@ _LEADER_RANK = {
     "dsac": 1,
     "para": 2,
 }
-
-
-def _normalize_point(point) -> Tuple[object, Optional[DefenseConfig],
-                                     Optional[float]]:
-    """Canonicalize a point spec into the ``(workload, defense, tmro_ns)``
-    triple that keys the sweep cache.  The one copy: it lives here so
-    the sim package does not import the experiments layer, and
-    ``repro.experiments.common`` imports it from here."""
-    sweep_point = getattr(point, "sweep_point", None)
-    if sweep_point is not None:
-        return sweep_point()
-    if isinstance(point, str):
-        return (point, None, None)
-    workload, *rest = point
-    defense = rest[0] if rest else None
-    tmro_ns = rest[1] if len(rest) > 1 else None
-    return (workload, defense, tmro_ns)
 
 
 def _timing_signature(defense: Optional[DefenseConfig],

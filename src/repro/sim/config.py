@@ -264,3 +264,21 @@ class DefenseConfig:
         if self.scheme == "impress-p":
             return ImpressPScheme(trackers, timings, self.fraction_bits)
         raise AssertionError("unreachable")
+
+
+def _normalize_point(point) -> Tuple[object, Optional[DefenseConfig],
+                                     Optional[float]]:
+    """Canonicalize a point spec into the ``(workload, defense, tmro_ns)``
+    triple that keys the sweep cache.  The one copy: it lives here, in
+    a module every sweep already imports, so neither
+    ``repro.experiments.common`` nor the batch tier has to load the
+    other (or NumPy) to key a point."""
+    sweep_point = getattr(point, "sweep_point", None)
+    if sweep_point is not None:
+        return sweep_point()
+    if isinstance(point, str):
+        return (point, None, None)
+    workload, *rest = point
+    defense = rest[0] if rest else None
+    tmro_ns = rest[1] if len(rest) > 1 else None
+    return (workload, defense, tmro_ns)

@@ -488,16 +488,18 @@ class TestTimelineStore:
     ]
 
     def _capture_stats(self, monkeypatch):
-        import repro.experiments.common as common
+        # SweepRunner.run_many looks simulate_batch up on the batch
+        # module at call time, so the double goes there.
+        import repro.sim.batch as batch
 
         captured = []
-        real = common.simulate_batch
+        real = batch.simulate_batch
 
         def simulate_batch(points, *args, **kwargs):
             captured.append(BatchStats())
             return real(points, *args, stats=captured[-1], **kwargs)
 
-        monkeypatch.setattr(common, "simulate_batch", simulate_batch)
+        monkeypatch.setattr(batch, "simulate_batch", simulate_batch)
         return captured
 
     def test_second_run_many_records_no_new_leader(self, monkeypatch):
