@@ -14,8 +14,8 @@ serial reference, and :class:`ChaosReport` as the verdict.
 
 :func:`run_chaos_case` — a fleet of ``repro worker`` subprocesses on
     one queue.  In-process faults (:mod:`repro.security.faults` names,
-    passed to ``repro worker --fault``) make the worker die after its
-    first checkpoint, die inside the result blob's atomic write, or
+    passed to ``repro worker --fault``) make the worker die
+    mid-simulation, die inside the result blob's atomic write, or
     freeze its heartbeat; they fire at the exact protocol instant every
     time.  External faults SIGKILL the worker holding the first claim
     or overwrite its claim file with garbage.  These exercise the
@@ -247,7 +247,6 @@ def worker_command(
     queue_dir: Path,
     results_dir: Path,
     lease_s: float,
-    checkpoint_stride: int,
     fault: Optional[str] = None,
     idle_exit_s: float = 15.0,
 ) -> List[str]:
@@ -257,7 +256,6 @@ def worker_command(
         "--queue-dir", str(queue_dir),
         "--results-dir", str(results_dir),
         "--lease", str(lease_s),
-        "--checkpoint-stride", str(checkpoint_stride),
         "--idle-exit", str(idle_exit_s),
     ]
     if fault is not None:
@@ -312,7 +310,6 @@ def run_chaos_case(
     fault: Optional[str] = None,
     n_workers: int = 2,
     lease_s: float = 1.5,
-    checkpoint_stride: int = 20_000,
     timeout_s: float = 180.0,
     serial_store: Optional[ResultStore] = None,
 ) -> ChaosReport:
@@ -354,7 +351,7 @@ def run_chaos_case(
     def _spawn(index: int, worker_fault_name: Optional[str]) -> None:
         workers.append(spawn(
             worker_command(
-                dist_dir / "queue", dist_dir, lease_s, checkpoint_stride,
+                dist_dir / "queue", dist_dir, lease_s,
                 fault=worker_fault_name,
             ),
             dist_dir / f"worker-{index}.log",
@@ -382,7 +379,6 @@ def run_chaos_case(
         outcome = run_distributed_sweep(
             recipes, queue, dist_store,
             timeout_s=timeout_s,
-            checkpoint_stride=checkpoint_stride,
         )
     finally:
         exit_codes = [reap(proc, 30.0) for proc in workers]
@@ -410,7 +406,6 @@ def serve_command(
     port: int = 0,
     lease_s: float = 1.5,
     serial_grace_s: float = 0.5,
-    checkpoint_stride: int = 20_000,
     fault: Optional[str] = None,
 ) -> List[str]:
     """The ``repro serve`` argv for one daemon subprocess."""
@@ -420,7 +415,6 @@ def serve_command(
         "--port", str(port),
         "--lease", str(lease_s),
         "--serial-grace", str(serial_grace_s),
-        "--checkpoint-stride", str(checkpoint_stride),
     ]
     if fault is not None:
         cmd += ["--fault", fault]
@@ -511,7 +505,6 @@ def run_serve_chaos_case(
     fault: str = "serve-kill-mid-request",
     timeout_s: float = 120.0,
     serial_grace_s: float = 0.5,
-    checkpoint_stride: int = 20_000,
     serial_store: Optional[ResultStore] = None,
 ) -> ChaosReport:
     """Run one full serve chaos experiment under ``base_dir``.
@@ -533,8 +526,7 @@ def run_serve_chaos_case(
       have stored no blob yet);
     * a drain that does not exit 0 with an empty journal and the
       endpoint file retired;
-    * a store whose objects, after ``gc`` retires checkpoint debris,
-      are not exactly the keys' blobs.
+    * a store whose objects are not exactly the keys' blobs.
     """
     base_dir = Path(base_dir)
     keys, serial_store = _serial_reference(base_dir, recipes, serial_store)
@@ -550,7 +542,7 @@ def run_serve_chaos_case(
         return spawn(
             serve_command(
                 daemon_dir, serial_grace_s=serial_grace_s,
-                checkpoint_stride=checkpoint_stride, fault=daemon_fault,
+                fault=daemon_fault,
             ),
             base_dir / f"daemon-{life}.log",
         )
@@ -613,7 +605,6 @@ def run_serve_chaos_case(
         failures.append(f"{journal.depth()} journal entries left after drain")
     if read_endpoint(daemon_dir) is not None:
         failures.append("endpoint file not retired on clean shutdown")
-    store.gc(blob_grace_s=0.0)   # retire checkpoint debris
     blobs = sorted(path.stem for path in store.objects_dir.glob("*.json"))
     if blobs != sorted(keys):
         failures.append(f"store holds {blobs}, want exactly {sorted(keys)}")

@@ -33,8 +33,8 @@ Commands:
   work queue with external ``repro worker`` processes (see
   docs/distributed.md).
 * ``worker`` — the distributed-sweep worker loop: claim leased tasks
-  from a queue directory, simulate with periodic engine checkpoints,
-  put result blobs into the shared store.
+  from a queue directory, simulate each straight through, put result
+  blobs into the shared store.
 * ``queue`` — inspect the distributed work queue: ``status`` prints a
   census (pending/claimed/done/poisoned, live leases, poison
   tracebacks; ``--json`` for machines); ``drain`` cancels all
@@ -477,7 +477,20 @@ def _cmd_results_gc(args: argparse.Namespace) -> int:
 # -- distributed sweeps ----------------------------------------------------
 
 
+def _bad_lease(args: argparse.Namespace) -> bool:
+    """Print an error and return True when ``--lease`` is not positive.
+
+    A zero or negative lease expires every claim the moment it is made.
+    """
+    if args.lease > 0:
+        return False
+    print(f"error: --lease must be positive, got {args.lease:g}")
+    return True
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if _bad_lease(args):
+        return 2
     from .distrib.coordinator import (
         DistributedSweepError,
         run_distributed_sweep,
@@ -494,7 +507,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     recipes = shard_points(specs, args.requests, args.seed)
     store = store_for(Path(args.results_dir))
-    stride = args.checkpoint_stride if args.checkpoint_stride > 0 else None
     workers = []
     try:
         if not args.distributed:
@@ -515,7 +527,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 workers.append(spawn(
                     worker_command(
                         queue_dir, Path(args.results_dir), args.lease,
-                        stride or 0,
                     ),
                     queue_dir / f"worker-{i}.log",
                 ))
@@ -533,7 +544,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     serial_grace_s=args.serial_grace,
                     speculate_after_s=args.speculate_after,
                     timeout_s=args.timeout,
-                    checkpoint_stride=stride,
                 )
             except DistributedSweepError as exc:
                 print(f"error: {exc}")
@@ -552,6 +562,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    if _bad_lease(args):
+        return 2
     from .distrib.queue import FileWorkQueue
     from .distrib.worker import install_shutdown_handler, run_worker
     from .results.store import store_for
@@ -562,14 +574,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
     )
     store = store_for(Path(args.results_dir))
-    stride = args.checkpoint_stride if args.checkpoint_stride > 0 else None
     stop_event = install_shutdown_handler()
     try:
         summary = run_worker(
             queue, store,
             max_tasks=args.max_tasks,
             idle_exit_s=args.idle_exit,
-            checkpoint_stride=stride,
             fault=args.fault,
             stop_event=stop_event,
         )
@@ -579,7 +589,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     print(f"worker {summary.owner}: {summary.executed} task(s) executed "
           f"({summary.deduplicated} deduplicated), "
           f"{summary.failed} failed"
-          + (f", {summary.released} released" if summary.released else "")
           + (" [graceful shutdown]" if summary.stopped else ""))
     return 1 if summary.failed else 0
 
@@ -588,6 +597,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if _bad_lease(args):
+        return 2
     import os
 
     from .security import faults
@@ -599,7 +610,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc.args[0]}")
             return 2
-    stride = args.checkpoint_stride if args.checkpoint_stride > 0 else None
     daemon = ServeDaemon(
         Path(args.results_dir),
         queue_dir=Path(args.queue_dir) if args.queue_dir else None,
@@ -611,7 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_watermark=args.queue_watermark,
         journal_watermark=args.journal_watermark,
         serial_grace_s=args.serial_grace,
-        checkpoint_stride=stride,
         log=print,
     )
     replayed = daemon.start()
@@ -996,10 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lease seconds before an unheartbeaten claim is reclaimed",
     )
     sweep_cmd.add_argument(
-        "--checkpoint-stride", type=int, default=50_000,
-        help="cycles between engine checkpoints (0 disables)",
-    )
-    sweep_cmd.add_argument(
         "--serial-grace", type=float, default=5.0,
         help="seconds with no task progress, while some worker is "
              "live, before the coordinator degrades to executing tasks "
@@ -1019,7 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd = sub.add_parser(
         "worker",
         help="distributed-sweep worker: claim leased tasks, simulate "
-             "with checkpoints, put result blobs into the store",
+             "them, put result blobs into the store",
     )
     worker_cmd.add_argument(
         "--queue-dir", required=True,
@@ -1036,10 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd.add_argument(
         "--max-attempts", type=int, default=4,
         help="failures/expiries before a task is poisoned",
-    )
-    worker_cmd.add_argument(
-        "--checkpoint-stride", type=int, default=50_000,
-        help="cycles between engine checkpoints (0 disables)",
     )
     worker_cmd.add_argument(
         "--max-tasks", type=int, default=None,
@@ -1128,10 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
              "live, before the daemon executes requests in-process "
              "(sticky degraded mode; with no live worker it degrades "
              "at once)",
-    )
-    serve_cmd.add_argument(
-        "--checkpoint-stride", type=int, default=50_000,
-        help="cycles between engine checkpoints (0 disables)",
     )
     serve_cmd.add_argument(
         "--drain-timeout", type=float, default=None,

@@ -9,9 +9,8 @@ many worker processes — on one host or many, sharing only a filesystem
   atomic-rename claims, leases with heartbeats, expiry reclaim with
   exponential backoff, and a poison list for tasks that keep failing.
 * :mod:`repro.distrib.worker` — the ``repro worker`` loop: claim,
-  simulate (checkpointing engine snapshots into the store at a cycle
-  stride so a reclaimed task resumes instead of restarting), ``put()``
-  the result blob, mark done.
+  simulate straight through (a reclaimed task re-runs from scratch),
+  ``put()`` the result blob, mark done.
 * :mod:`repro.distrib.coordinator` — shards a batch of scenario sweep
   points into recipe tasks, supervises leases (reclaim, speculation),
   degrades to in-process serial execution when the tasks stop making

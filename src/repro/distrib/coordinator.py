@@ -49,12 +49,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..results.store import ResultStore, content_key
 from ..sim.stats import SimResult
 from .queue import FileWorkQueue, Task
-from .worker import (
-    DEFAULT_CHECKPOINT_STRIDE,
-    execute_claimed_task,
-    execute_recipe,
-    sweep_task_recipe,
-)
+from .worker import execute_claimed_task, execute_recipe, sweep_task_recipe
 
 
 class DistributedSweepError(RuntimeError):
@@ -157,7 +152,6 @@ def supervise(
     degraded: threading.Event,
     serial_grace_s: float,
     poll_s: float = 0.05,
-    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
     speculate_after_s: Optional[float] = None,
     timeout_s: Optional[float] = None,
 ) -> Tuple[List[Dict[str, Any]], int, int]:
@@ -248,10 +242,7 @@ def supervise(
                     break  # the rest wait out a retry backoff
                 claimable.discard(claimed.task_id)
                 try:
-                    execute_claimed_task(
-                        queue, store, claimed,
-                        checkpoint_stride=checkpoint_stride,
-                    )
+                    execute_claimed_task(queue, store, claimed)
                 except Exception:
                     queue.fail(
                         claimed.task_id, owner, traceback.format_exc()
@@ -271,7 +262,6 @@ def run_distributed_sweep(
     serial_grace_s: float = 5.0,
     speculate_after_s: Optional[float] = None,
     timeout_s: Optional[float] = None,
-    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
 ) -> SweepOutcome:
     """Submit task recipes and supervise until every one is terminal.
 
@@ -290,7 +280,6 @@ def run_distributed_sweep(
     payloads, reclaimed, speculated = supervise(
         queue, store, tasks, "coordinator-serial", degraded,
         serial_grace_s, poll_s=poll_s,
-        checkpoint_stride=checkpoint_stride,
         speculate_after_s=speculate_after_s, timeout_s=timeout_s,
     )
     task_ids = [task.task_id for task in tasks]

@@ -387,7 +387,7 @@ class FileWorkQueue:
 
         ``done`` is written *before* the claim is released so a crash
         between the two steps still reads as done.  If another
-        execution (a speculated copy, a resumed retry) finished first,
+        execution (a speculated copy, a reclaimed retry) finished first,
         the existing record wins and this call is a no-op — the result
         blob is byte-identical either way.
         """
@@ -445,39 +445,6 @@ class FileWorkQueue:
         except OSError:
             return "lost"
         return "pending"
-
-    def release(
-        self, task_id: str, owner: str, now: Optional[float] = None
-    ) -> bool:
-        """Hand a live claim back to ``pending`` with no penalty.
-
-        The graceful-shutdown transition: a worker that received
-        SIGTERM mid-task finishes its current checkpoint stride and
-        *releases* — unlike :meth:`fail` or an expiry reclaim, the
-        attempt that was underway is uncounted (claiming bumped
-        ``attempts``; releasing decrements it back) and there is no
-        backoff, so the next worker picks the task up immediately and
-        resumes from the released worker's checkpoint.  Returns False
-        when this owner no longer holds the claim.
-        """
-        if now is None:
-            now = time.time()
-        claimed_path = self._path("claimed", task_id)
-        lease = _read_json(claimed_path)
-        if lease is None or lease.get("owner") != owner:
-            return False
-        # Same single-visible-transition discipline as fail(): the
-        # pending state lands in the claim file before the rename.
-        atomic_write_json(claimed_path, {
-            "attempts": max(0, int(lease.get("attempts", 1)) - 1),
-            "not_before": now,
-            "released_by": owner,
-        })
-        try:
-            os.rename(claimed_path, self._path("pending", task_id))
-        except OSError:
-            return False
-        return True
 
     def _quarantine(
         self,

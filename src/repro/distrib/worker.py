@@ -1,40 +1,31 @@
-"""The ``repro worker`` loop: claim, simulate, checkpoint, put, done.
+"""The ``repro worker`` loop: claim, simulate, put, done.
 
 A worker owns no state the queue and store do not hold: its task is an
-immutable recipe, its progress is a checkpoint blob in the store, its
-lease is a file in the queue.  Killing a worker at any instant
-therefore loses nothing — the lease expires, the task is reclaimed,
-and the next worker resumes from the last checkpoint (or from scratch)
-to produce the byte-identical result blob.
+immutable recipe and its lease is a file in the queue.  Killing a
+worker at any instant therefore loses nothing but time — the lease
+expires, the task is reclaimed, and the next worker re-runs it from
+scratch to the byte-identical result blob.
 
 Execution of one claimed task:
 
 1. Rebuild the simulator from the task recipe
    (:func:`~repro.scenarios.spec.spec_from_recipe` + the one simulator
    builder, :func:`repro.sim.system.build_simulator` — bit-identical
-   construction is what makes checkpoints and dedup sound).
-2. If the store holds a checkpoint for this task (a previous owner died
-   mid-run), restore it and continue from its cycle.
-3. Run in ``checkpoint_stride``-cycle strides, snapshotting the engine
-   into the store after each stride (one blob per task, overwritten in
-   place) while a daemon thread heartbeats the lease.
-4. ``put()`` the result under the task recipe — the result blob's
-   content key *is* the task id — then drop the checkpoint's index
-   alias (the superseded blob becomes ordinary garbage for ``gc``) and
-   mark the task done.
+   construction is what makes content-key dedup sound).
+2. Run it straight through while a daemon thread heartbeats the lease.
+3. ``put()`` the result under the task recipe — the result blob's
+   content key *is* the task id — and mark the task done.
 
 Process-layer chaos faults (:mod:`repro.security.faults`) hook the
-protocol-critical instants: death right after the first checkpoint
-(``worker-kill-mid-task``), death inside the result blob's atomic
-write (``worker-kill-mid-put``), and a heartbeat that silently stops
-refreshing the lease (``worker-freeze-heartbeat``).
+protocol-critical instants: death mid-simulation at
+:data:`KILL_MID_TASK_CYCLE` (``worker-kill-mid-task``), death inside the
+result blob's atomic write (``worker-kill-mid-put``), and a heartbeat
+that silently stops refreshing the lease (``worker-freeze-heartbeat``).
 """
 
 from __future__ import annotations
 
-import base64
 import os
-import pickle
 import signal
 import threading
 import time
@@ -54,12 +45,11 @@ from .queue import ClaimedTask, FileWorkQueue, worker_identity
 #: Recipe ``kind`` tags this layer owns (the store's no-collision
 #: contract: payload shape is a function of the kind).
 TASK_KIND = "sweep-task"
-CHECKPOINT_KIND = "sweep-checkpoint"
 
-#: Default cycles between engine checkpoints.  Small enough that a
-#: reclaimed mid-run task skips most of its work on resume, large
-#: enough that snapshot pickling stays invisible next to simulation.
-DEFAULT_CHECKPOINT_STRIDE = 50_000
+#: The simulated cycle at which ``worker-kill-mid-task`` dies.  A task
+#: that finishes before it (most tasks of 2000 requests per core or
+#: fewer) runs to completion, so the fault never fires.
+KILL_MID_TASK_CYCLE = 300_000
 
 #: Distinctive exit codes so the chaos harness (and a puzzled operator)
 #: can tell an injected death from a real crash.
@@ -73,9 +63,8 @@ def install_shutdown_handler(
     """SIGTERM/SIGINT set a stop event instead of killing the worker.
 
     The graceful half of the worker's crash story: a *terminated*
-    worker (deploy rollover, scale-down) finishes its current
-    checkpoint stride, releases its claim back to ``pending`` with no
-    attempt penalty, and exits 0 — only a SIGKILL leaves a lease to
+    worker (deploy rollover, scale-down) finishes and completes its
+    current task, then exits 0 — only a SIGKILL leaves a lease to
     expire.  Must be called from the main thread (a signal-module
     constraint); the CLI entry point does.
     """
@@ -109,16 +98,6 @@ def sweep_task_recipe(
     }
 
 
-def checkpoint_recipe(task_id: str) -> Dict[str, Any]:
-    """The store recipe of a task's (single, overwritten) checkpoint."""
-    return {"kind": CHECKPOINT_KIND, "task_id": task_id}
-
-
-def checkpoint_alias(task_id: str) -> str:
-    """The index alias keeping a task's checkpoint alive until done."""
-    return f"checkpoint/{task_id}"
-
-
 def result_alias(task_id: str) -> str:
     """The index alias under which a finished task's result is found."""
     return f"sweep/{task_id}"
@@ -130,7 +109,7 @@ def build_simulator(recipe: Dict[str, Any]) -> SystemSimulator:
     The recipe adapter over :func:`repro.sim.system.build_simulator`:
     the same compiled-trace caches and seeds as every in-process run,
     so a worker-built simulator is bit-identical to a serial one — the
-    precondition for both checkpoint restore and content-key dedup.
+    precondition for content-key dedup.
     """
     spec = spec_from_recipe(recipe["scenario"])
     return sim_system.build_simulator(
@@ -158,43 +137,6 @@ def execute_recipe(
             kind=TASK_KIND, meta={"owner": owner},
         ))
     return payload
-
-
-def _encode_snapshot(snap) -> str:
-    """Engine snapshot → JSON-safe text (pickle inside base64)."""
-    return base64.b64encode(
-        pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def _decode_snapshot(text: str):
-    """Inverse of :func:`_encode_snapshot`; None on any corruption."""
-    try:
-        return pickle.loads(base64.b64decode(text.encode("ascii")))
-    except Exception:
-        return None
-
-
-def _try_resume(
-    store: ResultStore, task_id: str, sim: SystemSimulator
-) -> Optional[int]:
-    """Restore a stored checkpoint into ``sim``; returns its cycle.
-
-    Any defect — missing blob, torn pickle, engine or topology
-    mismatch — falls back to from-scratch execution (returns None).
-    A checkpoint is an optimization, never a correctness dependency.
-    """
-    payload = store.fetch(checkpoint_recipe(task_id))
-    if not isinstance(payload, dict):
-        return None
-    snap = _decode_snapshot(payload.get("snapshot_b64", ""))
-    if snap is None:
-        return None
-    try:
-        sim.restore(snap)
-    except Exception:
-        return None
-    return int(payload.get("cycle", sim.now))
 
 
 def _heartbeat_interval(queue: FileWorkQueue) -> float:
@@ -275,8 +217,6 @@ class TaskExecution:
     task_id: str
     result_key: str
     first_writer: bool            # False: an identical blob already existed
-    resumed_from_cycle: Optional[int]
-    checkpoints_written: int
     elapsed_cycles: int
 
 
@@ -284,22 +224,13 @@ def execute_claimed_task(
     queue: FileWorkQueue,
     store: ResultStore,
     claimed: ClaimedTask,
-    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
     heartbeat_interval_s: Optional[float] = None,
-    stop_event: Optional[threading.Event] = None,
     presence: Optional[_Presence] = None,
-) -> Optional[TaskExecution]:
+) -> TaskExecution:
     """Run one claimed task to completion and mark it done.
 
     Raises on simulation failure (the caller translates that into
-    ``queue.fail`` with the traceback).  ``checkpoint_stride=None``
-    disables checkpointing (pure from-scratch execution).
-
-    A set ``stop_event`` (graceful shutdown) is honored at stride
-    boundaries: the just-written checkpoint makes the work-so-far
-    durable, the claim is *released* back to pending with no attempt
-    penalty (:meth:`FileWorkQueue.release`), and None is returned —
-    the next claimant resumes from that checkpoint.
+    ``queue.fail`` with the traceback).
 
     ``presence`` (set by :func:`run_worker` only; supervisors executing
     in-process have none) is refreshed with every lease heartbeat.
@@ -316,42 +247,10 @@ def execute_claimed_task(
     heartbeat.start()
     try:
         sim = build_simulator(recipe)
-        resumed_from = None
-        if checkpoint_stride:
-            resumed_from = _try_resume(store, task.task_id, sim)
-        checkpoints = 0
-        if checkpoint_stride:
-            target = sim.now + checkpoint_stride
-            while not sim.run_until(target):
-                snap = sim.snapshot()
-                with_lock_retry(lambda: store.put(
-                    checkpoint_recipe(task.task_id),
-                    {
-                        "task_id": task.task_id,
-                        "cycle": sim.now,
-                        "engine": snap.engine,
-                        "snapshot_b64": _encode_snapshot(snap),
-                    },
-                    name=checkpoint_alias(task.task_id),
-                    kind=CHECKPOINT_KIND,
-                    meta={"cycle": sim.now, "owner": claimed.owner},
-                    overwrite=True,
-                ))
-                checkpoints += 1
-                if (
-                    checkpoints == 1
-                    and faults.fault_active("worker-kill-mid-task")
-                ):
-                    os._exit(KILL_MID_TASK_EXIT)
-                if stop_event is not None and stop_event.is_set():
-                    # Graceful shutdown: the checkpoint just written
-                    # is the hand-off point.  Release, don't fail.
-                    queue.release(task.task_id, claimed.owner)
-                    return None
-                target += checkpoint_stride
-        else:
-            sim.run_until(None)
-        result: SimResult = sim.finish()
+        if faults.fault_active("worker-kill-mid-task"):
+            if not sim.run_until(KILL_MID_TASK_CYCLE):
+                os._exit(KILL_MID_TASK_EXIT)
+        result: SimResult = sim.run()
 
         if faults.fault_active("worker-kill-mid-put"):
             store_mod._CRASH_AFTER_TMP_WRITE = (
@@ -367,17 +266,11 @@ def execute_claimed_task(
             ))
         finally:
             store_mod._CRASH_AFTER_TMP_WRITE = None
-        if checkpoint_stride:
-            # Retire the checkpoint: its blob becomes unreferenced
-            # garbage that the next `repro results gc` collects.
-            store.unalias(checkpoint_alias(task.task_id))
         queue.complete(task.task_id, claimed.owner, result_key)
         return TaskExecution(
             task_id=task.task_id,
             result_key=result_key,
             first_writer=created,
-            resumed_from_cycle=resumed_from,
-            checkpoints_written=checkpoints,
             elapsed_cycles=result.elapsed_cycles,
         )
     finally:
@@ -393,7 +286,6 @@ class WorkerSummary:
     executed: int = 0
     failed: int = 0
     deduplicated: int = 0
-    released: int = 0             # claims handed back on graceful stop
     stopped: bool = False         # exited via SIGTERM/SIGINT
 
 
@@ -404,7 +296,6 @@ def run_worker(
     max_tasks: Optional[int] = None,
     idle_exit_s: float = 10.0,
     poll_s: float = 0.05,
-    checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
     fault: Optional[str] = None,
     stop_event: Optional[threading.Event] = None,
 ) -> WorkerSummary:
@@ -415,8 +306,8 @@ def run_worker(
     supervising.  Exits when every submitted task is terminal, after
     ``idle_exit_s`` without finding work, after ``max_tasks``
     executions, or — gracefully — when ``stop_event`` is set (SIGTERM
-    via :func:`install_shutdown_handler`): the in-flight task finishes
-    its checkpoint stride, its claim is released penalty-free, and the
+    via :func:`install_shutdown_handler`): the in-flight task runs to
+    completion and is marked done, no new task is claimed, and the
     summary reports ``stopped``.  ``fault`` injects one named chaos
     fault process-wide before the first claim (the ``repro worker
     --fault`` path).
@@ -454,10 +345,7 @@ def run_worker(
             last_work = time.monotonic()
             try:
                 execution = execute_claimed_task(
-                    queue, store, claimed,
-                    checkpoint_stride=checkpoint_stride,
-                    stop_event=stop_event,
-                    presence=presence,
+                    queue, store, claimed, presence=presence,
                 )
             except Exception:
                 summary.failed += 1
@@ -465,11 +353,6 @@ def run_worker(
                     claimed.task_id, owner, traceback.format_exc()
                 )
                 continue
-            if execution is None:
-                # Graceful stop mid-task: claim already released.
-                summary.released += 1
-                summary.stopped = True
-                break
             summary.executed += 1
             if not execution.first_writer:
                 summary.deduplicated += 1

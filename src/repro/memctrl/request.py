@@ -7,9 +7,7 @@ most-significant first as ``row | core_id | is_write``::
 
 The controller reads exactly these three fields; the channel and bank
 are implied by the queue the request sits in.  Building the int costs
-two shifts and two ORs on the issue path and allocates no object;
-ints are also immutable, so engine snapshots share them instead of
-copying.
+two shifts and two ORs on the issue path and allocates no object.
 
 :data:`CORE_ID_BITS` is the width of the core-id field.  The fast
 engine's event payload (``repro.sim.system``) is the same width, and

@@ -33,8 +33,9 @@ Crash debris is handled by :meth:`ResultStore.sweep_stale_tmp` (a
 writer killed between the temp write and the rename leaves a ``*.tmp``
 file behind forever — swept on the first write through a store instance
 and by ``gc``) and :meth:`ResultStore.gc` (blobs no index entry or
-indexed payload references — e.g. superseded checkpoint blobs from
-retried distributed tasks — are deleted under the index lock, sparing
+indexed payload references — e.g. result blobs whose alias history
+was pruned with :meth:`ResultStore.unalias` — are deleted under the
+index lock, sparing
 blobs younger than a grace age whose alias may still be in flight;
 ``dry_run`` only reports the reclaimable bytes).
 """
@@ -430,10 +431,7 @@ class ResultStore:
         """Drop every index entry for ``name``; returns how many.
 
         The blob(s) stay on disk — they merely become unreferenced, so
-        the next :meth:`gc` collects them.  This is how a distributed
-        worker retires a task's checkpoint alias once the final result
-        has landed: the superseded checkpoint blob turns into ordinary
-        garbage instead of accumulating forever.
+        the next :meth:`gc` collects them.
         """
         with self._index_lock():
             index = self._load_index()
@@ -594,9 +592,9 @@ class ResultStore:
         Returns a :class:`GCReport`; with ``dry_run`` nothing is
         removed and the report shows what *would* be reclaimed.  Every
         index-referenced artifact (directly, or via a ``*_key`` payload
-        reference) survives.  Typical garbage: checkpoint blobs whose
-        alias a completing distributed task dropped, and result blobs
-        whose alias history was pruned with :meth:`unalias`.
+        reference) survives.  Typical garbage: result blobs whose alias
+        history was pruned with :meth:`unalias`, and blobs a writer
+        killed between the blob write and the alias write left behind.
 
         Safe next to live writers: the index lock is held across the
         reference scan and the deletions, so no alias can land between

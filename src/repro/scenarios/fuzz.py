@@ -17,8 +17,8 @@ topology), simplify attacker sources (phased → first phase, extra rows
 and tuned parameters → defaults), and clamp banks/channels — keeping
 each reduction only if the exact failure signature (the sorted set of
 violated invariant names) still reproduces.  Divergence failures are
-additionally bisected to the first checkpoint window where the engines'
-:func:`~repro.sim.snapshot.state_fingerprint` disagree.
+additionally bisected to the first stepped-run window where the
+engines' :func:`state_fingerprint` values disagree.
 
 The shrunk reproducer lands in the content-addressed
 :class:`~repro.results.store.ResultStore` keyed by its explicit recipe
@@ -44,7 +44,6 @@ from ..results.store import ResultStore
 from ..security import faults
 from ..security.invariants import monitored_run
 from ..sim.config import DefenseConfig, SystemConfig
-from ..sim.snapshot import state_fingerprint
 from ..sim.system import build_simulator
 from ..workloads.sources import (
     ATTACK_PATTERNS,
@@ -418,19 +417,69 @@ def check_scenario(
     )
 
 
+_COUNT_FIELDS = (
+    "demand_acts",
+    "mitigative_acts",
+    "precharges",
+    "reads",
+    "writes",
+    "refreshes",
+    "rfms",
+)
+
+_STAT_FIELDS = ("row_hits", "row_misses", "row_conflicts",
+                "rfm_mitigations", "tmro_closures")
+
+
+def state_fingerprint(sim) -> tuple:
+    """Cheap engine-independent digest of observable run state.
+
+    Used by :func:`bisect_divergence` to localize *where* two engines'
+    runs first disagree: at any stop cycle up to which both engines
+    have processed every event, the fingerprints should match.
+    Deliberately excludes the event heap, sequence counter and bank
+    wakeup cache — those are engine-internal representation, not
+    observable behavior.
+    """
+    controllers = []
+    for controller in sim.controllers:
+        counts = controller.counts
+        controllers.append((
+            tuple(getattr(counts, f) for f in _COUNT_FIELDS),
+            tuple(getattr(controller, f) for f in _STAT_FIELDS),
+            tuple(sorted(controller.core_demand_acts.items())),
+            tuple(
+                (bank.open_row, bank.act_cycle) for bank in controller.banks
+            ),
+            tuple(
+                (book.pending_mitigations, book.acts_since_rfm,
+                 len(book.queue))
+                for book in controller.state
+            ),
+        ))
+    return (
+        tuple(
+            (core.index, core.outstanding, core.retired)
+            for core in sim.cores
+        ),
+        tuple(controllers),
+    )
+
+
 def bisect_divergence(
     spec: ScenarioSpec,
     n_requests: int = DEFAULT_FUZZ_REQUESTS,
     seed: int = 0,
     stride: int = 2_000,
 ) -> Optional[Tuple[int, int]]:
-    """The first checkpoint window where the engines' state diverges.
+    """The first stepped-run window where the engines' state diverges.
 
     Steps both engines in ``stride``-cycle lockstep and compares
-    :func:`~repro.sim.snapshot.state_fingerprint` at every stop — the
-    checkpoint contract makes the fingerprints total, so the returned
-    ``(clean_cycle, divergent_cycle)`` window bounds the first
-    mismatched event.  None when the engines agree end to end.
+    :func:`state_fingerprint` at every stop — the stepped-run contract
+    (``run_until`` is a prefix of the straight run) makes the
+    fingerprints total, so the returned ``(clean_cycle,
+    divergent_cycle)`` window bounds the first mismatched event.
+    None when the engines agree end to end.
     """
     fast, reference = (
         build_simulator(

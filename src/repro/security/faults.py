@@ -30,9 +30,11 @@ chaos harness injects them into *worker processes* (``repro worker
 bit-identical to a serial run:
 
 ``worker-kill-mid-task``
-    The worker ``os._exit``\\ s right after writing its first engine
-    checkpoint — a SIGKILL-equivalent death mid-simulation, leaving an
-    expired-lease claim and a resumable checkpoint blob behind.
+    The worker ``os._exit``\\ s once its simulation reaches
+    :data:`~repro.distrib.worker.KILL_MID_TASK_CYCLE` — a
+    SIGKILL-equivalent death mid-simulation, leaving an expired-lease
+    claim behind for another worker to re-run from scratch.  A task
+    that finishes before that cycle never triggers it.
 
 ``worker-kill-mid-put``
     The worker dies *inside* the result store's atomic write, between
@@ -64,7 +66,7 @@ from typing import Iterator
 KNOWN_FAULTS = {
     "lax-tmro": "express_tmro_cycles returns 4x the configured tMRO",
     "worker-kill-mid-task":
-        "worker process dies right after its first checkpoint write",
+        "worker process dies mid-simulation, at a fixed cycle",
     "worker-kill-mid-put":
         "worker dies between the result blob's temp write and rename",
     "worker-freeze-heartbeat":

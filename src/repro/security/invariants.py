@@ -41,8 +41,8 @@ Invariants checked:
     forward: ``next_due`` and the issued count never decrease.
 
 Violations carry the simulated cycle and the cycle of the nearest
-checkpoint at or before them, so a failure can be replayed from the
-checkpoint's snapshot rather than from cycle zero.
+checkpoint at or before them, which brackets where in the run the
+breach happened.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class InvariantMonitor:
 
     Construct, then :meth:`attach` to a simulator *before* (or between)
     ``run_until`` steps.  Call :meth:`checkpoint` periodically — it
-    snapshots the engine, polls the checkpoint-scoped invariants and
-    gives subsequent violations a replay anchor.  Detached simulators
+    polls the checkpoint-scoped invariants and stamps subsequent
+    violations with its cycle.  Detached simulators
     pay nothing: the bank hooks and kernel wrappers only exist once a
     monitor attaches.
     """
@@ -113,16 +113,13 @@ class InvariantMonitor:
     def __init__(
         self,
         tmro_slack_cycles: int = DEFAULT_TMRO_SLACK_CYCLES,
-        keep_snapshots: bool = True,
         max_violations: int = 64,
     ) -> None:
         self.tmro_slack_cycles = tmro_slack_cycles
-        self.keep_snapshots = keep_snapshots
         self.max_violations = max_violations
         self.violations: List[Violation] = []
         self.closures_checked = 0
         self.last_checkpoint_cycle = -1
-        self.last_checkpoint_snapshot = None
         self._sim = None
         self._ledgers: List[_ControllerLedger] = []
         self._refresh_marks: List[List[tuple]] = []
@@ -272,12 +269,11 @@ class InvariantMonitor:
 
     # -- checkpoint-scoped checks ----------------------------------------
 
-    def checkpoint(self):
-        """Poll the run-global invariants and anchor a replay point.
+    def checkpoint(self) -> None:
+        """Poll the run-global invariants and record the stop cycle.
 
-        Returns the engine snapshot when ``keep_snapshots`` is set
-        (else None).  Safe to call at any stop point, including before
-        the first event and after completion.
+        Safe to call at any stop point, including before the first
+        event and after completion.
         """
         if self._sim is None:
             raise RuntimeError("monitor is not attached")
@@ -315,10 +311,6 @@ class InvariantMonitor:
                     )
                 marks[bank_id] = (sched._next_due, sched._issued)
         self.last_checkpoint_cycle = cycle
-        if self.keep_snapshots:
-            self.last_checkpoint_snapshot = sim.snapshot()
-            return self.last_checkpoint_snapshot
-        return None
 
     # -- results -----------------------------------------------------------
 
@@ -343,7 +335,7 @@ def monitored_run(
     Returns ``(result, monitor)``.  The run is stepped ``run_until`` in
     ``checkpoint_cycles`` strides with :meth:`InvariantMonitor.checkpoint`
     between strides — identical simulation behavior to a straight
-    ``run()`` (pinned by the checkpoint tests), plus replay anchors.
+    ``run()`` (pinned by ``tests/test_run_until.py``).
     """
     if monitor is None:
         monitor = InvariantMonitor()

@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..distrib.coordinator import supervise
 from ..distrib.queue import FileWorkQueue, worker_identity
-from ..distrib.worker import DEFAULT_CHECKPOINT_STRIDE
 from ..results.store import ResultStore, content_key
 from ..security import faults
 from .journal import RequestJournal
@@ -131,7 +130,6 @@ class RequestEngine:
         serial_grace_s: float = 2.0,
         poll_s: float = 0.05,
         retry_after_s: float = DEFAULT_RETRY_AFTER_S,
-        checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
         owner: Optional[str] = None,
     ) -> None:
         self.store = store
@@ -144,7 +142,6 @@ class RequestEngine:
         self.serial_grace_s = serial_grace_s
         self.poll_s = poll_s
         self.retry_after_s = retry_after_s
-        self.checkpoint_stride = checkpoint_stride
         self.owner = owner or f"serve:{worker_identity()}"
         self.stats = ServeStats()
         #: Sticky and engine-wide: set once any request degrades.
@@ -385,7 +382,6 @@ class RequestEngine:
             payloads, _reclaimed, _speculated = supervise(
                 self.queue, self.store, [task], self.owner, self.degraded,
                 self.serial_grace_s, poll_s=self.poll_s,
-                checkpoint_stride=self.checkpoint_stride,
             )
             entry.payload = payloads[0]
             # The result blob is durable; only now may the journal

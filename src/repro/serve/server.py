@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..distrib.queue import FileWorkQueue
-from ..distrib.worker import DEFAULT_CHECKPOINT_STRIDE, sweep_task_recipe
+from ..distrib.worker import sweep_task_recipe
 from ..results.store import store_for
 from .engine import RequestEngine, RequestFailed, RequestShed
 from .journal import RequestJournal
@@ -83,7 +83,6 @@ class ServeDaemon:
         queue_watermark: int = 256,
         journal_watermark: int = 64,
         serial_grace_s: float = 2.0,
-        checkpoint_stride: Optional[int] = DEFAULT_CHECKPOINT_STRIDE,
         log=None,
     ) -> None:
         self.results_dir = Path(results_dir)
@@ -105,7 +104,6 @@ class ServeDaemon:
             queue_watermark=queue_watermark,
             journal_watermark=journal_watermark,
             serial_grace_s=serial_grace_s,
-            checkpoint_stride=checkpoint_stride,
         )
         self.httpd: Optional[ThreadingHTTPServer] = None
         self._shutdown_lock = threading.Lock()

@@ -93,8 +93,7 @@ class ReferenceSimulator:
             for i, trace in enumerate(traces)
         ]
         self._heap: List = []
-        # A plain int (not itertools.count) so it can be checkpointed;
-        # only the relative order of sequence numbers matters.
+        # Only the relative order of sequence numbers matters.
         self._seq = 0
         self._now = 0
         self._started = False
@@ -237,20 +236,6 @@ class ReferenceSimulator:
         for controller in self.controllers:
             controller.flush_open_rows(end_cycle + 1)
         return self._collect(end_cycle)
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self):
-        """Full mutable run state; see :mod:`repro.sim.snapshot`."""
-        from .snapshot import capture
-
-        return capture(self)
-
-    def restore(self, snap) -> None:
-        """Restore a :meth:`snapshot` into this (identically built) run."""
-        from .snapshot import restore
-
-        restore(self, snap)
 
     def _collect(self, end_cycle: int) -> SimResult:
         counts = CommandCounts()

@@ -176,8 +176,7 @@ class SystemSimulator:
         self._bank_ctrls = [c for c in self.controllers for _ in range(per)]
         self._local_banks = list(range(per)) * system.channels
         self._books = [book for c in self.controllers for book in c.state]
-        #: Per-core compiled arrays for the issue path.  Built here, not
-        #: at first run, so a restore into a fresh simulator finds them.
+        #: Per-core compiled arrays for the issue path.
         self._issue_arrays = [
             (entry.rows, entry.flat_banks, entry.is_write, entry.gaps,
              entry.length)
@@ -290,8 +289,8 @@ class SystemSimulator:
         finished (all requests issued and retired).  The loop is exactly
         the original ``run`` loop plus one int comparison against the
         pre-packed stop threshold, so behavior at any stop point is a
-        prefix of the straight run — which is what makes checkpoints and
-        divergence bisection bit-faithful.
+        prefix of the straight run — which is what makes stepped runs
+        (the invariant monitor) and divergence bisection bit-faithful.
         """
         if not self._started:
             self._prime()
@@ -388,20 +387,6 @@ class SystemSimulator:
         for controller in self.controllers:
             controller.flush_open_rows(end_cycle + 1)
         return self._collect(end_cycle)
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self):
-        """Full mutable run state; see :mod:`repro.sim.snapshot`."""
-        from .snapshot import capture
-
-        return capture(self)
-
-    def restore(self, snap) -> None:
-        """Restore a :meth:`snapshot` into this (identically built) run."""
-        from .snapshot import restore
-
-        restore(self, snap)
 
     def _collect(self, end_cycle: int) -> SimResult:
         counts = CommandCounts()

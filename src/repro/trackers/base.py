@@ -82,32 +82,6 @@ class Tracker(abc.ABC):
         """
         return None
 
-    # -- checkpointing (engine snapshot/restore) ------------------------
-
-    def snapshot(self) -> object:
-        """Opaque copy of all mutable tracking state.
-
-        Restoring it with :meth:`restore` must reproduce the tracker's
-        behavior bit for bit, including any RNG stream.  The value is
-        treated as immutable by callers; every concrete tracker returns
-        copies of its containers, never the live objects.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    def restore(self, state: object) -> None:
-        """Write a :meth:`snapshot` value back into the live tracker.
-
-        Containers are mutated *in place* (``clear`` + ``update``), not
-        rebound: kernel closures built at construction may have captured
-        references to them, and rebinding would silently split the
-        state the kernels mutate from the state the tracker reads.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
 
 @dataclass(slots=True)
 class AccountingTracker(Tracker):
@@ -150,17 +124,6 @@ class AccountingTracker(Tracker):
     def recorded_for(self, row: int) -> float:
         """Charge-accounting total the defense has credited to ``row``."""
         return self.recorded.get(row, 0.0)
-
-    def snapshot(self) -> object:
-        """Copy of the per-row accounting table and the running total."""
-        return (dict(self.recorded), self.total)
-
-    def restore(self, state: object) -> None:
-        """In-place restore (``raw_kernel`` closures captured the dict)."""
-        recorded, total = state
-        self.recorded.clear()
-        self.recorded.update(recorded)
-        self.total = total
 
     def reset(self) -> None:
         """Forget all per-row accounting (refresh-window boundary)."""

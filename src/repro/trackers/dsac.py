@@ -148,18 +148,3 @@ class DsacLikeTracker(Tracker):
     def reset(self) -> None:
         """Clear the counter table (refresh-window boundary)."""
         self._table.clear()
-
-    def snapshot(self) -> object:
-        """Copy of the counter table and the mitigation count.
-
-        The dict copy preserves insertion order, which matters here:
-        eviction tie-breaks on first-minimum, i.e. insertion order.
-        """
-        return (dict(self._table), self.mitigations)
-
-    def restore(self, state: object) -> None:
-        """In-place restore of a :meth:`snapshot` value."""
-        table, mitigations = state
-        self._table.clear()
-        self._table.update(table)
-        self.mitigations = mitigations

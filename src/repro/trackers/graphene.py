@@ -187,20 +187,6 @@ class GrapheneTracker(Tracker):
         self._heap.clear()
         self._spill = 0
 
-    def snapshot(self) -> object:
-        """Copy of the table, spillover, swap heap and mitigation count."""
-        return (dict(self._table), self._spill, list(self._heap),
-                self.mitigations)
-
-    def restore(self, state: object) -> None:
-        """In-place restore of a :meth:`snapshot` value."""
-        table, spill, heap, mitigations = state
-        self._table.clear()
-        self._table.update(table)
-        self._heap[:] = heap
-        self._spill = spill
-        self.mitigations = mitigations
-
     def tracked_rows(self) -> List[int]:
         """Rows currently holding a Misra-Gries table entry."""
         return list(self._table)

@@ -150,20 +150,6 @@ class MintTracker(Tracker):
             self.mitigations += 1
         return victim_source
 
-    def snapshot(self) -> object:
-        """The three registers, the count and the RNG stream position."""
-        return (self._can, self._san, self._sar, self.mitigations,
-                self.rng.getstate())
-
-    def restore(self, state: object) -> None:
-        """Rewind registers and RNG to a :meth:`snapshot` value."""
-        can, san, sar, mitigations, rng_state = state
-        self._can = can
-        self._san = san
-        self._sar = sar
-        self.mitigations = mitigations
-        self.rng.setstate(rng_state)
-
     def reset(self) -> None:
         """Clear CAN/SAR and redraw SAN (refresh-window boundary)."""
         self._can = 0

@@ -182,18 +182,3 @@ class MithrilTracker(Tracker):
         self._heap.clear()
         self._min_heap.clear()
         self._spill = 0
-
-    def snapshot(self) -> object:
-        """Copy of the table, spillover, both heaps and the count."""
-        return (dict(self._table), self._spill, list(self._heap),
-                list(self._min_heap), self.mitigations)
-
-    def restore(self, state: object) -> None:
-        """In-place restore of a :meth:`snapshot` value."""
-        table, spill, heap, min_heap, mitigations = state
-        self._table.clear()
-        self._table.update(table)
-        self._heap[:] = heap
-        self._min_heap[:] = min_heap
-        self._spill = spill
-        self.mitigations = mitigations

@@ -114,15 +114,5 @@ class ParaTracker(Tracker):
 
         return _kernel
 
-    def snapshot(self) -> object:
-        """The RNG stream position and the mitigation count."""
-        return (self.rng.getstate(), self.mitigations)
-
-    def restore(self, state: object) -> None:
-        """Rewind the RNG and the count to a :meth:`snapshot` value."""
-        rng_state, mitigations = state
-        self.rng.setstate(rng_state)
-        self.mitigations = mitigations
-
     def reset(self) -> None:
         """PARA keeps no state."""

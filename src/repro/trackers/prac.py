@@ -118,17 +118,6 @@ class PracTracker(Tracker):
         """Zero every per-row counter (refresh-window boundary)."""
         self._counters.clear()
 
-    def snapshot(self) -> object:
-        """Copy of the per-row counters and the alert count."""
-        return (dict(self._counters), self.alerts)
-
-    def restore(self, state: object) -> None:
-        """In-place restore of a :meth:`snapshot` value."""
-        counters, alerts = state
-        self._counters.clear()
-        self._counters.update(counters)
-        self.alerts = alerts
-
     def storage_bits_per_row(self, max_count: float | None = None) -> int:
         """Counter width per row (the DRAM-array cost of PRAC).
 

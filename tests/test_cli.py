@@ -345,3 +345,43 @@ class TestServeParsers:
         assert main(["request", "benign_add_copy",
                      "--results-dir", str(tmp_path)]) == 2
         assert "repro serve" in capsys.readouterr().out
+
+
+class TestLeaseValidation:
+    """A lease <= 0 expires every claim as soon as it is made."""
+
+    @staticmethod
+    def assert_rejected(capsys, argv):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith("error: --lease must be positive")
+
+    @pytest.mark.parametrize("lease", ["0", "-1.5"])
+    def test_sweep_rejects(self, capsys, tmp_path, lease):
+        self.assert_rejected(capsys, [
+            "sweep", "benign_mcf", "colocated_hammer_mcf",
+            "--requests", "2000", "--distributed", "--spawn-workers", "1",
+            "--lease", lease, "--results-dir", str(tmp_path),
+        ])
+        assert not (tmp_path / "queue").exists()   # nothing spawned
+
+    @pytest.mark.parametrize("lease", ["0", "-1.5"])
+    def test_worker_rejects(self, capsys, tmp_path, lease):
+        self.assert_rejected(capsys, [
+            "worker", "--queue-dir", str(tmp_path / "queue"),
+            "--results-dir", str(tmp_path), "--lease", lease,
+            "--idle-exit", "0",
+        ])
+
+    @pytest.mark.parametrize("lease", ["0", "-1.5"])
+    def test_serve_rejects(self, capsys, tmp_path, monkeypatch, lease):
+        import repro.serve.server as server_mod
+
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("a daemon was built")
+
+        monkeypatch.setattr(server_mod, "ServeDaemon", no_daemon)
+        self.assert_rejected(capsys, [
+            "serve", "--results-dir", str(tmp_path), "--lease", lease,
+        ])

@@ -33,7 +33,11 @@ from repro.chaos import (
 )
 from repro.distrib.coordinator import run_serial_sweep, shard_points
 from repro.distrib.queue import FileWorkQueue
-from repro.distrib.worker import KILL_MID_PUT_EXIT, KILL_MID_TASK_EXIT
+from repro.distrib.worker import (
+    KILL_MID_PUT_EXIT,
+    KILL_MID_TASK_CYCLE,
+    KILL_MID_TASK_EXIT,
+)
 from repro.results.store import store_for
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.config import SystemConfig
@@ -43,17 +47,16 @@ pytestmark = pytest.mark.slow
 #: Long enough that a 0.5s lease expires mid-simulation, short enough
 #: that the whole matrix stays in tens of seconds.
 CHAOS_REQUESTS = 60_000
-CHAOS_STRIDE = 300_000
 CHAOS_LEASE_S = 0.5
 
 
-def chaos_recipes():
+def chaos_recipes(n_requests=CHAOS_REQUESTS):
     system = SystemConfig(n_cores=2, banks_per_channel=8)
     specs = [
         ScenarioSpec.benign("mcf", system=system),
         ScenarioSpec.benign("add_copy", system=system),
     ]
-    return shard_points(specs, CHAOS_REQUESTS, 0)
+    return shard_points(specs, n_requests, 0)
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +67,13 @@ def serial_reference(tmp_path_factory):
     return store
 
 
-def run_case(tmp_path, serial_reference, fault, n_workers=2,
-             checkpoint_stride=CHAOS_STRIDE):
+def run_case(tmp_path, serial_reference, fault, n_workers=2):
     return run_chaos_case(
         tmp_path,
         chaos_recipes(),
         fault=fault,
         n_workers=n_workers,
         lease_s=CHAOS_LEASE_S,
-        checkpoint_stride=checkpoint_stride,
         timeout_s=300.0,
         serial_store=serial_reference,
     )
@@ -102,20 +103,23 @@ class TestChaosMatrix:
             tmp_path, serial_reference, "worker-kill-mid-task"
         )
         assert_byte_identical(report)
-        # The saboteur really died at its first checkpoint, leaving a
-        # resumable checkpoint plus an expired lease behind for the
-        # survivor; the verdict reads that off its exit code.
+        # The saboteur really died mid-simulation, leaving an expired
+        # lease behind for the survivor to re-run from scratch; the
+        # verdict reads that off its exit code.
         assert report.exit_codes[0] == KILL_MID_TASK_EXIT
         assert report.fault_fired
 
-    def test_fault_that_never_fires_fails_the_case(
-        self, tmp_path, serial_reference
-    ):
-        # A stride no task reaches means no checkpoint, so the
-        # kill-mid-task saboteur finishes normally: a vacuous run.
-        report = run_case(
-            tmp_path, serial_reference, "worker-kill-mid-task",
-            n_workers=1, checkpoint_stride=10**12,
+    def test_fault_that_never_fires_fails_the_case(self, tmp_path):
+        # Tasks that finish before the kill cycle never reach it, so
+        # the kill-mid-task saboteur finishes normally: a vacuous run.
+        report = run_chaos_case(
+            tmp_path, chaos_recipes(n_requests=2000),
+            fault="worker-kill-mid-task", n_workers=1,
+            lease_s=CHAOS_LEASE_S, timeout_s=300.0,
+        )
+        assert all(
+            result.elapsed_cycles < KILL_MID_TASK_CYCLE
+            for result in report.outcome.results
         )
         assert report.exit_codes == [0]
         assert not report.mismatched_keys
@@ -166,23 +170,19 @@ class TestChaosMatrix:
 
 
 class TestGracefulWorkerShutdown:
-    def test_sigterm_releases_claim_and_exits_zero(self, tmp_path):
-        """SIGTERM = deploy rollover: release penalty-free, exit 0."""
+    def test_sigterm_finishes_the_task_and_exits_zero(self, tmp_path):
+        """SIGTERM = deploy rollover: finish the task, then exit 0."""
         import signal
 
-        from repro.distrib.queue import FileWorkQueue, _read_json
-        from repro.distrib.worker import checkpoint_recipe
-
-        recipes = chaos_recipes()[:1]
         queue = FileWorkQueue(tmp_path / "queue", lease_s=30.0)
-        store = store_for(tmp_path)
-        task_id = queue.submit(recipes[0]).task_id
+        for recipe in chaos_recipes():
+            queue.submit(recipe)
         proc = spawn(
-            worker_command(tmp_path / "queue", tmp_path, 30.0, 100_000),
+            worker_command(tmp_path / "queue", tmp_path, 30.0),
             tmp_path / "worker.log",
         )
         try:
-            _, owner = wait_for_claim(queue, timeout_s=60.0)
+            task_id, owner = wait_for_claim(queue, timeout_s=60.0)
             assert [w["owner"] for w in queue.live_workers()] == [owner]
             proc.send_signal(signal.SIGTERM)
             assert reap(proc, 120.0) == 0
@@ -191,19 +191,15 @@ class TestGracefulWorkerShutdown:
         # The graceful exit retired the worker's presence record.
         assert queue.live_workers() == []
         assert not list((queue.root / "workers").glob("*.json"))
-        # The claim went back to pending with the attempt uncounted
-        # (not a lease expiry, not a failure) and the checkpoint is
-        # durable for the next claimant to resume from.
-        pending = _read_json(queue._path("pending", task_id))
-        assert pending is not None, "claim was not released to pending"
-        assert pending["attempts"] == 0
-        assert "released_by" in pending
-        assert queue.status().claimed == 0
-        checkpoint = store.fetch(checkpoint_recipe(task_id))
-        assert checkpoint is not None
+        # The task under way when the signal landed is done (its result
+        # blob stored), and the worker claimed nothing after it.
+        assert queue.done_record(task_id) is not None
+        assert store_for(tmp_path).get(task_id) is not None
+        status = queue.status()
+        assert (status.done, status.pending, status.claimed) == (1, 1, 0)
         log = (tmp_path / "worker.log").read_text()
-        assert "graceful shutdown" in log
-        assert "1 released" in log
+        assert "1 task(s) executed" in log
+        assert "[graceful shutdown]" in log
 
 
 class TestSpawnedFleetSweep:

@@ -370,50 +370,6 @@ class TestIntrospection:
             assert isinstance(json.loads(text), dict)
 
 
-class TestRelease:
-    def test_release_returns_claim_without_attempt_penalty(self, tmp_path):
-        queue = make_queue(tmp_path)
-        task = queue.submit(recipe(1))
-        first = queue.claim("w1", now=1000.0)
-        assert first.attempts == 1
-        assert queue.release(task.task_id, "w1", now=1001.0)
-        status = queue.status()
-        assert status.pending == 1
-        assert status.claimed == 0
-        # Immediately claimable (no backoff), at the same attempt
-        # number the released worker held — the attempt is uncounted.
-        second = queue.claim("w2", now=1001.0)
-        assert second is not None
-        assert second.attempts == first.attempts
-
-    def test_release_records_who_handed_it_back(self, tmp_path):
-        queue = make_queue(tmp_path)
-        task = queue.submit(recipe(1))
-        queue.claim("w1", now=1000.0)
-        queue.release(task.task_id, "w1", now=1001.0)
-        pending = _read_json(queue._path("pending", task.task_id))
-        assert pending["released_by"] == "w1"
-        assert pending["attempts"] == 0
-        assert pending["not_before"] == 1001.0
-
-    def test_release_refuses_foreign_or_missing_claims(self, tmp_path):
-        queue = make_queue(tmp_path)
-        task = queue.submit(recipe(1))
-        assert not queue.release(task.task_id, "w1")   # still pending
-        queue.claim("w1")
-        assert not queue.release(task.task_id, "w2")   # not the owner
-        assert queue.status().claimed == 1             # untouched
-        assert queue.release(task.task_id, "w1")
-
-    def test_release_does_not_resurrect_done_tasks(self, tmp_path):
-        queue = make_queue(tmp_path)
-        task = queue.submit(recipe(1))
-        queue.claim("w1")
-        queue.complete(task.task_id, "w1", task.task_id)
-        assert not queue.release(task.task_id, "w1")
-        assert queue.status().done == 1
-
-
 class TestStatusJson:
     def test_to_json_mirrors_the_census(self, tmp_path):
         queue = make_queue(tmp_path, max_attempts=1, backoff_base_s=0.0)

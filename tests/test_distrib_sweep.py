@@ -8,15 +8,13 @@ take pytest down with them); this file owns the deterministic claims:
 
 * serial, degraded, and worker-executed runs produce *byte-identical*
   result blobs (the exactly-once/dedup foundation);
-* a reclaimed task resumes from its checkpoint and simulates fewer
-  cycles than a from-scratch run, with an identical result;
+* a task whose lease expired mid-run is reclaimed and re-run from
+  scratch to the serial blob, leaving nothing for ``gc`` to collect;
 * poisoned tasks surface as :class:`DistributedSweepError` carrying
   the worker traceback;
-* a completed task's checkpoint blob becomes garbage ``gc`` collects
-  while the result stays fetchable.
+* a stopped worker finishes its current task before it exits.
 """
 
-import dataclasses
 import threading
 import time
 
@@ -29,18 +27,14 @@ from repro.distrib.coordinator import (
     shard_points,
 )
 from repro.distrib.queue import FileWorkQueue
+from repro.distrib import worker as worker_mod
 from repro.distrib.worker import (
     build_simulator,
-    checkpoint_alias,
-    checkpoint_recipe,
     execute_claimed_task,
     result_alias,
     run_worker,
     sweep_task_recipe,
-    CHECKPOINT_KIND,
-    _encode_snapshot,
 )
-from repro.memctrl.request import unpack_request
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
 from repro.security import faults
@@ -60,8 +54,8 @@ def small_recipes(n_requests=400, seed=0):
     return shard_points(small_specs(), n_requests, seed)
 
 
-def checkpointable_recipe(n_requests=5000, seed=0):
-    """One task long enough (~170k cycles) for several checkpoints."""
+def long_recipe(n_requests=5000, seed=0):
+    """One single-core task of ~170k cycles (~0.1 s of host time)."""
     system = SystemConfig(n_cores=1, banks_per_channel=8)
     spec = ScenarioSpec.benign("mcf", system=system)
     return sweep_task_recipe(spec.recipe(), n_requests, seed)
@@ -319,13 +313,13 @@ class TestPresenceLifecycle:
         # A ~0.25s task under a 0.06s lease: the heartbeat thread beats
         # every 0.02s, and each beat refreshes the presence record too.
         queue = FileWorkQueue(tmp_path / "queue", lease_s=0.06)
-        queue.submit(checkpointable_recipe(n_requests=40_000))
+        queue.submit(long_recipe(n_requests=40_000))
         announces = self.spy(queue, "announce")
         fault = "worker-freeze-heartbeat" if frozen else None
         try:
             summary = run_worker(
                 queue, store_for(tmp_path), owner="w1", max_tasks=1,
-                checkpoint_stride=None, fault=fault,
+                fault=fault,
             )
         finally:
             faults.clear()
@@ -338,16 +332,16 @@ class TestPresenceLifecycle:
         self.assert_retired(queue)
 
 
-class TestCheckpointResume:
-    def test_reclaimed_task_resumes_and_matches_serial(self, tmp_path):
-        recipe = checkpointable_recipe()
+class TestReclaimReRun:
+    def test_expired_mid_run_task_reruns_from_scratch(
+        self, tmp_path, monkeypatch
+    ):
+        recipe = long_recipe()
         task_id = content_key(recipe)
-        stride = 50_000
 
         serial_store = store_for(tmp_path / "serial")
         serial = run_serial_sweep([recipe], serial_store)
         total_cycles = serial.results[0].elapsed_cycles
-        assert total_cycles > 2 * stride  # several strides of work
 
         queue = FileWorkQueue(
             tmp_path / "queue", lease_s=5.0, backoff_base_s=0.0,
@@ -355,176 +349,108 @@ class TestCheckpointResume:
         store = store_for(tmp_path)
         queue.submit(recipe)
 
-        # Worker A claims, simulates one stride, checkpoints, and dies
+        # Worker A claims, simulates part of the task, and dies
         # (silently: no fail, no complete — exactly what SIGKILL leaves).
         claimed_a = queue.claim("worker-a")
         sim = build_simulator(claimed_a.task.recipe)
-        assert not sim.run_until(stride)  # stopped mid-run, not finished
-        snap = sim.snapshot()
-        store.put(
-            checkpoint_recipe(task_id),
-            {
-                "task_id": task_id,
-                "cycle": sim.now,
-                "engine": snap.engine,
-                "snapshot_b64": _encode_snapshot(snap),
-            },
-            name=checkpoint_alias(task_id),
-            kind=CHECKPOINT_KIND,
-            overwrite=True,
-        )
-        checkpoint_cycle = sim.now
-        # run_until stops on the last event at or before the target.
-        assert 0 < checkpoint_cycle <= stride
+        assert not sim.run_until(total_cycles // 2)
 
         # The lease expires; the reclaimer returns the task to pending.
         later = time.time() + queue.lease_s + 1.0
         assert queue.reclaim_expired(now=later) == [task_id]
 
-        # Worker B claims and must resume from the checkpoint: the
-        # acceptance criterion is fewer cycles simulated after resume
-        # than a from-scratch run, with a byte-identical result.
+        # Worker B claims and re-runs the whole task on a fresh
+        # simulator: cycle 0 to the end, the serial bytes.
+        built = []
+
+        def recording_build(task_recipe):
+            built.append(build_simulator(task_recipe))
+            assert built[-1].now == 0
+            return built[-1]
+
+        monkeypatch.setattr(worker_mod, "build_simulator", recording_build)
         claimed_b = queue.claim("worker-b", now=later)
         assert claimed_b is not None
         assert claimed_b.attempts == 2
-        execution = execute_claimed_task(
-            queue, store, claimed_b, checkpoint_stride=stride,
-        )
-        assert execution.resumed_from_cycle == checkpoint_cycle
-        cycles_after_resume = total_cycles - execution.resumed_from_cycle
-        assert cycles_after_resume < total_cycles
+        execution = execute_claimed_task(queue, store, claimed_b)
+        assert len(built) == 1
+        assert built[0].now == total_cycles
         assert execution.elapsed_cycles == total_cycles
+        assert execution.first_writer
         assert blob_bytes(store, task_id) == \
             blob_bytes(serial_store, task_id)
         assert queue.done_record(task_id)["result_key"] == task_id
 
-    def test_corrupt_checkpoint_falls_back_to_scratch(self, tmp_path):
-        recipe = checkpointable_recipe()
+    def test_completed_task_leaves_no_garbage(self, tmp_path):
+        recipe = long_recipe()
         task_id = content_key(recipe)
         queue = FileWorkQueue(tmp_path / "queue")
         store = store_for(tmp_path)
-        store.put(
-            checkpoint_recipe(task_id),
-            {"task_id": task_id, "cycle": 12345,
-             "snapshot_b64": "not!valid!base64!pickle"},
-            name=checkpoint_alias(task_id),
-            kind=CHECKPOINT_KIND,
-            overwrite=True,
-        )
+        queue.submit(recipe)
+        execute_claimed_task(queue, store, queue.claim("w1"))
+        # One blob, aliased as the task's result, and nothing for gc
+        # (blob_grace_s=0 would reclaim even a seconds-old orphan).
+        assert [path.stem for path in store.objects_dir.glob("*.json")] \
+            == [task_id]
+        assert store.latest(result_alias(task_id)) is not None
+        report = store.gc(dry_run=True, blob_grace_s=0.0)
+        assert report.unreferenced_blobs == []
+        assert report.reclaimable_bytes == 0
+
+
+class TestKillMidTaskFault:
+    """``worker-kill-mid-task`` dies at a fixed cycle, mid-simulation."""
+
+    class Killed(Exception):
+        pass
+
+    def run_under_fault(self, tmp_path, monkeypatch, recipe):
+        exits = []
+
+        def fake_exit(code):
+            exits.append(code)
+            raise self.Killed
+
+        monkeypatch.setattr(worker_mod.os, "_exit", fake_exit)
+        queue = FileWorkQueue(tmp_path / "queue")
+        store = store_for(tmp_path)
         queue.submit(recipe)
         claimed = queue.claim("w1")
-        execution = execute_claimed_task(
-            queue, store, claimed, checkpoint_stride=50_000,
-        )
-        assert execution.resumed_from_cycle is None  # scratch, not crash
-        assert queue.done_record(task_id) is not None
+        with faults.injected("worker-kill-mid-task"):
+            try:
+                execute_claimed_task(queue, store, claimed)
+            except self.Killed:
+                pass
+        return exits, queue, store
 
-    @pytest.mark.parametrize("class_removed", [True, False])
-    def test_object_queue_checkpoint_falls_back_to_scratch(
-        self, tmp_path, monkeypatch, class_removed,
+    def test_long_task_dies_at_the_kill_cycle(self, tmp_path, monkeypatch):
+        recipe = long_recipe(n_requests=10_000)
+        assert build_simulator(recipe).run().elapsed_cycles > \
+            worker_mod.KILL_MID_TASK_CYCLE
+        exits, queue, store = self.run_under_fault(
+            tmp_path, monkeypatch, recipe,
+        )
+        assert exits == [worker_mod.KILL_MID_TASK_EXIT]
+        # Died holding the claim: no result, no done record.
+        task_id = content_key(recipe)
+        assert queue.done_record(task_id) is None
+        assert queue.status().claimed == 1
+        assert store.get(task_id) is None
+
+    def test_short_task_finishes_under_the_fault(
+        self, tmp_path, monkeypatch
     ):
-        """A checkpoint from a code version whose bank queues held
-        request objects, not packed ints, reruns the task from scratch:
-        it neither crashes nor poisons, and the blob is byte-identical.
-        With the old class gone the pickle does not load; with a class
-        of that name still importable, ``restore`` rejects the queue."""
-        import repro.memctrl.request as request_mod
-
-        class InFlightRequest:
-            """Stand-in for the queue entry class of older versions."""
-
-            def __init__(self, core_id, row, is_write):
-                self.core_id = core_id
-                self.row = row
-                self.is_write = is_write
-
-        InFlightRequest.__module__ = request_mod.__name__
-        InFlightRequest.__qualname__ = "InFlightRequest"
-        monkeypatch.setattr(
-            request_mod, "InFlightRequest", InFlightRequest, raising=False,
+        recipe = long_recipe(n_requests=2000)
+        exits, queue, store = self.run_under_fault(
+            tmp_path, monkeypatch, recipe,
         )
-
-        recipe = checkpointable_recipe()
-        task_id = content_key(recipe)
-        serial_store = store_for(tmp_path / "serial")
-        run_serial_sweep([recipe], serial_store)
-
-        sim = build_simulator(recipe)
-        assert not sim.run_until(50_000)
-        snap = sim.snapshot()
-        controllers = tuple(
-            dataclasses.replace(ctrl, queues=tuple(
-                tuple(
-                    InFlightRequest(core, row, write)
-                    for row, core, write in map(unpack_request, queue)
-                )
-                for queue in ctrl.queues
-            ))
-            for ctrl in snap.controllers
-        )
-        assert any(
-            queue for ctrl in controllers for queue in ctrl.queues
-        ), "checkpoint must hold queued requests"
-        old_snap = dataclasses.replace(snap, controllers=controllers)
-        encoded = _encode_snapshot(old_snap)
-        if class_removed:
-            monkeypatch.delattr(request_mod, "InFlightRequest")
-
-        queue = FileWorkQueue(
-            tmp_path / "queue", max_attempts=1, backoff_base_s=0.0,
-        )
-        store = store_for(tmp_path)
-        store.put(
-            checkpoint_recipe(task_id),
-            {"task_id": task_id, "cycle": sim.now, "engine": snap.engine,
-             "snapshot_b64": encoded},
-            name=checkpoint_alias(task_id),
-            kind=CHECKPOINT_KIND,
-            overwrite=True,
-        )
-        queue.submit(recipe)
-        summary = run_worker(
-            queue, store, owner="w1", idle_exit_s=0.2, poll_s=0.01,
-            checkpoint_stride=50_000,
-        )
-        assert (summary.executed, summary.failed) == (1, 0)
-        assert queue.poison_record(task_id) is None
-        assert queue.done_record(task_id)["result_key"] == task_id
-        assert blob_bytes(store, task_id) == \
-            blob_bytes(serial_store, task_id)
-
-    def test_completed_task_checkpoint_becomes_garbage(self, tmp_path):
-        recipe = checkpointable_recipe()
-        task_id = content_key(recipe)
-        queue = FileWorkQueue(tmp_path / "queue")
-        store = store_for(tmp_path)
-        queue.submit(recipe)
-        claimed = queue.claim("w1")
-        execution = execute_claimed_task(
-            queue, store, claimed, checkpoint_stride=50_000,
-        )
-        assert execution.checkpoints_written >= 1
-        # The checkpoint alias is retired on completion...
-        assert store.latest(checkpoint_alias(task_id)) is None
-        checkpoint_key = content_key(checkpoint_recipe(task_id))
-        assert store.blob_path(checkpoint_key).is_file()
-        # ...so gc reports it as reclaimable, removes it, and keeps the
-        # still-aliased result blob fetchable.  (blob_grace_s=0: the
-        # checkpoint blob is seconds old, and the grace that protects
-        # in-flight writers would otherwise spare it.)
-        dry = store.gc(dry_run=True, blob_grace_s=0.0)
-        assert checkpoint_key in [key for key, _ in dry.unreferenced_blobs]
-        assert dry.reclaimable_bytes > 0
-        assert store.blob_path(checkpoint_key).is_file()
-        real = store.gc(blob_grace_s=0.0)
-        assert checkpoint_key in [key for key, _ in real.unreferenced_blobs]
-        assert not store.blob_path(checkpoint_key).is_file()
-        assert store.get(task_id) is not None
+        assert exits == []
+        assert queue.done_record(content_key(recipe)) is not None
 
 
 class TestFailurePaths:
     def test_poisoned_task_raises_with_traceback(self, tmp_path):
-        broken = checkpointable_recipe()
+        broken = long_recipe()
         broken["scenario"] = dict(broken["scenario"])
         broken["scenario"]["cores"] = "no_such_workload"
         queue = FileWorkQueue(
@@ -558,65 +484,35 @@ class TestFailurePaths:
 
 
 class TestGracefulStop:
-    def test_stop_event_releases_at_stride_boundary(self, tmp_path):
-        """A pre-set stop event releases after the first checkpoint."""
-        import threading
-
-        recipe = checkpointable_recipe()
-        task_id = content_key(recipe)
-        queue = FileWorkQueue(tmp_path / "queue", lease_s=30.0)
-        store = store_for(tmp_path)
-        queue.submit(recipe)
-        stop = threading.Event()
-        stop.set()
-        claimed = queue.claim("w1")
-        execution = execute_claimed_task(
-            queue, store, claimed, checkpoint_stride=20_000,
-            stop_event=stop,
-        )
-        assert execution is None
-        # Claim handed back penalty-free, checkpoint durable.
-        status = queue.status()
-        assert status.pending == 1
-        assert status.claimed == 0
-        from repro.distrib.queue import _read_json
-
-        pending = _read_json(queue._path("pending", task_id))
-        assert pending["attempts"] == 0
-        assert pending["released_by"] == "w1"
-        checkpoint = store.fetch(checkpoint_recipe(task_id))
-        assert checkpoint is not None
-        assert checkpoint["cycle"] > 0
-
-    def test_released_task_resumes_and_matches_serial(self, tmp_path):
-        """stop → release → resume produces the serial bytes."""
-        import threading
-
-        recipe = checkpointable_recipe()
-        task_id = content_key(recipe)
+    def test_stop_mid_task_finishes_and_completes_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A stop that lands mid-task lets the task finish: it is
+        done, its blob is the serial one, and no new task is claimed."""
+        recipes = [long_recipe(seed=0), long_recipe(seed=1)]
         serial_store = store_for(tmp_path / "serial")
-        run_serial_sweep([recipe], serial_store)
+        run_serial_sweep(recipes, serial_store)
         queue = FileWorkQueue(tmp_path / "queue", lease_s=30.0)
         store = store_for(tmp_path / "dist")
-        queue.submit(recipe)
+        tasks = [queue.submit(recipe) for recipe in recipes]
         stop = threading.Event()
-        stop.set()
-        first = queue.claim("w1")
-        assert execute_claimed_task(
-            queue, store, first, checkpoint_stride=20_000,
-            stop_event=stop,
-        ) is None
-        second = queue.claim("w2")
-        execution = execute_claimed_task(
-            queue, store, second, checkpoint_stride=20_000,
+
+        def build_then_stop(task_recipe):
+            stop.set()   # SIGTERM arrives once the task is under way
+            return build_simulator(task_recipe)
+
+        monkeypatch.setattr(worker_mod, "build_simulator", build_then_stop)
+        summary = run_worker(
+            queue, store, owner="w1", stop_event=stop, idle_exit_s=0.1,
         )
-        assert execution is not None
-        assert execution.resumed_from_cycle is not None
-        assert execution.resumed_from_cycle > 0
-        assert (
-            store.blob_path(task_id).read_bytes()
-            == serial_store.blob_path(task_id).read_bytes()
-        )
+        assert summary.stopped
+        assert (summary.executed, summary.failed) == (1, 0)
+        status = queue.status()
+        assert (status.done, status.pending, status.claimed) == (1, 1, 0)
+        done = [t.task_id for t in tasks if queue.done_record(t.task_id)]
+        assert len(done) == 1
+        assert blob_bytes(store, done[0]) == \
+            blob_bytes(serial_store, done[0])
 
     def test_run_worker_reports_graceful_stop(self, tmp_path):
         """run_worker with a pre-set stop event exits without claiming."""
@@ -624,7 +520,7 @@ class TestGracefulStop:
 
         queue = FileWorkQueue(tmp_path / "queue")
         store = store_for(tmp_path)
-        queue.submit(checkpointable_recipe())
+        queue.submit(long_recipe())
         stop = threading.Event()
         stop.set()
         summary = run_worker(

@@ -79,7 +79,6 @@ def make_engine(tmp_path, **overrides):
         journal_watermark=32,
         serial_grace_s=0.05,
         poll_s=0.01,
-        checkpoint_stride=20_000,
     )
     queue = FileWorkQueue(
         tmp_path / "queue",
@@ -355,7 +354,6 @@ def daemon(tmp_path):
     daemon = ServeDaemon(
         tmp_path,
         serial_grace_s=0.05,
-        checkpoint_stride=20_000,
         max_waiters=16,
     )
     daemon.start()

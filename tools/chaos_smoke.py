@@ -74,7 +74,6 @@ def main(argv=None):
         fault=args.fault,
         n_workers=args.workers,
         lease_s=0.5,
-        checkpoint_stride=300_000,
         timeout_s=300.0,
     )
     for line in report.summary_lines():

@@ -15,9 +15,8 @@ layer's whole crash-recovery contract in one pass:
 5. restart the daemon and let journal replay finish both requests;
 6. SIGTERM the daemon and require a clean drain: exit 0, empty
    journal, endpoint file retired;
-7. assert the store holds *exactly* the expected result blobs (after
-   a gc pass retires checkpoint debris), byte-identical to a serial
-   reference run.
+7. assert the store holds *exactly* the expected result blobs,
+   byte-identical to a serial reference run.
 
 Exit 0 means every assertion held.  Any other outcome exits 1 after
 printing the forensics, and leaves the base directory in place (CI
