@@ -2,13 +2,14 @@
 
 Commands:
 
-* ``run`` — orchestrate registered experiments across a process pool
-  (``--jobs N --only fig13,table2 --force``), with disk-backed result
-  caching and JSON/Markdown artifacts under ``results/``.
+* ``run`` — the one way to run the paper's experiments: orchestrate
+  registered experiments across a process pool (``--jobs N --only
+  fig13,table2 --force``; ``--only table`` for the tables, ``--only
+  paper`` for the whole evaluation), with disk-backed result caching
+  and JSON/Markdown artifacts under ``results/`` (the full series of
+  each experiment in ``results/<name>.json``).
 * ``list-experiments`` — show every registered experiment with its
   tags, cost estimate and paper reference.
-* ``experiment <name>`` — run one experiment module (fig3, fig13,
-  tables, ablation, ...) and print its series.
 * ``verify`` — report the effective threshold of every scheme under
   adversarial Row-Press patterns.
 * ``size`` — print tracker provisioning for a threshold/alpha.
@@ -55,7 +56,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import importlib
 from pathlib import Path
 from typing import List, Optional
 
@@ -67,32 +67,23 @@ from .sim.system import ENGINE_NAMES, simulate_workload
 from .trackers.para import para_probability
 from .trackers.sizing import graphene_entries, graphene_storage, mithril_entries
 
-#: ``repro experiment <name>`` -> module under :mod:`repro.experiments`.
-#: The figure modules are imported only by the commands that run them,
-#: so every other command starts without the experiments layer.
-EXPERIMENT_MODULES = {
-    **{
-        name: name
-        for name in (
-            "tables", "fig3", "fig4", "fig5", "fig6_7_8", "fig12", "fig13",
-            "fig14", "fig15", "fig16", "fig18_19", "energy", "ablation",
-        )
-    },
-    "all": "runner",
-}
+def _not_positive(flag: str, value: Optional[float]) -> bool:
+    """Print an error and return True when an option is not positive.
 
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    module = EXPERIMENT_MODULES.get(args.name)
-    if module is None:
-        known = ", ".join(sorted(EXPERIMENT_MODULES))
-        print(f"unknown experiment {args.name!r}; choose from: {known}")
-        return 2
-    importlib.import_module(f".experiments.{module}", __package__).main()
-    return 0
+    ``None`` (an optional flag left unset) passes.  A zero or negative
+    ``--requests`` simulates nothing, and a zero or negative ``--lease``
+    expires every claim the moment it is made; both are rejected before
+    anything touches a store.
+    """
+    if value is None or value > 0:
+        return False
+    print(f"error: {flag} must be positive, got {value:g}")
+    return True
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if _not_positive("--requests", args.requests):
+        return 2
     from .experiments.orchestrator import Orchestrator
 
     only = None
@@ -188,6 +179,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if _not_positive("--requests", args.requests):
+        return 2
     from .scenarios import is_scenario
 
     if is_scenario(args.workload):
@@ -293,6 +286,8 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
+    if _not_positive("--requests", args.requests):
+        return 2
     return _print_scenario_run(
         args.name,
         n_requests=args.requests,
@@ -310,6 +305,8 @@ def _cmd_scenario_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
+    if _not_positive("--requests", args.requests):
+        return 2
     from .experiments.common import SweepRunner
     from .scenarios import get_scenario
     from .sim.config import DefenseConfig as Defense
@@ -382,6 +379,8 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if _not_positive("--requests", args.requests):
+        return 2
     from .results.store import store_for
     from .scenarios.fuzz import (
         DEFAULT_FUZZ_REQUESTS,
@@ -477,19 +476,9 @@ def _cmd_results_gc(args: argparse.Namespace) -> int:
 # -- distributed sweeps ----------------------------------------------------
 
 
-def _bad_lease(args: argparse.Namespace) -> bool:
-    """Print an error and return True when ``--lease`` is not positive.
-
-    A zero or negative lease expires every claim the moment it is made.
-    """
-    if args.lease > 0:
-        return False
-    print(f"error: --lease must be positive, got {args.lease:g}")
-    return True
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if _bad_lease(args):
+    if (_not_positive("--lease", args.lease)
+            or _not_positive("--requests", args.requests)):
         return 2
     from .distrib.coordinator import (
         DistributedSweepError,
@@ -562,7 +551,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    if _bad_lease(args):
+    if _not_positive("--lease", args.lease):
         return 2
     from .distrib.queue import FileWorkQueue
     from .distrib.worker import install_shutdown_handler, run_worker
@@ -597,7 +586,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if _bad_lease(args):
+    if _not_positive("--lease", args.lease):
         return 2
     import os
 
@@ -633,6 +622,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
+    if _not_positive("--requests", args.requests):
+        return 2
     from .serve.client import DeadlineExceeded, ServeClient, ServeError
     from .sim.stats import SimResult
 
@@ -729,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--only", default=None,
         help="comma-separated experiment names and/or tags "
-             "(e.g. fig13,table2 or simulation)",
+             "(e.g. fig13,table2, table, or paper for the whole "
+             "evaluation)",
     )
     run.add_argument(
         "--force", action="store_true",
@@ -754,10 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list-experiments", help="list every registered experiment"
     )
     list_experiments.set_defaults(func=_cmd_list_experiments)
-
-    experiment = sub.add_parser("experiment", help="run one experiment")
-    experiment.add_argument("name", help="fig3, fig13, tables, all, ...")
-    experiment.set_defaults(func=_cmd_experiment)
 
     verify = sub.add_parser("verify", help="verify effective thresholds")
     verify.add_argument("--trh", type=float, default=4000.0)

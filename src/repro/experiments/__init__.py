@@ -1,11 +1,11 @@
 """One module per table/figure of the paper's evaluation.
 
 Each module exposes ``run(...)`` returning the figure's data series and
-``main()`` printing them, and registers its experiments with
-:mod:`repro.experiments.registry` (name, tags, cost estimate).  The
-registry is what :mod:`repro.experiments.runner` (serial) and
-:mod:`repro.experiments.orchestrator` (parallel, cached, artifact-
-writing) drive; see ``docs/adding_an_experiment.md`` for the API.
+registers its experiments with :mod:`repro.experiments.registry` (name,
+tags, cost estimate).  The registry's only executor is
+:mod:`repro.experiments.orchestrator` (``repro run``: serial or
+parallel, cached, writing the full series to ``results/<name>.json``);
+see ``docs/adding_an_experiment.md`` for the API.
 """
 
 from . import (  # noqa: F401
@@ -24,7 +24,6 @@ from . import (  # noqa: F401
     fig18_19,
     orchestrator,
     registry,
-    runner,
     tables,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "fig18_19",
     "orchestrator",
     "registry",
-    "runner",
     "tables",
 ]

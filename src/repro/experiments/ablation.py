@@ -137,18 +137,6 @@ def run(
     }
 
 
-def main(quick: bool = True) -> None:
-    results = run(quick=quick)
-    for study, rows in results.items():
-        print(f"[{study}]")
-        for row in rows:
-            print("  " + "  ".join(f"{k}={v:.3f}" if isinstance(v, float)
-                                   else f"{k}={v}" for k, v in row.items()))
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -66,20 +66,6 @@ def run(
     return output
 
 
-def main(quick: bool = True) -> None:
-    data = run(quick=quick)
-    print(
-        "baseline activation share: "
-        f"{data['baseline']['activation_share']:.3f}"
-    )
-    for tracker in TRACKERS:
-        for scheme, ratio in data[tracker].items():
-            print(f"{tracker:>8} {scheme:>10}  energy x{ratio:.3f}")
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -36,19 +36,6 @@ def run(trh: float = 4000.0, max_bits: int = 7) -> List[Dict[str, float]]:
     return rows
 
 
-def main() -> None:
-    print("bits  T*(analytic)  T*(verified)")
-    for row in run():
-        print(
-            f"{row['fraction_bits']:4d}  "
-            f"{row['relative_threshold_analytic']:12.4f}  "
-            f"{row['relative_threshold_verified']:12.4f}"
-        )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -82,21 +82,6 @@ def run(
     return output
 
 
-def main(quick: bool = True) -> None:
-    data = run(quick=quick)
-    for tracker, schemes in data.items():
-        for scheme, rows in schemes.items():
-            spec = rows.get("SPEC (GMean)", float("nan"))
-            stream = rows.get("STREAM (GMean)", float("nan"))
-            print(
-                f"{tracker:>8} {scheme:>10}  "
-                f"SPEC {spec:.3f}  STREAM {stream:.3f}"
-            )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -59,19 +59,6 @@ def run(
     return output
 
 
-def main(quick: bool = True) -> None:
-    data = run(quick=quick)
-    for tracker, schemes in data.items():
-        for scheme, acts in schemes.items():
-            print(
-                f"{tracker:>8} {scheme:>10}  demand {acts['demand']:.3f}  "
-                f"mitigative {acts['mitigative']:.3f}"
-            )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -55,19 +55,6 @@ def run(
     return output
 
 
-def main(quick: bool = True) -> None:
-    data = run(quick=quick)
-    for tracker, schemes in data.items():
-        for scheme, series in schemes.items():
-            cells = "  ".join(
-                f"TRH={int(t)}:{v:.3f}" for t, v in series.items()
-            )
-            print(f"{tracker:>8} {scheme:>10}  {cells}")
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

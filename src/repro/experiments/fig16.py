@@ -88,21 +88,6 @@ def run(
     return output
 
 
-def main(quick: bool = True) -> None:
-    data = run(quick=quick)
-    for tracker, variants in data.items():
-        for label, rows in variants.items():
-            spec = rows.get("SPEC (GMean)", float("nan"))
-            stream = rows.get("STREAM (GMean)", float("nan"))
-            print(
-                f"{tracker:>8} {label:>28}  SPEC {spec:.3f}  "
-                f"STREAM {stream:.3f}"
-            )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

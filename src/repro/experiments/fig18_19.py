@@ -45,26 +45,6 @@ def fig19_series(
     }
 
 
-def main() -> None:
-    fig18 = fig18_series()
-    for trh, rows in fig18.items():
-        print(
-            f"Fig18 Graphene TRH={int(trh)}: "
-            f"{rows[0]['slowdown_pct']:.2f}% flat over K"
-        )
-    fig19 = fig19_series()
-    for trh, rows in fig19.items():
-        peak = max(row["slowdown_pct"] for row in rows)
-        tail = rows[-1]["slowdown_pct"]
-        print(
-            f"Fig19 PARA TRH={int(trh)}: peak {peak:.2f}%, "
-            f"K=100 tail {tail:.2f}%"
-        )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -37,19 +37,6 @@ def run(
     return series
 
 
-def main(quick: bool = True) -> None:
-    series = run(quick=quick)
-    workloads = list(next(iter(series.values())))
-    header = ["workload"] + [f"tMRO={t:.0f}ns" for t in series]
-    print("  ".join(header))
-    for name in workloads:
-        row = [f"{series[t][name]:.3f}" for t in series]
-        print(f"{name:>16}  " + "  ".join(row))
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

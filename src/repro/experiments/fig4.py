@@ -40,19 +40,6 @@ def run(
     return rows
 
 
-def main() -> None:
-    print("tMRO(ns)  T*(measured)  T*(CLM a=0.35)")
-    for row in run():
-        print(
-            f"{row['tmro_ns']:8.0f}  "
-            f"{row['relative_threshold_measured']:12.3f}  "
-            f"{row['relative_threshold_clm']:14.3f}"
-        )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -91,20 +91,6 @@ def run(
     return output
 
 
-def main(quick: bool = True) -> None:
-    data = run(quick=quick)
-    for tracker, categories in data.items():
-        for category, series in categories.items():
-            cells = "  ".join(
-                f"{('no-tMRO' if t == float('inf') else f'{t:.0f}ns')}:{v:.3f}"
-                for t, v in series.items()
-            )
-            print(f"{tracker:>8} {category:>6}  {cells}")
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

@@ -64,24 +64,6 @@ def fig8_series() -> Dict[str, object]:
     }
 
 
-def main() -> None:
-    print("Fig 6 (K, TCL):", fig6_series(6))
-    fig7 = fig7_series()
-    print(
-        f"Fig 7: {len(fig7['device_points'])} device points, "
-        f"fitted alpha={fig7['fitted_alpha']:.3f} "
-        f"(cover alpha={fig7['clm_alpha']})"
-    )
-    fig8 = fig8_series()
-    print(
-        f"Fig 8: CLM alpha={fig8['clm_alpha']:.3f} "
-        f"(paper {fig8['paper_alpha']}), power fit a,b={fig8['power_fit']}"
-    )
-
-
-if __name__ == "__main__":
-    main()
-
 # -- registry ----------------------------------------------------------
 
 from .registry import RunContext, register  # noqa: E402

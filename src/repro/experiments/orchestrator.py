@@ -397,9 +397,9 @@ class Orchestrator:
         if not payloads:
             return
         if self.jobs == 1 or len(payloads) == 1:
-            # All payloads of a run share one option dict; a run-local
-            # context gives them the serial baseline sharing of the old
-            # run_all without pinning anything in module globals.
+            # All payloads of a run share one option dict; one run-local
+            # context lets them share cached baselines without pinning
+            # anything in module globals.
             ctx = RunContext(sim_jobs=self.sim_jobs, **payloads[0][1])
             try:
                 for payload in payloads:

@@ -14,10 +14,9 @@ Each experiment module declares its experiments with the
         return run(ctx.sweep_runner(), quick=ctx.quick)
 
 The registry is the single source of truth that
-:mod:`repro.experiments.runner`, :mod:`repro.experiments.orchestrator`
-and the ``repro run`` / ``repro list-experiments`` CLI commands all
-derive their experiment lists from, so ordering can never drift between
-them.
+:mod:`repro.experiments.orchestrator` and the ``repro run`` /
+``repro list-experiments`` CLI commands derive their experiment lists
+from; the orchestrator is the only thing that executes them.
 
 ``cost`` is a relative wall-clock estimate (arbitrary units; analytic
 experiments ~0, full workload sweeps ~100).  The orchestrator schedules
@@ -28,8 +27,7 @@ the tail of a parallel run.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field, fields
-from types import ModuleType
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -45,8 +43,8 @@ from typing import (
 from .common import DEFAULT_REQUESTS, SweepRunner
 
 #: Tag carried by every experiment that belongs to the paper's
-#: evaluation proper (``run_all`` runs exactly these); ablations carry
-#: the ``ablation`` tag instead.
+#: evaluation proper (``repro run --only paper`` runs exactly these);
+#: ablations carry the ``ablation`` tag instead.
 PAPER_TAG = "paper"
 
 
@@ -54,11 +52,11 @@ PAPER_TAG = "paper"
 class RunContext:
     """Options shared by every experiment in one orchestrated run.
 
-    The context is cheap, picklable state (``quick``, ``n_requests``,
-    ``seed``); the :class:`~repro.experiments.common.SweepRunner` it
-    hands out is created lazily and shared by every experiment executed
-    against the same context, so serial runs reuse cached baselines
-    exactly like the original ``run_all`` did.
+    The context is cheap state (``quick``, ``n_requests``, ``seed``);
+    the :class:`~repro.experiments.common.SweepRunner` it hands out is
+    created lazily and shared by every experiment executed against the
+    same context, so a serial run reuses cached baselines across
+    experiments.
     """
 
     quick: bool = True
@@ -67,9 +65,7 @@ class RunContext:
     #: Worker processes for intra-experiment sweep fan-out
     #: (:meth:`~repro.experiments.common.SweepRunner.run_many`).  Not
     #: part of :meth:`options` — parallelism never changes results, so
-    #: it must not change cache keys; it is also dropped on pickling
-    #: because orchestrator pool workers are daemonic and cannot fork
-    #: their own sweep pools.
+    #: it must not change cache keys.
     sim_jobs: int = 1
     _runner: Optional[SweepRunner] = field(
         default=None, repr=False, compare=False
@@ -86,24 +82,12 @@ class RunContext:
         return self._runner
 
     def options(self) -> Dict[str, Any]:
-        """The picklable option dict this context was built from."""
+        """The option dict this context was built from."""
         return {
             "quick": self.quick,
             "n_requests": self.n_requests,
             "seed": self.seed,
         }
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return self.options()
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        allowed = {f.name for f in fields(self)}
-        for key, value in state.items():
-            if key in allowed:
-                setattr(self, key, value)
-        # Worker-side fan-out stays serial: pool workers are daemonic.
-        self.sim_jobs = 1
-        self._runner = None
 
 
 @dataclass(frozen=True)
@@ -238,18 +222,3 @@ def select(
         e for e in experiments
         if e.name in chosen or chosen & set(e.tags)
     ]
-
-
-def modules(experiments: Optional[Sequence[Experiment]] = None) -> List[ModuleType]:
-    """Unique experiment modules, in registry order.
-
-    This is what ``runner.main`` iterates, so its printed module order
-    is derived from — and can never drift from — ``run_all``'s order.
-    """
-    if experiments is None:
-        experiments = all_experiments()
-    seen: Dict[str, ModuleType] = {}
-    for exp in experiments:
-        if exp.module not in seen:
-            seen[exp.module] = importlib.import_module(exp.module)
-    return list(seen.values())

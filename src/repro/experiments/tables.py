@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Dict, List
 
 from ..core.analysis import (
@@ -133,17 +132,6 @@ def storage_comparison(trh: float = 4000.0, rfmth: int = 80) -> Dict[str, object
         "impress_p_timer_bits": impress_p_timer_bits(),
     }
 
-
-def main() -> None:
-    print("Table I:", table1())
-    print("Table II:", table2())
-    for row in table3():
-        print("Table III:", row)
-    print("Storage:", storage_comparison())
-
-
-if __name__ == "__main__":
-    main()
 
 # -- registry ----------------------------------------------------------
 

@@ -1,10 +1,9 @@
 """Compare scenario artifacts across two result stores.
 
-``repro scenario report A B`` (and the ``tools/scenario_report.py``
-wrapper CI uses) diffs the latest run of every scenario name present in
-both stores, security and performance metric by metric.  Each side may
-be a results directory (the store lives at ``<dir>/store``) or a store
-root itself.
+``repro scenario report A B`` diffs the latest run of every scenario
+name present in both stores, security and performance metric by
+metric.  Each side may be a results directory (the store lives at
+``<dir>/store``) or a store root itself.
 
 A ratio column (``B/A``) makes cross-commit drift obvious: check out
 two commits, run the same presets into two results dirs, and report
@@ -14,7 +13,6 @@ the store, so the report never chokes on ``Infinity`` artifacts.
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -164,18 +162,3 @@ def run_report(dir_a: Path, dir_b: Path) -> int:
                         str(store_a.root), str(store_b.root),
                         mismatched=mismatched))
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point shared by ``repro scenario report`` and tools/."""
-    parser = argparse.ArgumentParser(
-        description="diff scenario metrics across two result stores"
-    )
-    parser.add_argument(
-        "dir_a", help="results dir (or store root) of side A"
-    )
-    parser.add_argument(
-        "dir_b", help="results dir (or store root) of side B"
-    )
-    args = parser.parse_args(argv)
-    return run_report(Path(args.dir_a), Path(args.dir_b))

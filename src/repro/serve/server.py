@@ -230,8 +230,8 @@ def recipe_from_request(body: Dict[str, Any]) -> Dict[str, Any]:
     Two forms: ``{"recipe": {...}}`` carries an explicit sweep-task
     recipe (the idempotent resubmission path — the client round-trips
     exactly what it first sent), and ``{"scenario": "<preset>",
-    "n_requests": N, "seed": S}`` names a registered preset.  Raises
-    ``ValueError`` on anything else.
+    "n_requests": N, "seed": S}`` names a registered preset (``N`` must
+    be positive).  Raises ``ValueError`` on anything else.
     """
     if "recipe" in body:
         recipe = body["recipe"]
@@ -245,10 +245,13 @@ def recipe_from_request(body: Dict[str, Any]) -> Dict[str, Any]:
             spec = get_scenario(str(body["scenario"]))
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
+        n_requests = int(body.get("n_requests", 400))
+        if n_requests <= 0:
+            raise ValueError(
+                f"n_requests must be positive, got {n_requests}"
+            )
         return sweep_task_recipe(
-            spec.recipe(),
-            int(body.get("n_requests", 400)),
-            int(body.get("seed", 0)),
+            spec.recipe(), n_requests, int(body.get("seed", 0))
         )
     raise ValueError("request body needs 'recipe' or 'scenario'")
 

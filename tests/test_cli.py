@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import EXPERIMENT_MODULES, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -44,18 +46,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "hit rate" in out
 
-    def test_experiment_unknown_name(self, capsys):
-        assert main(["experiment", "nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().out
-
-    def test_experiment_tables(self, capsys):
-        assert main(["experiment", "tables"]) == 0
-        assert "Table I" in capsys.readouterr().out
-
-    def test_all_experiment_modules_registered(self):
-        for name in ("fig3", "fig4", "fig13", "ablation", "all"):
-            assert name in EXPERIMENT_MODULES
-
     def test_simulate_accepts_mix_names(self, capsys):
         code = main(
             ["simulate", "add_copy", "--tracker", "graphene",
@@ -71,6 +61,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "victim slowdown" in out
         assert "attacker ACT rate" in out
+
+
+class TestRunCommand:
+    def test_unknown_experiment_or_tag(self, capsys, tmp_path):
+        assert main(["run", "--only", "nope",
+                     "--results-dir", str(tmp_path)]) == 2
+        assert "unknown experiment or tag" in capsys.readouterr().out
+
+    def test_only_table_prints_rows_and_writes_series(self, capsys,
+                                                      tmp_path):
+        assert main(["run", "--only", "table",
+                     "--results-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines()
+                if line.lstrip().startswith("table1 ")]
+        assert [row[1] for row in rows] == ["tRC_ns", "tRAS_ns"]
+        # The full series lands in the per-experiment artifact.
+        artifact = json.loads((tmp_path / "table1.json").read_text())
+        assert artifact["result"]["tRC"] == 48.0
+        assert {"table2", "table3", "storage"} <= {
+            path.stem for path in tmp_path.glob("*.json")
+        }
 
 
 class TestScenarioCommands:
@@ -385,3 +397,28 @@ class TestLeaseValidation:
         self.assert_rejected(capsys, [
             "serve", "--results-dir", str(tmp_path), "--lease", lease,
         ])
+
+
+class TestRequestsValidation:
+    """``--requests <= 0`` simulates nothing; reject it up front."""
+
+    @pytest.mark.parametrize("requests", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--only", "fig4"],
+        ["simulate", "mcf"],
+        ["simulate", "benign_mcf"],
+        ["scenario", "run", "benign_mcf"],
+        ["scenario", "sweep", "benign_mcf"],
+        ["sweep", "benign_mcf"],
+        ["request", "benign_mcf"],
+        ["fuzz", "--budget", "1"],
+    ], ids=" ".join)
+    def test_rejected_before_any_store(self, capsys, tmp_path, monkeypatch,
+                                       argv, requests):
+        # Every default --results-dir resolves under tmp_path.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--requests", requests]) == 2
+        assert capsys.readouterr().out == (
+            f"error: --requests must be positive, got {requests}\n"
+        )
+        assert list(tmp_path.iterdir()) == []

@@ -1,11 +1,12 @@
 """Tests for the experiment registry and the parallel orchestrator."""
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import registry, runner
+from repro.experiments import registry
 from repro.experiments.orchestrator import (
     Orchestrator,
     OrchestratorError,
@@ -18,7 +19,7 @@ from repro.results import store_for
 
 EXPERIMENT_DIR = Path(registry.__file__).parent
 #: Modules that host experiments (everything except the plumbing).
-PLUMBING = {"__init__", "common", "registry", "orchestrator", "runner"}
+PLUMBING = {"__init__", "common", "registry", "orchestrator"}
 
 
 def experiment_module_stems():
@@ -56,21 +57,25 @@ class TestRegistry:
         with pytest.raises(KeyError, match="fig99"):
             registry.select(only=["fig99"])
 
-    def test_run_all_derives_from_registry(self):
+    def test_only_paper_runs_the_paper_tag_in_registry_order(
+        self, tmp_path
+    ):
         paper_names = [
             e.name for e in registry.select(tags=(PAPER_TAG,))
         ]
-        results = runner.run_all(quick=True, n_requests=40)
-        assert list(results) == paper_names
-        assert "ablation" not in results
+        report = Orchestrator(
+            results_dir=tmp_path, n_requests=40
+        ).run(only=[PAPER_TAG])
+        assert [o.name for o in report.outcomes] == paper_names
+        assert "ablation" not in report.by_name
 
-    def test_runner_main_module_order_matches_run_all(self):
-        paper = registry.select(tags=(PAPER_TAG,))
-        modules = registry.modules(paper)
-        module_names = [m.__name__ for m in modules]
-        # Derived from the same registry slice: same modules, same order,
-        # no duplicates — the drift the old hand-written lists allowed.
-        assert module_names == list(dict.fromkeys(e.module for e in paper))
+    def test_no_experiment_module_defines_main(self):
+        # The orchestrator is the only way an experiment runs; a
+        # per-module printer would be a second, uncached path.
+        for module in {e.module for e in registry.all_experiments()}:
+            assert not hasattr(importlib.import_module(module), "main"), (
+                f"{module} defines main(); run it via `repro run --only`"
+            )
 
     def test_costliest_first_is_a_permutation(self):
         scheduled = sorted(
@@ -257,12 +262,3 @@ class TestRunContext:
         ctx = RunContext(quick=True, n_requests=40)
         assert ctx.sweep_runner() is ctx.sweep_runner()
         assert ctx.sweep_runner().n_requests == 40
-
-    def test_pickles_without_runner(self):
-        import pickle
-
-        ctx = RunContext(quick=False, n_requests=77, seed=3)
-        ctx.sweep_runner()
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone.options() == ctx.options()
-        assert clone._runner is None

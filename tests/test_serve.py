@@ -442,6 +442,19 @@ class TestHTTPDaemon:
             "POST", "/request", {"scenario": "no_such_preset"}
         )[0] == 400
 
+    @pytest.mark.parametrize("n_requests", [0, -3])
+    def test_non_positive_n_requests_gets_400(self, daemon, n_requests):
+        client = self.client(daemon)
+        code, data = client.call(
+            "POST", "/request",
+            {"scenario": "benign_add_copy", "n_requests": n_requests},
+        )
+        assert code == 400
+        assert data["error"] == (
+            f"n_requests must be positive, got {n_requests}"
+        )
+        assert client.status()["stats"]["accepted"] == 0
+
     def test_unknown_paths_get_404(self, daemon):
         client = self.client(daemon)
         assert client.call("GET", "/nope")[0] == 404
