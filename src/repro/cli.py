@@ -190,13 +190,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _print_scenario_run(
             args.workload, n_requests=args.requests, seed=0, jobs=1
         )
-    if args.engine == "batch":
-        from .sim.batch import batch_available
-        from .trackers.batch_kernels import NUMPY_IMPORT_HINT
-
-        if not batch_available():
-            print(NUMPY_IMPORT_HINT)
-            return 2
     defense = DefenseConfig(
         tracker=args.tracker, scheme=args.scheme, trh=args.trh,
         alpha=args.alpha,
@@ -608,7 +601,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         max_waiters=args.max_waiters,
         queue_watermark=args.queue_watermark,
-        journal_watermark=args.journal_watermark,
         serial_grace_s=args.serial_grace,
         log=print,
     )
@@ -788,9 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--engine", choices=ENGINE_NAMES, default="fast",
         help="engine tier: the pinned reference loop, the fast event "
-             "engine (default), or the NumPy batch tier (a single "
-             "point degenerates to one fast run; requires numpy; "
-             "scenario presets always use the fast engine)",
+             "engine (default), or the batch tier (a single point "
+             "degenerates to one fast run; scenario presets always use "
+             "the fast engine)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -1106,10 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--queue-watermark", type=int, default=256,
         help="admission: shed new work past this many open queue tasks",
-    )
-    serve_cmd.add_argument(
-        "--journal-watermark", type=int, default=64,
-        help="admission: shed new work past this journal depth",
     )
     serve_cmd.add_argument(
         "--serial-grace", type=float, default=2.0,

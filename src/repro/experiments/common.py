@@ -48,18 +48,6 @@ SweepPointLike = Union[
 ]
 
 
-def _batch_tier():
-    """:mod:`repro.sim.batch` when the batch tier can run, else None.
-
-    Imported here, on the first serial multi-point sweep, so that a
-    process that never batches (the daemon, a worker, the fuzzer, a
-    single ``repro simulate``) never loads NumPy.
-    """
-    from ..sim import batch
-
-    return batch if batch.batch_available() else None
-
-
 def _evaluate_point(
     payload: Tuple[SystemConfig, int, int, SweepPoint]
 ) -> Tuple[SweepPoint, SimResult]:
@@ -148,11 +136,11 @@ class SweepRunner:
     seed: int = 0
     #: Worker processes for :meth:`run_many` (1 = serial in-process).
     jobs: int = 1
-    #: Route serial :meth:`run_many` batches through the NumPy batch
-    #: engine tier (:func:`repro.sim.batch.simulate_batch`) when it is
-    #: available.  Results are bit-identical to per-point runs; set
-    #: False to force the per-point fast engine.  The tier (and NumPy)
-    #: is imported by the first such batch, not by the runner.
+    #: Route serial :meth:`run_many` batches through the batch engine
+    #: tier (:func:`repro.sim.batch.simulate_batch`).  Results are
+    #: bit-identical to per-point runs; set False to force the
+    #: per-point fast engine.  The tier is imported by the first such
+    #: batch, not by the runner.
     use_batch: bool = True
     _cache: Dict[tuple, SimResult] = field(default_factory=dict)
     _hits: int = 0
@@ -219,8 +207,7 @@ class SweepRunner:
         execution inside daemonic workers (e.g. when an orchestrator
         pool already owns the process), which cannot fork children.
         Serial in-process batches route through the batch engine tier
-        when NumPy is available (see ``use_batch``), again with
-        bit-identical results.
+        (see ``use_batch``), again with bit-identical results.
         """
         normalized = [_normalize_point(point) for point in points]
         needed: List[SweepPoint] = []
@@ -249,19 +236,19 @@ class SweepRunner:
             ):
                 cache[key] = result
                 self._misses += 1
-        elif (
-            self.use_batch
-            and len(needed) > 1
-            and (batch := _batch_tier()) is not None
-        ):
+        elif self.use_batch and len(needed) > 1:
             # Serial in-process path: route the whole point group
             # through the batch engine tier, which replays compatible
             # lanes against one recorded leader run (bit-identical to
             # per-point runs; lanes it cannot prove safe are simulated
-            # for real inside simulate_batch).  The function is looked
-            # up on the module at call time, so a rebinding of
+            # for real inside simulate_batch).  Imported here, so a
+            # process that never batches (the daemon, a worker, the
+            # fuzzer) never loads it.  The function is looked up on
+            # the module at call time, so a rebinding of
             # ``repro.sim.batch.simulate_batch`` (a tracer, a test
             # double) sees every call.
+            from ..sim import batch
+
             if self._timelines is None:
                 self._timelines = batch.TimelineStore()
             for key, result in zip(

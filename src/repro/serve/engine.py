@@ -16,7 +16,8 @@ what makes the robustness claims testable in-process:
 * **Admission control** — the in-flight set is bounded
   (``max_inflight``), as are the handler threads parked on it
   (``max_waiters``) and the backlog behind it (``queue_watermark`` on
-  open queue tasks, ``journal_watermark`` on journal depth).  Crossing
+  open queue tasks).  The journal needs no bound of its own: it holds
+  one entry per in-flight key, so ``max_inflight`` bounds it.  Crossing
   any watermark sheds the request with an explicit retry-after instead
   of growing threads without bound.
 * **Execution** — a miss submits the task to the shared
@@ -126,7 +127,6 @@ class RequestEngine:
         max_inflight: int = 8,
         max_waiters: int = 64,
         queue_watermark: int = 256,
-        journal_watermark: int = 64,
         serial_grace_s: float = 2.0,
         poll_s: float = 0.05,
         retry_after_s: float = DEFAULT_RETRY_AFTER_S,
@@ -138,7 +138,6 @@ class RequestEngine:
         self.max_inflight = max_inflight
         self.max_waiters = max_waiters
         self.queue_watermark = queue_watermark
-        self.journal_watermark = journal_watermark
         self.serial_grace_s = serial_grace_s
         self.poll_s = poll_s
         self.retry_after_s = retry_after_s
@@ -207,8 +206,6 @@ class RequestEngine:
             return "draining"
         if len(self._inflight) >= self.max_inflight:
             return f"in-flight limit ({self.max_inflight}) reached"
-        if self.journal.depth() >= self.journal_watermark:
-            return f"journal depth over watermark ({self.journal_watermark})"
         status = self.queue.status()
         if status.open_tasks >= self.queue_watermark:
             return f"queue depth over watermark ({self.queue_watermark})"
@@ -297,7 +294,6 @@ class RequestEngine:
                 "max_inflight": self.max_inflight,
                 "max_waiters": self.max_waiters,
                 "queue_watermark": self.queue_watermark,
-                "journal_watermark": self.journal_watermark,
             },
             "journal_depth": self.journal.depth(),
             "queue": self.queue.status().to_json(),

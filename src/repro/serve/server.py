@@ -37,8 +37,9 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..distrib.queue import FileWorkQueue
-from ..distrib.worker import sweep_task_recipe
+from ..distrib.worker import TASK_KIND, sweep_task_recipe
 from ..results.store import store_for
+from ..scenarios.spec import spec_from_recipe
 from .engine import RequestEngine, RequestFailed, RequestShed
 from .journal import RequestJournal
 
@@ -81,7 +82,6 @@ class ServeDaemon:
         max_inflight: int = 8,
         max_waiters: int = 64,
         queue_watermark: int = 256,
-        journal_watermark: int = 64,
         serial_grace_s: float = 2.0,
         log=None,
     ) -> None:
@@ -102,7 +102,6 @@ class ServeDaemon:
             max_inflight=max_inflight,
             max_waiters=max_waiters,
             queue_watermark=queue_watermark,
-            journal_watermark=journal_watermark,
             serial_grace_s=serial_grace_s,
         )
         self.httpd: Optional[ThreadingHTTPServer] = None
@@ -230,30 +229,45 @@ def recipe_from_request(body: Dict[str, Any]) -> Dict[str, Any]:
     Two forms: ``{"recipe": {...}}`` carries an explicit sweep-task
     recipe (the idempotent resubmission path — the client round-trips
     exactly what it first sent), and ``{"scenario": "<preset>",
-    "n_requests": N, "seed": S}`` names a registered preset (``N`` must
-    be positive).  Raises ``ValueError`` on anything else.
+    "n_requests": N, "seed": S}`` names a registered preset.  Either
+    way the recipe must be one a worker can run: kind ``sweep-task``, a
+    scenario :func:`~repro.scenarios.spec.spec_from_recipe` accepts, a
+    positive int ``n_requests`` and an int ``seed``.  Raises
+    ``ValueError`` on anything else, before anything is journaled.
     """
     if "recipe" in body:
         recipe = body["recipe"]
         if not isinstance(recipe, dict):
             raise ValueError("'recipe' must be a JSON object")
-        return recipe
-    if "scenario" in body:
+    elif "scenario" in body:
         from ..scenarios import get_scenario
 
         try:
             spec = get_scenario(str(body["scenario"]))
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-        n_requests = int(body.get("n_requests", 400))
-        if n_requests <= 0:
-            raise ValueError(
-                f"n_requests must be positive, got {n_requests}"
-            )
-        return sweep_task_recipe(
-            spec.recipe(), n_requests, int(body.get("seed", 0))
+        recipe = sweep_task_recipe(
+            spec.recipe(), int(body.get("n_requests", 400)),
+            int(body.get("seed", 0)),
         )
-    raise ValueError("request body needs 'recipe' or 'scenario'")
+    else:
+        raise ValueError("request body needs 'recipe' or 'scenario'")
+    if recipe.get("kind") != TASK_KIND:
+        raise ValueError(
+            f"recipe kind must be {TASK_KIND!r}, got {recipe.get('kind')!r}"
+        )
+    try:
+        spec_from_recipe(recipe.get("scenario"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"recipe scenario does not parse: {exc!r}") from None
+    n_requests, seed = recipe.get("n_requests"), recipe.get("seed")
+    for name, value in (("n_requests", n_requests), ("seed", seed)):
+        # bool is an int subclass; JSON true is not a count.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if n_requests <= 0:
+        raise ValueError(f"n_requests must be positive, got {n_requests}")
+    return recipe
 
 
 class _RequestHandler(BaseHTTPRequestHandler):

@@ -1,9 +1,8 @@
 """System simulation: configs, cores, event loop, stats, metrics.
 
-The batch tier's names (:mod:`repro.sim.batch`, which imports NumPy)
-resolve on first access through the module ``__getattr__``, so
-importing the package, or any single-point engine, leaves NumPy
-unloaded.
+The batch tier's names (:mod:`repro.sim.batch`) resolve on first
+access through the module ``__getattr__``, so importing the package,
+or any single-point engine, leaves the tier unloaded.
 """
 
 from .config import (
@@ -27,7 +26,6 @@ from .system import ENGINE_NAMES, SystemSimulator, simulate_workload
 __all__ = [
     "ENGINE_NAMES",
     "BatchStats",
-    "batch_available",
     "simulate_batch",
     "DEFAULT_EXPRESS_TMRO_NS",
     "SCHEME_NAMES",
@@ -47,7 +45,7 @@ __all__ = [
     "simulate_workload",
 ]
 
-_BATCH_NAMES = frozenset({"BatchStats", "batch_available", "simulate_batch"})
+_BATCH_NAMES = frozenset({"BatchStats", "simulate_batch"})
 
 
 def __getattr__(name: str):

@@ -22,55 +22,45 @@ engine runs a **leader/replay** worklist:
 * **Record** — the least-bending remaining lane (tracker rank, then
   the plainest signature) runs the real fast engine as the *leader*,
   with recording shims wrapped around its per-bank kernel slots,
-  capturing every demand ACT, row close and RFM per bank
-  (structure-of-arrays int64 NumPy timelines, ``tests`` pin them).
+  capturing every demand ACT, row close and RFM per bank as parallel
+  Python lists.
 * **Cover** — the leader covers every lane with its own signature.
   If it did not fire and its signature never bound (plain, or
   *inert*: see :meth:`_Recording.inert`), it recorded the plain
   timeline, and it also covers every lane whose tMRO and RFMTH are
   inert on that recording — at ``--quick`` no bank reaches 80 ACTs in
   most workloads, so most RFM lanes join the plain one.
-* **Replay** — every covered lane replays the recorded streams
-  through its own tracker kernels, vectorized per bank
-  (:mod:`repro.trackers.batch_kernels`), with an exact scalar replay
-  for the combinations the vector kernels cannot decide.  A lane
-  whose replay proves "no synchronous mitigation anywhere" gets the
+* **Replay** — every covered lane drives the recorded streams through
+  its own scheme's act/close/RFM kernels, built by
+  :meth:`DefenseConfig.build_scheme` exactly as a real simulation
+  builds them (:func:`replay_lane_python`).  A lane whose replay
+  proves "no synchronous mitigation anywhere" gets the
   leader's :class:`~repro.sim.stats.SimResult` verbatim with only its
   own ``rfm_mitigations`` substituted — bit-identical to what a full
   fast-engine run would produce (``tests/test_batch_engine.py`` pins
   this against the oracle across the equivalence matrix).
 * **Fall back** — if the leader itself fired (its run is still a valid
-  fast-engine run) or a covered lane's replay diverges, that lane is
-  simulated for real on the fast engine.  Correctness never depends on
-  the replay verdicts; they only decide which lanes get to skip work.
+  fast-engine run) or a covered lane's replay fires a kernel, that
+  lane is simulated for real on the fast engine.
 * **Repeat** — lanes the leader did not cover form the next round.
 
 A :class:`TimelineStore` lent by the caller (``SweepRunner`` owns one)
 keeps plain recordings across calls, so a later call whose lanes all
 carry inert tMRO or RFM settings records no leader at all.
 
-The fast engine stays the oracle; without NumPy the tier is simply
-unavailable (:func:`batch_available`) and every caller falls back to
-per-point fast-engine runs.  See docs/performance.md § "Batch engine
-tier".
+The fast engine stays the oracle.  See docs/performance.md § "Batch
+engine tier".
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..trackers.batch_kernels import (
-    EV_ACT,
-    EV_CLOSE,
-    EV_RFM,
-    NUMPY_IMPORT_HINT,
-    numpy_available,
-    replay_lane_python,
-    replay_lane_vector,
-)
 from ..workloads.compiled import compiled_point_traces
 from .config import DefenseConfig, SystemConfig, _normalize_point
 from .stats import SimResult
@@ -79,14 +69,13 @@ from .system import SystemSimulator, build_simulator
 __all__ = [
     "BatchStats",
     "TimelineStore",
-    "batch_available",
     "simulate_batch",
 ]
 
-
-def batch_available() -> bool:
-    """True when the batch tier can run (NumPy importable)."""
-    return numpy_available()
+#: Event kinds in a recorded per-bank stream.
+EV_ACT = 0      # demand activation of a row
+EV_CLOSE = 1    # row close (PRE): carries act_cycle and pre_cycle
+EV_RFM = 2      # RFM command arriving at the bank
 
 
 @dataclass(slots=True)
@@ -99,8 +88,10 @@ class BatchStats:
     recorded leader covered no other lane counts its leader as a
     singleton.  ``joined`` counts the replayed or fallback lanes whose
     timing signature differs from their leader's (an inert join).
-    ``vector_replays`` / ``python_replays`` count replay *attempts*;
-    a lane may appear in both when the vector verdict was "unknown".
+    ``python_replays`` counts replay attempts (a ``ValueError`` or a
+    firing kernel turns an attempt into a fallback).  There is one
+    replay path, so ``vector_replays`` always reads 0; the slot stays
+    for telemetry readers that report every field.
     """
 
     points: int = 0        #: input lanes (including duplicates)
@@ -151,15 +142,44 @@ def _timing_signature(defense: Optional[DefenseConfig],
 
 
 class _BankLog:
-    """One bank's recorded events as parallel Python lists (append-hot)."""
+    """One bank's recorded events as parallel Python lists (append-hot).
 
-    __slots__ = ("kinds", "rows", "a", "b")
+    ``kinds[i]`` is the event kind; ``rows[i]`` the row of an ACT or
+    CLOSE (-1 for an RFM); ``a[i]`` the ACT cycle of a CLOSE or the
+    start cycle of an RFM; ``b[i]`` the PRE cycle of a CLOSE.  Order is
+    the bank's service order, which is all a per-bank tracker sees.
+    ``mixed`` is False when a replay may feed the log to one kernel
+    with ``map``: it holds only ACTs or only CLOSEs.
+    """
+
+    __slots__ = ("kinds", "rows", "a", "b", "mixed")
 
     def __init__(self) -> None:
         self.kinds: List[int] = []
         self.rows: List[int] = []
         self.a: List[int] = []
         self.b: List[int] = []
+        self.mixed = True
+
+    def view(self, acts: bool, closes: bool) -> "_BankLog":
+        """This log without the ACTs (``acts`` False) or the CLOSEs.
+
+        A lane whose scheme has no act kernel (ImPress-P) or no close
+        kernel (No-RP, ExPress) replays the shorter view; tracker state
+        only ever sees the kinds it has kernels for, so the result is
+        the same.
+        """
+        if acts and closes:
+            return self
+        wanted = (acts, closes, True)   # indexed by event kind
+        keep = [wanted[kind] for kind in self.kinds]
+        view = _BankLog()
+        view.kinds = list(compress(self.kinds, keep))
+        view.rows = list(compress(self.rows, keep))
+        view.a = list(compress(self.a, keep))
+        view.b = list(compress(self.b, keep))
+        view.mixed = EV_RFM in view.kinds
+        return view
 
 
 class _Recorder:
@@ -234,19 +254,6 @@ class _Recorder:
         controller._close_kernels[bank] = close
         controller._rfm_kernels[bank] = rfm
 
-    def timeline(self, banks_per_channel: int, timings):
-        """The recorded streams as a NumPy :class:`RecordedTimeline`."""
-        from ..trackers.batch_kernels import BankEvents, RecordedTimeline
-
-        return RecordedTimeline(
-            [
-                BankEvents(log.kinds, log.rows, log.a, log.b)
-                for log in self.logs
-            ],
-            banks_per_channel,
-            timings,
-        )
-
 
 def _follower_result(leader: SimResult, rfm_mitigations: int) -> SimResult:
     """The leader's result with the follower's own RFM-mitigation count.
@@ -285,17 +292,51 @@ def _leader_order(lane) -> tuple:
 class _Recording:
     """A leader's run and what its recorded timeline proves.
 
-    ``tmro_floor`` is the longest recorded ``pre - act`` plus the
-    system's ``idle_close_cycles`` (None when idle close is disabled);
+    ``logs[flat]`` is the recorded :class:`_BankLog` of flat bank
+    ``channel * banks_per_channel + bank``.  ``tmro_floor`` is the
+    longest recorded ``pre - act`` plus the system's
+    ``idle_close_cycles`` (None when idle close is disabled);
     ``max_bank_acts`` the most demand ACTs any bank recorded.
+    ``view_cache`` holds what :meth:`views` built.
     """
 
     result: SimResult
-    timeline: object          # trackers.batch_kernels.RecordedTimeline
+    logs: List[_BankLog]
     signature: tuple
     fired: bool
     tmro_floor: Optional[int]
     max_bank_acts: int
+    view_cache: Dict[tuple, List[_BankLog]] = field(
+        default_factory=dict, compare=False
+    )
+
+    @classmethod
+    def of(cls, result: SimResult, logs: List[_BankLog], signature: tuple,
+           fired: bool, idle_close: Optional[int]) -> "_Recording":
+        """A recording with its inertness bounds computed from ``logs``.
+
+        ``b - a`` is ``pre - act`` for a CLOSE, 0 for an ACT and
+        negative for an RFM, so its maximum is the longest open time.
+        """
+        longest = max(
+            (max(map(sub, log.b, log.a), default=0) for log in logs),
+            default=0,
+        )
+        return cls(
+            result, logs, signature, fired,
+            None if idle_close is None else longest + idle_close,
+            max((log.kinds.count(EV_ACT) for log in logs), default=0),
+        )
+
+    def views(self, acts: bool, closes: bool) -> List[_BankLog]:
+        """Every bank's :meth:`_BankLog.view`, built on first use."""
+        key = (acts, closes)
+        views = self.view_cache.get(key)
+        if views is None:
+            views = self.view_cache[key] = [
+                log.view(acts, closes) for log in self.logs
+            ]
+        return views
 
     def inert(self, signature: tuple) -> bool:
         """Whether a lane's timing signature never binds on this timeline.
@@ -333,19 +374,14 @@ class _Recording:
         return not self.fired and self.inert(self.signature)
 
     def detached(self) -> "_Recording":
-        """A copy sharing the event arrays but not the derived records.
+        """A copy sharing the event logs but not the cached views.
 
-        Derived record streams, cached per scheme shape, outweigh the
-        event arrays and are cheap to re-derive, so a
-        :class:`TimelineStore` keeps none: it stores a detached copy and
-        lends detached copies out, whose caches die with the call.
+        A :class:`TimelineStore` stores a detached copy and lends
+        detached copies out, so the views a call builds die with it.
         """
-        timeline = self.timeline
         return _Recording(
-            self.result,
-            type(timeline)(timeline.banks, timeline.banks_per_channel,
-                           timeline.timings),
-            self.signature, self.fired, self.tmro_floor, self.max_bank_acts,
+            self.result, self.logs, self.signature, self.fired,
+            self.tmro_floor, self.max_bank_acts,
         )
 
     def covers(self, signature: tuple) -> bool:
@@ -365,8 +401,8 @@ class TimelineStore:
     """Plain recorded timelines kept across :func:`simulate_batch` calls.
 
     Keyed by ``(system, trace digest)``; holds only recordings whose
-    leader did not fire and whose signature is plain or inert, as
-    NumPy arrays (no Python event lists).  Least-recently-used entries
+    leader did not fire and whose signature is plain or inert, without
+    their cached views.  Least-recently-used entries
     beyond :data:`TIMELINE_STORE_MAX_ENTRIES` are dropped.
     ``SweepRunner`` owns one, so a figure whose lanes all carry inert
     tMRO or RFM settings replays against the plain timeline an earlier
@@ -419,17 +455,63 @@ def _may_share(leader: tuple, signature: tuple, system: SystemConfig) -> bool:
     )
 
 
-def _python_logs(timeline) -> List[_BankLog]:
-    """Per-bank Python lists for the scalar replay, rebuilt on demand."""
-    logs = []
-    for events in timeline.banks:
-        log = _BankLog()
-        log.kinds = events.kinds.tolist()
-        log.rows = events.rows.tolist()
-        log.a = events.a.tolist()
-        log.b = events.b.tolist()
-        logs.append(log)
-    return logs
+def _replay_bank(log: _BankLog, act, close, rfm) -> Optional[int]:
+    """Drives one bank's events through its kernels.
+
+    Returns the RFM mitigations, or None as soon as an act or close
+    kernel fires.  ``log`` holds only the kinds whose kernel is set.
+    """
+    if not log.mixed:
+        if act is not None:
+            fired = any(map(act, log.rows))
+        else:
+            fired = close is not None and any(
+                map(close, log.rows, log.a, log.b)
+            )
+        return None if fired else 0
+    mitigated = 0
+    for kind, row, a, b in zip(log.kinds, log.rows, log.a, log.b):
+        if kind == EV_ACT:
+            if act(row):
+                return None
+        elif kind == EV_CLOSE:
+            if close(row, a, b):
+                return None
+        elif rfm(a) is not None:
+            mitigated += 1
+    return mitigated
+
+
+def replay_lane_python(defense: DefenseConfig, system: SystemConfig,
+                       recording: _Recording) -> Tuple[bool, int]:
+    """Exact replay of one lane through its real scheme/tracker kernels.
+
+    Builds the lane's own scheme per channel, with the construction,
+    seeds and kernel objects a real simulation would use, and drives
+    the recorded events through it.  Returns ``(valid,
+    rfm_mitigations)``; ``valid`` is False as soon as any act/close
+    kernel fires a mitigation, at which point the lane must be
+    re-simulated for real.  An exception (PRAC's out-of-range row, say)
+    is the caller's cue to re-simulate too, so the error surfaces from
+    the real engine.
+    """
+    per = system.banks_per_channel
+    mitigated = 0
+    for channel in range(system.channels):
+        scheme = defense.build_scheme(system.timings, per)
+        kernels = zip(
+            scheme.act_kernels(), scheme.close_kernels(),
+            scheme.rfm_kernels(),
+        )
+        for bank, (act, close, rfm) in enumerate(kernels):
+            log = recording.views(act is not None, close is not None)[
+                channel * per + bank
+            ]
+            count = _replay_bank(log, act, close, rfm)
+            if count is None:
+                return False, 0
+            mitigated += count
+    return True, mitigated
 
 
 def simulate_batch(
@@ -453,16 +535,10 @@ def simulate_batch(
 
     ``timelines`` lends plain recordings across calls: lanes it covers
     replay against them, and this call's plain leaders are added.
-
-    Raises ImportError when NumPy is unavailable; callers that want the
-    graceful fallback should guard on :func:`batch_available`.  Pass a
-    :class:`BatchStats` to observe how the work was divided.
+    Pass a :class:`BatchStats` to observe how the work was divided.
     """
-    if not numpy_available():
-        raise ImportError(NUMPY_IMPORT_HINT)
     system = system or SystemConfig()
     timings = system.timings
-    per = system.banks_per_channel
     st = stats if stats is not None else BatchStats()
 
     normalized = [_normalize_point(point) for point in points]
@@ -500,16 +576,11 @@ def simulate_batch(
     def record(key, signature) -> _Recording:
         simulator = build(key)
         recorder = _Recorder(simulator)
-        results[key] = simulator.run()
-        timeline = recorder.timeline(per, timings)
-        idle_close = system.idle_close_cycles
-        own = results[key]   # the caller's copy stays the caller's
-        return _Recording(
-            _follower_result(own, own.rfm_mitigations),
-            timeline, signature, recorder.fired,
-            None if idle_close is None
-            else timeline.max_open_cycles() + idle_close,
-            timeline.max_bank_acts(),
+        own = results[key] = simulator.run()
+        # The recording keeps a copy: the caller's result stays theirs.
+        return _Recording.of(
+            _follower_result(own, own.rfm_mitigations), recorder.logs,
+            signature, recorder.fired, system.idle_close_cycles,
         )
 
     def replay(key, recording: _Recording) -> None:
@@ -519,22 +590,16 @@ def simulate_batch(
             st.fallbacks += 1
             results[key] = build(key).run()
             return
-        defense = key[1] or DefenseConfig()
-        st.vector_replays += 1
-        verdict, rfm = replay_lane_vector(defense, recording.timeline)
-        if verdict == "unknown":
-            st.python_replays += 1
-            try:
-                valid, rfm = replay_lane_python(
-                    defense, timings, per, system.channels,
-                    _python_logs(recording.timeline),
-                )
-            except ValueError:
-                # PRAC's out-of-range row: re-simulate so the error
-                # (or its absence) comes from the real engine.
-                valid = False
-            verdict = "valid" if valid else "diverged"
-        if verdict == "valid":
+        st.python_replays += 1
+        try:
+            valid, rfm = replay_lane_python(
+                key[1] or DefenseConfig(), system, recording
+            )
+        except ValueError:
+            # PRAC's out-of-range row: re-simulate so the error (or its
+            # absence) comes from the real engine.
+            valid = False
+        if valid:
             st.replayed += 1
             results[key] = _follower_result(recording.result, rfm)
         else:

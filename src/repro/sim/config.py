@@ -272,7 +272,7 @@ def _normalize_point(point) -> Tuple[object, Optional[DefenseConfig],
     triple that keys the sweep cache.  The one copy: it lives here, in
     a module every sweep already imports, so neither
     ``repro.experiments.common`` nor the batch tier has to load the
-    other (or NumPy) to key a point."""
+    other to key a point."""
     sweep_point = getattr(point, "sweep_point", None)
     if sweep_point is not None:
         return sweep_point()

@@ -485,11 +485,10 @@ def simulate_workload(
 
     ``engine`` selects the tier: ``"fast"`` (default, the oracle-pinned
     event engine), ``"reference"`` (the preserved original loop), or
-    ``"batch"`` (the NumPy batch tier — a single point degenerates to
-    one fast-engine run, so this mainly validates the plumbing; batch
-    wins come from :func:`repro.sim.batch.simulate_batch` over grids).
-    All three produce bit-identical results; ``"batch"`` raises
-    ImportError when NumPy is unavailable — fall back to ``"fast"``.
+    ``"batch"`` (the batch tier — a single point degenerates to one
+    fast-engine run, so this mainly validates the plumbing; batch wins
+    come from :func:`repro.sim.batch.simulate_batch` over grids).  All
+    three produce bit-identical results.
     """
     system = system or SystemConfig()
     if engine not in ENGINE_NAMES:

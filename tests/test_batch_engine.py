@@ -3,36 +3,30 @@
 Extends the PR 2–3 reference-vs-fast equivalence matrix one tier up:
 :func:`repro.sim.batch.simulate_batch` must return exactly the
 :class:`SimResult` the fast engine produces for every lane — whether the
-lane was the recorded leader, a vectorized replay, a scalar replay, or
-a divergence fallback.  Also pins the NumPy MT19937 transplant PARA's
-vector replay depends on, the ``run_many`` batch routing's blob
-identity, and the graceful degradation when NumPy is missing.
+lane was the recorded leader, a replay through its real kernels, or a
+divergence fallback.  Also pins the ``run_many`` batch routing's blob
+identity.
 """
 
-import dataclasses
 import json
-import random
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.experiments.common import SweepRunner
 from repro.sim import simulate_workload
 from repro.sim.batch import (
+    EV_ACT,
+    EV_CLOSE,
     BatchStats,
     TimelineStore,
     _Recorder,
-    batch_available,
+    _Recording,
+    _timing_signature,
+    replay_lane_python,
     simulate_batch,
 )
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.system import SystemSimulator
-from repro.trackers.batch_kernels import (
-    numpy_rng_from,
-    replay_lane_python,
-    replay_lane_vector,
-)
 from repro.workloads.compiled import compiled_rate_mode_traces
 
 from test_engine_equivalence import DEFENSES, _defense_id, _fuzzed_specs
@@ -180,7 +174,7 @@ class TestRunManyRouting:
         batched = SweepRunner(system=SMALL, n_requests=60, seed=3)
         serial = SweepRunner(system=SMALL, n_requests=60, seed=3,
                              use_batch=False)
-        assert batched.use_batch and batch_available()
+        assert batched.use_batch
         blobs_batched = [
             result_blob(r) for r in batched.run_many(self.GRID)
         ]
@@ -213,46 +207,23 @@ def _recorded_timeline(workload="mcf", defense=None, n_requests=150,
 
 
 class TestReplayInternals:
-    def test_para_numpy_rng_transplant(self):
-        rng = random.Random(123)
-        expected = [rng.random() for _ in range(64)]
-        rng = random.Random(123)
-        transplanted = numpy_rng_from(rng)
-        assert list(transplanted.random_sample(64)) == expected
-
-    def test_vector_agrees_with_python_replay(self):
-        recorder, _result, system = _recorded_timeline()
-        timeline = recorder.timeline(
-            system.banks_per_channel, system.timings
-        )
-        for defense in DEFENSES:
-            if defense is None or defense.uses_rfm:
-                continue  # RFM lanes live in a separate timing group
-            verdict, rfm = replay_lane_vector(defense, timeline)
-            valid, py_rfm = replay_lane_python(
-                defense, system.timings, system.banks_per_channel,
-                system.channels, recorder.logs,
-            )
-            if verdict == "valid":
-                assert valid and rfm == py_rfm == 0, _defense_id(defense)
-
-    def test_rfm_counts_match_python_replay(self):
-        defense = DefenseConfig(tracker="mint", scheme="no-rp", rfmth=20)
-        recorder, _result, system = _recorded_timeline(defense=defense)
-        timeline = recorder.timeline(
-            system.banks_per_channel, system.timings
-        )
-        for follower in (
-            defense,
+    def test_rfm_counts_match_leader(self):
+        # A lane replayed on its own leader's recording counts exactly
+        # the RFM mitigations the leader's real run counted.
+        for defense in (
+            DefenseConfig(tracker="mint", scheme="no-rp", rfmth=20),
             DefenseConfig(tracker="mithril", scheme="no-rp", rfmth=20),
         ):
-            verdict, rfm = replay_lane_vector(follower, timeline)
-            valid, py_rfm = replay_lane_python(
-                follower, system.timings, system.banks_per_channel,
-                system.channels, recorder.logs,
+            recorder, result, system = _recorded_timeline(defense=defense)
+            recording = _Recording.of(
+                result, recorder.logs,
+                _timing_signature(defense, None, system.timings),
+                recorder.fired, system.idle_close_cycles,
             )
-            assert verdict == "valid" and valid
-            assert rfm == py_rfm, _defense_id(follower)
+            valid, rfm = replay_lane_python(defense, system, recording)
+            assert valid and rfm == result.rfm_mitigations > 0, (
+                _defense_id(defense)
+            )
 
     def test_leader_recording_does_not_change_result(self):
         _recorder, recorded, system = _recorded_timeline()
@@ -280,30 +251,6 @@ class TestEngineSelection:
                               n_requests_per_core=20)
 
 
-class TestNumpyFallback:
-    """Without NumPy the tier reports unavailable and callers degrade."""
-
-    def test_unavailable_paths(self, monkeypatch):
-        import repro.trackers.batch_kernels as bk
-
-        monkeypatch.setattr(bk, "np", None)
-        assert not batch_available()
-        with pytest.raises(ImportError, match="pip install numpy"):
-            simulate_batch([("mcf", None, None)], system=SMALL,
-                           n_requests_per_core=20)
-        with pytest.raises(ImportError, match="pip install numpy"):
-            simulate_workload("mcf", engine="batch", system=SMALL,
-                              n_requests_per_core=20)
-        # run_many silently falls back to per-point fast runs.
-        runner = SweepRunner(system=SMALL, n_requests=20)
-        results = runner.run_many(
-            [("mcf", None, None),
-             ("mcf", DefenseConfig(tracker="graphene", scheme="no-rp"),
-              None)]
-        )
-        assert len(results) == 2
-
-
 class TestStatsAccounting:
     def test_partition_adds_up(self):
         stats = BatchStats()
@@ -319,7 +266,7 @@ class TestStatsAccounting:
             stats.leaders + stats.replayed + stats.fallbacks
             + stats.singletons == unique
         )
-        assert stats.vector_replays >= stats.replayed
+        assert stats.python_replays >= stats.replayed
 
 
 def _plain_bounds(workload, system=SMALL, n_requests=REQUESTS, seed=7):
@@ -331,10 +278,15 @@ def _plain_bounds(workload, system=SMALL, n_requests=REQUESTS, seed=7):
     simulator = SystemSimulator(system, compiled=compiled)
     recorder = _Recorder(simulator)
     simulator.run()
-    timeline = recorder.timeline(system.banks_per_channel, system.timings)
+    longest = max(
+        pre - act
+        for log in recorder.logs
+        for kind, act, pre in zip(log.kinds, log.a, log.b)
+        if kind == EV_CLOSE
+    )
     return (
-        timeline.max_open_cycles() + system.idle_close_cycles,
-        timeline.max_bank_acts(),
+        longest + system.idle_close_cycles,
+        max(log.kinds.count(EV_ACT) for log in recorder.logs),
     )
 
 
@@ -559,8 +511,8 @@ class TestTimelineStore:
         assert len(fired) == 0
 
     def test_stored_scalar_replay_matches(self):
-        # DSAC under ImPress-P always takes the scalar replay, which
-        # rebuilds Python event lists from the stored arrays.
+        # A later call replays DSAC under ImPress-P on the stored
+        # recording's event lists.
         store = TimelineStore()
         simulate_batch(
             [("mcf", None, None),

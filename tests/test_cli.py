@@ -331,7 +331,6 @@ class TestServeParsers:
         assert args.max_inflight == 8
         assert args.max_waiters == 64
         assert args.queue_watermark == 256
-        assert args.journal_watermark == 64
         assert args.drain_timeout is None
         assert args.fault is None
 

@@ -4,10 +4,8 @@ The CLI, the serve daemon, a distributed worker and the fuzzer run
 single fast-engine points, so a fresh interpreter importing any of them
 must leave NumPy, the batch tier and the experiments layer (the paper's
 figure sweeps) unloaded.  A serial multi-point sweep is what loads the
-batch tier.  Without NumPy the tier reports unavailable, sweeps fall
-back to per-point runs with identical results, and ``repro simulate
---engine batch`` says how to install it instead of dying with a
-traceback.
+batch tier, which needs only the standard library: it loads no NumPy
+where NumPy is installed and gives the same results where it is not.
 
 Every check runs in a fresh interpreter: the test process itself has
 long since imported everything.
@@ -21,8 +19,6 @@ import textwrap
 from pathlib import Path
 
 import pytest
-
-from repro.trackers.batch_kernels import NUMPY_IMPORT_HINT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,17 +48,16 @@ def heavy_modules():
     return sorted(
         name for name in sys.modules
         if name == "numpy" or name.startswith("numpy.")
-        or name in ("repro.sim.batch", "repro.trackers.batch_kernels")
+        or name == "repro.sim.batch"
         or name == "repro.experiments"
         or name.startswith("repro.experiments.")
     )
 """
 
-#: A three-point serial sweep; prints whether the batch tier was
-#: available, the heavy modules loaded, and the result blobs.
+#: A three-point serial sweep; prints the heavy modules loaded and the
+#: result blobs.
 SWEEP = """
     from repro.experiments.common import SweepRunner
-    from repro.sim import batch_available
     from repro.sim.config import DefenseConfig, SystemConfig
 
     points = [
@@ -76,7 +71,6 @@ SWEEP = """
     )
     results = runner.run_many(points)
     print(json.dumps([
-        batch_available(),
         heavy_modules(),
         [result.to_json() for result in results],
     ]))
@@ -135,20 +129,19 @@ def test_only_a_serial_multi_point_sweep_loads_the_batch_tier():
 
 
 class TestWithoutNumpy:
-    def test_simulate_batch_engine_prints_the_install_hint(self):
+    def test_simulate_batch_engine_runs(self):
         proc = run_child("""
             from repro.cli import main
 
             raise SystemExit(main(["simulate", "mcf", "--engine", "batch",
                                    "--requests", "20"]))
         """, block_numpy=True)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout.strip() == NUMPY_IMPORT_HINT
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mcf + graphene/impress-p: ")
 
-    def test_run_many_falls_back_with_identical_results(self):
-        available, loaded, blobs = child_json(SWEEP, block_numpy=True)
-        assert not available
-        assert "numpy" not in loaded
-        # Batched wherever numpy is installed; per-point where it is not.
-        assert blobs == child_json(SWEEP)[2]
+    def test_batched_sweep_loads_no_numpy(self):
+        loaded, blobs = child_json(SWEEP)
+        assert "repro.sim.batch" in loaded
+        assert not [name for name in loaded if name.startswith("numpy")]
+        # Same blobs where NumPy cannot be imported at all.
+        assert blobs == child_json(SWEEP, block_numpy=True)[1]

@@ -74,7 +74,6 @@ def test_fast_engine_matches_pin(pin):
 
 @pytest.mark.parametrize("pin", PINS, ids=_pin_id)
 def test_batch_engine_matches_pin(pin):
-    pytest.importorskip("numpy")
     from repro.sim.batch import simulate_batch
 
     spec, point = _point(pin)

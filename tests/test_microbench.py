@@ -54,8 +54,6 @@ class TestRows:
 
     @pytest.mark.parametrize("name", list(microbench.ROWS))
     def test_row_builds_and_runs(self, name):
-        if name == "tracker_grid_batch":
-            pytest.importorskip("numpy")
         timed_pass = microbench.ROWS[name](requests=TINY)
         work = timed_pass()
         assert work > 0
@@ -64,7 +62,6 @@ class TestRows:
             assert work == TINY * microbench.KERNEL_RECORDS_PER_REQUEST
 
     def test_speedup_pairs_simulate_identical_work(self):
-        pytest.importorskip("numpy")
         work = {
             name: microbench.ROWS[name](requests=TINY)()
             for _, fast, slow in microbench.PAIRS

@@ -76,7 +76,6 @@ def make_engine(tmp_path, **overrides):
         max_inflight=8,
         max_waiters=16,
         queue_watermark=64,
-        journal_watermark=32,
         serial_grace_s=0.05,
         poll_s=0.01,
     )
@@ -288,17 +287,9 @@ class TestAdmission:
             engine.submit(small_recipe())
         assert "in-flight" in excinfo.value.reason
 
-    def test_journal_watermark_sheds(self, tmp_path):
-        engine, _store, _queue, _journal = make_engine(
-            tmp_path, journal_watermark=0,
-        )
-        with pytest.raises(RequestShed) as excinfo:
-            engine.submit(small_recipe())
-        assert "journal" in excinfo.value.reason
-
     def test_queue_watermark_sheds(self, tmp_path):
         engine, _store, queue, _journal = make_engine(
-            tmp_path, queue_watermark=1, journal_watermark=99,
+            tmp_path, queue_watermark=1,
         )
         queue.submit(slow_recipe())   # unrelated backlog
         with pytest.raises(RequestShed) as excinfo:
@@ -454,6 +445,34 @@ class TestHTTPDaemon:
             f"n_requests must be positive, got {n_requests}"
         )
         assert client.status()["stats"]["accepted"] == 0
+
+    @pytest.mark.parametrize("recipe", [
+        small_recipe(n_requests=-5),
+        small_recipe(n_requests=0),
+        dict(small_recipe(), n_requests="300"),
+        dict(small_recipe(), n_requests=True),
+        dict(small_recipe(), seed="0"),
+        {k: v for k, v in small_recipe().items() if k != "seed"},
+        dict(small_recipe(), kind="scenario-run"),
+        broken_recipe(),
+        dict(small_recipe(), scenario=None),
+    ], ids=[
+        "n_requests=-5", "n_requests=0", "n_requests-str",
+        "n_requests-bool", "seed-str", "no-seed", "other-kind",
+        "bogus-scenario", "null-scenario",
+    ])
+    def test_unrunnable_recipe_gets_400_and_leaves_no_trace(
+        self, daemon, recipe
+    ):
+        client = self.client(daemon)
+        code, data = client.call("POST", "/request", {"recipe": recipe})
+        assert code == 400, data
+        assert "error" in data
+        status = client.status()
+        assert status["stats"]["accepted"] == 0
+        assert status["journal_depth"] == 0
+        assert status["queue"]["total_tasks"] == 0
+        assert status["store"]["blobs"] == 0
 
     def test_unknown_paths_get_404(self, daemon):
         client = self.client(daemon)

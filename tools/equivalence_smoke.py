@@ -2,7 +2,7 @@
 """CI smoke: one batched sweep grid must be bit-identical to the fast engine.
 
 Runs a small mixed-tracker grid twice — once through
-``repro.sim.batch.simulate_batch`` (the NumPy leader/replay tier) and
+``repro.sim.batch.simulate_batch`` (the leader/replay tier) and
 once per-point through ``simulate_workload`` (the fast engine oracle) —
 and asserts every lane's canonical JSON blob is byte-identical.  Also
 asserts the batch run actually exercised each sharing path, so a
@@ -15,9 +15,8 @@ equivalence:
 * an inert join (``joined > 0``): a long-tMRO ExPress lane and a MINT
   lane whose RFMTH no bank reaches replay against the plain timeline.
 
-Exit codes: 0 identical (or NumPy missing — the tier is optional, so
-the smoke degrades to a skip), 1 any lane diverged or a sharing path
-went unused.
+Exit codes: 0 identical, 1 any lane diverged or a sharing path went
+unused.
 
 Usage (the CI perf-smoke equivalence gate):
 
@@ -35,14 +34,9 @@ def result_blob(result) -> bytes:
 
 
 def main() -> int:
-    from repro.sim.batch import BatchStats, batch_available, simulate_batch
+    from repro.sim.batch import BatchStats, simulate_batch
     from repro.sim.config import DefenseConfig, SystemConfig
     from repro.sim.system import simulate_workload
-
-    if not batch_available():
-        print("equivalence-smoke: numpy unavailable; batch tier "
-              "disabled, nothing to check (skip)")
-        return 0
 
     system = SystemConfig(n_cores=2, banks_per_channel=8)
     requests = 120
@@ -95,7 +89,7 @@ def main() -> int:
     print(
         f"equivalence-smoke: {len(points)} lanes -> "
         f"{stats.leaders} leaders, {stats.replayed} replayed "
-        f"({stats.vector_replays} vector / {stats.python_replays} python), "
+        f"(of {stats.python_replays} replay attempts), "
         f"{stats.fallbacks} fallbacks, {stats.singletons} singletons, "
         f"{stats.aliased} aliased; {stats.joined} joined across signatures"
     )
