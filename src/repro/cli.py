@@ -71,9 +71,10 @@ def _not_positive(flag: str, value: Optional[float]) -> bool:
     """Print an error and return True when an option is not positive.
 
     ``None`` (an optional flag left unset) passes.  A zero or negative
-    ``--requests`` simulates nothing, and a zero or negative ``--lease``
-    expires every claim the moment it is made; both are rejected before
-    anything touches a store.
+    ``--requests`` simulates nothing, a zero or negative ``--budget``
+    fuzzes nothing (so a fuzz gate would pass vacuously), and a zero or
+    negative ``--lease`` expires every claim the moment it is made; all
+    are rejected before anything touches a store.
     """
     if value is None or value > 0:
         return False
@@ -301,9 +302,8 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
     if _not_positive("--requests", args.requests):
         return 2
     from .experiments.common import SweepRunner
-    from .scenarios import get_scenario
+    from .scenarios import ScenarioReport, get_scenario
     from .sim.config import DefenseConfig as Defense
-    from .sim.metrics import attacker_act_rate, victim_slowdown
 
     try:
         specs = [get_scenario(name) for name in args.names]
@@ -352,12 +352,13 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
     print(f"{'scenario':<26} {'defense':<22} {'slowdown':>9} "
           f"{'ACTs/cycle':>11}")
     for point, baseline in zip(points, baselines):
-        result = runner.run(*point.sweep_point())
-        base = runner.run(*baseline.sweep_point())
-        attackers = point.attacker_cores()
-        if attackers:
-            slowdown = f"{victim_slowdown(result, base, attackers):9.3f}"
-            rate = f"{attacker_act_rate(result, attackers):11.5f}"
+        report = ScenarioReport(
+            point, runner.run(*point.sweep_point()),
+            runner.run(*baseline.sweep_point()), args.requests, args.seed,
+        )
+        if report.victim_slowdown is not None:
+            slowdown = f"{report.victim_slowdown:9.3f}"
+            rate = f"{report.attacker_act_rate:11.5f}"
         else:
             slowdown, rate = f"{'-':>9}", f"{'-':>11}"
         print(f"{point.name:<26} {point.defense_summary():<22} "
@@ -372,7 +373,8 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if _not_positive("--requests", args.requests):
+    if (_not_positive("--requests", args.requests)
+            or _not_positive("--budget", args.budget)):
         return 2
     from .results.store import store_for
     from .scenarios.fuzz import (

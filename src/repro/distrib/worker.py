@@ -31,7 +31,8 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, Optional, Tuple
 
 from ..results import store as store_mod
 from ..results.store import ResultStore, content_key, with_lock_retry
@@ -82,11 +83,10 @@ def install_shutdown_handler(
 def sweep_task_recipe(
     scenario_recipe: Dict[str, Any], n_requests: int, seed: int
 ) -> Dict[str, Any]:
-    """The recipe of one distributed sweep task *and* its result blob.
+    """The recipe of one simulated point *and* its result blob.
 
-    Deliberately field-compatible with
-    :func:`repro.scenarios.run.scenario_run_recipe` minus the kind tag:
-    the scenario recipe plus the run shape.  Task id and result key are
+    The scenario recipe plus the run shape; both legs of a ``repro
+    scenario run`` are stored under it too.  Task id and result key are
     both this recipe's content key, which is the exactly-once
     mechanism — any re-execution lands on the same address.
     """
@@ -101,6 +101,21 @@ def sweep_task_recipe(
 def result_alias(task_id: str) -> str:
     """The index alias under which a finished task's result is found."""
     return f"sweep/{task_id}"
+
+
+def put_result(
+    store: ResultStore,
+    recipe: Dict[str, Any],
+    payload: Dict[str, Any],
+    meta: Dict[str, Any],
+    overwrite: bool = False,
+) -> Tuple[str, Path, bool]:
+    """Put one point's ``sweep-task`` result blob, aliased by its key
+    and retried through index-lock contention; ``store.put``'s return."""
+    return with_lock_retry(lambda: store.put(
+        recipe, payload, name=result_alias(content_key(recipe)),
+        kind=TASK_KIND, meta=meta, overwrite=overwrite,
+    ))
 
 
 def build_simulator(recipe: Dict[str, Any]) -> SystemSimulator:
@@ -132,10 +147,7 @@ def execute_recipe(
     payload = store.fetch(recipe)
     if payload is None:
         payload = build_simulator(recipe).run().to_json()
-        with_lock_retry(lambda: store.put(
-            recipe, payload, name=result_alias(content_key(recipe)),
-            kind=TASK_KIND, meta={"owner": owner},
-        ))
+        put_result(store, recipe, payload, {"owner": owner})
     return payload
 
 
@@ -257,13 +269,10 @@ def execute_claimed_task(
                 lambda: os._exit(KILL_MID_PUT_EXIT)
             )
         try:
-            result_key, _path, created = with_lock_retry(lambda: store.put(
-                recipe,
-                result.to_json(),
-                name=result_alias(task.task_id),
-                kind=TASK_KIND,
-                meta={"owner": claimed.owner, "attempts": claimed.attempts},
-            ))
+            result_key, _path, created = put_result(
+                store, recipe, result.to_json(),
+                {"owner": claimed.owner, "attempts": claimed.attempts},
+            )
         finally:
             store_mod._CRASH_AFTER_TMP_WRITE = None
         queue.complete(task.task_id, claimed.owner, result_key)

@@ -35,12 +35,17 @@ def resolve_store(path: Path) -> ResultStore:
 
 
 def latest_runs(store: ResultStore) -> Dict[str, Dict[str, Any]]:
-    """Latest retrievable scenario payload per name in ``store``."""
+    """Latest scenario report payload per name in ``store``, rebuilt
+    from its two legs (:func:`~repro.scenarios.run.stored_report`);
+    names without both ``sweep-task`` legs (an older store) are skipped.
+    """
+    from ..scenarios.run import stored_report
+
     runs: Dict[str, Dict[str, Any]] = {}
     for entry in store.entries(kind=SCENARIO_KIND):
-        payload = store.get(entry["key"])
-        if payload is not None:
-            runs[entry["name"]] = {"entry": entry, "payload": payload}
+        report = stored_report(store, entry["key"], entry["name"])
+        if report is not None:
+            runs[entry["name"]] = {"entry": entry, "payload": report.to_json()}
     return runs
 
 

@@ -1,7 +1,7 @@
 """Content-addressed result-artifact store.
 
-Every run artifact in this repo — scenario runs, their victim-only
-baseline legs, orchestrated experiment results — is a deterministic
+Every run artifact in this repo — simulated points, orchestrated
+experiment results, fuzz reproducers — is a deterministic
 function of an explicit *recipe*: the plain-data dict of everything
 that can change the numbers (spec fields, topology, defense,
 ``n_requests``, ``seed``, ...).  The store keys blobs by a stable
@@ -9,8 +9,8 @@ canonical-JSON hash of that recipe:
 
 * ``<root>/objects/<key>.json`` — one blob per distinct recipe,
   holding the recipe and the result payload.  Writing the same recipe
-  twice stores one blob (dedup): N scenarios sharing one victim-only
-  baseline leg share one baseline blob.
+  twice stores one blob (dedup): a scenario leg, a sweep task and a
+  served request of one point are one blob.
 * ``<root>/index.json`` — the human layer: append-only entries mapping
   names to content keys, with a timestamp and the git SHA of the code
   that produced them.  Names are *aliases*, never identity — two runs
@@ -32,10 +32,9 @@ rebuilt by the next alias write (blobs stay retrievable by key).
 Crash debris is handled by :meth:`ResultStore.sweep_stale_tmp` (a
 writer killed between the temp write and the rename leaves a ``*.tmp``
 file behind forever — swept on the first write through a store instance
-and by ``gc``) and :meth:`ResultStore.gc` (blobs no index entry or
-indexed payload references — e.g. result blobs whose alias history
-was pruned with :meth:`ResultStore.unalias` — are deleted under the
-index lock, sparing
+and by ``gc``) and :meth:`ResultStore.gc` (blobs no index entry names
+— e.g. result blobs whose alias history was pruned with
+:meth:`ResultStore.unalias` — are deleted under the index lock, sparing
 blobs younger than a grace age whose alias may still be in flight;
 ``dry_run`` only reports the reclaimable bytes).
 """
@@ -333,8 +332,8 @@ class ResultStore:
 
         Blobs are self-describing: the recipe rides inside, so a
         consumer holding only a content key (a fuzz reproducer, a
-        baseline reference) can rebuild the exact run that produced
-        the payload.
+        scenario's ``scenario`` alias) can rebuild the exact run that
+        produced the payload.
         """
         blob = self._load_blob(key)
         return None if blob is None else blob.get("recipe")
@@ -557,28 +556,16 @@ class ResultStore:
         return stale
 
     def referenced_keys(self) -> set:
-        """Every content key reachable from the index.
+        """Every content key an index entry names: the live set, since
+        every artifact (each scenario leg included) is indexed directly.
 
-        Index entries are the roots; payload fields ending in ``_key``
-        (e.g. a scenario blob's ``baseline_key``) are followed
-        transitively, so a blob referenced only from inside another
-        indexed artifact still counts as live.  Callers that act on
-        the answer (like :meth:`gc`) should hold :meth:`_index_lock`
-        so the index cannot change between the scan and the action.
+        Callers that act on the answer (like :meth:`gc`) should hold
+        :meth:`_index_lock` so the index cannot change between the scan
+        and the action.
         """
-        live: set = set()
-        frontier = [
+        return {
             e["key"] for e in self.entries() if isinstance(e.get("key"), str)
-        ]
-        while frontier:
-            key = frontier.pop()
-            if key in live:
-                continue
-            live.add(key)
-            blob = self._load_blob(key)
-            if blob is not None:
-                frontier.extend(_payload_key_refs(blob.get("payload")))
-        return live
+        }
 
     def gc(
         self,
@@ -591,10 +578,9 @@ class ResultStore:
 
         Returns a :class:`GCReport`; with ``dry_run`` nothing is
         removed and the report shows what *would* be reclaimed.  Every
-        index-referenced artifact (directly, or via a ``*_key`` payload
-        reference) survives.  Typical garbage: result blobs whose alias
-        history was pruned with :meth:`unalias`, and blobs a writer
-        killed between the blob write and the alias write left behind.
+        blob an index entry names survives.  Typical garbage: result
+        blobs whose alias history was pruned with :meth:`unalias`, and
+        blobs a writer killed between blob and alias write left behind.
 
         Safe next to live writers: the index lock is held across the
         reference scan and the deletions, so no alias can land between
@@ -646,40 +632,6 @@ class ResultStore:
             stale_tmp=stale_sized,
             live_blobs=len(live),
         )
-
-
-_KEY_RE = None
-
-
-def _payload_key_refs(payload: Any) -> List[str]:
-    """Content keys referenced from inside a payload.
-
-    Any mapping field whose name ends in ``_key`` and whose value looks
-    like a content key (16 hex chars) is a reference — the convention
-    :mod:`repro.scenarios.run` established with ``baseline_key``.
-    Lists and nested mappings are walked; anything else is data.
-    """
-    global _KEY_RE
-    if _KEY_RE is None:
-        import re
-
-        _KEY_RE = re.compile(r"^[0-9a-f]{16}$")
-    refs: List[str] = []
-    if isinstance(payload, Mapping):
-        for field, value in payload.items():
-            if (
-                isinstance(field, str)
-                and field.endswith("_key")
-                and isinstance(value, str)
-                and _KEY_RE.match(value)
-            ):
-                refs.append(value)
-            else:
-                refs.extend(_payload_key_refs(value))
-    elif isinstance(payload, (list, tuple)):
-        for value in payload:
-            refs.extend(_payload_key_refs(value))
-    return refs
 
 
 @dataclass

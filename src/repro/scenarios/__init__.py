@@ -8,9 +8,10 @@ topology × defense) points over the paper's design space.
   multi-attacker saturation).
 * :mod:`~repro.scenarios.grid` — cross-product expansion feeding
   :meth:`~repro.experiments.common.SweepRunner.run_many`.
-* :mod:`~repro.scenarios.run` — execution, security metrics, and the
-  disk-cached results artifacts behind ``repro scenario run``.  Its
-  names resolve on first access (module ``__getattr__``): it runs on
+* :mod:`~repro.scenarios.run` — execution, the security-metric report
+  view, and the two store blobs (scenario and baseline legs) behind
+  ``repro scenario run``.  Its names resolve on first access (module
+  ``__getattr__``): it runs on
   :class:`~repro.experiments.common.SweepRunner`, and the daemon and
   workers, which only parse specs, should not load the experiments
   layer.
@@ -33,10 +34,7 @@ __all__ = [
     "is_scenario",
     "run_scenario",
     "run_scenario_cached",
-    "scenario_baseline_recipe",
-    "scenario_config_hash",
     "scenario_names",
-    "scenario_run_recipe",
     "spec_from_recipe",
 ]
 
@@ -45,9 +43,6 @@ _RUN_NAMES = frozenset({
     "ScenarioReport",
     "run_scenario",
     "run_scenario_cached",
-    "scenario_baseline_recipe",
-    "scenario_config_hash",
-    "scenario_run_recipe",
 })
 
 

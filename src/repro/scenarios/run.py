@@ -1,23 +1,20 @@
 """Scenario execution: simulate a spec, report security-aware metrics.
 
-:func:`run_scenario` simulates a scenario *and* its victim-only
-baseline through one :class:`~repro.experiments.common.SweepRunner`
-batch (so ``jobs > 1`` evaluates both legs across the persistent
-process pool, with results bit-identical to serial), then folds the
-two runs into a :class:`ScenarioReport` carrying the headline pair —
-victim slowdown and attacker ACT rate — next to the usual performance
-counters.
+A scenario is two simulated *legs*: the spec and its victim-only
+baseline.  :class:`ScenarioReport` is a view over the two legs'
+results: victim slowdown and attacker ACT rate next to the usual
+counters.  :func:`run_scenario` simulates both legs in one
+:class:`~repro.experiments.common.SweepRunner` batch (``jobs > 1`` fans
+them out, bit-identical to serial).
 
-:func:`run_scenario_cached` adds the artifact layer used by
-``repro scenario run``: blobs in the content-addressed
-:class:`~repro.results.store.ResultStore` under
-``<results-dir>/store/``, keyed by the run's explicit recipe
-(:func:`scenario_run_recipe` — spec fields, topology, defense,
-``n_requests``, ``seed``; never ``repr``), so re-running an unchanged
-recipe is a cache hit, two runs of one preset with different seeds are
-two retrievable blobs, and the victim-only baseline leg shared by N
-scenarios is stored once (the same store the experiment orchestrator
-caches into).
+:func:`run_scenario_cached` (``repro scenario run``) stores each leg as
+the ``sweep-task`` blob of its
+:func:`~repro.distrib.worker.sweep_task_recipe` in the store under
+``<results-dir>/store/``: the very blob ``repro sweep``, ``repro
+worker`` and ``repro serve`` write for that point, so they simulate it
+once between them and scenarios sharing a baseline leg store it once.
+The preset name is a ``scenario`` alias on the scenario leg, from which
+:func:`stored_report` rebuilds the report.
 """
 
 from __future__ import annotations
@@ -25,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..distrib.worker import TASK_KIND, put_result, sweep_task_recipe
 from ..experiments.common import SweepRunner
-from ..results.store import content_key, store_for
+from ..results.store import ResultStore, content_key, store_for
 from ..sim.metrics import (
     attacker_act_rate,
     stalled_victim_cores,
@@ -36,7 +34,7 @@ from ..sim.metrics import (
 )
 from ..sim.stats import SimResult
 from .registry import get_scenario
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, spec_from_recipe
 
 #: Default requests per core for scenario runs (matches the experiment
 #: default, so scenario and figure sweeps share cache entries).
@@ -45,7 +43,8 @@ DEFAULT_SCENARIO_REQUESTS = 800
 
 @dataclass
 class ScenarioReport:
-    """One scenario's simulated outcome plus its security metrics."""
+    """A view over one scenario's two simulated legs: the security
+    metrics and counters, recomputed from the results on every read."""
 
     spec: ScenarioSpec
     result: SimResult
@@ -96,8 +95,9 @@ class ScenarioReport:
         ``victim_slowdown`` infinite, which is serialized as ``null``
         with the stalled cores listed in ``stalled_victims`` (the
         store additionally rejects any non-finite float at write
-        time).  The baseline leg's data is *not* inlined — it lives in
-        its own deduplicated store blob (:meth:`baseline_json`).
+        time).  The baseline leg's data is *not* inlined: it is a
+        store blob of its own, shared by every scenario with the same
+        victim side.
         """
         spec = self.spec
         attackers = list(spec.attacker_cores())
@@ -133,144 +133,53 @@ class ScenarioReport:
             "core_demand_acts": list(self.result.core_demand_acts),
         }
 
-    def baseline_json(self) -> dict:
-        """The victim-only baseline leg's store payload.
 
-        Deliberately name-free: the payload is a pure function of the
-        baseline's recipe, so every scenario sharing the same baseline
-        leg (same victims, topology, defense, run shape) produces a
-        byte-identical blob and the store keeps exactly one copy.
-        """
-        baseline_spec = self.spec.baseline()
-        return {
-            "cores": baseline_spec.core_summary(),
-            "defense": baseline_spec.defense_summary(),
-            "metrics": {
-                "elapsed_cycles": self.baseline.elapsed_cycles,
-                "hit_rate": self.baseline.hit_rate,
-                "demand_acts": self.baseline.counts.demand_acts,
-                "mitigative_acts": self.baseline.counts.mitigative_acts,
-                "rfms": self.baseline.counts.rfms,
-                "energy": self.baseline.energy().total,
-            },
-            "core_rates": self.baseline.core_rates(),
-            "core_demand_acts": list(self.baseline.core_demand_acts),
-        }
-
-
-def run_scenario(
-    spec_or_name,
-    n_requests: Optional[int] = None,
-    seed: Optional[int] = None,
-    jobs: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> ScenarioReport:
-    """Simulate a scenario (by spec or preset name) plus its baseline.
-
-    Both legs go through ``runner.run_many`` so a passed-in runner
-    shares its cache with other sweeps and ``jobs > 1`` fans the legs
-    out in parallel.  A supplied runner must simulate the scenario's
-    topology (same ``system``) — and, because the runner's
-    ``n_requests``/``seed`` are part of its cache contract, any
-    explicitly passed values must match the runner's, or the cache
-    keys would lie.  Leave them as None to adopt the runner's (or the
-    defaults, when no runner is given).  A locally-created runner's
-    worker pool is shut down before returning.
-    """
+def _legs(spec_or_name) -> List[ScenarioSpec]:
+    """A scenario (by spec or preset name) and its victim-only baseline."""
     spec = (
         get_scenario(spec_or_name)
         if isinstance(spec_or_name, str) else spec_or_name
     )
-    local_runner = runner is None
-    if local_runner:
-        runner = SweepRunner(
-            system=spec.system,
-            n_requests=(
-                DEFAULT_SCENARIO_REQUESTS if n_requests is None
-                else n_requests
-            ),
-            seed=0 if seed is None else seed,
-            jobs=jobs,
-        )
-    else:
-        if runner.system != spec.system:
-            raise ValueError(
-                "runner simulates a different topology than the scenario"
-            )
-        if n_requests is not None and n_requests != runner.n_requests:
-            raise ValueError(
-                f"n_requests={n_requests} conflicts with the runner's "
-                f"fixed n_requests={runner.n_requests}"
-            )
-        if seed is not None and seed != runner.seed:
-            raise ValueError(
-                f"seed={seed} conflicts with the runner's fixed "
-                f"seed={runner.seed}"
-            )
-    baseline_spec = spec.baseline()
-    points = [spec.sweep_point(), baseline_spec.sweep_point()]
-    try:
-        result, baseline = runner.run_many(points, jobs=jobs)
-    finally:
-        if local_runner:
-            runner.close_pool()
-    return ScenarioReport(
-        spec=spec,
-        result=result,
-        baseline=baseline,
-        n_requests=runner.n_requests,
-        seed=runner.seed,
+    return [spec, spec.baseline()]
+
+
+def _simulate(
+    legs: List[ScenarioSpec], n_requests: int, seed: int, jobs: int
+) -> List[SimResult]:
+    """The legs through one local SweepRunner batch (pool shut down)."""
+    runner = SweepRunner(
+        system=legs[0].system, n_requests=n_requests, seed=seed, jobs=jobs,
     )
+    try:
+        return runner.run_many([leg.sweep_point() for leg in legs], jobs=jobs)
+    finally:
+        runner.close_pool()
 
 
-# -- store artifacts -----------------------------------------------------
+def _recipes(
+    legs: List[ScenarioSpec], n_requests: int, seed: int
+) -> List[Dict[str, Any]]:
+    return [sweep_task_recipe(leg.recipe(), n_requests, seed) for leg in legs]
 
 
-def scenario_run_recipe(
-    spec: ScenarioSpec, n_requests: int, seed: int
-) -> Dict[str, Any]:
-    """The explicit field dict identifying one scenario run.
-
-    This — not ``repr(spec)`` — is the canonical form artifacts are
-    content-addressed by: :meth:`~repro.scenarios.spec.ScenarioSpec.recipe`
-    spells out cores/topology/defense/tMRO as plain data, and the run
-    shape (``n_requests``, ``seed``) rides alongside.  Parallelism
-    (``jobs``) is never part of it because it cannot change results.
-    """
-    return {
-        "kind": "scenario-run",
-        "scenario": spec.recipe(),
-        "n_requests": n_requests,
-        "seed": seed,
-    }
+def _report(
+    spec: ScenarioSpec, payloads: List[Dict[str, Any]], n_requests: int,
+    seed: int,
+) -> ScenarioReport:
+    result, baseline = (SimResult.from_json(p) for p in payloads)
+    return ScenarioReport(spec, result, baseline, n_requests, seed)
 
 
-def scenario_baseline_recipe(
-    spec: ScenarioSpec, n_requests: int, seed: int
-) -> Dict[str, Any]:
-    """The recipe of a scenario's victim-only baseline *leg* blob.
-
-    Deliberately a distinct ``kind`` from :func:`scenario_run_recipe`:
-    a leg blob holds the reduced :meth:`ScenarioReport.baseline_json`
-    payload, so it must never collide with a full run artifact of an
-    identical spec (someone running the victims-plus-idle composition
-    as a scenario in its own right).  Payload shape is a function of
-    the recipe kind — that is the store's no-collision contract.
-    """
-    recipe = scenario_run_recipe(spec.baseline(), n_requests, seed)
-    recipe["kind"] = "scenario-baseline"
-    return recipe
-
-
-def scenario_config_hash(
-    spec: ScenarioSpec, n_requests: int, seed: int
-) -> str:
-    """Deterministic short hash (content key) of one scenario run.
-
-    Pinned by a golden-hash test (``tests/test_scenarios.py``) so a
-    refactor cannot silently invalidate every stored artifact.
-    """
-    return content_key(scenario_run_recipe(spec, n_requests, seed))
+def run_scenario(
+    spec_or_name,
+    n_requests: int = DEFAULT_SCENARIO_REQUESTS,
+    seed: int = 0,
+    jobs: int = 1,
+) -> ScenarioReport:
+    """Simulate a scenario (by spec or preset name) plus its baseline."""
+    legs = _legs(spec_or_name)
+    result, baseline = _simulate(legs, n_requests, seed, jobs)
+    return ScenarioReport(legs[0], result, baseline, n_requests, seed)
 
 
 def run_scenario_cached(
@@ -283,50 +192,47 @@ def run_scenario_cached(
 ) -> Tuple[dict, Path, bool]:
     """Run a scenario against the content-addressed result store.
 
-    Returns ``(payload, blob_path, cached)``.  The blob is keyed by
-    :func:`scenario_config_hash`, so runs of the same preset with
-    different ``n_requests``/``seed``/defense are distinct artifacts —
-    the preset name is only an index alias.  A matching blob
-    short-circuits the simulation unless ``force`` is set.  The
-    victim-only baseline leg is stored as its own blob keyed by *its*
-    recipe, so N scenarios sharing one baseline store it once; the
-    scenario payload references it via ``baseline_key``.
+    Returns ``(payload, blob_path, cached)``: the report's
+    :meth:`ScenarioReport.to_json`, the scenario leg's blob and whether
+    both legs were already stored.  Only missing legs are simulated
+    (``force`` re-simulates and rewrites both).  Each leg is put like a
+    worker's result, hits included, so re-runs rebuild a lost index;
+    the preset name is aliased (kind ``scenario``) to the scenario leg.
     """
-    spec = (
-        get_scenario(spec_or_name)
-        if isinstance(spec_or_name, str) else spec_or_name
-    )
+    legs = _legs(spec_or_name)
     store = store_for(Path(results_dir))
-    recipe = scenario_run_recipe(spec, n_requests, seed)
-    key = content_key(recipe)
-    run_meta = {"n_requests": n_requests, "seed": seed}
-    if not force:
-        payload = store.get(key)
-        if payload is not None:
-            # Re-record the aliases: a lost/corrupt index is rebuilt
-            # by cache hits, not only by fresh simulations.
-            store.alias(spec.name, key, "scenario", run_meta)
-            baseline_key = payload.get("baseline_key")
-            if baseline_key is not None:
-                store.alias(
-                    f"{spec.name}@baseline", baseline_key,
-                    "scenario-baseline", run_meta,
-                )
-            return payload, store.blob_path(key), True
-    report = run_scenario(spec, n_requests=n_requests, seed=seed, jobs=jobs)
-    payload = report.to_json()
-    payload["config_hash"] = key
-    if not spec.is_benign():
-        payload["baseline_key"], _, _ = store.put(
-            scenario_baseline_recipe(spec, n_requests, seed),
-            report.baseline_json(),
-            name=f"{spec.name}@baseline",
-            kind="scenario-baseline",
-            meta=run_meta,
-            overwrite=force,
-        )
-    _, path, _ = store.put(
-        recipe, payload, name=spec.name, kind="scenario",
-        meta=run_meta, overwrite=force,
+    recipes = _recipes(legs, n_requests, seed)
+    payloads = [None if force else store.fetch(r) for r in recipes]
+    missing = [i for i, payload in enumerate(payloads) if payload is None]
+    if missing:
+        results = _simulate([legs[i] for i in missing], n_requests, seed, jobs)
+        for i, result in zip(missing, results):
+            payloads[i] = result.to_json()
+    for recipe, payload in zip(recipes, payloads):
+        put_result(store, recipe, payload, {"owner": "scenario"}, force)
+    key = content_key(recipes[0])
+    store.alias(
+        legs[0].name, key, "scenario", {"n_requests": n_requests, "seed": seed}
     )
-    return payload, path, False
+    report = _report(legs[0], payloads, n_requests, seed)
+    return report.to_json(), store.blob_path(key), not missing
+
+
+def stored_report(
+    store: ResultStore, key: str, name: str
+) -> Optional[ScenarioReport]:
+    """The report of the scenario leg stored under ``key``, named ``name``.
+
+    None unless ``key`` holds a ``sweep-task`` blob whose baseline leg
+    is stored too, so a store written before scenario legs were
+    ``sweep-task`` blobs reads as empty.
+    """
+    recipe = store.recipe(key)
+    if recipe is None or recipe.get("kind") != TASK_KIND:
+        return None
+    legs = _legs(spec_from_recipe(recipe["scenario"], name=name))
+    n_requests, seed = recipe["n_requests"], recipe["seed"]
+    payloads = [store.fetch(r) for r in _recipes(legs, n_requests, seed)]
+    if None in payloads:
+        return None
+    return _report(legs[0], payloads, n_requests, seed)

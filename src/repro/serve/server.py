@@ -231,9 +231,10 @@ def recipe_from_request(body: Dict[str, Any]) -> Dict[str, Any]:
     exactly what it first sent), and ``{"scenario": "<preset>",
     "n_requests": N, "seed": S}`` names a registered preset.  Either
     way the recipe must be one a worker can run: kind ``sweep-task``, a
-    scenario :func:`~repro.scenarios.spec.spec_from_recipe` accepts, a
-    positive int ``n_requests`` and an int ``seed``.  Raises
-    ``ValueError`` on anything else, before anything is journaled.
+    scenario :func:`~repro.scenarios.spec.spec_from_recipe` accepts
+    whose defense builds, a positive int ``n_requests`` and an int
+    ``seed``.  Raises ``ValueError`` on anything else, before anything
+    is journaled.
     """
     if "recipe" in body:
         recipe = body["recipe"]
@@ -257,9 +258,15 @@ def recipe_from_request(body: Dict[str, Any]) -> Dict[str, Any]:
             f"recipe kind must be {TASK_KIND!r}, got {recipe.get('kind')!r}"
         )
     try:
-        spec_from_recipe(recipe.get("scenario"))
+        spec = spec_from_recipe(recipe.get("scenario"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"recipe scenario does not parse: {exc!r}") from None
+    if spec.defense is not None:
+        # A defense can parse and still not build (ExPress with tMRO
+        # below tRAS): raise its ValueError now, not on every retry.
+        # Every bank gets the same checks, so one bank shows them at
+        # ~1/64 of the cost of a preset's full channel.
+        spec.defense.build_scheme(spec.system.timings, 1)
     n_requests, seed = recipe.get("n_requests"), recipe.get("seed")
     for name, value in (("n_requests", n_requests), ("seed", seed)):
         # bool is an int subclass; JSON true is not a count.

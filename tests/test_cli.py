@@ -266,9 +266,11 @@ class TestResultsCommands:
                      "--results-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["results", "list", "--results-dir", str(tmp_path),
-                     "--kind", "scenario-baseline"]) == 0
+                     "--kind", "sweep-task"]) == 0
         out = capsys.readouterr().out
-        assert "@baseline" in out
+        # The scenario and its baseline leg: two result aliases.
+        assert out.count("sweep/") == 2
+        assert "colocated_hammer_mcf" not in out
         assert main(["results", "list", "--results-dir", str(tmp_path),
                      "--kind", "fuzz-repro"]) == 0
         assert "no matching" in capsys.readouterr().out
@@ -419,5 +421,20 @@ class TestRequestsValidation:
         assert main(argv + ["--requests", requests]) == 2
         assert capsys.readouterr().out == (
             f"error: --requests must be positive, got {requests}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFuzzBudgetValidation:
+    """``--budget <= 0`` fuzzes nothing, so a fuzz gate would pass
+    vacuously; reject it up front."""
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_rejected_before_any_store(self, capsys, tmp_path, monkeypatch,
+                                       budget):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--budget", budget]) == 2
+        assert capsys.readouterr().out == (
+            f"error: --budget must be positive, got {budget}\n"
         )
         assert list(tmp_path.iterdir()) == []

@@ -12,11 +12,8 @@ from repro.results import (
     store_for,
 )
 from repro.results.report import compare_stores, resolve_store
-from repro.scenarios import (
-    run_scenario_cached,
-    scenario_baseline_recipe,
-    scenario_run_recipe,
-)
+from repro.distrib.worker import sweep_task_recipe
+from repro.scenarios import run_scenario_cached
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.workloads.sources import AttackerSource
@@ -72,13 +69,13 @@ class TestCanonicalJson:
         rng = random.Random(505)
         for index in range(8):
             spec = mutate_spec(rng, random_spec(rng, index))
-            recipe = scenario_run_recipe(spec, REQUESTS, 0)
+            recipe = sweep_task_recipe(spec.recipe(), REQUESTS, 0)
             text = canonical_json(recipe)
             assert canonical_json(json.loads(text)) == text
             assert content_key(json.loads(text)) == content_key(recipe)
             renamed = dataclasses.replace(spec, name="other")
             assert (
-                content_key(scenario_run_recipe(renamed, REQUESTS, 0))
+                content_key(sweep_task_recipe(renamed.recipe(), REQUESTS, 0))
                 == content_key(recipe)
             )
 
@@ -197,31 +194,45 @@ class TestScenarioStoreIntegration:
         keys = {e["key"] for e in store.entries(name=spec.name)}
         assert len(keys) == 2
         for seed, key in ((0, path0.stem), (1, path1.stem)):
-            payload = store.get(key)
-            assert payload["seed"] == seed
+            assert store.get(key) is not None
+            assert store.recipe(key)["seed"] == seed
 
-    def test_shared_baseline_leg_stored_once(self, tmp_path):
-        """N scenarios with identical victim sides share one baseline blob."""
+    def test_shared_baseline_leg_stored_once(self, tmp_path, monkeypatch):
+        """N scenarios with identical victim sides share one baseline
+        blob, and only the legs not yet stored are simulated."""
+        from repro.scenarios import run as run_mod
+
+        simulated = []
+        real_simulate = run_mod._simulate
+
+        def counting_simulate(legs, *args):
+            simulated.append(len(legs))
+            return real_simulate(legs, *args)
+
+        monkeypatch.setattr(run_mod, "_simulate", counting_simulate)
         hammer, dwell = colocated("hammer"), colocated("dwell")
         assert hammer.baseline().recipe() == dwell.baseline().recipe()
         run_scenario_cached(hammer, tmp_path, n_requests=REQUESTS)
         run_scenario_cached(dwell, tmp_path, n_requests=REQUESTS)
+        assert simulated == [2, 1]  # dwell reuses hammer's baseline leg
         store = store_for(tmp_path)
-        baselines = store.entries(kind="scenario-baseline")
-        assert {e["name"] for e in baselines} == {
-            "small_hammer@baseline", "small_dwell@baseline"
-        }
-        assert len({e["key"] for e in baselines}) == 1  # one blob
+        baseline_key = content_key(
+            sweep_task_recipe(hammer.baseline().recipe(), REQUESTS, 0)
+        )
         scenarios = store.entries(kind="scenario")
-        assert len({e["key"] for e in scenarios}) == 2
-        # Both payloads reference the shared blob.
-        for entry in scenarios:
-            payload = store.get(entry["key"])
-            assert payload["baseline_key"] == baselines[0]["key"]
-            assert store.get(payload["baseline_key"]) is not None
+        assert {e["name"] for e in scenarios} == {
+            "small_hammer", "small_dwell"
+        }
+        legs = {e["key"] for e in store.entries(kind="sweep-task")}
+        # Two scenario legs and one shared baseline leg: three blobs,
+        # each indexed directly.
+        assert legs == {e["key"] for e in scenarios} | {baseline_key}
+        assert len(legs) == 3
+        assert store.stats()["blobs"] == 3
+        assert store.recipe(baseline_key)["kind"] == "sweep-task"
 
     def test_recipe_is_explicit_fields_not_repr(self):
-        recipe = scenario_run_recipe(colocated(), REQUESTS, 0)
+        recipe = sweep_task_recipe(colocated().recipe(), REQUESTS, 0)
         text = canonical_json(recipe)
         assert "ScenarioSpec(" not in text
         assert recipe["scenario"]["system"]["n_cores"] == 2
@@ -229,34 +240,81 @@ class TestScenarioStoreIntegration:
         assert recipe["scenario"]["cores"][1]["kind"] == "attacker"
         assert recipe["n_requests"] == REQUESTS
 
-    def test_baseline_leg_never_collides_with_a_full_run(self, tmp_path):
-        """Running a scenario's victims-plus-idle composition as a
-        scenario in its own right must not hit the reduced baseline-leg
-        blob: the leg recipe carries a distinct kind."""
+    def test_sweep_and_request_reuse_the_scenario_legs(
+        self, tmp_path, monkeypatch
+    ):
+        """A scenario run stores the very blobs a sweep or a served
+        request of the same point reads: neither builds a simulator."""
+        from repro.distrib import worker
+        from repro.distrib.coordinator import run_serial_sweep, shard_points
+        from repro.distrib.queue import FileWorkQueue
+        from repro.serve.engine import RequestEngine
+        from repro.serve.journal import RequestJournal
+
         spec = colocated()
-        as_scenario = spec.baseline()
-        assert scenario_baseline_recipe(spec, REQUESTS, 0) != (
-            scenario_run_recipe(as_scenario, REQUESTS, 0)
+        payload, path, cached = run_scenario_cached(
+            spec, tmp_path, n_requests=REQUESTS, seed=3
         )
-        run_scenario_cached(spec, tmp_path, n_requests=REQUESTS)
-        payload, _, cached = run_scenario_cached(
-            as_scenario, tmp_path, n_requests=REQUESTS
+        assert not cached
+        store = store_for(tmp_path)
+        assert store.stats()["blobs"] == 2  # scenario leg + baseline leg
+
+        def no_simulator(recipe):
+            raise AssertionError("a stored point was simulated again")
+
+        monkeypatch.setattr(worker, "build_simulator", no_simulator)
+        outcome = run_serial_sweep(
+            shard_points([spec, spec.baseline()], REQUESTS, 3), store
         )
-        assert not cached  # the leg blob is not a run artifact
-        assert payload["config_hash"]  # full run payload shape
-        assert payload["scenario"] == as_scenario.name
+        assert outcome.result_keys[0] == path.stem
+        assert outcome.results[0].elapsed_cycles == (
+            payload["metrics"]["elapsed_cycles"]
+        )
+        engine = RequestEngine(
+            store, FileWorkQueue(tmp_path / "queue"),
+            RequestJournal(tmp_path / "journal"),
+        )
+        entry, disposition = engine.submit(
+            sweep_task_recipe(spec.recipe(), REQUESTS, 3)
+        )
+        assert disposition == "hit"
+        assert entry.key == path.stem
+        assert store.stats()["blobs"] == 2
+
+    def test_scenario_legs_match_a_serial_sweep_byte_for_byte(
+        self, tmp_path
+    ):
+        """The SweepRunner that simulates a scenario's legs and the
+        worker's simulator builder write one blob for one recipe."""
+        from repro.distrib.coordinator import run_serial_sweep, shard_points
+
+        spec = colocated()
+        run_scenario_cached(spec, tmp_path / "a", n_requests=REQUESTS)
+        swept = store_for(tmp_path / "b")
+        outcome = run_serial_sweep(
+            shard_points([spec, spec.baseline()], REQUESTS, 0), swept
+        )
+        scenario_store = store_for(tmp_path / "a")
+        for key in outcome.result_keys:
+            assert canonical_json(scenario_store.get(key)) == (
+                canonical_json(swept.get(key))
+            )
 
     def test_cache_hit_rebuilds_a_lost_index(self, tmp_path):
         spec = colocated()
         run_scenario_cached(spec, tmp_path, n_requests=REQUESTS)
         store = store_for(tmp_path)
+        before = {(e["name"], e["key"], e["kind"]) for e in store.entries()}
         store.index_path.unlink()
         _, _, cached = run_scenario_cached(
             spec, tmp_path, n_requests=REQUESTS
         )
         assert cached  # blobs are the durable layer ...
-        names = {e["name"] for e in store.entries()}
-        assert names == {spec.name, f"{spec.name}@baseline"}
+        # ... and the hit re-records the preset and both leg aliases.
+        assert {
+            (e["name"], e["key"], e["kind"]) for e in store.entries()
+        } == before
+        assert len(before) == 3
 
     def test_no_temp_files_linger(self, tmp_path):
         run_scenario_cached(colocated(), tmp_path, n_requests=REQUESTS)
@@ -297,7 +355,7 @@ class TestOrchestratorCacheParity:
         run_scenario_cached(colocated(), tmp_path, n_requests=REQUESTS)
         store = store_for(tmp_path)
         kinds = {e["kind"] for e in store.entries()}
-        assert {"experiment", "scenario", "scenario-baseline"} <= kinds
+        assert {"experiment", "scenario", "sweep-task"} <= kinds
 
     def test_recipe_carries_version_and_options(self, tmp_path):
         recipe = experiment_recipe("table1", {"quick": True})

@@ -16,8 +16,10 @@ from repro.scenarios import (
     run_scenario_cached,
     scenario_names,
 )
+from repro.distrib.worker import sweep_task_recipe
 from repro.results import store_for
-from repro.scenarios.run import ScenarioReport, scenario_config_hash
+from repro.results.store import content_key
+from repro.scenarios.run import ScenarioReport
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.stats import SimResult
 from repro.sim.system import simulate_workload
@@ -30,6 +32,11 @@ from repro.workloads.sources import (
 SMALL = SystemConfig(n_cores=2, banks_per_channel=8)
 DEFENSE = DefenseConfig(tracker="graphene", scheme="impress-p")
 REQUESTS = 120
+
+
+def leg_key(spec, n_requests, seed):
+    """The content key of a scenario leg's ``sweep-task`` blob."""
+    return content_key(sweep_task_recipe(spec.recipe(), n_requests, seed))
 
 
 def small_colocated(defense=DEFENSE):
@@ -175,8 +182,7 @@ class TestRecipeProperties:
             )
             assert renamed.recipe() == spec.recipe()
             assert (
-                scenario_config_hash(renamed, REQUESTS, 0)
-                == scenario_config_hash(spec, REQUESTS, 0)
+                leg_key(renamed, REQUESTS, 0) == leg_key(spec, REQUESTS, 0)
             )
 
     def test_recipe_key_is_canonical_json_deterministic(self):
@@ -339,11 +345,6 @@ class TestRunScenario:
         assert report.victim_slowdown is None
         assert report.attacker_act_rate is None
 
-    def test_runner_topology_must_match(self):
-        runner = SweepRunner(system=SystemConfig(n_cores=4))
-        with pytest.raises(ValueError):
-            run_scenario(small_colocated(), runner=runner)
-
     def test_preset_runs_by_name(self):
         report = run_scenario(
             "colocated_hammer_mcf", n_requests=60, jobs=1
@@ -375,12 +376,12 @@ class TestRunScenario:
 
     def test_config_hash_tracks_the_recipe(self):
         spec = small_colocated()
-        base = scenario_config_hash(spec, 100, 0)
-        assert scenario_config_hash(spec, 100, 0) == base
-        assert scenario_config_hash(spec, 200, 0) != base
-        assert scenario_config_hash(spec, 100, 1) != base
+        base = leg_key(spec, 100, 0)
+        assert leg_key(spec, 100, 0) == base
+        assert leg_key(spec, 200, 0) != base
+        assert leg_key(spec, 100, 1) != base
         other = spec.with_defense(None)
-        assert scenario_config_hash(other, 100, 0) != base
+        assert leg_key(other, 100, 0) != base
 
     def test_config_hash_ignores_name_and_description(self):
         """Names are index aliases, not physics: renaming a preset must
@@ -390,9 +391,7 @@ class TestRunScenario:
         renamed = dataclasses.replace(
             spec, name="renamed", description="cosmetic"
         )
-        assert scenario_config_hash(renamed, 100, 0) == (
-            scenario_config_hash(spec, 100, 0)
-        )
+        assert leg_key(renamed, 100, 0) == leg_key(spec, 100, 0)
 
     def test_config_hash_golden(self):
         """The hashing contract, pinned.
@@ -410,21 +409,28 @@ class TestRunScenario:
             system=SystemConfig(n_cores=2, banks_per_channel=8),
             defense=DefenseConfig(tracker="graphene", scheme="impress-p"),
         )
-        assert scenario_config_hash(spec, 100, 0) == "9b8483b9ce09692e"
+        assert leg_key(spec, 100, 0) == "aa93727f7415e017"
 
     def test_artifact_is_valid_json_with_hash(self, tmp_path):
-        _, path, _ = run_scenario_cached(
-            small_colocated(), tmp_path, n_requests=REQUESTS
+        spec = small_colocated()
+        payload, path, _ = run_scenario_cached(
+            spec, tmp_path, n_requests=REQUESTS
         )
         blob = json.loads(path.read_text())
-        payload = blob["payload"]
-        assert blob["key"] == payload["config_hash"] == path.stem
+        assert blob["key"] == path.stem == leg_key(spec, REQUESTS, 0)
+        assert blob["kind"] == "sweep-task"
+        assert blob["payload"] == (
+            run_scenario(spec, n_requests=REQUESTS).result.to_json()
+        )
         assert payload["scenario"] == "small"
         assert payload["metrics"]["attacker_act_rate_per_cycle"] > 0
         assert payload["stalled_victims"] == []
         index = json.loads((tmp_path / "store" / "index.json").read_text())
         names = {entry["name"] for entry in index["entries"]}
-        assert names == {"small", "small@baseline"}
+        baseline_key = leg_key(spec.baseline(), REQUESTS, 0)
+        assert names == {
+            "small", f"sweep/{path.stem}", f"sweep/{baseline_key}"
+        }
 
     def test_stalled_victim_serializes_as_null_with_flag(self):
         """An infinite slowdown must never reach JSON as ``Infinity``."""

@@ -42,7 +42,7 @@ from repro.serve.engine import RequestEngine, RequestFailed, RequestShed
 from repro.serve.engine import InFlight
 from repro.serve.journal import JOURNAL_VERSION, RequestJournal
 from repro.serve.server import ServeDaemon, read_endpoint
-from repro.sim.config import SystemConfig
+from repro.sim.config import DefenseConfig, SystemConfig
 
 
 def small_recipe(workload="add_copy", n_requests=300, seed=0):
@@ -50,6 +50,14 @@ def small_recipe(workload="add_copy", n_requests=300, seed=0):
     system = SystemConfig(n_cores=1, banks_per_channel=8)
     spec = ScenarioSpec.benign(workload, system=system)
     return sweep_task_recipe(spec.recipe(), n_requests, seed)
+
+
+def unbuildable_recipe():
+    """A recipe that parses but whose ExPress tMRO is below tRAS."""
+    system = SystemConfig(n_cores=1, banks_per_channel=8)
+    defense = DefenseConfig(tracker="graphene", scheme="express", tmro_ns=1.0)
+    spec = ScenarioSpec.benign("add_copy", system=system, defense=defense)
+    return sweep_task_recipe(spec.recipe(), 300, 0)
 
 
 def slow_recipe(n_requests=20_000, seed=0):
@@ -453,13 +461,14 @@ class TestHTTPDaemon:
         dict(small_recipe(), n_requests=True),
         dict(small_recipe(), seed="0"),
         {k: v for k, v in small_recipe().items() if k != "seed"},
-        dict(small_recipe(), kind="scenario-run"),
+        dict(small_recipe(), kind="fuzz-repro"),
         broken_recipe(),
         dict(small_recipe(), scenario=None),
+        unbuildable_recipe(),
     ], ids=[
         "n_requests=-5", "n_requests=0", "n_requests-str",
         "n_requests-bool", "seed-str", "no-seed", "other-kind",
-        "bogus-scenario", "null-scenario",
+        "bogus-scenario", "null-scenario", "tmro-below-tras",
     ])
     def test_unrunnable_recipe_gets_400_and_leaves_no_trace(
         self, daemon, recipe
