@@ -56,6 +56,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import itertools
 from pathlib import Path
 from typing import List, Optional
 
@@ -213,28 +214,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # -- scenario subsystem ---------------------------------------------------
 
 
-def _print_scenario_metrics(payload: dict) -> None:
-    """Shared pretty-printer for a scenario result payload."""
-    metrics = payload["metrics"]
-    print(f"  cores:   {payload['cores']}")
-    print(f"  defense: {payload['defense']}")
-    slowdown = metrics.get("victim_slowdown")
-    act_rate = metrics.get("attacker_act_rate_per_cycle")
-    acts_per_sec = metrics.get("attacker_acts_per_sec")
-    if slowdown is not None:
-        print(f"  victim slowdown: {slowdown:.3f}x vs idle-attacker "
-              f"baseline")
-    if act_rate is not None:
-        print(f"  attacker ACT rate: {act_rate:.5f} ACTs/cycle "
-              f"({acts_per_sec:,.0f} ACTs/s)")
-    if slowdown is None and act_rate is None:
-        print("  benign scenario: no attacker cores")
-    print(f"  elapsed {metrics['elapsed_cycles']} cycles, "
-          f"hit rate {metrics['hit_rate']:.3f}, "
-          f"demand ACTs {metrics['demand_acts']}, "
-          f"mitigative ACTs {metrics['mitigative_acts']}")
-
-
 def _print_scenario_run(
     name: str,
     n_requests: int,
@@ -243,25 +222,41 @@ def _print_scenario_run(
     results_dir: Optional[str] = None,
     force: bool = False,
 ) -> int:
-    from .scenarios import run_scenario, run_scenario_cached
+    from .scenarios import run_scenario, run_scenarios_cached
 
     try:
         if results_dir is None:
             report = run_scenario(
                 name, n_requests=n_requests, seed=seed, jobs=jobs
             )
-            payload, cached = report.to_json(), False
+            cached = False
         else:
-            payload, path, cached = run_scenario_cached(
-                name, Path(results_dir), n_requests=n_requests,
+            [(report, path, cached)] = run_scenarios_cached(
+                [name], Path(results_dir), n_requests=n_requests,
                 seed=seed, jobs=jobs, force=force,
             )
     except KeyError as exc:
         print(exc.args[0])
         return 2
-    state = "cached" if cached else "simulated"
-    print(f"scenario {name} ({state}):")
-    _print_scenario_metrics(payload)
+    payload = report.to_json()
+    metrics = payload["metrics"]
+    slowdown = metrics["victim_slowdown"]
+    act_rate = metrics["attacker_act_rate_per_cycle"]
+    print(f"scenario {name} ({'cached' if cached else 'simulated'}):")
+    print(f"  cores:   {payload['cores']}")
+    print(f"  defense: {payload['defense']}")
+    if slowdown is not None:
+        print(f"  victim slowdown: {slowdown:.3f}x vs idle-attacker "
+              f"baseline")
+    if act_rate is not None:
+        print(f"  attacker ACT rate: {act_rate:.5f} ACTs/cycle "
+              f"({metrics['attacker_acts_per_sec']:,.0f} ACTs/s)")
+    if slowdown is None and act_rate is None:
+        print("  benign scenario: no attacker cores")
+    print(f"  elapsed {metrics['elapsed_cycles']} cycles, "
+          f"hit rate {metrics['hit_rate']:.3f}, "
+          f"demand ACTs {metrics['demand_acts']}, "
+          f"mitigative ACTs {metrics['mitigative_acts']}")
     if results_dir is not None:
         print(f"  artifact: {path}")
     return 0
@@ -280,7 +275,8 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    if _not_positive("--requests", args.requests):
+    if (_not_positive("--requests", args.requests)
+            or _not_positive("--jobs", args.jobs)):
         return 2
     return _print_scenario_run(
         args.name,
@@ -299,73 +295,60 @@ def _cmd_scenario_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
-    if _not_positive("--requests", args.requests):
+    if (_not_positive("--requests", args.requests)
+            or _not_positive("--jobs", args.jobs)):
         return 2
-    from .experiments.common import SweepRunner
-    from .scenarios import ScenarioReport, get_scenario
-    from .sim.config import DefenseConfig as Defense
+    from .scenarios import get_scenario, run_scenarios_cached
 
     try:
-        specs = [get_scenario(name) for name in args.names]
+        points = [get_scenario(name) for name in args.names]
     except KeyError as exc:
         print(exc.args[0])
         return 2
-    systems = {spec.system for spec in specs}
-    if len(systems) > 1:
-        print("error: swept scenarios must share one topology "
-              "(the sweep cache is keyed per topology)")
-        return 2
-    if args.trackers or args.schemes:
-        trackers = [
-            t.strip() for t in (args.trackers or "graphene").split(",")
-            if t.strip()
+    if args.trackers is not None or args.schemes is not None:
+        axes = [
+            [name.strip() for name in text.split(",") if name.strip()]
+            for text in (
+                "graphene" if args.trackers is None else args.trackers,
+                "impress-p" if args.schemes is None else args.schemes,
+            )
         ]
-        schemes = [
-            s.strip() for s in (args.schemes or "impress-p").split(",")
-            if s.strip()
-        ]
+        if not all(axes):
+            print("error: --trackers and --schemes need at least one name")
+            return 2
         try:
             defenses = [
-                Defense(tracker=tracker, scheme=scheme)
-                for tracker in trackers
-                for scheme in schemes
+                DefenseConfig(tracker=tracker, scheme=scheme)
+                for tracker, scheme in itertools.product(*axes)
             ]
         except ValueError as exc:
             print(f"error: {exc.args[0]}")
             return 2
+        # Named apart, so they never shadow the preset's own alias.
         points = [
-            spec.with_defense(defense)
-            for spec in specs
+            spec.with_defense(defense, name=f"{spec.name}[{defense.tracker}"
+                                            f"/{defense.scheme}]")
+            for spec in points
             for defense in defenses
         ]
-    else:
-        points = list(specs)
-    runner = SweepRunner(
-        system=specs[0].system, n_requests=args.requests, seed=args.seed,
-        jobs=args.jobs,
+    runs = run_scenarios_cached(
+        points, Path(args.results_dir), n_requests=args.requests,
+        seed=args.seed, jobs=args.jobs,
     )
-    # One batch covers every scenario and every baseline leg; with
-    # --jobs > 1 the whole grid fans out across the process pool.
-    baselines = [point.baseline() for point in points]
-    runner.run_many(points + baselines, jobs=args.jobs)
-    runner.close_pool()
-    print(f"{'scenario':<26} {'defense':<22} {'slowdown':>9} "
+    width = max(26, *(len(point.name) for point in points))
+    print(f"{'scenario':<{width}} {'defense':<22} {'slowdown':>9} "
           f"{'ACTs/cycle':>11}")
-    for point, baseline in zip(points, baselines):
-        report = ScenarioReport(
-            point, runner.run(*point.sweep_point()),
-            runner.run(*baseline.sweep_point()), args.requests, args.seed,
-        )
+    for report, _, _ in runs:
         if report.victim_slowdown is not None:
             slowdown = f"{report.victim_slowdown:9.3f}"
             rate = f"{report.attacker_act_rate:11.5f}"
         else:
             slowdown, rate = f"{'-':>9}", f"{'-':>11}"
-        print(f"{point.name:<26} {point.defense_summary():<22} "
-              f"{slowdown} {rate}")
-    stats = runner.cache_stats()
-    print(f"({len(points)} scenario points, {len(baselines)} baselines; "
-          f"cache {stats.hits:.0f} hits / {stats.misses:.0f} misses)")
+        print(f"{report.spec.name:<{width}} "
+              f"{report.spec.defense_summary():<22} {slowdown} {rate}")
+    cached = sum(1 for _, _, hit in runs if hit)
+    print(f"({len(runs)} scenario points: {cached} cached, "
+          f"{len(runs) - cached} simulated; store {args.results_dir}/store)")
     return 0
 
 
@@ -833,8 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_sweep = scenario_sub.add_parser(
         "sweep",
-        help="sweep presets across defense configurations via "
-             "SweepRunner.run_many (one batch, optional process pool)",
+        help="sweep presets across defense configurations; both legs "
+             "of every point are stored like `scenario run`'s",
     )
     scenario_sweep.add_argument(
         "names", nargs="+", help="presets from `scenario list`"
@@ -852,6 +835,11 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_sweep.add_argument("--requests", type=int, default=400,
                                 help="requests per core")
     scenario_sweep.add_argument("--seed", type=int, default=0)
+    scenario_sweep.add_argument(
+        "--results-dir", default="results",
+        help="artifact/cache directory (default: results/; legs are "
+             "read from and stored in <dir>/store/)",
+    )
     scenario_sweep.set_defaults(func=_cmd_scenario_sweep)
 
     scenario_report = scenario_sub.add_parser(

@@ -9,9 +9,9 @@ topology × defense) points over the paper's design space.
 * :mod:`~repro.scenarios.grid` — cross-product expansion feeding
   :meth:`~repro.experiments.common.SweepRunner.run_many`.
 * :mod:`~repro.scenarios.run` — execution, the security-metric report
-  view, and the two store blobs (scenario and baseline legs) behind
-  ``repro scenario run``.  Its names resolve on first access (module
-  ``__getattr__``): it runs on
+  view, and the two store blobs (scenario and baseline legs) per point
+  behind ``repro scenario run`` and ``repro scenario sweep``.  Its
+  names resolve on first access (module ``__getattr__``): it runs on
   :class:`~repro.experiments.common.SweepRunner`, and the daemon and
   workers, which only parse specs, should not load the experiments
   layer.
@@ -33,7 +33,7 @@ __all__ = [
     "get_scenario",
     "is_scenario",
     "run_scenario",
-    "run_scenario_cached",
+    "run_scenarios_cached",
     "scenario_names",
     "spec_from_recipe",
 ]
@@ -42,7 +42,7 @@ _RUN_NAMES = frozenset({
     "DEFAULT_SCENARIO_REQUESTS",
     "ScenarioReport",
     "run_scenario",
-    "run_scenario_cached",
+    "run_scenarios_cached",
 })
 
 

@@ -7,13 +7,13 @@ counters.  :func:`run_scenario` simulates both legs in one
 :class:`~repro.experiments.common.SweepRunner` batch (``jobs > 1`` fans
 them out, bit-identical to serial).
 
-:func:`run_scenario_cached` (``repro scenario run``) stores each leg as
-the ``sweep-task`` blob of its
+:func:`run_scenarios_cached` (``repro scenario run`` and ``repro
+scenario sweep``) stores each leg as the ``sweep-task`` blob of its
 :func:`~repro.distrib.worker.sweep_task_recipe` in the store under
 ``<results-dir>/store/``: the very blob ``repro sweep``, ``repro
 worker`` and ``repro serve`` write for that point, so they simulate it
-once between them and scenarios sharing a baseline leg store it once.
-The preset name is a ``scenario`` alias on the scenario leg, from which
+once between them and points sharing a leg store it once.  Each
+point's name is a ``scenario`` alias on its scenario leg, from which
 :func:`stored_report` rebuilds the report.
 """
 
@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..distrib.worker import TASK_KIND, put_result, sweep_task_recipe
 from ..experiments.common import SweepRunner
 from ..results.store import ResultStore, content_key, store_for
+from ..sim.config import SystemConfig
 from ..sim.metrics import (
     attacker_act_rate,
     stalled_victim_cores,
@@ -182,40 +183,50 @@ def run_scenario(
     return ScenarioReport(legs[0], result, baseline, n_requests, seed)
 
 
-def run_scenario_cached(
-    spec_or_name,
+def run_scenarios_cached(
+    points: Sequence,
     results_dir: Path,
     n_requests: int = DEFAULT_SCENARIO_REQUESTS,
     seed: int = 0,
     jobs: int = 1,
     force: bool = False,
-) -> Tuple[dict, Path, bool]:
-    """Run a scenario against the content-addressed result store.
+) -> List[Tuple[ScenarioReport, Path, bool]]:
+    """Run scenarios (specs or preset names) against the result store.
 
-    Returns ``(payload, blob_path, cached)``: the report's
-    :meth:`ScenarioReport.to_json`, the scenario leg's blob and whether
-    both legs were already stored.  Only missing legs are simulated
-    (``force`` re-simulates and rewrites both).  Each leg is put like a
-    worker's result, hits included, so re-runs rebuild a lost index;
-    the preset name is aliased (kind ``scenario``) to the scenario leg.
+    Returns one ``(report, scenario leg blob, cached)`` per point,
+    ``cached`` when both its legs were stored.  Only missing legs are
+    simulated, each distinct one once, in one batch per topology
+    (``force`` re-simulates all).  Every leg is put, hits included, so
+    re-runs rebuild a lost index; each point's name is a ``scenario``
+    alias of its scenario leg.
     """
-    legs = _legs(spec_or_name)
     store = store_for(Path(results_dir))
-    recipes = _recipes(legs, n_requests, seed)
-    payloads = [None if force else store.fetch(r) for r in recipes]
-    missing = [i for i, payload in enumerate(payloads) if payload is None]
-    if missing:
-        results = _simulate([legs[i] for i in missing], n_requests, seed, jobs)
-        for i, result in zip(missing, results):
-            payloads[i] = result.to_json()
-    for recipe, payload in zip(recipes, payloads):
-        put_result(store, recipe, payload, {"owner": "scenario"}, force)
-    key = content_key(recipes[0])
-    store.alias(
-        legs[0].name, key, "scenario", {"n_requests": n_requests, "seed": seed}
-    )
-    report = _report(legs[0], payloads, n_requests, seed)
-    return report.to_json(), store.blob_path(key), not missing
+    pairs = [_legs(point) for point in points]
+    keys, legs = [], {}
+    for pair in pairs:
+        recipes = _recipes(pair, n_requests, seed)
+        keys.append([content_key(recipe) for recipe in recipes])
+        legs.update(zip(keys[-1], zip(pair, recipes)))
+    payloads = {key: None if force else store.fetch(recipe)
+                for key, (_, recipe) in legs.items()}
+    missing = [key for key, payload in payloads.items() if payload is None]
+    batches: Dict[SystemConfig, List[str]] = {}
+    for key in missing:
+        batches.setdefault(legs[key][0].system, []).append(key)
+    for batch in batches.values():
+        results = _simulate([legs[k][0] for k in batch], n_requests, seed,
+                            jobs)
+        payloads.update(zip(batch, (result.to_json() for result in results)))
+    meta = {"n_requests": n_requests, "seed": seed}
+    for key, (_, recipe) in legs.items():
+        put_result(store, recipe, payloads[key], {"owner": "scenario"}, force)
+    for (spec, _), (key, _) in zip(pairs, keys):
+        store.alias(spec.name, key, "scenario", meta)
+    return [
+        (_report(spec, [payloads[k] for k in leg_keys], n_requests, seed),
+         store.blob_path(leg_keys[0]), not set(leg_keys) & set(missing))
+        for (spec, _), leg_keys in zip(pairs, keys)
+    ]
 
 
 def stored_report(

@@ -133,16 +133,66 @@ class TestScenarioCommands:
                      "--results-dir", str(tmp_path)]) == 0
         assert "benign scenario" in capsys.readouterr().out
 
-    def test_scenario_sweep(self, capsys):
+    def test_scenario_sweep(self, capsys, tmp_path):
         code = main(
             ["scenario", "sweep", "colocated_hammer_mcf",
              "--trackers", "graphene", "--schemes", "impress-p,no-rp",
-             "--requests", "60"]
+             "--requests", "60", "--results-dir", str(tmp_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "graphene/impress-p" in out
-        assert "graphene/no-rp" in out
+        assert "colocated_hammer_mcf[graphene/impress-p]" in out
+        assert "colocated_hammer_mcf[graphene/no-rp]" in out
+        assert "(2 scenario points: 0 cached, 2 simulated;" in out
+
+    def test_scenario_sweep_reuses_scenario_run_legs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments.common import SweepRunner
+
+        shape = ["--requests", "60", "--results-dir", str(tmp_path)]
+        assert main(["scenario", "run", "colocated_hammer_mcf"] + shape) == 0
+        objects = tmp_path / "store" / "objects"
+        blobs = sorted(objects.iterdir())
+
+        def no_simulation(self, *args, **kwargs):
+            raise AssertionError("a stored leg was simulated again")
+
+        monkeypatch.setattr(SweepRunner, "run_many", no_simulation)
+        capsys.readouterr()
+        assert main(["scenario", "sweep", "colocated_hammer_mcf"] + shape) == 0
+        assert "(1 scenario points: 1 cached, 0 simulated;" in (
+            capsys.readouterr().out
+        )
+        assert sorted(objects.iterdir()) == blobs
+
+    def test_crossed_sweep_keeps_the_preset_report_row(
+        self, capsys, tmp_path
+    ):
+        store = str(tmp_path)
+        report = ["scenario", "report", store, store]
+        assert main(["scenario", "run", "colocated_hammer_mcf",
+                     "--requests", "60", "--results-dir", store]) == 0
+        assert main(report) == 0
+        preset_rows = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("colocated_hammer_mcf ")
+        ]
+        assert preset_rows
+        # Another run shape, crossed with the preset's own defense too.
+        assert main(["scenario", "sweep", "colocated_hammer_mcf",
+                     "--trackers", "graphene,para", "--requests", "80",
+                     "--results-dir", store]) == 0
+        capsys.readouterr()
+        assert main(report) == 0
+        out = capsys.readouterr().out
+        assert [
+            line for line in out.splitlines()
+            if line.startswith("colocated_hammer_mcf ")
+        ] == preset_rows
+        assert "colocated_hammer_mcf[graphene/impress-p] " in out
+        assert "colocated_hammer_mcf[para/impress-p] " in out
+        assert "(3 scenario(s) compared)" in out
 
     def test_workerless_distributed_sweep_skips_the_grace(
         self, capsys, tmp_path
@@ -153,12 +203,26 @@ class TestScenarioCommands:
                      "--timeout", "60", "--results-dir", str(tmp_path)]) == 0
         assert "degraded serial" in capsys.readouterr().out
 
-    def test_scenario_sweep_unknown_tracker(self, capsys):
+    def test_scenario_sweep_unknown_tracker(self, capsys, tmp_path):
         code = main(
             ["scenario", "sweep", "colocated_hammer_mcf",
-             "--trackers", "bogus", "--requests", "60"]
+             "--trackers", "bogus", "--requests", "60",
+             "--results-dir", str(tmp_path)]
         )
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axis", [
+        ["--trackers", ","], ["--trackers", ""], ["--schemes", " , "],
+    ], ids=" ".join)
+    def test_scenario_sweep_empty_defense_list(self, capsys, tmp_path, axis):
+        code = main(
+            ["scenario", "sweep", "colocated_hammer_mcf", "--requests", "60",
+             "--results-dir", str(tmp_path)] + axis
+        )
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_scenario_report_diffs_two_stores(self, capsys, tmp_path):
         for side, seed in (("a", "0"), ("b", "1")):
@@ -421,6 +485,25 @@ class TestRequestsValidation:
         assert main(argv + ["--requests", requests]) == 2
         assert capsys.readouterr().out == (
             f"error: --requests must be positive, got {requests}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestJobsValidation:
+    """``--jobs <= 0`` is rejected like ``repro run`` rejects it, not
+    silently run serially."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "run", "benign_mcf"],
+        ["scenario", "sweep", "benign_mcf"],
+    ], ids=" ".join)
+    def test_rejected_before_any_store(self, capsys, tmp_path, monkeypatch,
+                                       argv, jobs):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--jobs", jobs]) == 2
+        assert capsys.readouterr().out == (
+            f"error: --jobs must be positive, got {jobs}\n"
         )
         assert list(tmp_path.iterdir()) == []
 

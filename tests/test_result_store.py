@@ -13,7 +13,7 @@ from repro.results import (
 )
 from repro.results.report import compare_stores, resolve_store
 from repro.distrib.worker import sweep_task_recipe
-from repro.scenarios import run_scenario_cached
+from repro.scenarios import run_scenarios_cached
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.workloads.sources import AttackerSource
@@ -182,11 +182,11 @@ class TestIndex:
 class TestScenarioStoreIntegration:
     def test_distinct_seeds_are_distinct_artifacts(self, tmp_path):
         spec = colocated()
-        _, path0, _ = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS, seed=0
+        [(_, path0, _)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS, seed=0
         )
-        _, path1, _ = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS, seed=1
+        [(_, path1, _)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS, seed=1
         )
         assert path0 != path1
         assert path0.is_file() and path1.is_file()
@@ -212,8 +212,8 @@ class TestScenarioStoreIntegration:
         monkeypatch.setattr(run_mod, "_simulate", counting_simulate)
         hammer, dwell = colocated("hammer"), colocated("dwell")
         assert hammer.baseline().recipe() == dwell.baseline().recipe()
-        run_scenario_cached(hammer, tmp_path, n_requests=REQUESTS)
-        run_scenario_cached(dwell, tmp_path, n_requests=REQUESTS)
+        run_scenarios_cached([hammer], tmp_path, n_requests=REQUESTS)
+        run_scenarios_cached([dwell], tmp_path, n_requests=REQUESTS)
         assert simulated == [2, 1]  # dwell reuses hammer's baseline leg
         store = store_for(tmp_path)
         baseline_key = content_key(
@@ -252,8 +252,8 @@ class TestScenarioStoreIntegration:
         from repro.serve.journal import RequestJournal
 
         spec = colocated()
-        payload, path, cached = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS, seed=3
+        [(report, path, cached)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS, seed=3
         )
         assert not cached
         store = store_for(tmp_path)
@@ -268,7 +268,7 @@ class TestScenarioStoreIntegration:
         )
         assert outcome.result_keys[0] == path.stem
         assert outcome.results[0].elapsed_cycles == (
-            payload["metrics"]["elapsed_cycles"]
+            report.result.elapsed_cycles
         )
         engine = RequestEngine(
             store, FileWorkQueue(tmp_path / "queue"),
@@ -289,7 +289,7 @@ class TestScenarioStoreIntegration:
         from repro.distrib.coordinator import run_serial_sweep, shard_points
 
         spec = colocated()
-        run_scenario_cached(spec, tmp_path / "a", n_requests=REQUESTS)
+        run_scenarios_cached([spec], tmp_path / "a", n_requests=REQUESTS)
         swept = store_for(tmp_path / "b")
         outcome = run_serial_sweep(
             shard_points([spec, spec.baseline()], REQUESTS, 0), swept
@@ -302,12 +302,12 @@ class TestScenarioStoreIntegration:
 
     def test_cache_hit_rebuilds_a_lost_index(self, tmp_path):
         spec = colocated()
-        run_scenario_cached(spec, tmp_path, n_requests=REQUESTS)
+        run_scenarios_cached([spec], tmp_path, n_requests=REQUESTS)
         store = store_for(tmp_path)
         before = {(e["name"], e["key"], e["kind"]) for e in store.entries()}
         store.index_path.unlink()
-        _, _, cached = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS
+        [(_, _, cached)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS
         )
         assert cached  # blobs are the durable layer ...
         # ... and the hit re-records the preset and both leg aliases.
@@ -317,7 +317,7 @@ class TestScenarioStoreIntegration:
         assert len(before) == 3
 
     def test_no_temp_files_linger(self, tmp_path):
-        run_scenario_cached(colocated(), tmp_path, n_requests=REQUESTS)
+        run_scenarios_cached([colocated()], tmp_path, n_requests=REQUESTS)
         assert not list((tmp_path / "store").rglob("*.tmp"))
 
 
@@ -352,7 +352,7 @@ class TestOrchestratorCacheParity:
 
     def test_shares_one_store_with_scenarios(self, tmp_path):
         self.make(tmp_path).run(only=["table1"])
-        run_scenario_cached(colocated(), tmp_path, n_requests=REQUESTS)
+        run_scenarios_cached([colocated()], tmp_path, n_requests=REQUESTS)
         store = store_for(tmp_path)
         kinds = {e["kind"] for e in store.entries()}
         assert {"experiment", "scenario", "sweep-task"} <= kinds
@@ -366,8 +366,8 @@ class TestOrchestratorCacheParity:
 
 class TestReport:
     def fill(self, root, seed):
-        run_scenario_cached(
-            colocated(), root, n_requests=REQUESTS, seed=seed
+        run_scenarios_cached(
+            [colocated()], root, n_requests=REQUESTS, seed=seed
         )
 
     def test_compare_two_stores(self, tmp_path):

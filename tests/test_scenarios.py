@@ -13,7 +13,7 @@ from repro.scenarios import (
     get_scenario,
     is_scenario,
     run_scenario,
-    run_scenario_cached,
+    run_scenarios_cached,
     scenario_names,
 )
 from repro.distrib.worker import sweep_task_recipe
@@ -354,23 +354,23 @@ class TestRunScenario:
 
     def test_artifact_cache_roundtrip(self, tmp_path):
         spec = small_colocated()
-        payload, path, cached = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS
+        [(report, path, cached)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS
         )
         assert not cached
         assert path.is_file()
-        again, path2, cached2 = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS
+        [(again, path2, cached2)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS
         )
         assert cached2 and path2 == path
-        assert again == payload
+        assert again.to_json() == report.to_json()
         # A different recipe misses; force re-simulates.
-        _, _, cached3 = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS + 1
+        [(_, _, cached3)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS + 1
         )
         assert not cached3
-        _, _, cached4 = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS + 1, force=True
+        [(_, _, cached4)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS + 1, force=True
         )
         assert not cached4
 
@@ -413,9 +413,10 @@ class TestRunScenario:
 
     def test_artifact_is_valid_json_with_hash(self, tmp_path):
         spec = small_colocated()
-        payload, path, _ = run_scenario_cached(
-            spec, tmp_path, n_requests=REQUESTS
+        [(report, path, _)] = run_scenarios_cached(
+            [spec], tmp_path, n_requests=REQUESTS
         )
+        payload = report.to_json()
         blob = json.loads(path.read_text())
         assert blob["key"] == path.stem == leg_key(spec, REQUESTS, 0)
         assert blob["kind"] == "sweep-task"
