@@ -83,6 +83,20 @@ def _not_positive(flag: str, value: Optional[float]) -> bool:
     return True
 
 
+def _negative(flag: str, value: float) -> bool:
+    """Print an error and return True when an option is negative."""
+    if value >= 0:
+        return False
+    print(f"error: {flag} must be non-negative, got {value:g}")
+    return True
+
+
+def _bad_threshold(args: argparse.Namespace) -> bool:
+    """Reject a non-positive ``--trh`` or a negative ``--alpha`` before
+    any sizing arithmetic divides by, or provisions for, them."""
+    return _not_positive("--trh", args.trh) or _negative("--alpha", args.alpha)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if _not_positive("--requests", args.requests):
         return 2
@@ -99,7 +113,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             quick=not args.full,
             n_requests=args.requests,
             seed=args.seed,
-            sim_jobs=args.sim_jobs,
             progress=print,
         )
         report = orchestrator.run(only=only)
@@ -138,6 +151,9 @@ def _cmd_list_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if (_bad_threshold(args)
+            or _negative("--fraction-bits", args.fraction_bits)):
+        return 2
     timings = default_cycle_timings()
     tmro = timings.tRAS + timings.tRC
     print(f"Effective thresholds at TRH={args.trh:.0f}, "
@@ -158,6 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
+    if _bad_threshold(args):
+        return 2
     trh, alpha = args.trh, args.alpha
     reduced = impress_n_effective_threshold(trh, alpha)
     print(f"Provisioning for TRH={trh:.0f} (alpha={alpha}):")
@@ -181,7 +199,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if _not_positive("--requests", args.requests):
+    if _not_positive("--requests", args.requests) or _bad_threshold(args):
         return 2
     from .scenarios import is_scenario
 
@@ -190,7 +208,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # carries its own topology and defense, so the tracker/scheme
         # flags do not apply.
         return _print_scenario_run(
-            args.workload, n_requests=args.requests, seed=0, jobs=1
+            args.workload, n_requests=args.requests, seed=0
         )
     defense = DefenseConfig(
         tracker=args.tracker, scheme=args.scheme, trh=args.trh,
@@ -218,7 +236,6 @@ def _print_scenario_run(
     name: str,
     n_requests: int,
     seed: int,
-    jobs: int,
     results_dir: Optional[str] = None,
     force: bool = False,
 ) -> int:
@@ -226,14 +243,12 @@ def _print_scenario_run(
 
     try:
         if results_dir is None:
-            report = run_scenario(
-                name, n_requests=n_requests, seed=seed, jobs=jobs
-            )
+            report = run_scenario(name, n_requests=n_requests, seed=seed)
             cached = False
         else:
             [(report, path, cached)] = run_scenarios_cached(
                 [name], Path(results_dir), n_requests=n_requests,
-                seed=seed, jobs=jobs, force=force,
+                seed=seed, force=force,
             )
     except KeyError as exc:
         print(exc.args[0])
@@ -275,14 +290,12 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    if (_not_positive("--requests", args.requests)
-            or _not_positive("--jobs", args.jobs)):
+    if _not_positive("--requests", args.requests):
         return 2
     return _print_scenario_run(
         args.name,
         n_requests=args.requests,
         seed=args.seed,
-        jobs=args.jobs,
         results_dir=args.results_dir,
         force=args.force,
     )
@@ -295,8 +308,7 @@ def _cmd_scenario_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
-    if (_not_positive("--requests", args.requests)
-            or _not_positive("--jobs", args.jobs)):
+    if _not_positive("--requests", args.requests):
         return 2
     from .scenarios import get_scenario, run_scenarios_cached
 
@@ -333,7 +345,7 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
         ]
     runs = run_scenarios_cached(
         points, Path(args.results_dir), n_requests=args.requests,
-        seed=args.seed, jobs=args.jobs,
+        seed=args.seed,
     )
     width = max(26, *(len(point.name) for point in points))
     print(f"{'scenario':<{width}} {'defense':<22} {'slowdown':>9} "
@@ -690,11 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial in-process)",
     )
     run.add_argument(
-        "--sim-jobs", type=int, default=1,
-        help="per-experiment sweep fan-out processes (effective with "
-             "--jobs 1; see SweepRunner.run_many)",
-    )
-    run.add_argument(
         "--only", default=None,
         help="comma-separated experiment names and/or tags "
              "(e.g. fig13,table2, table, or paper for the whole "
@@ -794,11 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
              "report victim slowdown and attacker ACT rate",
     )
     scenario_run.add_argument("name", help="a preset from `scenario list`")
-    scenario_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="fan the scenario and baseline legs across worker "
-             "processes (results are identical to serial)",
-    )
     scenario_run.add_argument("--requests", type=int, default=800,
                               help="requests per core")
     scenario_run.add_argument("--seed", type=int, default=0)
@@ -831,7 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--schemes", default=None,
         help="comma-separated RP schemes to cross with --trackers",
     )
-    scenario_sweep.add_argument("--jobs", type=int, default=1)
     scenario_sweep.add_argument("--requests", type=int, default=400,
                                 help="requests per core")
     scenario_sweep.add_argument("--seed", type=int, default=0)

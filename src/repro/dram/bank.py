@@ -91,10 +91,6 @@ class Bank:
         """Earliest cycle the open row may be precharged."""
         return self._ready_pre
 
-    def earliest_col(self) -> int:
-        """Earliest cycle a RD/WR may be issued to the open row."""
-        return self._ready_col
-
     @property
     def is_open(self) -> bool:
         return self.open_row is not None

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -47,28 +45,6 @@ SweepPointLike = Union[
     SweepPoint,
 ]
 
-
-def _evaluate_point(
-    payload: Tuple[SystemConfig, int, int, SweepPoint]
-) -> Tuple[SweepPoint, SimResult]:
-    """Pool-worker entry: simulate one sweep point.
-
-    Runs in a persistent worker process; the process-local compiled-
-    trace cache (:mod:`repro.workloads.compiled`) persists across the
-    points a worker evaluates, so a sweep's defenses share one compiled
-    trace set per workload exactly as they do in-process.
-    """
-    system, n_requests, seed, point = payload
-    workload, defense, tmro_ns = point
-    result = simulate_workload(
-        workload,
-        defense=defense,
-        system=system,
-        n_requests_per_core=n_requests,
-        tmro_ns=tmro_ns,
-        seed=seed,
-    )
-    return point, result
 
 #: Default request budget per core for experiment-scale runs.  Small
 #: enough for minutes-long sweeps, large enough for stable geomeans.
@@ -121,22 +97,12 @@ class SweepRunner:
     the whole sweep because later figures re-request earlier baselines.
     Long-lived callers can inspect growth via :meth:`cache_stats` and
     drop everything with :meth:`clear_cache`.
-
-    **Intra-experiment parallelism.**  :meth:`run_many` evaluates a
-    batch of points through a persistent process pool (``jobs`` > 1)
-    and merges the results into the same cache, so a figure can fan its
-    whole grid out before its (unchanged) assembly loops read every
-    point back as cache hits.  Results are bit-identical to serial runs:
-    every simulation is a deterministic function of its point and the
-    runner's fixed (system, n_requests, seed).
     """
 
     system: SystemConfig = field(default_factory=SystemConfig)
     n_requests: int = DEFAULT_REQUESTS
     seed: int = 0
-    #: Worker processes for :meth:`run_many` (1 = serial in-process).
-    jobs: int = 1
-    #: Route serial :meth:`run_many` batches through the batch engine
+    #: Route :meth:`run_many` batches through the batch engine
     #: tier (:func:`repro.sim.batch.simulate_batch`).  Results are
     #: bit-identical to per-point runs; set False to force the
     #: per-point fast engine.  The tier is imported by the first such
@@ -151,10 +117,6 @@ class SweepRunner:
     _timelines: Optional[TimelineStore] = field(
         default=None, repr=False, compare=False
     )
-    _pool: Optional[multiprocessing.pool.Pool] = field(
-        default=None, repr=False, compare=False
-    )
-    _pool_size: int = field(default=0, repr=False, compare=False)
 
     def run(
         self,
@@ -191,23 +153,16 @@ class SweepRunner:
         reference = self.run(workload, baseline)
         return normalized_weighted_speedup(result, reference)
 
-    def run_many(
-        self,
-        points: Iterable[SweepPointLike],
-        jobs: Optional[int] = None,
-    ) -> List[SimResult]:
+    def run_many(self, points: Iterable[SweepPointLike]) -> List[SimResult]:
         """Batch-evaluate sweep points; returns results in input order.
 
         Points already in the cache are served from it (counted as
         hits); duplicates among the remaining points are computed once.
-        With ``jobs`` > 1 (defaulting to the runner's ``jobs`` field)
-        the uncached points are evaluated across a persistent process
-        pool and merged into the cache, making every later ``run()`` /
-        ``speedup()`` on the same point a hit.  Falls back to serial
-        execution inside daemonic workers (e.g. when an orchestrator
-        pool already owns the process), which cannot fork children.
-        Serial in-process batches route through the batch engine tier
-        (see ``use_batch``), again with bit-identical results.
+        More than one uncached point goes through the batch engine tier
+        (see ``use_batch``), bit-identical to per-point runs; the
+        results merge into the cache, so a figure can evaluate its whole
+        grid before its assembly loops read every point back through
+        ``run()`` / ``speedup()`` as hits.
         """
         normalized = [_normalize_point(point) for point in points]
         needed: List[SweepPoint] = []
@@ -219,32 +174,13 @@ class SweepRunner:
             elif key not in seen:
                 seen.add(key)
                 needed.append(key)
-        if jobs is None:
-            jobs = self.jobs
-        if (
-            len(needed) > 1
-            and jobs > 1
-            and not multiprocessing.current_process().daemon
-        ):
-            pool = self._ensure_pool(jobs)
-            payloads = [
-                (self.system, self.n_requests, self.seed, key)
-                for key in needed
-            ]
-            for key, result in pool.imap_unordered(
-                _evaluate_point, payloads
-            ):
-                cache[key] = result
-                self._misses += 1
-        elif self.use_batch and len(needed) > 1:
-            # Serial in-process path: route the whole point group
-            # through the batch engine tier, which replays compatible
-            # lanes against one recorded leader run (bit-identical to
-            # per-point runs; lanes it cannot prove safe are simulated
-            # for real inside simulate_batch).  Imported here, so a
-            # process that never batches (the daemon, a worker, the
-            # fuzzer) never loads it.  The function is looked up on
-            # the module at call time, so a rebinding of
+        if self.use_batch and len(needed) > 1:
+            # The batch tier replays compatible lanes against one
+            # recorded leader run (lanes it cannot prove safe are
+            # simulated for real inside simulate_batch).  Imported
+            # here, so a process that never batches (the daemon, a
+            # worker, the fuzzer) never loads it.  The function is
+            # looked up on the module at call time, so a rebinding of
             # ``repro.sim.batch.simulate_batch`` (a tracer, a test
             # double) sees every call.
             from ..sim import batch
@@ -267,24 +203,6 @@ class SweepRunner:
             for key in needed:
                 self.run(*key)
         return [cache[key] for key in normalized]
-
-    def _ensure_pool(self, jobs: int) -> multiprocessing.pool.Pool:
-        """The persistent worker pool, (re)built when ``jobs`` changes."""
-        if self._pool is not None and self._pool_size != jobs:
-            self.close_pool()
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=jobs)
-            self._pool_size = jobs
-        return self._pool
-
-    def close_pool(self) -> None:
-        """Shut the persistent pool down (idempotent; pool is rebuilt
-        lazily by the next parallel :meth:`run_many`)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._pool_size = 0
 
     def cache_stats(self) -> CacheStats:
         """Current hit/miss counters and entry count of the run cache."""

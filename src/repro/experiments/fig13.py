@@ -55,9 +55,9 @@ def run(
         for scheme in IN_DRAM_SCHEMES
     }
     # The whole figure as one scenario grid — every workload crossed
-    # with every baseline and scheme config — fanned out through
-    # run_many (process pool when the runner has jobs > 1); the
-    # assembly below then reads every point back as a cache hit.
+    # with every baseline and scheme config — evaluated by one
+    # run_many batch; the assembly below then reads every point back
+    # as a cache hit.
     scenario_grid = ScenarioGrid.cross(
         workloads=tuple(names),
         defenses=tuple(baselines.values()) + tuple(

@@ -30,7 +30,7 @@ def run(
     runner = runner or SweepRunner()
     names = workload_set(quick)
     # Build each grid config once; the scenario grid and the assembly
-    # loop below share the same objects, so the fan-out and the cache
+    # loop below share the same objects, so the batch and the cache
     # lookups can never drift apart.
     baselines = {
         tracker: DefenseConfig(tracker=tracker, scheme="no-rp", trh=trh)

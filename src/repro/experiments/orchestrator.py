@@ -262,13 +262,6 @@ class Orchestrator:
     quick: bool = True
     n_requests: int = 800
     seed: int = 0
-    #: Worker processes each experiment may use for intra-experiment
-    #: sweep fan-out (``SweepRunner.run_many``).  Only effective on the
-    #: serial (``jobs == 1``) path: orchestrator pool workers are
-    #: daemonic, so their sweep runners always fall back to serial.
-    #: Not part of :meth:`options` — parallelism never changes results,
-    #: so it must not change cache keys.
-    sim_jobs: int = 1
     progress: Optional[Callable[[str], None]] = None
     #: Outcomes of the last ``run`` call, for programmatic access.
     last_report: Optional[RunReport] = field(default=None, repr=False)
@@ -276,8 +269,6 @@ class Orchestrator:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if self.sim_jobs < 1:
-            raise ValueError("sim_jobs must be positive")
         self.results_dir = Path(self.results_dir)
 
     # -- paths and cache -------------------------------------------------
@@ -400,14 +391,10 @@ class Orchestrator:
             # All payloads of a run share one option dict; one run-local
             # context lets them share cached baselines without pinning
             # anything in module globals.
-            ctx = RunContext(sim_jobs=self.sim_jobs, **payloads[0][1])
-            try:
-                for payload in payloads:
-                    self._emit(f"[start] {payload[0]}")
-                    yield _execute(payload, ctx)
-            finally:
-                if ctx._runner is not None:
-                    ctx._runner.close_pool()
+            ctx = RunContext(**payloads[0][1])
+            for payload in payloads:
+                self._emit(f"[start] {payload[0]}")
+                yield _execute(payload, ctx)
             return
         # Workers pick payloads up asynchronously, so "[start]" would
         # misstate what is actually running; report the schedule order

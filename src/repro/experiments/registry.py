@@ -62,11 +62,6 @@ class RunContext:
     quick: bool = True
     n_requests: int = DEFAULT_REQUESTS
     seed: int = 0
-    #: Worker processes for intra-experiment sweep fan-out
-    #: (:meth:`~repro.experiments.common.SweepRunner.run_many`).  Not
-    #: part of :meth:`options` — parallelism never changes results, so
-    #: it must not change cache keys.
-    sim_jobs: int = 1
     _runner: Optional[SweepRunner] = field(
         default=None, repr=False, compare=False
     )
@@ -75,9 +70,7 @@ class RunContext:
         """The shared (lazily created) simulation sweep runner."""
         if self._runner is None:
             self._runner = SweepRunner(
-                n_requests=self.n_requests,
-                seed=self.seed,
-                jobs=self.sim_jobs,
+                n_requests=self.n_requests, seed=self.seed
             )
         return self._runner
 

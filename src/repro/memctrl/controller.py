@@ -157,9 +157,6 @@ class ChannelController:
             raise RuntimeError(f"bank {bank_id} queue full")
         self.state[bank_id].queue.append(request)
 
-    def pending_requests(self, bank_id: int) -> int:
-        return len(self.state[bank_id].queue)
-
     # -- helpers ---------------------------------------------------------
 
     def _close_row(self, bank_id: int, cycle: int) -> int:

@@ -4,10 +4,9 @@ A :class:`ScenarioGrid` is a frozen value describing *(workloads ×
 (defense, tMRO) points)* against one topology.  ``expand()`` yields the
 individual :class:`~repro.scenarios.spec.ScenarioSpec` points and
 ``sweep_points()`` their canonical SweepRunner cache triples, so a
-whole grid can be fanned out with one
-:meth:`~repro.experiments.common.SweepRunner.run_many` call — serial or
-across the persistent process pool, with bit-identical results either
-way.
+whole grid can be evaluated by one
+:meth:`~repro.experiments.common.SweepRunner.run_many` call, which
+routes it through the batch engine tier.
 
 The defense axis is a sequence of *(defense, tmro_ns)* pairs rather
 than two independent axes because real sweeps pair them: a Fig-5 tMRO

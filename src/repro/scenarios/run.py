@@ -4,8 +4,7 @@ A scenario is two simulated *legs*: the spec and its victim-only
 baseline.  :class:`ScenarioReport` is a view over the two legs'
 results: victim slowdown and attacker ACT rate next to the usual
 counters.  :func:`run_scenario` simulates both legs in one
-:class:`~repro.experiments.common.SweepRunner` batch (``jobs > 1`` fans
-them out, bit-identical to serial).
+:class:`~repro.experiments.common.SweepRunner` batch.
 
 :func:`run_scenarios_cached` (``repro scenario run`` and ``repro
 scenario sweep``) stores each leg as the ``sweep-task`` blob of its
@@ -145,16 +144,12 @@ def _legs(spec_or_name) -> List[ScenarioSpec]:
 
 
 def _simulate(
-    legs: List[ScenarioSpec], n_requests: int, seed: int, jobs: int
+    legs: List[ScenarioSpec], n_requests: int, seed: int
 ) -> List[SimResult]:
-    """The legs through one local SweepRunner batch (pool shut down)."""
-    runner = SweepRunner(
-        system=legs[0].system, n_requests=n_requests, seed=seed, jobs=jobs,
-    )
-    try:
-        return runner.run_many([leg.sweep_point() for leg in legs], jobs=jobs)
-    finally:
-        runner.close_pool()
+    """The legs through one local SweepRunner batch."""
+    runner = SweepRunner(system=legs[0].system, n_requests=n_requests,
+                         seed=seed)
+    return runner.run_many([leg.sweep_point() for leg in legs])
 
 
 def _recipes(
@@ -175,11 +170,10 @@ def run_scenario(
     spec_or_name,
     n_requests: int = DEFAULT_SCENARIO_REQUESTS,
     seed: int = 0,
-    jobs: int = 1,
 ) -> ScenarioReport:
     """Simulate a scenario (by spec or preset name) plus its baseline."""
     legs = _legs(spec_or_name)
-    result, baseline = _simulate(legs, n_requests, seed, jobs)
+    result, baseline = _simulate(legs, n_requests, seed)
     return ScenarioReport(legs[0], result, baseline, n_requests, seed)
 
 
@@ -188,7 +182,6 @@ def run_scenarios_cached(
     results_dir: Path,
     n_requests: int = DEFAULT_SCENARIO_REQUESTS,
     seed: int = 0,
-    jobs: int = 1,
     force: bool = False,
 ) -> List[Tuple[ScenarioReport, Path, bool]]:
     """Run scenarios (specs or preset names) against the result store.
@@ -214,8 +207,7 @@ def run_scenarios_cached(
     for key in missing:
         batches.setdefault(legs[key][0].system, []).append(key)
     for batch in batches.values():
-        results = _simulate([legs[k][0] for k in batch], n_requests, seed,
-                            jobs)
+        results = _simulate([legs[k][0] for k in batch], n_requests, seed)
         payloads.update(zip(batch, (result.to_json() for result in results)))
     meta = {"n_requests": n_requests, "seed": seed}
     for key, (_, recipe) in legs.items():

@@ -169,13 +169,6 @@ class MithrilTracker(Tracker):
             return row
         return None
 
-    def record_batch(self, rows: List[int]) -> None:
-        """Record one unit ACT for each row (attack-replay convenience)."""
-        kernel = self._kernel
-        scale = self._scale
-        for row in rows:
-            kernel(row, scale)
-
     def reset(self) -> None:
         """Clear the summary and spillover (refresh-window boundary)."""
         self._table.clear()

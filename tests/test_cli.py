@@ -489,22 +489,60 @@ class TestRequestsValidation:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestJobsValidation:
-    """``--jobs <= 0`` is rejected like ``repro run`` rejects it, not
-    silently run serially."""
+class TestThresholdValidation:
+    """A non-positive ``--trh`` or a negative ``--alpha`` or
+    ``--fraction-bits`` is a usage error, not a traceback."""
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trh", "0", "must be positive, got 0"),
+        ("--trh", "-5", "must be positive, got -5"),
+        ("--alpha", "-1", "must be non-negative, got -1"),
+    ], ids=["trh-0", "trh-neg", "alpha-neg"])
     @pytest.mark.parametrize("argv", [
-        ["scenario", "run", "benign_mcf"],
-        ["scenario", "sweep", "benign_mcf"],
+        ["verify"],
+        ["size"],
+        ["simulate", "mcf", "--requests", "20"],
+        ["simulate", "benign_mcf", "--requests", "20"],
     ], ids=" ".join)
-    def test_rejected_before_any_store(self, capsys, tmp_path, monkeypatch,
-                                       argv, jobs):
+    def test_rejected(self, capsys, tmp_path, monkeypatch, argv, flag,
+                      value, message):
         monkeypatch.chdir(tmp_path)
-        assert main(argv + ["--jobs", jobs]) == 2
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr().out == f"error: {flag} {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_fraction_bits_rejected(self, capsys):
+        assert main(["verify", "--fraction-bits", "-1"]) == 2
         assert capsys.readouterr().out == (
-            f"error: --jobs must be positive, got {jobs}\n"
+            "error: --fraction-bits must be non-negative, got -1\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--alpha", "0", "--fraction-bits", "0"],
+        ["size", "--alpha", "0"],
+    ], ids=" ".join)
+    def test_zero_alpha_and_fraction_bits_stay_valid(self, capsys, argv):
+        assert main(argv) == 0
+        assert "error" not in capsys.readouterr().out
+
+
+class TestRemovedFanOutFlags:
+    """Sweeps run serially through the batch tier: the point-level
+    process-pool flags are gone and argparse rejects them before any
+    command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--only", "table2", "--sim-jobs", "2"],
+        ["scenario", "run", "benign_mcf", "--requests", "20", "--jobs", "2"],
+        ["scenario", "sweep", "benign_mcf", "--requests", "20",
+         "--jobs", "2"],
+    ], ids=" ".join)
+    def test_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

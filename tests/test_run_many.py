@@ -1,6 +1,4 @@
-"""SweepRunner.run_many: parallel == serial, cache-merge semantics."""
-
-import dataclasses
+"""SweepRunner.run_many: batch-tier cache merge and batch semantics."""
 
 import pytest
 
@@ -19,31 +17,15 @@ GRID = [
 ]
 
 
-def small_runner(jobs=1):
-    return SweepRunner(system=SMALL, n_requests=REQUESTS, jobs=jobs)
+def small_runner():
+    return SweepRunner(system=SMALL, n_requests=REQUESTS)
 
 
-def as_dicts(results):
-    return [dataclasses.asdict(result) for result in results]
-
-
-class TestParallelSerialEquivalence:
-    def test_parallel_results_bit_identical_to_serial(self):
-        serial = small_runner(jobs=1)
-        parallel = small_runner(jobs=2)
-        try:
-            expected = serial.run_many(GRID)
-            actual = parallel.run_many(GRID)
-        finally:
-            parallel.close_pool()
-        assert as_dicts(actual) == as_dicts(expected)
-
-    def test_parallel_merges_into_cache(self):
-        runner = small_runner(jobs=2)
-        try:
-            results = runner.run_many(GRID)
-        finally:
-            runner.close_pool()
+class TestCacheMerge:
+    def test_batch_merges_into_cache(self):
+        runner = small_runner()
+        results = runner.run_many(GRID)
+        assert runner._timelines is not None  # went through the batch tier
         stats = runner.cache_stats()
         assert stats.size == len(GRID)
         assert stats.misses == len(GRID)
@@ -54,14 +36,12 @@ class TestParallelSerialEquivalence:
         assert runner.cache_stats().misses == len(GRID)
         assert runner.cache_stats().hits == len(GRID)
 
-    def test_speedup_after_prefetch_matches_direct(self):
+    def test_speedup_after_batch_matches_direct(self):
         defense = DefenseConfig(tracker="graphene", scheme="impress-p")
-        direct = small_runner(jobs=1)
-        prefetched = small_runner(jobs=2)
-        try:
-            prefetched.run_many([("mcf", defense), ("mcf", None)])
-        finally:
-            prefetched.close_pool()
+        direct = small_runner()
+        prefetched = small_runner()
+        prefetched.run_many([("mcf", defense), ("mcf", None)])
+        assert prefetched._timelines is not None
         assert prefetched.speedup("mcf", defense) == pytest.approx(
             direct.speedup("mcf", defense)
         )
@@ -89,18 +69,3 @@ class TestBatchSemantics:
         stats = runner.cache_stats()
         assert stats.hits == 2
         assert stats.misses == 1
-
-    def test_single_uncached_point_stays_serial(self):
-        # One point never pays pool spin-up, even with jobs > 1.
-        runner = small_runner(jobs=2)
-        runner.run_many([("mcf", None, None)])
-        assert runner._pool is None
-
-    def test_close_pool_idempotent(self):
-        runner = small_runner(jobs=2)
-        try:
-            runner.run_many(GRID)
-        finally:
-            runner.close_pool()
-            runner.close_pool()
-        assert runner._pool is None

@@ -306,24 +306,6 @@ class TestScenarioGrid:
         assert len(results) == 4
         assert runner.run("mcf", None) is results[0]
 
-    def test_parallel_equals_serial_for_scenario_grids(self):
-        spec = small_colocated()
-        grid = ScenarioGrid(
-            workloads=("mcf", spec.cores),
-            defense_points=((None, None), (DEFENSE, None)),
-            system=SMALL,
-            name="t",
-        )
-        serial = SweepRunner(system=SMALL, n_requests=REQUESTS)
-        serial_results = serial.run_many(grid.expand(), jobs=1)
-        parallel = SweepRunner(system=SMALL, n_requests=REQUESTS)
-        try:
-            parallel_results = parallel.run_many(grid.expand(), jobs=2)
-        finally:
-            parallel.close_pool()
-        for fast, slow in zip(parallel_results, serial_results):
-            assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
-
 
 class TestRunScenario:
     def test_report_carries_security_metrics(self):
@@ -346,9 +328,7 @@ class TestRunScenario:
         assert report.attacker_act_rate is None
 
     def test_preset_runs_by_name(self):
-        report = run_scenario(
-            "colocated_hammer_mcf", n_requests=60, jobs=1
-        )
+        report = run_scenario("colocated_hammer_mcf", n_requests=60)
         assert report.spec.name == "colocated_hammer_mcf"
         assert report.victim_slowdown is not None
 
