@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 from pathlib import Path
 from typing import List, Optional
 
@@ -92,8 +93,13 @@ def _negative(flag: str, value: float) -> bool:
 
 
 def _bad_threshold(args: argparse.Namespace) -> bool:
-    """Reject a non-positive ``--trh`` or a negative ``--alpha`` before
-    any sizing arithmetic divides by, or provisions for, them."""
+    """Reject a ``--trh`` or ``--alpha`` that is not finite, a
+    non-positive ``--trh`` or a negative ``--alpha`` before any sizing
+    arithmetic divides by, or provisions for, them."""
+    for flag, value in (("--trh", args.trh), ("--alpha", args.alpha)):
+        if not math.isfinite(value):
+            print(f"error: {flag} must be finite, got {value:g}")
+            return True
     return _not_positive("--trh", args.trh) or _negative("--alpha", args.alpha)
 
 
@@ -531,9 +537,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for proc in workers:
             reap(proc, 30.0)
     print(f"{'scenario':<26} {'task/result key':<18} {'cycles':>12}")
-    for spec, key, result in zip(
-        specs, outcome.result_keys, outcome.results
-    ):
+    for spec, key, result in zip(specs, outcome.task_ids, outcome.results):
         print(f"{spec.name:<26} {key:<18} {result.elapsed_cycles:>12,}")
     for line in outcome.summary_lines():
         print(line)

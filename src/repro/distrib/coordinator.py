@@ -35,7 +35,7 @@ one task per request):
 
 Results are collected in submission order, read back from the store by
 content key; a done task whose blob went missing is recomputed
-in-process (:func:`~repro.distrib.worker.execute_recipe`).
+in-process (:func:`~repro.distrib.worker.execute_recipes`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..results.store import ResultStore, content_key
 from ..sim.stats import SimResult
 from .queue import FileWorkQueue, Task
-from .worker import execute_claimed_task, execute_recipe, sweep_task_recipe
+from .worker import execute_claimed_task, execute_recipes, sweep_task_recipe
 
 
 class DistributedSweepError(RuntimeError):
@@ -98,7 +98,6 @@ class SweepOutcome:
     """A completed sweep: results in submission order, plus how it went."""
 
     task_ids: List[str]
-    result_keys: List[str]
     results: List[SimResult]
     degraded: bool = False            # coordinator ran tasks in-process
     reclaimed: int = 0                # expired-lease reclaims observed
@@ -120,27 +119,21 @@ class SweepOutcome:
 
 
 def run_serial_sweep(
-    recipes: Sequence[Dict[str, Any]],
-    store: ResultStore,
+    recipes: Sequence[Dict[str, Any]], store: ResultStore
 ) -> SweepOutcome:
     """Execute task recipes in-process, serially, against the store.
 
     The reference the chaos harness compares against: same recipes,
-    same store addressing, no queue at all.  Blobs written here must
-    be byte-identical to what any distributed execution produces.
+    same store addressing, no queue at all; the misses go through the
+    batch tier.  Blobs written here must be byte-identical to what any
+    distributed (fast-engine) execution produces.
     """
     started = time.monotonic()
-    task_ids = [content_key(recipe) for recipe in recipes]
-    results = [
-        SimResult.from_json(execute_recipe(recipe, store, "serial"))
-        for recipe in recipes
-    ]
+    executed = execute_recipes(recipes, store, "serial")
     return SweepOutcome(
-        task_ids=task_ids,
-        result_keys=list(task_ids),
-        results=results,
-        duration_s=time.monotonic() - started,
-        mode="serial",
+        task_ids=[content_key(recipe) for recipe in recipes],
+        results=[SimResult.from_json(payload) for payload, _ in executed],
+        duration_s=time.monotonic() - started, mode="serial",
     )
 
 
@@ -250,8 +243,8 @@ def supervise(
             if len(claimable) < len(waiting):
                 continue  # executed something: re-check right away
         time.sleep(poll_s)
-    payloads = [execute_recipe(task.recipe, store, owner) for task in tasks]
-    return payloads, reclaimed, speculated
+    executed = execute_recipes([task.recipe for task in tasks], store, owner)
+    return [payload for payload, _ in executed], reclaimed, speculated
 
 
 def run_distributed_sweep(
@@ -282,10 +275,8 @@ def run_distributed_sweep(
         serial_grace_s, poll_s=poll_s,
         speculate_after_s=speculate_after_s, timeout_s=timeout_s,
     )
-    task_ids = [task.task_id for task in tasks]
     return SweepOutcome(
-        task_ids=task_ids,
-        result_keys=list(task_ids),
+        task_ids=[task.task_id for task in tasks],
         results=[SimResult.from_json(payload) for payload in payloads],
         degraded=degraded.is_set(),
         reclaimed=reclaimed,

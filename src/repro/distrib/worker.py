@@ -32,7 +32,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..results import store as store_mod
 from ..results.store import ResultStore, content_key, with_lock_retry
@@ -133,22 +133,43 @@ def build_simulator(recipe: Dict[str, Any]) -> SystemSimulator:
     )
 
 
-def execute_recipe(
-    recipe: Dict[str, Any], store: ResultStore, owner: str
-) -> Dict[str, Any]:
-    """The result payload of one task recipe, computed only on a miss.
+def execute_recipes(
+    recipes: Sequence[Dict[str, Any]], store: ResultStore, owner: str,
+    force: bool = False,
+) -> List[Tuple[Dict[str, Any], bool]]:
+    """``(payload, cached)`` per task recipe, in input order.
 
-    Fetches the blob; when it is missing, builds and runs the simulator
-    in-process and puts the result under the recipe, aliased the way a
-    worker's result is.  The serial sweep runs every recipe through
-    here, and supervisors call it for a done task whose blob went
-    missing.
+    Fetches each distinct recipe (``force`` skips the fetch) and
+    simulates the misses per topology and run shape, selecting as
+    ``SweepRunner.run_many`` does: a lone miss through
+    :func:`build_simulator`, more in one batch-tier call.  Each result
+    is put the way a worker's is; hits are not re-put.
     """
-    payload = store.fetch(recipe)
-    if payload is None:
-        payload = build_simulator(recipe).run().to_json()
-        put_result(store, recipe, payload, {"owner": owner})
-    return payload
+    keys = [content_key(recipe) for recipe in recipes]
+    unique = dict(zip(keys, recipes))
+    payloads = {key: None if force else store.get(key) for key in unique}
+    cached = {key: payload is not None for key, payload in payloads.items()}
+    groups: Dict[tuple, List[Tuple[str, Any]]] = {}
+    for key, recipe in unique.items():
+        if not cached[key]:
+            spec = spec_from_recipe(recipe["scenario"])
+            shape = (spec.system, recipe["n_requests"], recipe["seed"])
+            groups.setdefault(shape, []).append((key, spec))
+    for (system, n_requests, seed), misses in groups.items():
+        if len(misses) == 1:
+            results = [build_simulator(unique[misses[0][0]]).run()]
+        else:  # imported here, so lone misses never load the batch tier
+            from ..sim import batch
+
+            results = batch.simulate_batch(
+                [spec.sweep_point() for _, spec in misses], system=system,
+                n_requests_per_core=n_requests, seed=seed,
+            )
+        for (key, _), result in zip(misses, results):
+            payloads[key] = result.to_json()
+            put_result(store, unique[key], payloads[key],
+                       {"owner": owner}, force)
+    return [(payloads[key], cached[key]) for key in keys]
 
 
 def _heartbeat_interval(queue: FileWorkQueue) -> float:

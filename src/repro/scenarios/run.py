@@ -4,16 +4,16 @@ A scenario is two simulated *legs*: the spec and its victim-only
 baseline.  :class:`ScenarioReport` is a view over the two legs'
 results: victim slowdown and attacker ACT rate next to the usual
 counters.  :func:`run_scenario` simulates both legs in one
-:class:`~repro.experiments.common.SweepRunner` batch.
+:class:`~repro.experiments.common.SweepRunner` batch, storing nothing.
 
 :func:`run_scenarios_cached` (``repro scenario run`` and ``repro
-scenario sweep``) stores each leg as the ``sweep-task`` blob of its
-:func:`~repro.distrib.worker.sweep_task_recipe` in the store under
-``<results-dir>/store/``: the very blob ``repro sweep``, ``repro
-worker`` and ``repro serve`` write for that point, so they simulate it
-once between them and points sharing a leg store it once.  Each
-point's name is a ``scenario`` alias on its scenario leg, from which
-:func:`stored_report` rebuilds the report.
+scenario sweep``) runs each leg's ``sweep-task`` recipe through
+:func:`~repro.distrib.worker.execute_recipes`, the executor of ``repro
+sweep`` and ``repro serve``, into the store under
+``<results-dir>/store/``: the very blob they and ``repro worker`` write
+for that point, so they simulate it once between them and points
+sharing a leg store it once.  Each point's name is a ``scenario`` alias
+on its scenario leg, from which :func:`stored_report` rebuilds it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..distrib.worker import TASK_KIND, put_result, sweep_task_recipe
-from ..experiments.common import SweepRunner
+from ..distrib.worker import (TASK_KIND, execute_recipes, result_alias,
+                              sweep_task_recipe)
 from ..results.store import ResultStore, content_key, store_for
-from ..sim.config import SystemConfig
 from ..sim.metrics import (
     attacker_act_rate,
     stalled_victim_cores,
@@ -143,15 +142,6 @@ def _legs(spec_or_name) -> List[ScenarioSpec]:
     return [spec, spec.baseline()]
 
 
-def _simulate(
-    legs: List[ScenarioSpec], n_requests: int, seed: int
-) -> List[SimResult]:
-    """The legs through one local SweepRunner batch."""
-    runner = SweepRunner(system=legs[0].system, n_requests=n_requests,
-                         seed=seed)
-    return runner.run_many([leg.sweep_point() for leg in legs])
-
-
 def _recipes(
     legs: List[ScenarioSpec], n_requests: int, seed: int
 ) -> List[Dict[str, Any]]:
@@ -172,8 +162,12 @@ def run_scenario(
     seed: int = 0,
 ) -> ScenarioReport:
     """Simulate a scenario (by spec or preset name) plus its baseline."""
+    from ..experiments.common import SweepRunner
+
     legs = _legs(spec_or_name)
-    result, baseline = _simulate(legs, n_requests, seed)
+    runner = SweepRunner(system=legs[0].system, n_requests=n_requests,
+                         seed=seed)
+    result, baseline = runner.run_many([leg.sweep_point() for leg in legs])
     return ScenarioReport(legs[0], result, baseline, n_requests, seed)
 
 
@@ -187,38 +181,28 @@ def run_scenarios_cached(
     """Run scenarios (specs or preset names) against the result store.
 
     Returns one ``(report, scenario leg blob, cached)`` per point,
-    ``cached`` when both its legs were stored.  Only missing legs are
-    simulated, each distinct one once, in one batch per topology
-    (``force`` re-simulates all).  Every leg is put, hits included, so
-    re-runs rebuild a lost index; each point's name is a ``scenario``
-    alias of its scenario leg.
+    ``cached`` when both its legs were stored.  The legs run through
+    :func:`~repro.distrib.worker.execute_recipes` (``force``
+    re-simulates all).  Hit legs' ``sweep/<key>`` aliases and each
+    point's ``scenario`` alias are re-recorded, rebuilding a lost index.
     """
     store = store_for(Path(results_dir))
     pairs = [_legs(point) for point in points]
-    keys, legs = [], {}
-    for pair in pairs:
-        recipes = _recipes(pair, n_requests, seed)
-        keys.append([content_key(recipe) for recipe in recipes])
-        legs.update(zip(keys[-1], zip(pair, recipes)))
-    payloads = {key: None if force else store.fetch(recipe)
-                for key, (_, recipe) in legs.items()}
-    missing = [key for key, payload in payloads.items() if payload is None]
-    batches: Dict[SystemConfig, List[str]] = {}
-    for key in missing:
-        batches.setdefault(legs[key][0].system, []).append(key)
-    for batch in batches.values():
-        results = _simulate([legs[k][0] for k in batch], n_requests, seed)
-        payloads.update(zip(batch, (result.to_json() for result in results)))
+    recipes = [r for pair in pairs for r in _recipes(pair, n_requests, seed)]
+    keys = [content_key(recipe) for recipe in recipes]
+    executed = execute_recipes(recipes, store, "scenario", force)
+    for key, (_, cached) in dict(zip(keys, executed)).items():
+        if cached:
+            store.alias(result_alias(key), key, TASK_KIND,
+                        {"owner": "scenario"})
     meta = {"n_requests": n_requests, "seed": seed}
-    for key, (_, recipe) in legs.items():
-        put_result(store, recipe, payloads[key], {"owner": "scenario"}, force)
-    for (spec, _), (key, _) in zip(pairs, keys):
-        store.alias(spec.name, key, "scenario", meta)
-    return [
-        (_report(spec, [payloads[k] for k in leg_keys], n_requests, seed),
-         store.blob_path(leg_keys[0]), not set(leg_keys) & set(missing))
-        for (spec, _), leg_keys in zip(pairs, keys)
-    ]
+    runs = []
+    for i, (spec, _) in enumerate(pairs):
+        (result, hit), (baseline, baseline_hit) = executed[2 * i:2 * i + 2]
+        store.alias(spec.name, keys[2 * i], "scenario", meta)
+        runs.append((_report(spec, [result, baseline], n_requests, seed),
+                     store.blob_path(keys[2 * i]), hit and baseline_hit))
+    return runs
 
 
 def stored_report(

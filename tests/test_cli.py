@@ -490,14 +490,19 @@ class TestRequestsValidation:
 
 
 class TestThresholdValidation:
-    """A non-positive ``--trh`` or a negative ``--alpha`` or
-    ``--fraction-bits`` is a usage error, not a traceback."""
+    """A non-finite, non-positive ``--trh``, a non-finite or negative
+    ``--alpha`` or a negative ``--fraction-bits`` is a usage error, not
+    a traceback (or, on ``verify``, a report of an infinite T*)."""
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--trh", "0", "must be positive, got 0"),
         ("--trh", "-5", "must be positive, got -5"),
         ("--alpha", "-1", "must be non-negative, got -1"),
-    ], ids=["trh-0", "trh-neg", "alpha-neg"])
+        ("--trh", "inf", "must be finite, got inf"),
+        ("--alpha", "inf", "must be finite, got inf"),
+        ("--trh", "nan", "must be finite, got nan"),
+    ], ids=["trh-0", "trh-neg", "alpha-neg", "trh-inf", "alpha-inf",
+            "trh-nan"])
     @pytest.mark.parametrize("argv", [
         ["verify"],
         ["size"],

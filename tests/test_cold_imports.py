@@ -1,11 +1,12 @@
 """Cold-start guards: each entry point imports only what it runs.
 
-The CLI, the serve daemon, a distributed worker and the fuzzer run
-single fast-engine points, so a fresh interpreter importing any of them
-must leave NumPy, the batch tier and the experiments layer (the paper's
-figure sweeps) unloaded.  A serial multi-point sweep is what loads the
-batch tier, which needs only the standard library: it loads no NumPy
-where NumPy is installed and gives the same results where it is not.
+The CLI, the serve daemon, a distributed worker, the scenario runner
+and the fuzzer run single fast-engine points, so a fresh interpreter
+importing any of them must leave NumPy, the batch tier and the
+experiments layer (the paper's figure sweeps) unloaded.  A serial sweep
+with more than one uncached point of a topology is what loads the batch
+tier, which needs only the standard library: it loads no NumPy where
+NumPy is installed and gives the same results where it is not.
 
 Every check runs in a fresh interpreter: the test process itself has
 long since imported everything.
@@ -100,6 +101,7 @@ def child_json(script: str, block_numpy: bool = False):
     "repro.cli",
     "repro.serve.server",
     "repro.distrib.worker",
+    "repro.scenarios.run",
     "repro.scenarios.fuzz",
 ])
 def test_entry_point_leaves_batch_tier_and_experiments_unloaded(module):
@@ -126,6 +128,34 @@ def test_only_a_serial_multi_point_sweep_loads_the_batch_tier():
         print(json.dumps([before, single, "repro.sim.batch" in sys.modules]))
     """)
     assert loaded == [False, False, True]
+
+
+#: A ``run_serial_sweep`` of the first ``{n}`` of two recipes into the
+#: store under ``{store}``; prints the heavy modules loaded.
+SERIAL_SWEEP = """
+    from pathlib import Path
+
+    from repro.distrib.coordinator import run_serial_sweep, shard_points
+    from repro.results.store import store_for
+    from repro.scenarios.spec import ScenarioSpec
+    from repro.sim.config import SystemConfig
+
+    system = SystemConfig(n_cores=2, banks_per_channel=8)
+    specs = [ScenarioSpec.benign(name, system=system)
+             for name in ("copy", "add")]
+    run_serial_sweep(shard_points(specs[:{n}], 20, 0),
+                     store_for(Path({store!r})))
+    print(json.dumps(heavy_modules()))
+"""
+
+
+def test_only_a_multi_recipe_miss_loads_the_batch_tier(tmp_path):
+    def loaded(n, store):
+        return child_json(SERIAL_SWEEP.format(n=n, store=str(tmp_path / store)))
+
+    assert loaded(1, "one") == []
+    assert loaded(2, "two") == ["repro.sim.batch"]
+    assert loaded(2, "two") == []    # the same sweep, every recipe a hit
 
 
 class TestWithoutNumpy:

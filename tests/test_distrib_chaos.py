@@ -145,7 +145,7 @@ class TestChaosMatrix:
         assert real.stale_tmp
         after = dist_store.gc(dry_run=True, tmp_grace_s=1e9)
         assert not after.stale_tmp
-        for key in report.outcome.result_keys:
+        for key in report.outcome.task_ids:
             assert dist_store.get(key) is not None
 
     def test_worker_freeze_heartbeat(self, tmp_path, serial_reference):

@@ -31,6 +31,7 @@ from repro.distrib import worker as worker_mod
 from repro.distrib.worker import (
     build_simulator,
     execute_claimed_task,
+    put_result,
     result_alias,
     run_worker,
     sweep_task_recipe,
@@ -38,7 +39,7 @@ from repro.distrib.worker import (
 from repro.results.store import content_key, store_for
 from repro.scenarios.spec import ScenarioSpec
 from repro.security import faults
-from repro.sim.config import SystemConfig
+from repro.sim.config import DefenseConfig, SystemConfig
 
 
 def small_specs():
@@ -86,7 +87,6 @@ class TestSerialAndDegraded:
         serial = run_serial_sweep(recipes, serial_store)
         assert serial.mode == "serial"
         assert serial.task_ids == [content_key(r) for r in recipes]
-        assert serial.result_keys == serial.task_ids
 
         queue = FileWorkQueue(tmp_path / "dist" / "queue")
         dist_store = store_for(tmp_path / "dist")
@@ -96,12 +96,43 @@ class TestSerialAndDegraded:
         )
         assert outcome.degraded
         assert outcome.mode == "degraded serial"
-        assert outcome.result_keys == serial.result_keys
-        for key in serial.result_keys:
+        assert outcome.task_ids == serial.task_ids
+        for key in serial.task_ids:
             assert blob_bytes(serial_store, key) == \
                 blob_bytes(dist_store, key)
         for a, b in zip(serial.results, outcome.results):
             assert a.to_json() == b.to_json()
+
+    def test_serial_sweep_batch_tier_matches_per_recipe_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial sweep batch-simulates its misses, and every blob it
+        writes is the one a per-recipe fast-engine run puts."""
+        from repro.scenarios import get_scenario
+        from repro.sim import batch
+
+        spec = get_scenario("colocated_hammer_mcf")
+        recipes = shard_points([
+            spec.with_defense(DefenseConfig(tracker=tracker, scheme=scheme))
+            for tracker in ("graphene", "mint", "mithril", "para")
+            for scheme in ("no-rp", "impress-p")
+        ], 120, 0)
+        stats = batch.BatchStats()
+        real_batch = batch.simulate_batch
+        monkeypatch.setattr(
+            batch, "simulate_batch",
+            lambda points, **kwargs: real_batch(points, stats=stats, **kwargs),
+        )
+        serial_store = store_for(tmp_path / "serial")
+        serial = run_serial_sweep(recipes, serial_store)
+        assert (stats.points, stats.replayed, stats.fallbacks) == (8, 5, 2)
+        fast_store = store_for(tmp_path / "fast")
+        for recipe in recipes:
+            put_result(fast_store, recipe,
+                       build_simulator(recipe).run().to_json(), {})
+        for key in serial.task_ids:
+            assert blob_bytes(serial_store, key) == \
+                blob_bytes(fast_store, key)
 
     def test_degraded_sweep_retries_transient_failure(
         self, tmp_path, monkeypatch
@@ -141,8 +172,8 @@ class TestSerialAndDegraded:
         assert outcome.degraded
         assert len(outcome.results) == len(recipes)
         serial = run_serial_sweep(recipes, store_for(tmp_path / "serial"))
-        assert outcome.result_keys == serial.result_keys
-        for key in serial.result_keys:
+        assert outcome.task_ids == serial.task_ids
+        for key in serial.task_ids:
             assert blob_bytes(store_for(tmp_path / "serial"), key) == \
                 blob_bytes(store, key)
 
@@ -161,7 +192,7 @@ class TestSerialAndDegraded:
             timeout_s=10.0,
         )
         assert not again.degraded
-        assert again.result_keys == first.result_keys
+        assert again.task_ids == first.task_ids
 
     def test_sweep_result_is_aliased_in_store(self, tmp_path):
         recipes = small_recipes()
@@ -215,7 +246,7 @@ class TestWorkerLoop:
         run_worker(
             queue, dist_store, owner="w1", idle_exit_s=0.2, poll_s=0.01,
         )
-        for key in serial.result_keys:
+        for key in serial.task_ids:
             assert blob_bytes(serial_store, key) == \
                 blob_bytes(dist_store, key)
 

@@ -199,17 +199,24 @@ class TestScenarioStoreIntegration:
 
     def test_shared_baseline_leg_stored_once(self, tmp_path, monkeypatch):
         """N scenarios with identical victim sides share one baseline
-        blob, and only the legs not yet stored are simulated."""
-        from repro.scenarios import run as run_mod
+        blob, and only the legs not yet stored are simulated: two in
+        one batch-tier call, then one on its own."""
+        from repro.distrib import worker
+        from repro.sim import batch
 
         simulated = []
-        real_simulate = run_mod._simulate
+        real_build, real_batch = worker.build_simulator, batch.simulate_batch
 
-        def counting_simulate(legs, *args):
-            simulated.append(len(legs))
-            return real_simulate(legs, *args)
+        def counting_build(recipe):
+            simulated.append(1)
+            return real_build(recipe)
 
-        monkeypatch.setattr(run_mod, "_simulate", counting_simulate)
+        def counting_batch(points, **kwargs):
+            simulated.append(len(points))
+            return real_batch(points, **kwargs)
+
+        monkeypatch.setattr(worker, "build_simulator", counting_build)
+        monkeypatch.setattr(batch, "simulate_batch", counting_batch)
         hammer, dwell = colocated("hammer"), colocated("dwell")
         assert hammer.baseline().recipe() == dwell.baseline().recipe()
         run_scenarios_cached([hammer], tmp_path, n_requests=REQUESTS)
@@ -266,7 +273,7 @@ class TestScenarioStoreIntegration:
         outcome = run_serial_sweep(
             shard_points([spec, spec.baseline()], REQUESTS, 3), store
         )
-        assert outcome.result_keys[0] == path.stem
+        assert outcome.task_ids[0] == path.stem
         assert outcome.results[0].elapsed_cycles == (
             report.result.elapsed_cycles
         )
@@ -295,7 +302,7 @@ class TestScenarioStoreIntegration:
             shard_points([spec, spec.baseline()], REQUESTS, 0), swept
         )
         scenario_store = store_for(tmp_path / "a")
-        for key in outcome.result_keys:
+        for key in outcome.task_ids:
             assert canonical_json(scenario_store.get(key)) == (
                 canonical_json(swept.get(key))
             )

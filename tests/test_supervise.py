@@ -88,7 +88,7 @@ def run_supervised(setting, tmp_path, monkeypatch, recipes, queue, store,
 def assert_matches_serial(tmp_path, recipes, store):
     serial_store = store_for(tmp_path / "serial")
     serial = run_serial_sweep(recipes, serial_store)
-    for key in serial.result_keys:
+    for key in serial.task_ids:
         assert store.blob_path(key).read_bytes() == \
             serial_store.blob_path(key).read_bytes()
 
