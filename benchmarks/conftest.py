@@ -9,6 +9,7 @@ benchmarks let pytest-benchmark time them normally.
 import pytest
 
 from repro.experiments.common import SweepRunner
+from repro.experiments.registry import RunContext
 from repro.sim.config import SystemConfig
 
 #: Requests per core for benchmark-scale simulations (see the
@@ -21,6 +22,18 @@ BENCH_REQUESTS = 800
 def runner() -> SweepRunner:
     """Shared sweep runner so benchmarks reuse cached baselines."""
     return SweepRunner(system=SystemConfig(), n_requests=BENCH_REQUESTS)
+
+
+@pytest.fixture(scope="session")
+def quick(runner) -> RunContext:
+    """The quick workload set, on the shared runner."""
+    return RunContext(quick=True, n_requests=BENCH_REQUESTS, _runner=runner)
+
+
+@pytest.fixture(scope="session")
+def full(runner) -> RunContext:
+    """Every SPEC and STREAM workload, on the shared runner."""
+    return RunContext(quick=False, n_requests=BENCH_REQUESTS, _runner=runner)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

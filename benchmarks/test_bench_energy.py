@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import energy
 
 
-def test_energy(benchmark, runner):
-    data = run_once(benchmark, energy.run, runner, quick=True)
+def test_energy(benchmark, quick):
+    data = run_once(benchmark, energy.run, quick)
     share = data["baseline"]["activation_share"]
     print(f"\nEnergy (Section VI-E): baseline ACT share {share:.3f}")
     for tracker in ("graphene", "para"):

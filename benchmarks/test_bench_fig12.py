@@ -3,8 +3,8 @@
 from repro.experiments import fig12
 
 
-def test_fig12(benchmark):
-    rows = benchmark(fig12.run)
+def test_fig12(benchmark, quick):
+    rows = benchmark(fig12.run, quick)
     print("\nFig 12 (ImPress-P T* vs fraction bits):")
     print("  bits  analytic  verified")
     for row in rows:

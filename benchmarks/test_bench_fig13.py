@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import fig13
 
 
-def test_fig13(benchmark, runner):
-    data = run_once(benchmark, fig13.run, runner, quick=False)
+def test_fig13(benchmark, full):
+    data = run_once(benchmark, fig13.run, full)
     print("\nFig 13 (perf normalized to No-RP, alpha=1):")
     for tracker, schemes in data.items():
         for scheme, rows in schemes.items():

@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import fig14
 
 
-def test_fig14(benchmark, runner):
-    data = run_once(benchmark, fig14.run, runner, quick=True)
+def test_fig14(benchmark, quick):
+    data = run_once(benchmark, fig14.run, quick)
     print("\nFig 14 (ACTs relative to unprotected baseline):")
     for tracker, schemes in data.items():
         for scheme, acts in schemes.items():

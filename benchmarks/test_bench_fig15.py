@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import fig15
 
 
-def test_fig15(benchmark, runner):
-    data = run_once(benchmark, fig15.run, runner, quick=True)
+def test_fig15(benchmark, quick):
+    data = run_once(benchmark, fig15.run, quick)
     print("\nFig 15 (perf vs unprotected, TRH sweep):")
     for tracker, schemes in data.items():
         for scheme, series in schemes.items():

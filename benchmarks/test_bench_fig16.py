@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import fig16
 
 
-def test_fig16(benchmark, runner):
-    data = run_once(benchmark, fig16.run, runner, quick=True)
+def test_fig16(benchmark, quick):
+    data = run_once(benchmark, fig16.run, quick)
     print("\nFig 16 (ExPress vs ImPress-N at alpha 0.35 / 1):")
     for tracker, variants in data.items():
         for label, rows in variants.items():

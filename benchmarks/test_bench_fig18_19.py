@@ -3,8 +3,8 @@
 from repro.experiments import fig18_19
 
 
-def test_fig18(benchmark):
-    series = benchmark(fig18_19.fig18_series)
+def test_fig18(benchmark, quick):
+    series = benchmark(fig18_19.fig18, quick)
     print("\nFig 18 (Graphene + ImPress-P slowdown vs K):")
     for trh, rows in series.items():
         values = {row["slowdown_pct"] for row in rows}
@@ -18,8 +18,8 @@ def test_fig18(benchmark):
         assert len({row["slowdown_pct"] for row in rows}) == 1
 
 
-def test_fig19(benchmark):
-    series = benchmark(fig18_19.fig19_series)
+def test_fig19(benchmark, quick):
+    series = benchmark(fig18_19.fig19, quick)
     print("\nFig 19 (PARA + ImPress-P slowdown vs K):")
     for trh, rows in series.items():
         peak = max(row["slowdown_pct"] for row in rows)

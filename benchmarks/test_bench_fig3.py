@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import fig3
 
 
-def test_fig3(benchmark, runner):
-    series = run_once(benchmark, fig3.run, runner, quick=False)
+def test_fig3(benchmark, full):
+    series = run_once(benchmark, fig3.run, full)
     workloads = list(next(iter(series.values())))
     print("\nFig 3 (perf normalized to no-tMRO):")
     header = "  ".join(f"{t:>7.0f}" for t in series)

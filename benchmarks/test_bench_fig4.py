@@ -3,8 +3,8 @@
 from repro.experiments import fig4
 
 
-def test_fig4(benchmark):
-    rows = benchmark(fig4.run)
+def test_fig4(benchmark, quick):
+    rows = benchmark(fig4.run, quick)
     print("\nFig 4 (T* vs tMRO):")
     print("  tMRO(ns)  T*(measured)  T*(CLM)")
     for row in rows:

@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments import fig5
 
 
-def test_fig5(benchmark, runner):
-    data = run_once(benchmark, fig5.run, runner, quick=True)
+def test_fig5(benchmark, quick):
+    data = run_once(benchmark, fig5.run, quick)
     print("\nFig 5 (geomean perf vs tMRO, ExPress-provisioned trackers):")
     for tracker, categories in data.items():
         for category, series in categories.items():

@@ -3,14 +3,14 @@
 from repro.experiments import fig6_7_8
 
 
-def test_fig6(benchmark):
-    series = benchmark(fig6_7_8.fig6_series)
+def test_fig6(benchmark, quick):
+    series = benchmark(fig6_7_8.fig6, quick)
     print("\nFig 6 (Rowhammer TCL): first points", series[:5])
     assert all(tcl == k for k, tcl in series)
 
 
-def test_fig7(benchmark):
-    data = benchmark(fig6_7_8.fig7_series)
+def test_fig7(benchmark, quick):
+    data = benchmark(fig6_7_8.fig7, quick)
     print(
         f"\nFig 7: {len(data['device_points'])} device points; "
         f"fitted alpha {data['fitted_alpha']:.3f} <= cover "
@@ -32,8 +32,8 @@ def test_fig7(benchmark):
     assert 120 < mean_9 < 195
 
 
-def test_fig8(benchmark):
-    data = benchmark(fig6_7_8.fig8_series)
+def test_fig8(benchmark, quick):
+    data = benchmark(fig6_7_8.fig8, quick)
     print(f"\nFig 8: CLM alpha {data['clm_alpha']:.3f}; "
           f"power fit a={data['power_fit'][0]:.3f} b={data['power_fit'][1]:.3f}")
     print("  time(tRC)  data  CLM  power-fit")

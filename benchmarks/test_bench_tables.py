@@ -3,24 +3,24 @@
 from repro.experiments import tables
 
 
-def test_table1(benchmark):
-    values = benchmark(tables.table1)
+def test_table1(benchmark, quick):
+    values = benchmark(tables.table1, quick)
     print("\nTable I (DRAM timings, ns):")
     for name, value in values.items():
         print(f"  {name:>8}: {value}")
     assert values["tRC"] == 48.0
 
 
-def test_table2(benchmark):
-    values = benchmark(tables.table2)
+def test_table2(benchmark, quick):
+    values = benchmark(tables.table2, quick)
     print("\nTable II (baseline system):")
     for name, value in values.items():
         print(f"  {name:>20}: {value}")
     assert values["cores"] == 8
 
 
-def test_table3(benchmark):
-    rows = benchmark(tables.table3)
+def test_table3(benchmark, quick):
+    rows = benchmark(tables.table3, quick)
     print("\nTable III (scheme comparison):")
     header = ("scheme", "tON limit", "rel T*", "entries x", "in-DRAM ok")
     print("  " + "  ".join(f"{h:>12}" for h in header))
@@ -37,8 +37,8 @@ def test_table3(benchmark):
     assert by_scheme["express"]["entries_factor"] == 2.0
 
 
-def test_storage(benchmark):
-    storage = benchmark(tables.storage_comparison)
+def test_storage(benchmark, quick):
+    storage = benchmark(tables.storage, quick)
     print("\nStorage (Section VI-C / Appendix A):")
     print(f"  Graphene entries: {storage['graphene_entries']}")
     print(f"  Graphene KiB/channel: "

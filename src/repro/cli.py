@@ -67,7 +67,12 @@ from .security.verifier import effective_threshold
 from .sim.config import DefenseConfig, SCHEME_NAMES, TRACKER_NAMES
 from .sim.system import ENGINE_NAMES, simulate_workload
 from .trackers.para import para_probability
-from .trackers.sizing import graphene_entries, graphene_storage, mithril_entries
+from .trackers.sizing import (
+    MITHRIL_BASE_PER_RFMTH,
+    graphene_entries,
+    graphene_storage,
+    mithril_entries,
+)
 
 def _not_positive(flag: str, value: Optional[float]) -> bool:
     """Print an error and return True when an option is not positive.
@@ -184,12 +189,23 @@ def _cmd_size(args: argparse.Namespace) -> int:
         return 2
     trh, alpha = args.trh, args.alpha
     reduced = impress_n_effective_threshold(trh, alpha)
+    if reduced < 1:
+        print(f"error: --trh {trh:g} at --alpha {alpha:g} leaves ImPress-N "
+              f"a target of {reduced:g}, below one activation")
+        return 2
+    # Mithril's calibrated model tolerates nothing at or below this TRH
+    # at RFM-80; mithril_entries raises there.
+    floor = MITHRIL_BASE_PER_RFMTH * 80
     print(f"Provisioning for TRH={trh:.0f} (alpha={alpha}):")
     for scheme, target in (("no-rp / impress-p", trh),
                            ("express / impress-n", reduced)):
+        mithril = (
+            f"{mithril_entries(target)} entries" if target > floor
+            else f"n/a (below the RFM-80 floor {floor:.0f})"
+        )
         print(f"  {scheme:>20}: target T={target:.0f}, "
               f"graphene {graphene_entries(target)} entries, "
-              f"mithril {mithril_entries(target)} entries, "
+              f"mithril {mithril}, "
               f"PARA p=1/{1 / para_probability(target):.0f}")
     precise = graphene_storage(trh, 1.0, fraction_bits=7)
     base = graphene_storage(trh, 1.0)
@@ -220,6 +236,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tracker=args.tracker, scheme=args.scheme, trh=args.trh,
         alpha=args.alpha,
     )
+    try:
+        # A defense can parse and still not build (Mithril provisioned
+        # below its RFM-rate floor); one bank shows the checks every
+        # bank of the run would fail.
+        defense.build_scheme(default_cycle_timings(), 1)
+    except ValueError as error:
+        print(f"error: {error}")
+        return 2
     result = simulate_workload(
         args.workload, defense, n_requests_per_core=args.requests,
         engine=args.engine,

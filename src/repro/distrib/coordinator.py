@@ -81,7 +81,7 @@ def shard_points(
 
     ``specs`` are :class:`~repro.scenarios.spec.ScenarioSpec` objects
     (anything with a ``recipe()`` method) or already-explicit scenario
-    recipe dicts — the forms a :class:`ScenarioGrid` expansion or a
+    recipe dicts — the forms a list of presets (``repro sweep``) or a
     hand-built batch naturally produces.  The task granularity *is*
     the sweep point: one simulation per task keeps leases short and
     retries cheap, and the store deduplicates across sweeps anyway.

@@ -1,8 +1,10 @@
 """One module per table/figure of the paper's evaluation.
 
-Each module exposes ``run(...)`` returning the figure's data series and
-registers its experiments with :mod:`repro.experiments.registry` (name,
-tags, cost estimate).  The registry's only executor is
+Each module's public function (``run(ctx)``, or one per experiment
+such as ``fig6(ctx)`` / ``table1(ctx)``) takes the
+:class:`~repro.experiments.registry.RunContext`, returns the data
+series, and is registered with :mod:`repro.experiments.registry`
+(name, tags, cost estimate).  The registry's only executor is
 :mod:`repro.experiments.orchestrator` (``repro run``: serial or
 parallel, cached, writing the full series to ``results/<name>.json``);
 see ``docs/adding_an_experiment.md`` for the API.

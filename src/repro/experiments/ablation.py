@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.analysis import impress_n_effective_threshold
 from ..sim.config import SystemConfig
@@ -18,23 +18,26 @@ from ..sim.system import simulate_workload
 from ..trackers.dsac import underestimation_factor
 from ..trackers.mint import mint_tolerated_threshold
 from ..trackers.sizing import graphene_storage, mithril_entries
-from .common import SweepRunner
+from .common import TRH
+from .registry import RunContext, register
 
 ALPHAS: Sequence[float] = (0.35, 0.48, 0.7, 1.0)
 RFMTHS: Sequence[int] = (40, 60, 80, 120)
 MOP_BURSTS: Sequence[int] = (4, 8, 16)
+#: DSAC row-open times, in tRC.
+DSAC_TONS_TRC: Sequence[float] = (8.0, 32.0, 128.0, 256.0, 1024.0)
 
 
-def alpha_ablation(trh: float = 4000.0) -> List[Dict[str, float]]:
+def alpha_ablation() -> List[Dict[str, float]]:
     """Threshold and storage cost of ExPress/ImPress-N as alpha varies."""
     rows = []
     for alpha in ALPHAS:
-        storage = graphene_storage(trh, 1.0 + alpha)
+        storage = graphene_storage(TRH, 1.0 + alpha)
         rows.append(
             {
                 "alpha": alpha,
                 "relative_threshold": (
-                    impress_n_effective_threshold(trh, alpha) / trh
+                    impress_n_effective_threshold(TRH, alpha) / TRH
                 ),
                 "graphene_entries": storage.entries_per_bank,
                 "graphene_kib": storage.kib_per_channel,
@@ -43,26 +46,22 @@ def alpha_ablation(trh: float = 4000.0) -> List[Dict[str, float]]:
     return rows
 
 
-def rfmth_ablation(trh: float = 4000.0) -> List[Dict[str, float]]:
+def rfmth_ablation() -> List[Dict[str, float]]:
     """In-DRAM tracker provisioning vs RFM rate."""
     rows = []
     for rfmth in RFMTHS:
         rows.append(
             {
                 "rfmth": rfmth,
-                "mithril_entries": mithril_entries(trh, rfmth),
+                "mithril_entries": mithril_entries(TRH, rfmth),
                 "mint_tolerated_trh": mint_tolerated_threshold(rfmth),
             }
         )
     return rows
 
 
-def mop_burst_ablation(
-    n_requests: int = 800,
-    tmro_ns: float = 66.0,
-    workload: str = "copy",
-) -> List[Dict[str, float]]:
-    """STREAM's tMRO sensitivity as MOP lines-per-row-group varies.
+def mop_burst_ablation(n_requests: int = 800) -> List[Dict[str, float]]:
+    """copy's tMRO sensitivity as MOP lines-per-row-group varies.
 
     Longer bursts mean more row-buffer hits to lose, so the slowdown at
     a fixed low tMRO grows with the burst length.
@@ -73,11 +72,11 @@ def mop_burst_ablation(
             lines_per_row_group=burst, mop_burst_lines=burst
         )
         base = simulate_workload(
-            workload, system=system, n_requests_per_core=n_requests
+            "copy", system=system, n_requests_per_core=n_requests
         )
         limited = simulate_workload(
-            workload, system=system, n_requests_per_core=n_requests,
-            tmro_ns=tmro_ns,
+            "copy", system=system, n_requests_per_core=n_requests,
+            tmro_ns=66.0,
         )
         rows.append(
             {
@@ -89,18 +88,16 @@ def mop_burst_ablation(
     return rows
 
 
-def page_policy_ablation(
-    n_requests: int = 800, workload: str = "mcf"
-) -> List[Dict[str, float]]:
-    """Idle-precharge timer vs conflict rate and tMRO benefit."""
+def page_policy_ablation(n_requests: int = 800) -> List[Dict[str, float]]:
+    """Idle-precharge timer vs mcf's conflict rate and tMRO benefit."""
     rows = []
     for idle_close in (None, 150, 400):
         system = SystemConfig(idle_close_cycles=idle_close)
         base = simulate_workload(
-            workload, system=system, n_requests_per_core=n_requests
+            "mcf", system=system, n_requests_per_core=n_requests
         )
         limited = simulate_workload(
-            workload, system=system, n_requests_per_core=n_requests,
+            "mcf", system=system, n_requests_per_core=n_requests,
             tmro_ns=36.0,
         )
         total = base.row_hits + base.row_misses + base.row_conflicts
@@ -114,32 +111,12 @@ def page_policy_ablation(
     return rows
 
 
-def dsac_ablation(
-    tons_trc: Sequence[float] = (8.0, 32.0, 128.0, 256.0, 1024.0),
-) -> List[Dict[str, float]]:
+def dsac_ablation() -> List[Dict[str, float]]:
     """Section VII: DSAC's underestimation grows with row-open time."""
     return [
         {"ton_trc": ton, "underestimation": underestimation_factor(ton)}
-        for ton in tons_trc
+        for ton in DSAC_TONS_TRC
     ]
-
-
-def run(
-    runner: Optional[SweepRunner] = None, quick: bool = True
-) -> Dict[str, List[Dict[str, float]]]:
-    n_requests = 600 if quick else 1500
-    return {
-        "alpha": alpha_ablation(),
-        "rfmth": rfmth_ablation(),
-        "mop_burst": mop_burst_ablation(n_requests=n_requests),
-        "page_policy": page_policy_ablation(n_requests=n_requests),
-        "dsac": dsac_ablation(),
-    }
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
 
 
 @register(
@@ -155,5 +132,14 @@ from .registry import RunContext, register  # noqa: E402
         ),
     },
 )
-def _experiment(ctx: RunContext):
-    return run(quick=ctx.quick)
+def run(ctx: RunContext) -> Dict[str, List[Dict[str, float]]]:
+    """Every study; the simulated ones build their own SystemConfigs,
+    so they take only their size from the context."""
+    n_requests = 600 if ctx.quick else 1500
+    return {
+        "alpha": alpha_ablation(),
+        "rfmth": rfmth_ablation(),
+        "mop_burst": mop_burst_ablation(n_requests=n_requests),
+        "page_policy": page_policy_ablation(n_requests=n_requests),
+        "dsac": dsac_ablation(),
+    }

@@ -34,7 +34,7 @@ SweepPoint = Tuple[object, Optional[DefenseConfig], Optional[float]]
 #: What callers may pass to :meth:`SweepRunner.run_many`: a bare
 #: workload name, a ``(workload, defense)`` pair, a full triple, or any
 #: object with a ``sweep_point()`` method — notably
-#: :class:`repro.scenarios.spec.ScenarioSpec`, so scenario grids feed
+#: :class:`repro.scenarios.spec.ScenarioSpec`, so scenario specs feed
 #: ``run_many`` directly.  A bare source tuple is *not* accepted (it is
 #: indistinguishable from a point tuple); wrap it in a triple or a
 #: ScenarioSpec.
@@ -54,6 +54,12 @@ SweepPointLike = Union[
 #: stays in that window rather than diluting it with a long drifted
 #: tail.
 DEFAULT_REQUESTS = 800
+
+#: The Rowhammer threshold every figure provisions its trackers for
+#: unless it sweeps TRH, and the lower threshold the in-DRAM tracker
+#: (MINT at RFM-80) tolerates as its reference point.
+TRH = 4000.0
+MINT_TRH = 1600.0
 
 #: A reduced workload set for the heavier sweeps (one per class plus the
 #: extremes), used when ``quick=True``.
@@ -87,7 +93,7 @@ class SweepRunner:
     (the scenario path), and ``defense`` a frozen dataclass (or None),
     so value-equal configs share an entry.  Scenario specs built on
     this runner's topology canonicalize named workloads to their plain
-    strings, so scenario grids and legacy figure sweeps share entries.  :meth:`speedup` looks its baseline up through the
+    strings, so scenario specs and figure sweeps share entries.  :meth:`speedup` looks its baseline up through the
     same cache under ``(workload, baseline, None)``: the baseline leg
     always runs *without* a tMRO override, so a ``tmro_ns`` sweep shares
     one baseline entry per workload rather than one per point.

@@ -7,35 +7,39 @@ Graphene and PARA, plus the baseline's activation share of total energy
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim.config import DefenseConfig
-from .common import SweepRunner, workload_set
+from .common import TRH, workload_set
+from .registry import RunContext, register
 
 TRACKERS = ("graphene", "para")
 SCHEMES = ("no-rp", "express", "impress-p")
 
 
-def run(
-    runner: Optional[SweepRunner] = None,
-    trh: float = 4000.0,
-    alpha: float = 1.0,
-    quick: bool = True,
-) -> Dict[str, Dict[str, float]]:
+@register(
+    name="energy",
+    title="Activation and DRAM energy overheads",
+    paper_ref="Section VI-E",
+    tags=("simulation", "paper"),
+    cost=40.0,
+    summarize=lambda data: {
+        "activation_share": data["baseline"]["activation_share"],
+        "graphene_express_energy": data["graphene"]["express"],
+        "graphene_impress_p_energy": data["graphene"]["impress-p"],
+    },
+    paper_values={"activation_share": 0.11},
+)
+def run(ctx: RunContext) -> Dict[str, Dict[str, float]]:
     """{tracker: {scheme: mean relative DRAM energy vs unprotected}}
     plus an ``activation_share`` entry for the unprotected baseline."""
-    runner = runner or SweepRunner()
-    names = workload_set(quick)
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
     # Batch the (tracker x scheme) grid and the unprotected baseline.
     runner.run_many(
         [(name, None) for name in names]
         + [
-            (
-                name,
-                DefenseConfig(
-                    tracker=tracker, scheme=scheme, trh=trh, alpha=alpha
-                ),
-            )
+            (name, DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH))
             for tracker in TRACKERS
             for scheme in SCHEMES
             for name in names
@@ -52,9 +56,7 @@ def run(
     for tracker in TRACKERS:
         output[tracker] = {}
         for scheme in SCHEMES:
-            defense = DefenseConfig(
-                tracker=tracker, scheme=scheme, trh=trh, alpha=alpha
-            )
+            defense = DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH)
             ratios = []
             for name in names:
                 unprotected = runner.run(name, None)
@@ -64,25 +66,3 @@ def run(
                 )
             output[tracker][scheme] = sum(ratios) / len(ratios)
     return output
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
-
-
-@register(
-    name="energy",
-    title="Activation and DRAM energy overheads",
-    paper_ref="Section VI-E",
-    tags=("simulation", "paper"),
-    cost=40.0,
-    summarize=lambda data: {
-        "activation_share": data["baseline"]["activation_share"],
-        "graphene_express_energy": data["graphene"]["express"],
-        "graphene_impress_p_energy": data["graphene"]["impress-p"],
-    },
-    paper_values={"activation_share": 0.11},
-)
-def _experiment(ctx: RunContext):
-    return run(ctx.sweep_runner(), quick=ctx.quick)

@@ -14,31 +14,11 @@ from typing import Dict, List
 from ..core.analysis import impress_p_relative_threshold
 from ..dram.timing import default_cycle_timings
 from ..security.verifier import effective_threshold
+from .common import TRH
+from .registry import RunContext, register
 
-
-def run(trh: float = 4000.0, max_bits: int = 7) -> List[Dict[str, float]]:
-    """Rows of (bits, analytic T*, verifier-measured T*)."""
-    timings = default_cycle_timings()
-    rows = []
-    for bits in range(max_bits + 1):
-        report = effective_threshold(
-            "impress-p", trh, alpha=1.0, timings=timings, fraction_bits=bits
-        )
-        rows.append(
-            {
-                "fraction_bits": bits,
-                "relative_threshold_analytic": (
-                    impress_p_relative_threshold(bits)
-                ),
-                "relative_threshold_verified": report.relative_threshold,
-            }
-        )
-    return rows
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
+#: The x-axis runs b = 0 .. MAX_BITS fractional counter bits.
+MAX_BITS = 7
 
 
 def _summarize(rows):
@@ -58,5 +38,21 @@ def _summarize(rows):
     summarize=_summarize,
     paper_values={"t_star_ratio_b0": 0.5, "t_star_ratio_b7": 1.0},
 )
-def _experiment(ctx: RunContext):
-    return run()
+def run(ctx: RunContext) -> List[Dict[str, float]]:
+    """Rows of (bits, analytic T*, verifier-measured T*)."""
+    timings = default_cycle_timings()
+    rows = []
+    for bits in range(MAX_BITS + 1):
+        report = effective_threshold(
+            "impress-p", TRH, alpha=1.0, timings=timings, fraction_bits=bits
+        )
+        rows.append(
+            {
+                "fraction_bits": bits,
+                "relative_threshold_analytic": (
+                    impress_p_relative_threshold(bits)
+                ),
+                "relative_threshold_verified": report.relative_threshold,
+            }
+        )
+    return rows

@@ -9,82 +9,15 @@ incompatible with in-DRAM trackers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
-from ..scenarios.grid import ScenarioGrid
 from ..sim.config import DefenseConfig
-from .common import SweepRunner, category_geomeans, workload_set
+from .common import MINT_TRH, TRH, category_geomeans, workload_set
+from .registry import RunContext, register
 
 MC_TRACKERS = ("graphene", "para")
 MC_SCHEMES = ("express", "impress-n", "impress-p")
 IN_DRAM_SCHEMES = ("impress-n", "impress-p")
-
-
-def run(
-    runner: Optional[SweepRunner] = None,
-    trh: float = 4000.0,
-    alpha: float = 1.0,
-    mint_trh: float = 1600.0,
-    quick: bool = True,
-    workloads: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """{tracker: {scheme: {workload/geomean: perf normalized to No-RP}}}."""
-    runner = runner or SweepRunner()
-    names = list(workloads) if workloads else workload_set(quick)
-    # The whole grid: each tracker's No-RP baseline plus every scheme.
-    grid: Dict[str, Dict[str, DefenseConfig]] = {}
-    baselines: Dict[str, DefenseConfig] = {}
-    for tracker in MC_TRACKERS:
-        baselines[tracker] = DefenseConfig(
-            tracker=tracker, scheme="no-rp", trh=trh
-        )
-        grid[tracker] = {
-            scheme: DefenseConfig(
-                tracker=tracker, scheme=scheme, trh=trh, alpha=alpha
-            )
-            for scheme in MC_SCHEMES
-        }
-    # In-DRAM (MINT): both schemes against the RFM-80 No-RP baseline.
-    baselines["mint"] = DefenseConfig(
-        tracker="mint", scheme="no-rp", trh=mint_trh
-    )
-    grid["mint"] = {
-        scheme: DefenseConfig(
-            tracker="mint", scheme=scheme, trh=mint_trh, alpha=alpha
-        )
-        for scheme in IN_DRAM_SCHEMES
-    }
-    # The whole figure as one scenario grid — every workload crossed
-    # with every baseline and scheme config — evaluated by one
-    # run_many batch; the assembly below then reads every point back
-    # as a cache hit.
-    scenario_grid = ScenarioGrid.cross(
-        workloads=tuple(names),
-        defenses=tuple(baselines.values()) + tuple(
-            defense
-            for schemes in grid.values()
-            for defense in schemes.values()
-        ),
-        system=runner.system,
-        name="fig13",
-    )
-    runner.run_many(scenario_grid.expand())
-    output: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for tracker, schemes in grid.items():
-        baseline = baselines[tracker]
-        output[tracker] = {}
-        for scheme, defense in schemes.items():
-            per = {
-                name: runner.speedup(name, defense, baseline)
-                for name in names
-            }
-            output[tracker][scheme] = category_geomeans(per, names)
-    return output
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
 
 
 @register(
@@ -107,5 +40,46 @@ from .registry import RunContext, register  # noqa: E402
         "mint_impress_p_spec": 1.0,
     },
 )
-def _experiment(ctx: RunContext):
-    return run(ctx.sweep_runner(), quick=ctx.quick)
+def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """{tracker: {scheme: {workload/geomean: perf normalized to No-RP}}}."""
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
+    # The whole grid: each tracker's No-RP baseline plus every scheme.
+    grid: Dict[str, Dict[str, DefenseConfig]] = {}
+    baselines: Dict[str, DefenseConfig] = {}
+    for tracker in MC_TRACKERS:
+        baselines[tracker] = DefenseConfig(
+            tracker=tracker, scheme="no-rp", trh=TRH
+        )
+        grid[tracker] = {
+            scheme: DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH)
+            for scheme in MC_SCHEMES
+        }
+    # In-DRAM (MINT): both schemes against the RFM-80 No-RP baseline.
+    baselines["mint"] = DefenseConfig(
+        tracker="mint", scheme="no-rp", trh=MINT_TRH
+    )
+    grid["mint"] = {
+        scheme: DefenseConfig(tracker="mint", scheme=scheme, trh=MINT_TRH)
+        for scheme in IN_DRAM_SCHEMES
+    }
+    # Every workload crossed with every baseline and scheme config,
+    # evaluated by one run_many batch; the assembly below then reads
+    # every point back as a cache hit.
+    defenses = list(baselines.values()) + [
+        defense for schemes in grid.values() for defense in schemes.values()
+    ]
+    runner.run_many(
+        [(name, defense) for name in names for defense in defenses]
+    )
+    output: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for tracker, schemes in grid.items():
+        baseline = baselines[tracker]
+        output[tracker] = {}
+        for scheme, defense in schemes.items():
+            per = {
+                name: runner.speedup(name, defense, baseline)
+                for name in names
+            }
+            output[tracker][scheme] = category_geomeans(per, names)
+    return output

@@ -7,28 +7,39 @@ activations against ImPress-P's near-zero overhead.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim.config import DefenseConfig
 from ..sim.metrics import relative_acts
-from .common import SweepRunner, workload_set
+from .common import TRH, workload_set
+from .registry import RunContext, register
 
 TRACKERS = ("graphene", "para")
 SCHEMES = ("no-rp", "express", "impress-p")
 
 
-def run(
-    runner: Optional[SweepRunner] = None,
-    trh: float = 4000.0,
-    alpha: float = 1.0,
-    quick: bool = True,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+@register(
+    name="fig14",
+    title="Relative activations: demand vs mitigative",
+    paper_ref="Figure 14 (Section VI-D)",
+    tags=("figure", "simulation", "paper"),
+    cost=40.0,
+    summarize=lambda data: {
+        "graphene_express_demand": data["graphene"]["express"]["demand"],
+        "graphene_impress_p_demand": data["graphene"]["impress-p"]["demand"],
+    },
+    paper_values={
+        "graphene_express_demand": 1.56,
+        "graphene_impress_p_demand": 1.0,
+    },
+)
+def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
     """{tracker: {scheme: {"demand"|"mitigative": mean relative ACTs}}}."""
-    runner = runner or SweepRunner()
-    names = workload_set(quick)
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
     defenses = {
         (tracker, scheme): DefenseConfig(
-            tracker=tracker, scheme=scheme, trh=trh, alpha=alpha
+            tracker=tracker, scheme=scheme, trh=TRH
         )
         for tracker in TRACKERS
         for scheme in SCHEMES
@@ -57,27 +68,3 @@ def run(
                 "mitigative": mitigative_total / len(names),
             }
     return output
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
-
-
-@register(
-    name="fig14",
-    title="Relative activations: demand vs mitigative",
-    paper_ref="Figure 14 (Section VI-D)",
-    tags=("figure", "simulation", "paper"),
-    cost=40.0,
-    summarize=lambda data: {
-        "graphene_express_demand": data["graphene"]["express"]["demand"],
-        "graphene_impress_p_demand": data["graphene"]["impress-p"]["demand"],
-    },
-    paper_values={
-        "graphene_express_demand": 1.56,
-        "graphene_impress_p_demand": 1.0,
-    },
-)
-def _experiment(ctx: RunContext):
-    return run(ctx.sweep_runner(), quick=ctx.quick)

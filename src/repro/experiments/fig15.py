@@ -7,57 +7,16 @@ workload set).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..sim.config import DefenseConfig
 from ..sim.metrics import geomean
-from .common import SweepRunner, workload_set
+from .common import workload_set
+from .registry import RunContext, register
 
 TRACKERS = ("graphene", "para")
 SCHEMES = ("no-rp", "express", "impress-p")
 THRESHOLDS: Sequence[float] = (4000.0, 2000.0, 1000.0)
-
-
-def run(
-    runner: Optional[SweepRunner] = None,
-    alpha: float = 1.0,
-    quick: bool = True,
-    thresholds: Sequence[float] = THRESHOLDS,
-) -> Dict[str, Dict[str, Dict[float, float]]]:
-    """{tracker: {scheme: {trh: geomean perf vs unprotected}}}."""
-    runner = runner or SweepRunner()
-    names = workload_set(quick)
-    defenses = {
-        (tracker, scheme, trh): DefenseConfig(
-            tracker=tracker, scheme=scheme, trh=trh, alpha=alpha
-        )
-        for tracker in TRACKERS
-        for scheme in SCHEMES
-        for trh in thresholds
-    }
-    # Fan out the full threshold grid plus the unprotected baseline.
-    runner.run_many(
-        [(name, None) for name in names]
-        + [(name, defense) for name in names
-           for defense in defenses.values()]
-    )
-    output: Dict[str, Dict[str, Dict[float, float]]] = {}
-    for tracker in TRACKERS:
-        output[tracker] = {}
-        for scheme in SCHEMES:
-            series: Dict[float, float] = {}
-            for trh in thresholds:
-                defense = defenses[tracker, scheme, trh]
-                series[trh] = geomean(
-                    [runner.speedup(name, defense, None) for name in names]
-                )
-            output[tracker][scheme] = series
-    return output
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
 
 
 @register(
@@ -71,5 +30,33 @@ from .registry import RunContext, register  # noqa: E402
         "graphene_no_rp_trh1000": data["graphene"]["no-rp"][1000.0],
     },
 )
-def _experiment(ctx: RunContext):
-    return run(ctx.sweep_runner(), quick=ctx.quick)
+def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[float, float]]]:
+    """{tracker: {scheme: {trh: geomean perf vs unprotected}}}."""
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
+    defenses = {
+        (tracker, scheme, trh): DefenseConfig(
+            tracker=tracker, scheme=scheme, trh=trh
+        )
+        for tracker in TRACKERS
+        for scheme in SCHEMES
+        for trh in THRESHOLDS
+    }
+    # Fan out the full threshold grid plus the unprotected baseline.
+    runner.run_many(
+        [(name, None) for name in names]
+        + [(name, defense) for name in names
+           for defense in defenses.values()]
+    )
+    output: Dict[str, Dict[str, Dict[float, float]]] = {}
+    for tracker in TRACKERS:
+        output[tracker] = {}
+        for scheme in SCHEMES:
+            series: Dict[float, float] = {}
+            for trh in THRESHOLDS:
+                defense = defenses[tracker, scheme, trh]
+                series[trh] = geomean(
+                    [runner.speedup(name, defense, None) for name in names]
+                )
+            output[tracker][scheme] = series
+    return output

@@ -7,38 +7,48 @@ to the tracker's No-RP baseline; (c) MINT with ImPress-N at RFM-60
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..scenarios.grid import ScenarioGrid
 from ..sim.config import DefenseConfig
-from .common import SweepRunner, category_geomeans, workload_set
+from .common import MINT_TRH, TRH, category_geomeans, workload_set
+from .registry import RunContext, register
 
 MC_TRACKERS = ("graphene", "para")
 ALPHAS: Sequence[float] = (0.35, 1.0)
 
 
-def run(
-    runner: Optional[SweepRunner] = None,
-    trh: float = 4000.0,
-    mint_trh: float = 1600.0,
-    quick: bool = True,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+@register(
+    name="fig16",
+    title="ExPress vs ImPress-N at alpha = 0.35 and 1",
+    paper_ref="Figure 16 (Appendix A)",
+    tags=("figure", "simulation", "paper"),
+    cost=70.0,
+    summarize=lambda data: {
+        "graphene_impress_n_a1_stream": (
+            data["graphene"]["impress-n a=1.0"]["STREAM (GMean)"]
+        ),
+        "graphene_express_a1_stream": (
+            data["graphene"]["express a=1.0"]["STREAM (GMean)"]
+        ),
+    },
+)
+def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
     """{tracker: {"scheme a=x": {workload/geomean: perf vs No-RP}}}."""
-    runner = runner or SweepRunner()
-    names = workload_set(quick)
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
     # Build each grid config once; the run_many batch and the assembly
     # loops below share the same objects, so the batch and the cache
     # lookups can never drift apart.
     baselines = {
-        tracker: DefenseConfig(tracker=tracker, scheme="no-rp", trh=trh)
+        tracker: DefenseConfig(tracker=tracker, scheme="no-rp", trh=TRH)
         for tracker in MC_TRACKERS
     }
     baselines["mint"] = DefenseConfig(
-        tracker="mint", scheme="no-rp", trh=mint_trh
+        tracker="mint", scheme="no-rp", trh=MINT_TRH
     )
     mc_defenses = {
         (tracker, scheme, alpha): DefenseConfig(
-            tracker=tracker, scheme=scheme, trh=trh, alpha=alpha
+            tracker=tracker, scheme=scheme, trh=TRH, alpha=alpha
         )
         for tracker in MC_TRACKERS
         for scheme in ("express", "impress-n")
@@ -46,21 +56,20 @@ def run(
     }
     mint_defenses = {
         alpha: DefenseConfig(
-            tracker="mint", scheme="impress-n", trh=mint_trh, alpha=alpha
+            tracker="mint", scheme="impress-n", trh=MINT_TRH, alpha=alpha
         )
         for alpha in ALPHAS
     }
-    # One scenario grid covers the figure: every workload crossed with
-    # every baseline, MC-tracker, and MINT defense configuration.
-    scenario_grid = ScenarioGrid.cross(
-        workloads=tuple(names),
-        defenses=tuple(baselines.values())
-        + tuple(mc_defenses.values())
-        + tuple(mint_defenses.values()),
-        system=runner.system,
-        name="fig16",
+    # One batch covers the figure: every workload crossed with every
+    # baseline, MC-tracker, and MINT defense configuration.
+    defenses = (
+        list(baselines.values())
+        + list(mc_defenses.values())
+        + list(mint_defenses.values())
     )
-    runner.run_many(scenario_grid.expand())
+    runner.run_many(
+        [(name, defense) for name in names for defense in defenses]
+    )
     output: Dict[str, Dict[str, Dict[str, float]]] = {}
     for tracker in MC_TRACKERS:
         baseline = baselines[tracker]
@@ -86,27 +95,3 @@ def run(
             category_geomeans(per, names)
         )
     return output
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
-
-
-@register(
-    name="fig16",
-    title="ExPress vs ImPress-N at alpha = 0.35 and 1",
-    paper_ref="Figure 16 (Appendix A)",
-    tags=("figure", "simulation", "paper"),
-    cost=70.0,
-    summarize=lambda data: {
-        "graphene_impress_n_a1_stream": (
-            data["graphene"]["impress-n a=1.0"]["STREAM (GMean)"]
-        ),
-        "graphene_express_a1_stream": (
-            data["graphene"]["express a=1.0"]["STREAM (GMean)"]
-        ),
-    },
-)
-def _experiment(ctx: RunContext):
-    return run(ctx.sweep_runner(), quick=ctx.quick)

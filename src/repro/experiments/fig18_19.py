@@ -10,44 +10,10 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..core.analysis import graphene_attack_slowdown, para_attack_slowdown
+from .registry import RunContext, register
 
 THRESHOLDS: Sequence[float] = (1000.0, 2000.0, 4000.0)
 K_VALUES: Sequence[int] = tuple(range(0, 101, 5))
-
-
-def fig18_series(
-    thresholds: Sequence[float] = THRESHOLDS,
-    k_values: Sequence[int] = K_VALUES,
-) -> Dict[float, List[Dict[str, float]]]:
-    """Graphene slowdown (percent) vs K for each threshold."""
-    return {
-        trh: [
-            {"k": float(k),
-             "slowdown_pct": 100.0 * graphene_attack_slowdown(trh, k)}
-            for k in k_values
-        ]
-        for trh in thresholds
-    }
-
-
-def fig19_series(
-    thresholds: Sequence[float] = THRESHOLDS,
-    k_values: Sequence[int] = K_VALUES,
-) -> Dict[float, List[Dict[str, float]]]:
-    """PARA slowdown (percent) vs K for each threshold."""
-    return {
-        trh: [
-            {"k": float(k),
-             "slowdown_pct": 100.0 * para_attack_slowdown(trh, k)}
-            for k in k_values
-        ]
-        for trh in thresholds
-    }
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
 
 
 @register(
@@ -61,8 +27,16 @@ from .registry import RunContext, register  # noqa: E402
     },
     paper_values={"slowdown_pct_trh4000": 0.2},
 )
-def _fig18(ctx: RunContext):
-    return fig18_series()
+def fig18(ctx: RunContext) -> Dict[float, List[Dict[str, float]]]:
+    """Graphene slowdown (percent) vs K for each threshold."""
+    return {
+        trh: [
+            {"k": float(k),
+             "slowdown_pct": 100.0 * graphene_attack_slowdown(trh, k)}
+            for k in K_VALUES
+        ]
+        for trh in THRESHOLDS
+    }
 
 
 @register(
@@ -78,5 +52,13 @@ def _fig18(ctx: RunContext):
     },
     paper_values={"peak_slowdown_pct_trh1000": 400.0 / 21.0},
 )
-def _fig19(ctx: RunContext):
-    return fig19_series()
+def fig19(ctx: RunContext) -> Dict[float, List[Dict[str, float]]]:
+    """PARA slowdown (percent) vs K for each threshold."""
+    return {
+        trh: [
+            {"k": float(k),
+             "slowdown_pct": 100.0 * para_attack_slowdown(trh, k)}
+            for k in K_VALUES
+        ]
+        for trh in THRESHOLDS
+    }

@@ -7,39 +7,12 @@ performance normalized to the unlimited baseline.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from .common import SweepRunner, category_geomeans, workload_set
+from .common import category_geomeans, workload_set
+from .registry import RunContext, register
 
 TMRO_VALUES_NS: Sequence[float] = (36.0, 66.0, 96.0, 186.0, 336.0, 636.0)
-
-
-def run(
-    runner: Optional[SweepRunner] = None,
-    tmros_ns: Sequence[float] = TMRO_VALUES_NS,
-    quick: bool = False,
-) -> Dict[float, Dict[str, float]]:
-    """Returns {tmro_ns: {workload or geomean row: normalized perf}}."""
-    runner = runner or SweepRunner()
-    names = workload_set(quick)
-    # Fan out every (workload, tmro) point plus the shared unlimited
-    # baseline each speedup() divides by.
-    runner.run_many(
-        [(name, None, None) for name in names]
-        + [(name, None, tmro) for tmro in tmros_ns for name in names]
-    )
-    series: Dict[float, Dict[str, float]] = {}
-    for tmro in tmros_ns:
-        per_workload = {
-            name: runner.speedup(name, None, tmro_ns=tmro) for name in names
-        }
-        series[tmro] = category_geomeans(per_workload, names)
-    return series
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
 
 
 @register(
@@ -54,5 +27,20 @@ from .registry import RunContext, register  # noqa: E402
         "stream_gmean_tmro636": series[636.0]["STREAM (GMean)"],
     },
 )
-def _experiment(ctx: RunContext):
-    return run(ctx.sweep_runner(), quick=ctx.quick)
+def run(ctx: RunContext) -> Dict[float, Dict[str, float]]:
+    """Returns {tmro_ns: {workload or geomean row: normalized perf}}."""
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
+    # Fan out every (workload, tmro) point plus the shared unlimited
+    # baseline each speedup() divides by.
+    runner.run_many(
+        [(name, None, None) for name in names]
+        + [(name, None, tmro) for tmro in TMRO_VALUES_NS for name in names]
+    )
+    series: Dict[float, Dict[str, float]] = {}
+    for tmro in TMRO_VALUES_NS:
+        per_workload = {
+            name: runner.speedup(name, None, tmro_ns=tmro) for name in names
+        }
+        series[tmro] = category_geomeans(per_workload, names)
+    return series

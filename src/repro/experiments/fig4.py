@@ -8,7 +8,7 @@ damage).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..core.analysis import (
     express_relative_threshold_clm,
@@ -16,33 +16,7 @@ from ..core.analysis import (
 )
 from ..core.charge import ALPHA_SHORT
 from ..data.rowpress import FIG4_TMRO_THRESHOLD
-
-
-def run(
-    tmros_ns: Sequence[float] | None = None, alpha: float = ALPHA_SHORT
-) -> List[Dict[str, float]]:
-    """Rows of (tMRO, measured T*, CLM T*)."""
-    if tmros_ns is None:
-        tmros_ns = [point[0] for point in FIG4_TMRO_THRESHOLD]
-    rows = []
-    for tmro in tmros_ns:
-        rows.append(
-            {
-                "tmro_ns": tmro,
-                "relative_threshold_measured": (
-                    express_relative_threshold_measured(tmro)
-                ),
-                "relative_threshold_clm": express_relative_threshold_clm(
-                    tmro, alpha
-                ),
-            }
-        )
-    return rows
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
+from .registry import RunContext, register
 
 
 def _summarize(rows):
@@ -61,5 +35,19 @@ def _summarize(rows):
     cost=0.1,
     summarize=_summarize,
 )
-def _experiment(ctx: RunContext):
-    return run()
+def run(ctx: RunContext) -> List[Dict[str, float]]:
+    """Rows of (tMRO, measured T*, CLM T*) at the characterized tMROs."""
+    rows = []
+    for tmro, _measured in FIG4_TMRO_THRESHOLD:
+        rows.append(
+            {
+                "tmro_ns": tmro,
+                "relative_threshold_measured": (
+                    express_relative_threshold_measured(tmro)
+                ),
+                "relative_threshold_clm": express_relative_threshold_clm(
+                    tmro, ALPHA_SHORT
+                ),
+            }
+        )
+    return rows

@@ -25,48 +25,12 @@ from ..data.rowpress import (
     SHORT_DURATION_POINTS,
     long_duration_points,
 )
+from .registry import RunContext, register
 
-
-def fig6_series(max_acts: int = 10) -> List[Tuple[int, float]]:
-    """The Rowhammer charge-loss staircase: (K, TCL)."""
-    return [(k, rowhammer_tcl(k)) for k in range(1, max_acts + 1)]
-
-
-def fig7_series(
-    times_trc: Sequence[float] = (ONE_TREFI_TRC, NINE_TREFI_TRC),
-) -> Dict[str, object]:
-    """Device scatter plus the RH and CLM(0.48) reference lines."""
-    clm = ConservativeLinearModel(alpha=ALPHA_LONG)
-    points = long_duration_points(times_trc)
-    return {
-        "device_points": points,
-        "rowhammer_line": [(t, float(int(t))) for t in times_trc],
-        "clm_line": [(t, clm.tcl_of_attack_time(t)) for t in times_trc],
-        "clm_alpha": ALPHA_LONG,
-        "fitted_alpha": fit_clm(points).alpha,
-    }
-
-
-def fig8_series() -> Dict[str, object]:
-    """Short-duration data, power-law fit and CLM(0.35)."""
-    points = list(SHORT_DURATION_POINTS)
-    clm = fit_clm(points)
-    power = fit_power_law(points)
-    times = [total for total, _tcl in points]
-    return {
-        "data_points": points,
-        "clm_alpha": clm.alpha,
-        "clm_line": [(t, clm.tcl_of_attack_time(t)) for t in times],
-        "power_fit": (power.a, power.b),
-        "power_line": [(t, power.tcl_of_attack_time(t)) for t in times],
-        "rowhammer_line": [(t, t) for t in times],
-        "paper_alpha": ALPHA_SHORT,
-    }
-
-
-# -- registry ----------------------------------------------------------
-
-from .registry import RunContext, register  # noqa: E402
+#: Fig 6's x-axis: the staircase runs K = 1 .. MAX_ACTS activations.
+MAX_ACTS = 10
+#: Fig 7's attack times: 1 and 9 tREFI, in tRC.
+TIMES_TRC: Sequence[float] = (ONE_TREFI_TRC, NINE_TREFI_TRC)
 
 
 @register(
@@ -78,8 +42,9 @@ from .registry import RunContext, register  # noqa: E402
     summarize=lambda series: {"tcl_after_5_acts": dict(series)[5]},
     paper_values={"tcl_after_5_acts": 5.0},
 )
-def _fig6(ctx: RunContext):
-    return fig6_series()
+def fig6(ctx: RunContext) -> List[Tuple[int, float]]:
+    """The Rowhammer charge-loss staircase: (K, TCL)."""
+    return [(k, rowhammer_tcl(k)) for k in range(1, MAX_ACTS + 1)]
 
 
 @register(
@@ -94,8 +59,17 @@ def _fig6(ctx: RunContext):
     },
     paper_values={"cover_alpha": 0.48},
 )
-def _fig7(ctx: RunContext):
-    return fig7_series()
+def fig7(ctx: RunContext) -> Dict[str, object]:
+    """Device scatter plus the RH and CLM(0.48) reference lines."""
+    clm = ConservativeLinearModel(alpha=ALPHA_LONG)
+    points = long_duration_points(TIMES_TRC)
+    return {
+        "device_points": points,
+        "rowhammer_line": [(t, float(int(t))) for t in TIMES_TRC],
+        "clm_line": [(t, clm.tcl_of_attack_time(t)) for t in TIMES_TRC],
+        "clm_alpha": ALPHA_LONG,
+        "fitted_alpha": fit_clm(points).alpha,
+    }
 
 
 @register(
@@ -107,5 +81,18 @@ def _fig7(ctx: RunContext):
     summarize=lambda data: {"clm_alpha": data["clm_alpha"]},
     paper_values={"clm_alpha": 0.35},
 )
-def _fig8(ctx: RunContext):
-    return fig8_series()
+def fig8(ctx: RunContext) -> Dict[str, object]:
+    """Short-duration data, power-law fit and CLM(0.35)."""
+    points = list(SHORT_DURATION_POINTS)
+    clm = fit_clm(points)
+    power = fit_power_law(points)
+    times = [total for total, _tcl in points]
+    return {
+        "data_points": points,
+        "clm_alpha": clm.alpha,
+        "clm_line": [(t, clm.tcl_of_attack_time(t)) for t in times],
+        "power_fit": (power.a, power.b),
+        "power_line": [(t, power.tcl_of_attack_time(t)) for t in times],
+        "rowhammer_line": [(t, t) for t in times],
+        "paper_alpha": ALPHA_SHORT,
+    }

@@ -1,7 +1,8 @@
 """Experiment registry: every figure/table experiment self-registers.
 
 Each experiment module declares its experiments with the
-:func:`register` decorator::
+:func:`register` decorator on the one public function that computes
+each, which takes only the :class:`RunContext`::
 
     @register(
         name="fig13",
@@ -10,8 +11,9 @@ Each experiment module declares its experiments with the
         tags=("figure", "simulation", "paper"),
         cost=40.0,
     )
-    def _fig13(ctx: RunContext):
-        return run(ctx.sweep_runner(), quick=ctx.quick)
+    def run(ctx: RunContext):
+        runner = ctx.sweep_runner()
+        ...
 
 The registry is the single source of truth that
 :mod:`repro.experiments.orchestrator` and the ``repro run`` /
@@ -73,14 +75,6 @@ class RunContext:
                 n_requests=self.n_requests, seed=self.seed
             )
         return self._runner
-
-    def options(self) -> Dict[str, Any]:
-        """The option dict this context was built from."""
-        return {
-            "quick": self.quick,
-            "n_requests": self.n_requests,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,6 @@ topology × defense) points over the paper's design space.
 * :mod:`~repro.scenarios.registry` — named presets (benign references,
   co-located hammering, dwell, decoy, refresh-synchronized,
   multi-attacker saturation).
-* :mod:`~repro.scenarios.grid` — cross-product expansion feeding
-  :meth:`~repro.experiments.common.SweepRunner.run_many`.
 * :mod:`~repro.scenarios.run` — execution, the security-metric report
   view, and the two store blobs (scenario and baseline legs) per point
   behind ``repro scenario run`` and ``repro scenario sweep``.  Its
@@ -20,13 +18,11 @@ topology × defense) points over the paper's design space.
   pulls in both simulation engines).
 """
 
-from .grid import ScenarioGrid
 from .registry import SCENARIOS, get_scenario, is_scenario, scenario_names
 from .spec import ScenarioSpec, spec_from_recipe
 
 __all__ = [
     "SCENARIOS",
-    "ScenarioGrid",
     "ScenarioReport",
     "ScenarioSpec",
     "DEFAULT_SCENARIO_REQUESTS",

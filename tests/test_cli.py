@@ -530,6 +530,44 @@ class TestThresholdValidation:
         assert main(argv) == 0
         assert "error" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, rows_below_floor", [
+        (["--trh", "1000"], 2),
+        (["--trh", "2000"], 1),
+        (["--trh", "4000", "--alpha", "3"], 1),
+    ], ids=["trh-1000", "trh-2000", "trh-4000-alpha-3"])
+    def test_size_below_the_mithril_floor_prints_every_row(
+        self, capsys, argv, rows_below_floor
+    ):
+        assert main(["size"] + argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("target T=") == 2
+        assert out.count(
+            "mithril n/a (below the RFM-80 floor 1341)"
+        ) == rows_below_floor
+        assert "ImPress-P storage factor" in out
+
+    def test_size_target_below_one_activation_rejected(self, capsys):
+        assert main(["size", "--alpha", "1e308"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert "below one activation" in out
+
+    @pytest.mark.parametrize("scheme, target", [
+        ("impress-n", "500.0"),
+        ("no-rp", "1000.0"),
+    ])
+    def test_simulate_unbuildable_defense_rejected(
+        self, capsys, scheme, target
+    ):
+        assert main([
+            "simulate", "mcf", "--trh", "1000", "--tracker", "mithril",
+            "--scheme", scheme, "--requests", "20",
+        ]) == 2
+        assert capsys.readouterr().out == (
+            f"error: TRH {target} is below the RFM-rate floor 1341; "
+            "reduce RFMTH instead\n"
+        )
+
 
 class TestRemovedFanOutFlags:
     """Sweeps run serially through the batch tier: the point-level

@@ -9,9 +9,9 @@ worker genuinely dies — ``os._exit`` mid-protocol, a frozen heartbeat,
 a corrupted claim file — which cannot be simulated inside pytest's own
 process.
 
-Tasks are sized (~1.3s of simulation) so a 0.5s lease expires under a
-frozen or killed worker *mid-task*, making the reclaim path load-
-bearing rather than decorative.
+Tasks are sized so a 0.5s lease expires under a frozen or killed
+worker *mid-task*, making the reclaim path load-bearing rather than
+decorative.
 """
 
 import os
@@ -48,6 +48,11 @@ pytestmark = pytest.mark.slow
 #: that the whole matrix stays in tens of seconds.
 CHAOS_REQUESTS = 60_000
 CHAOS_LEASE_S = 0.5
+#: A frozen worker's lease runs out ~0.7s after its claim (one beat a
+#: third of a lease in, then the lease), so its task must run longer
+#: or the freeze is vacuous.  On a 2-core x86 VM a 60_000-request task
+#: builds and runs in ~0.5s; a 200_000-request one in ~1.3-1.8s.
+FREEZE_REQUESTS = 200_000
 
 
 def chaos_recipes(n_requests=CHAOS_REQUESTS):
@@ -67,10 +72,13 @@ def serial_reference(tmp_path_factory):
     return store
 
 
-def run_case(tmp_path, serial_reference, fault, n_workers=2):
+def run_case(
+    tmp_path, serial_reference, fault, n_workers=2,
+    n_requests=CHAOS_REQUESTS,
+):
     return run_chaos_case(
         tmp_path,
-        chaos_recipes(),
+        chaos_recipes(n_requests),
         fault=fault,
         n_workers=n_workers,
         lease_s=CHAOS_LEASE_S,
@@ -148,9 +156,12 @@ class TestChaosMatrix:
         for key in report.outcome.task_ids:
             assert dist_store.get(key) is not None
 
-    def test_worker_freeze_heartbeat(self, tmp_path, serial_reference):
+    def test_worker_freeze_heartbeat(self, tmp_path):
+        # Longer tasks than the module's, so the run computes its own
+        # serial reference (serial_store=None).
         report = run_case(
-            tmp_path, serial_reference, "worker-freeze-heartbeat"
+            tmp_path, None, "worker-freeze-heartbeat",
+            n_requests=FREEZE_REQUESTS,
         )
         assert_byte_identical(report)
         # The frozen straggler's lease expired and was reclaimed; its

@@ -1,4 +1,4 @@
-"""Tests for the scenario subsystem (spec, registry, grid, runner)."""
+"""Tests for the scenario subsystem (spec, registry, runner)."""
 
 import dataclasses
 import json
@@ -8,7 +8,6 @@ import pytest
 from repro.experiments.common import SweepRunner
 from repro.scenarios import (
     SCENARIOS,
-    ScenarioGrid,
     ScenarioSpec,
     get_scenario,
     is_scenario,
@@ -271,40 +270,6 @@ class TestRegistry:
     def test_multi_attacker_preset_has_four_attackers(self):
         spec = get_scenario("multi_attacker_saturation")
         assert len(spec.attacker_cores()) == 4
-
-
-class TestScenarioGrid:
-    def test_expansion_is_the_cross_product(self):
-        grid = ScenarioGrid.cross(
-            workloads=("mcf", "add"),
-            defenses=(None, DEFENSE),
-            tmros_ns=(None, 96.0),
-            system=SMALL,
-        )
-        assert len(grid) == 8
-        points = grid.sweep_points()
-        assert len(points) == 8
-        assert ("mcf", DEFENSE, 96.0) in points
-        assert ("add", None, None) in points
-
-    def test_rejects_empty_axes(self):
-        with pytest.raises(ValueError):
-            ScenarioGrid(workloads=())
-        with pytest.raises(ValueError):
-            ScenarioGrid(workloads=("mcf",), defense_points=())
-
-    def test_grid_specs_feed_run_many_directly(self):
-        runner = SweepRunner(system=SMALL, n_requests=REQUESTS)
-        spec = small_colocated()
-        grid = ScenarioGrid(
-            workloads=("mcf", spec.cores),
-            defense_points=((None, None), (DEFENSE, None)),
-            system=SMALL,
-            name="t",
-        )
-        results = runner.run_many(grid.expand())
-        assert len(results) == 4
-        assert runner.run("mcf", None) is results[0]
 
 
 class TestRunScenario:
