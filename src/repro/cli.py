@@ -97,15 +97,22 @@ def _negative(flag: str, value: float) -> bool:
     return True
 
 
+def _not_finite(flag: str, value: float) -> bool:
+    """Print an error and return True when an option is inf or nan."""
+    if math.isfinite(value):
+        return False
+    print(f"error: {flag} must be finite, got {value:g}")
+    return True
+
+
 def _bad_threshold(args: argparse.Namespace) -> bool:
     """Reject a ``--trh`` or ``--alpha`` that is not finite, a
     non-positive ``--trh`` or a negative ``--alpha`` before any sizing
     arithmetic divides by, or provisions for, them."""
-    for flag, value in (("--trh", args.trh), ("--alpha", args.alpha)):
-        if not math.isfinite(value):
-            print(f"error: {flag} must be finite, got {value:g}")
-            return True
-    return _not_positive("--trh", args.trh) or _negative("--alpha", args.alpha)
+    return (_not_finite("--trh", args.trh)
+            or _not_finite("--alpha", args.alpha)
+            or _not_positive("--trh", args.trh)
+            or _negative("--alpha", args.alpha))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -473,6 +480,12 @@ def _cmd_results_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_results_gc(args: argparse.Namespace) -> int:
+    # A negative or nan --blob-grace deletes a blob written a moment
+    # ago; a negative --tmp-grace sweeps a live writer's temp file.
+    if any(_not_finite(flag, value) or _negative(flag, value)
+           for flag, value in (("--blob-grace", args.blob_grace),
+                               ("--tmp-grace", args.tmp_grace))):
+        return 2
     from .results.store import store_for
 
     store = store_for(Path(args.results_dir))
@@ -942,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     results_gc = results_sub.add_parser(
         "gc",
-        help="delete blobs unreferenced by the index and stale crash-"
+        help="delete blobs no alias names and stale crash-"
              "debris temp files; --dry-run reports reclaimable bytes",
     )
     results_gc.add_argument(
@@ -961,8 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
     results_gc.add_argument(
         "--blob-grace", type=float, default=60.0,
         help="age (seconds) below which an unreferenced blob is kept "
-             "— a concurrent writer may not have recorded its index "
-             "alias yet",
+             "— a concurrent writer may not have recorded its alias "
+             "yet",
     )
     results_gc.add_argument(
         "--json", action="store_true",

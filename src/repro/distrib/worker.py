@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..results import store as store_mod
-from ..results.store import ResultStore, content_key, with_lock_retry
+from ..results.store import ResultStore, content_key
 from ..scenarios.spec import spec_from_recipe
 from ..security import faults
 from ..sim import system as sim_system
@@ -110,12 +110,12 @@ def put_result(
     meta: Dict[str, Any],
     overwrite: bool = False,
 ) -> Tuple[str, Path, bool]:
-    """Put one point's ``sweep-task`` result blob, aliased by its key
-    and retried through index-lock contention; ``store.put``'s return."""
-    return with_lock_retry(lambda: store.put(
+    """Put one point's ``sweep-task`` result blob, aliased by its key;
+    ``store.put``'s return."""
+    return store.put(
         recipe, payload, name=result_alias(content_key(recipe)),
         kind=TASK_KIND, meta=meta, overwrite=overwrite,
-    ))
+    )
 
 
 def build_simulator(recipe: Dict[str, Any]) -> SystemSimulator:

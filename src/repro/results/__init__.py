@@ -2,8 +2,9 @@
 
 * :mod:`~repro.results.store` — canonical-JSON hashing
   (:func:`~repro.results.store.content_key`), deduplicated blobs under
-  ``objects/``, and the name → key ``index.json`` alias layer shared
-  by scenario artifacts and the experiment orchestrator's cache.
+  ``objects/``, and the name → key alias layer (one file per alias
+  under ``aliases/``) shared by scenario artifacts and the experiment
+  orchestrator's cache.
 * :mod:`~repro.results.report` — ``repro scenario report``: diff
   scenario metrics across two stores/commits.
 """

@@ -25,11 +25,11 @@ SCENARIO_KIND = "scenario"
 def resolve_store(path: Path) -> ResultStore:
     """A store from a results dir or a store root.
 
-    ``<path>/index.json`` or ``<path>/objects`` marks ``path`` as the
+    ``<path>/aliases`` or ``<path>/objects`` marks ``path`` as the
     store itself; otherwise the conventional ``<path>/store`` is used.
     """
     path = Path(path)
-    if (path / "index.json").is_file() or (path / "objects").is_dir():
+    if (path / "aliases").is_dir() or (path / "objects").is_dir():
         return ResultStore(path)
     return store_for(path)
 

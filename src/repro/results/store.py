@@ -11,11 +11,15 @@ canonical-JSON hash of that recipe:
   holding the recipe and the result payload.  Writing the same recipe
   twice stores one blob (dedup): a scenario leg, a sweep task and a
   served request of one point are one blob.
-* ``<root>/index.json`` — the human layer: append-only entries mapping
-  names to content keys, with a timestamp and the git SHA of the code
-  that produced them.  Names are *aliases*, never identity — two runs
-  of the same preset with different seeds are two blobs and two index
-  entries, so neither overwrites the other.
+* ``<root>/aliases/<key>.<name id>.json`` — the human layer: one small
+  file per ``(name, key)`` alias (the name id is the first 16 hex
+  chars of the name's sha256), holding the name, key, kind, a
+  timestamp, the git SHA of the code that produced the blob and a
+  ``recorded_ns`` sort field.  Names are *aliases*, never identity —
+  two runs of the same preset with different seeds are two blobs and
+  two alias files, so neither overwrites the other.  Each alias is its
+  own atomic write, so concurrent writers never lose each other's
+  entries and a named put costs the same however large the store is.
 
 The hashing contract (:func:`canonical_json` / :func:`content_key`)
 is deliberately boring: sorted keys, no whitespace, finite floats
@@ -26,17 +30,20 @@ cannot land unnoticed.
 
 Corruption is handled by construction: a blob that fails to parse (or
 whose embedded key disagrees with its filename) reads as a miss and is
-rewritten on the next ``put``; a corrupt index reads as empty and is
-rebuilt by the next alias write (blobs stay retrievable by key).
+rewritten on the next ``put``; a corrupt alias file reads as absent
+(hiding no other alias) and is rewritten by the next alias of that
+name and key (blobs stay retrievable by key).  A store still holding
+the single ``index.json`` of older versions is folded into alias files
+on first use.
 
 Crash debris is handled by :meth:`ResultStore.sweep_stale_tmp` (a
 writer killed between the temp write and the rename leaves a ``*.tmp``
 file behind forever — swept on the first write through a store instance
-and by ``gc``) and :meth:`ResultStore.gc` (blobs no index entry names
-— e.g. result blobs whose alias history was pruned with
-:meth:`ResultStore.unalias` — are deleted under the index lock, sparing
-blobs younger than a grace age whose alias may still be in flight;
-``dry_run`` only reports the reclaimable bytes).
+and by ``gc``) and :meth:`ResultStore.gc` (blobs no alias names —
+e.g. result blobs whose alias history was pruned with
+:meth:`ResultStore.unalias` — are deleted, sparing blobs younger than
+a grace age whose alias may still be in flight; ``dry_run`` only
+reports the reclaimable bytes).
 """
 
 from __future__ import annotations
@@ -46,20 +53,13 @@ import itertools
 import json
 import math
 import os
-import random
 import subprocess
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
-#: Blob/index schema version; a bump makes every existing entry a miss
+#: Blob schema version; a bump makes every existing entry a miss
 #: so stale layouts are never misread.
 STORE_VERSION = 1
 
@@ -68,69 +68,11 @@ STORE_VERSION = 1
 #: the stale sweep removes it.
 STALE_TMP_GRACE_S = 3600.0
 
-#: Default deadline for acquiring the index lock; a stalled (not dead)
-#: holder must surface as an error, not an indefinite hang.
-DEFAULT_LOCK_TIMEOUT_S = 10.0
-
 #: How young an unreferenced blob must be for ``gc`` to leave it
 #: alone: ``put`` writes the blob *before* recording its alias, so a
 #: just-written blob is legitimately unreferenced for a moment — a
 #: concurrent gc must not discard fresh work in that window.
 DEFAULT_GC_BLOB_GRACE_S = 60.0
-
-
-class StoreLockTimeout(TimeoutError):
-    """The index lock could not be acquired before the deadline.
-
-    Carries the lock path so the operator can find the stalled holder
-    (``fuser <path>`` / the pid in any in-flight ``*.tmp`` names).
-    """
-
-    def __init__(self, lock_path: Path, timeout_s: float) -> None:
-        self.lock_path = Path(lock_path)
-        self.timeout_s = timeout_s
-        super().__init__(
-            f"could not acquire index lock {lock_path} within "
-            f"{timeout_s:.1f}s; another process holds it (stalled "
-            "writer?)"
-        )
-
-
-#: Bounds for :func:`with_lock_retry`'s jittered exponential backoff.
-DEFAULT_LOCK_RETRY_ATTEMPTS = 5
-DEFAULT_LOCK_RETRY_BASE_S = 0.05
-DEFAULT_LOCK_RETRY_MAX_S = 1.0
-
-
-def with_lock_retry(
-    fn,
-    attempts: int = DEFAULT_LOCK_RETRY_ATTEMPTS,
-    base_s: float = DEFAULT_LOCK_RETRY_BASE_S,
-    max_s: float = DEFAULT_LOCK_RETRY_MAX_S,
-    rng: Optional[random.Random] = None,
-    sleep=time.sleep,
-):
-    """Call ``fn``, retrying :class:`StoreLockTimeout` with backoff.
-
-    One contended ``flock`` on the index must not poison a task: a
-    worker's result-put or a coordinator's alias write that loses the
-    lock race retries up to ``attempts`` times with jittered
-    exponential delays (``base_s * 2**n``, capped at ``max_s``, scaled
-    by a uniform 0.5–1.5 jitter so colliding writers decorrelate).
-    The jitter never touches payload bytes — only *when* a write
-    happens, never *what* is written — so determinism claims are
-    unaffected.  The final attempt re-raises.
-    """
-    if rng is None:
-        rng = random.Random()
-    for attempt in range(attempts):
-        try:
-            return fn()
-        except StoreLockTimeout:
-            if attempt >= attempts - 1:
-                raise
-            delay = min(base_s * (2 ** attempt), max_s)
-            sleep(delay * (0.5 + rng.random()))
 
 
 def _check_finite(value: Any, path: str = "$") -> None:
@@ -205,8 +147,8 @@ _CRASH_AFTER_TMP_WRITE = None
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via a sibling temp file + rename, so a crash mid-write
-    never leaves torn JSON behind (an interrupted index update would
-    otherwise read back as an empty index).  The temp name is unique
+    never leaves torn JSON behind (an interrupted blob or alias write
+    would otherwise read back as a miss).  The temp name is unique
     per process and call, so concurrent writers cannot race each
     other's rename.
 
@@ -221,6 +163,11 @@ def atomic_write_text(path: Path, text: str) -> None:
     if _CRASH_AFTER_TMP_WRITE is not None:
         _CRASH_AFTER_TMP_WRITE()
     os.replace(tmp, path)
+
+
+def _name_id(name: str) -> str:
+    """The fixed-length stand-in for ``name`` in alias file names."""
+    return hashlib.sha256(name.encode()).hexdigest()[:16]
 
 
 def _tmp_writer_pid(path: Path) -> Optional[int]:
@@ -254,14 +201,10 @@ class ResultStore:
     never as exceptions — the caller's contract is "recompute on miss".
     """
 
-    def __init__(
-        self,
-        root: Path,
-        lock_timeout_s: float = DEFAULT_LOCK_TIMEOUT_S,
-    ) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        self.lock_timeout_s = lock_timeout_s
         self._tmp_swept = False
+        self._legacy_folded = False
 
     @property
     def objects_dir(self) -> Path:
@@ -269,9 +212,9 @@ class ResultStore:
         return self.root / "objects"
 
     @property
-    def index_path(self) -> Path:
-        """The name → key alias file (``<root>/index.json``)."""
-        return self.root / "index.json"
+    def aliases_dir(self) -> Path:
+        """Where the name → key alias files live (``<root>/aliases``)."""
+        return self.root / "aliases"
 
     def blob_path(self, key: str) -> Path:
         """The on-disk path of the blob addressed by ``key``."""
@@ -294,7 +237,7 @@ class ResultStore:
         blob for the same key is left untouched (``created=False``) —
         that is the dedup guarantee — unless ``overwrite`` forces a
         rewrite (``--force`` re-runs).  A corrupt blob is always
-        rewritten.  ``name`` additionally records an index alias with
+        rewritten.  ``name`` additionally records an alias with
         ``kind`` and optional ``meta`` fields.
         """
         key = content_key(recipe)
@@ -354,15 +297,34 @@ class ResultStore:
             return None
         return blob
 
-    # -- index -----------------------------------------------------------
+    # -- aliases ---------------------------------------------------------
 
     def entries(
         self, name: Optional[str] = None, kind: Optional[str] = None
     ) -> List[Dict[str, Any]]:
-        """Index entries, oldest first, optionally filtered."""
-        entries = self._load_index()["entries"]
+        """Alias entries, oldest first, optionally filtered.
+
+        Ordered by ``(recorded_ns, file name)``; with ``name`` only that
+        name's files are read.  An unreadable file is skipped.
+        """
+        pattern = "*.json" if name is None else f"*.{_name_id(name)}.json"
+        found = []
+        for path in self._alias_files(pattern):
+            try:
+                entry = json.loads(path.read_text())
+            except (OSError, json.JSONDecodeError):
+                continue
+            if (
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("key"), str)
+                and isinstance(entry.get("recorded_ns"), int)
+            ):
+                found.append((entry["recorded_ns"], path.name, entry))
+        found.sort(key=lambda item: item[:2])
+        entries = [entry for _ns, _file, entry in found]
         if name is not None:
-            entries = [e for e in entries if e.get("name") == name]
+            entries = [e for e in entries if e["name"] == name]
         if kind is not None:
             entries = [e for e in entries if e.get("kind") == kind]
         return entries
@@ -374,22 +336,7 @@ class ResultStore:
 
     def names(self, kind: Optional[str] = None) -> List[str]:
         """Distinct aliased names (of one ``kind``), first-seen order."""
-        return list(dict.fromkeys(
-            e["name"] for e in self.entries(kind=kind) if "name" in e
-        ))
-
-    def _load_index(self) -> Dict[str, Any]:
-        try:
-            data = json.loads(self.index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {"version": STORE_VERSION, "entries": []}
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != STORE_VERSION
-            or not isinstance(data.get("entries"), list)
-        ):
-            return {"version": STORE_VERSION, "entries": []}
-        return data
+        return list(dict.fromkeys(e["name"] for e in self.entries(kind=kind)))
 
     def alias(
         self,
@@ -398,11 +345,13 @@ class ResultStore:
         kind: str,
         meta: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        """Record a name → key entry (re-recording refreshes in place).
+        """Record a name → key entry in its own alias file.
 
-        Cache-hit paths call this too, so a lost or corrupt index is
-        rebuilt incrementally by ordinary re-runs — blobs are the
-        durable layer, the index is always reconstructible.
+        Re-recording the same pair overwrites that file, refreshing the
+        entry and moving it to the end of the order.  Cache-hit paths
+        call this too, so lost or corrupt aliases are rebuilt by
+        ordinary re-runs — blobs are the durable layer, the aliases are
+        always reconstructible.
         """
         entry: Dict[str, Any] = {
             "name": name,
@@ -415,82 +364,86 @@ class ResultStore:
         }
         if meta:
             entry["meta"] = dict(meta)
-        with self._index_lock():
-            index = self._load_index()
-            index["entries"] = [
-                e for e in index["entries"]
-                if not (e.get("name") == name and e.get("key") == key)
-            ]
-            index["entries"].append(entry)
-            atomic_write_text(
-                self.index_path, json.dumps(index, indent=2) + "\n"
-            )
+        entry["recorded_ns"] = time.time_ns()
+        self._fold_legacy_index()
+        self._write_alias(entry)
 
     def unalias(self, name: str) -> int:
-        """Drop every index entry for ``name``; returns how many.
+        """Drop every alias of ``name``; returns how many.
 
         The blob(s) stay on disk — they merely become unreferenced, so
         the next :meth:`gc` collects them.
         """
-        with self._index_lock():
-            index = self._load_index()
-            before = len(index["entries"])
-            index["entries"] = [
-                e for e in index["entries"] if e.get("name") != name
-            ]
-            removed = before - len(index["entries"])
-            if removed:
-                atomic_write_text(
-                    self.index_path, json.dumps(index, indent=2) + "\n"
-                )
+        removed = 0
+        for path in self._alias_files(f"*.{_name_id(name)}.json"):
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue  # a concurrent unalias got there first
+            removed += 1
         return removed
 
-    @contextmanager
-    def _index_lock(self) -> Iterator[None]:
-        """Serialize index read-modify-writes across processes.
+    def _write_alias(self, entry: Mapping[str, Any]) -> None:
+        self.aliases_dir.mkdir(parents=True, exist_ok=True)
+        path = self.aliases_dir / (
+            f"{entry['key']}.{_name_id(entry['name'])}.json"
+        )
+        atomic_write_text(path, json.dumps(entry, indent=2) + "\n")
 
-        Concurrent writers into one results dir (``repro run`` next to
-        ``repro scenario run``) would otherwise lose each other's
-        alias entries.  POSIX advisory lock on a sidecar file; a no-op
-        where ``fcntl`` is unavailable (blobs are unaffected either
-        way, and a lost alias self-heals on the next re-run).
+    def _alias_files(self, pattern: str = "*.json") -> List[Path]:
+        """The alias files matching ``pattern`` (a legacy index folded
+        first)."""
+        self._fold_legacy_index()
+        return list(self.aliases_dir.glob(pattern))
 
-        The acquisition polls with a deadline
-        (:attr:`lock_timeout_s`): a *stalled* holder — alive but stuck,
-        so the lock never drops — surfaces as a
-        :class:`StoreLockTimeout` naming the lock path instead of
-        blocking every other writer indefinitely.
+    def _fold_legacy_index(self) -> None:
+        """Once per instance, rewrite the single ``index.json`` of older
+        store versions as alias files, then delete it.
+
+        Each entry's ``recorded_ns`` is its position in the old index,
+        so the folded entries keep their order and sort before anything
+        aliased since.  Two processes folding at once write identical
+        files, and the later unlink finds nothing to remove.  A store
+        that cannot be written keeps its ``index.json`` for the next
+        writer to fold.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
+        if self._legacy_folded:
             return
-        lock_path = self.root / "index.lock"
-        with open(lock_path, "w") as handle:
-            deadline = time.monotonic() + self.lock_timeout_s
-            while True:
-                try:
-                    fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    break
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        raise StoreLockTimeout(
-                            lock_path, self.lock_timeout_s
-                        ) from None
-                    time.sleep(0.02)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
+        self._legacy_folded = True
+        legacy = self.root / "index.json"
+        try:
+            text = legacy.read_text()
+        except OSError:
+            return  # no legacy index: the common case
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            data = None
+        entries = []
+        if isinstance(data, dict) and data.get("version") == STORE_VERSION:
+            entries = data.get("entries")
+        try:
+            for position, entry in enumerate(
+                entries if isinstance(entries, list) else []
+            ):
+                if (
+                    isinstance(entry, dict)
+                    and isinstance(entry.get("name"), str)
+                    and isinstance(entry.get("key"), str)
+                ):
+                    self._write_alias({**entry, "recorded_ns": position})
+            legacy.unlink(missing_ok=True)
+        except OSError:
+            pass
 
     # -- introspection ---------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """A cheap census for monitors: blob count/bytes, index size.
+        """A cheap census for monitors: blob count/bytes, alias count.
 
         Consumed by the serve daemon's ``/status`` endpoint and usable
-        by anything watching store growth; one directory scan plus one
-        index read, no blob parsing.
+        by anything watching store growth; two directory scans, no file
+        parsing.
         """
         blobs = 0
         blob_bytes = 0
@@ -504,7 +457,7 @@ class ResultStore:
         return {
             "blobs": blobs,
             "blob_bytes": blob_bytes,
-            "index_entries": len(self._load_index()["entries"]),
+            "index_entries": len(self._alias_files()),
         }
 
     # -- garbage collection ----------------------------------------------
@@ -534,7 +487,7 @@ class ResultStore:
         if now is None:
             now = time.time()
         stale: List[Path] = []
-        for directory in (self.root, self.objects_dir):
+        for directory in (self.root, self.objects_dir, self.aliases_dir):
             if not directory.is_dir():
                 continue
             for path in directory.glob("*.tmp"):
@@ -556,16 +509,10 @@ class ResultStore:
         return stale
 
     def referenced_keys(self) -> set:
-        """Every content key an index entry names: the live set, since
-        every artifact (each scenario leg included) is indexed directly.
-
-        Callers that act on the answer (like :meth:`gc`) should hold
-        :meth:`_index_lock` so the index cannot change between the scan
-        and the action.
-        """
-        return {
-            e["key"] for e in self.entries() if isinstance(e.get("key"), str)
-        }
+        """Every content key an alias names: the live set, since every
+        artifact (each scenario leg included) is aliased directly.
+        Read from the alias file names alone."""
+        return {path.name.split(".", 1)[0] for path in self._alias_files()}
 
     def gc(
         self,
@@ -574,43 +521,42 @@ class ResultStore:
         blob_grace_s: float = DEFAULT_GC_BLOB_GRACE_S,
         now: Optional[float] = None,
     ) -> "GCReport":
-        """Delete blobs unreferenced by the index, plus stale temp files.
+        """Delete blobs no alias names, plus stale temp files.
 
         Returns a :class:`GCReport`; with ``dry_run`` nothing is
         removed and the report shows what *would* be reclaimed.  Every
-        blob an index entry names survives.  Typical garbage: result
-        blobs whose alias history was pruned with :meth:`unalias`, and
-        blobs a writer killed between blob and alias write left behind.
+        blob an alias names survives.  Typical garbage: result blobs
+        whose alias history was pruned with :meth:`unalias`, and blobs
+        a writer killed between blob and alias write left behind.
 
-        Safe next to live writers: the index lock is held across the
-        reference scan and the deletions, so no alias can land between
-        "unreferenced" being decided and the blob being removed — and
-        because ``put`` writes a blob *before* its alias (outside the
-        lock), unreferenced blobs younger than ``blob_grace_s`` are
-        kept, never mistaking an in-flight write for garbage.
+        Safe next to live writers: ``put`` writes a blob *before* its
+        alias, so unreferenced blobs younger than ``blob_grace_s`` are
+        kept, never mistaking an in-flight write for garbage.  An alias
+        that lands for an old blob after the scan decided to delete it
+        leaves a dangling alias, which reads as a miss and is
+        recomputed.
         """
         if now is None:
             now = time.time()
         unreferenced: List[Tuple[str, int]] = []
-        with self._index_lock():
-            live = self.referenced_keys()
-            if self.objects_dir.is_dir():
-                for path in sorted(self.objects_dir.glob("*.json")):
-                    key = path.stem
-                    if key in live:
-                        continue
+        live = self.referenced_keys()
+        if self.objects_dir.is_dir():
+            for path in sorted(self.objects_dir.glob("*.json")):
+                key = path.stem
+                if key in live:
+                    continue
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                if now - stat.st_mtime < blob_grace_s:
+                    continue  # writer may not have aliased it yet
+                unreferenced.append((key, stat.st_size))
+                if not dry_run:
                     try:
-                        stat = path.stat()
+                        path.unlink()
                     except OSError:
-                        continue
-                    if now - stat.st_mtime < blob_grace_s:
-                        continue  # writer may not have aliased it yet
-                    unreferenced.append((key, stat.st_size))
-                    if not dry_run:
-                        try:
-                            path.unlink()
-                        except OSError:
-                            pass
+                        pass
         stale = self.sweep_stale_tmp(
             grace_s=tmp_grace_s, dry_run=True
         )

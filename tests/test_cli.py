@@ -108,7 +108,7 @@ class TestScenarioCommands:
         assert "simulated" in first
         assert "victim slowdown" in first
         # The artifact is a content-addressed blob, indexed by name.
-        assert (tmp_path / "store" / "index.json").is_file()
+        assert list((tmp_path / "store" / "aliases").glob("*.json"))
         assert list((tmp_path / "store" / "objects").glob("*.json"))
         assert main(argv) == 0
         assert "cached" in capsys.readouterr().out
@@ -462,6 +462,29 @@ class TestLeaseValidation:
         self.assert_rejected(capsys, [
             "serve", "--results-dir", str(tmp_path), "--lease", lease,
         ])
+
+
+class TestGcGraceValidation:
+    """A negative or non-finite grace would make gc delete fresh work."""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("flag", ["--blob-grace", "--tmp-grace"])
+    def test_rejected_before_the_store_is_touched(
+        self, capsys, tmp_path, flag, value
+    ):
+        from repro.results.store import store_for
+
+        store = store_for(tmp_path)
+        _key, blob, _created = store.put({"kind": "t", "n": 1}, {"x": 1})
+        foreign_tmp = store.objects_dir / "foreign.tmp"
+        foreign_tmp.write_text("{}")
+        assert main(["results", "gc", "--results-dir", str(tmp_path),
+                     flag, value]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith(f"error: {flag} must be")
+        assert blob.is_file()
+        assert foreign_tmp.is_file()
 
 
 class TestRequestsValidation:

@@ -1,12 +1,19 @@
 """Tests for the content-addressed result store (repro.results)."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.orchestrator import Orchestrator, experiment_recipe
 from repro.results import (
     ResultStore,
+    STORE_VERSION,
     canonical_json,
     content_key,
     store_for,
@@ -169,14 +176,154 @@ class TestIndex:
         store.put(RECIPE, PAYLOAD, name="run")
         assert len(store.entries(name="run")) == 1
 
-    def test_corrupt_index_reads_empty_and_rebuilds(self, tmp_path):
+    def test_corrupt_alias_reads_absent_and_rebuilds(self, tmp_path):
         store = ResultStore(tmp_path)
         key, _, _ = store.put(RECIPE, PAYLOAD, name="run")
-        store.index_path.write_text("not json at all")
-        assert store.entries() == []
-        assert store.get(key) == PAYLOAD  # blobs survive index loss
+        [alias_file] = store.aliases_dir.glob("*.json")
         store.put({**RECIPE, "v": 2}, PAYLOAD, name="run2")
-        assert store.names() == ["run2"]
+        alias_file.write_text("not json at all")
+        assert store.latest("run") is None
+        assert store.names() == ["run2"]  # the other alias still reads
+        assert store.get(key) == PAYLOAD  # blobs survive alias loss
+        store.put(RECIPE, PAYLOAD, name="run")
+        assert store.names() == ["run2", "run"]
+        assert store.latest("run")["key"] == key
+
+
+class TestAliasFiles:
+    """One file per alias: no lock, no read-modify-write, no growth."""
+
+    ALIAS_WRITER = """
+        import sys, time
+        from pathlib import Path
+        from repro.results.store import ResultStore
+        root, tag, go = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+        store = ResultStore(root)
+        print("ready", flush=True)
+        while not go.exists():
+            time.sleep(0.001)
+        for i in range(200):
+            store.alias(f"{tag}/{i:03d}", f"{i:016x}", "result")
+    """
+
+    def test_concurrent_writers_keep_every_alias(self, tmp_path):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        go = tmp_path / "go"
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", textwrap.dedent(self.ALIAS_WRITER),
+                 str(tmp_path / "store"), tag, str(go)],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for tag in ("a", "b")
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline().strip() == "ready"
+            go.touch()
+            for child in children:
+                assert child.wait(timeout=60) == 0
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+                child.stdout.close()
+        store = ResultStore(tmp_path / "store")
+        names = store.names()
+        assert len(names) == 400
+        assert set(names) == {
+            f"{tag}/{i:03d}" for tag in ("a", "b") for i in range(200)
+        }
+        assert store.stats()["index_entries"] == 400
+
+    def test_named_put_cost_does_not_grow_with_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.results import store as store_mod
+
+        writes = []
+        real_write = store_mod.atomic_write_text
+
+        def recording_write(path, text):
+            writes.append((Path(path), len(text)))
+            real_write(path, text)
+
+        monkeypatch.setattr(store_mod, "atomic_write_text", recording_write)
+        store = ResultStore(tmp_path)
+        alias_writes = {}
+        for i in range(1, 501):
+            writes.clear()
+            store.put({"kind": "t", "n": i}, {"x": i}, name=f"pt/{i:03d}")
+            alias_writes[i] = [
+                size for path, size in writes
+                if path.parent == store.aliases_dir
+            ]
+            assert len(writes) == 2  # the blob and its one alias file
+        assert len(alias_writes[1]) == len(alias_writes[500]) == 1
+        assert alias_writes[1] == alias_writes[500]
+        assert store.stats()["index_entries"] == 500
+
+    def write_legacy_index(self, store, entries):
+        (store.root / "index.json").write_text(json.dumps(
+            {"version": STORE_VERSION, "entries": entries}, indent=2
+        ))
+
+    def legacy_store(self, tmp_path):
+        """Three blobs put without aliases, named by an old index.json."""
+        store = ResultStore(tmp_path)
+        keys = [
+            store.put({"kind": "t", "n": n}, {"x": n})[0] for n in range(3)
+        ]
+        entries = [
+            {"name": name, "key": keys[n], "kind": "t",
+             "timestamp": "2026-01-01T00:00:00Z", "git_sha": "abc1234"}
+            for name, n in (("late", 2), ("early", 0), ("mid", 1))
+        ]
+        self.write_legacy_index(store, entries)
+        return keys, entries
+
+    def test_legacy_index_folds_into_alias_files(self, tmp_path):
+        keys, entries = self.legacy_store(tmp_path)
+        store = ResultStore(tmp_path)
+        assert store.names() == ["late", "early", "mid"]
+        assert store.latest("early")["key"] == keys[0]
+        assert not (tmp_path / "index.json").exists()
+        assert len(list(store.aliases_dir.glob("*.json"))) == 3
+        report = store.gc(blob_grace_s=0)
+        assert report.unreferenced_blobs == []
+        for key in keys:
+            assert store.get(key) is not None
+        # A later alias sorts after every folded entry.
+        store.alias("newest", keys[0], "t")
+        assert store.names()[-1] == "newest"
+
+    def test_legacy_gc_first_keeps_every_named_blob(self, tmp_path):
+        keys, _entries = self.legacy_store(tmp_path)
+        report = ResultStore(tmp_path).gc(blob_grace_s=0)
+        assert report.unreferenced_blobs == []
+        assert report.live_blobs == 3
+
+    def test_folding_twice_writes_the_same_files(self, tmp_path):
+        keys, entries = self.legacy_store(tmp_path)
+        first = ResultStore(tmp_path)
+        first.entries()
+        files = {
+            path.name: path.read_text()
+            for path in first.aliases_dir.glob("*.json")
+        }
+        # A second process folding the same old index writes the same
+        # files, so a fold racing another one changes nothing.
+        self.write_legacy_index(first, entries)
+        second = ResultStore(tmp_path)
+        assert second.names() == ["late", "early", "mid"]
+        assert {
+            path.name: path.read_text()
+            for path in second.aliases_dir.glob("*.json")
+        } == files
 
 
 class TestScenarioStoreIntegration:
@@ -312,7 +459,7 @@ class TestScenarioStoreIntegration:
         run_scenarios_cached([spec], tmp_path, n_requests=REQUESTS)
         store = store_for(tmp_path)
         before = {(e["name"], e["key"], e["kind"]) for e in store.entries()}
-        store.index_path.unlink()
+        shutil.rmtree(store.aliases_dir)
         [(_, _, cached)] = run_scenarios_cached(
             [spec], tmp_path, n_requests=REQUESTS
         )
@@ -417,50 +564,6 @@ class TestReport:
             resolve_store(tmp_path / "x"), resolve_store(tmp_path / "y")
         )
         assert rows == []
-
-
-class TestLockRetry:
-    def test_transient_lock_timeouts_are_retried(self, tmp_path):
-        from repro.results.store import StoreLockTimeout, with_lock_retry
-
-        sleeps = []
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise StoreLockTimeout(tmp_path / "lock", 0.1)
-            return "ok"
-
-        assert with_lock_retry(flaky, sleep=sleeps.append) == "ok"
-        assert calls["n"] == 3
-        assert len(sleeps) == 2
-        # Jittered exponential: bounded by 0.5x-1.5x of base * 2**n.
-        assert 0.5 * 0.05 <= sleeps[0] <= 1.5 * 0.05
-        assert 0.5 * 0.10 <= sleeps[1] <= 1.5 * 0.10
-
-    def test_exhausted_attempts_reraise(self, tmp_path):
-        from repro.results.store import StoreLockTimeout, with_lock_retry
-
-        sleeps = []
-
-        def always_contended():
-            raise StoreLockTimeout(tmp_path / "lock", 0.1)
-
-        with pytest.raises(StoreLockTimeout):
-            with_lock_retry(
-                always_contended, attempts=3, sleep=sleeps.append
-            )
-        assert len(sleeps) == 2   # no sleep after the final attempt
-
-    def test_other_exceptions_pass_straight_through(self):
-        from repro.results.store import with_lock_retry
-
-        def broken():
-            raise ValueError("not a lock problem")
-
-        with pytest.raises(ValueError):
-            with_lock_retry(broken, sleep=lambda _s: None)
 
 
 class TestStoreStats:

@@ -371,8 +371,7 @@ class TestRunScenario:
         assert payload["scenario"] == "small"
         assert payload["metrics"]["attacker_act_rate_per_cycle"] > 0
         assert payload["stalled_victims"] == []
-        index = json.loads((tmp_path / "store" / "index.json").read_text())
-        names = {entry["name"] for entry in index["entries"]}
+        names = {entry["name"] for entry in store_for(tmp_path).entries()}
         baseline_key = leg_key(spec.baseline(), REQUESTS, 0)
         assert names == {
             "small", f"sweep/{path.stem}", f"sweep/{baseline_key}"

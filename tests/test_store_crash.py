@@ -2,12 +2,10 @@
 
 Child processes are killed (via the ``_CRASH_AFTER_TMP_WRITE`` hook
 calling ``os._exit``) inside the two atomic-write windows — a blob
-``put`` and an index alias update — and the parent asserts the store
-reads clean afterwards: the interrupted artifact is simply a miss
+``put`` and an alias write — and the parent asserts the store reads
+clean afterwards: the interrupted artifact is simply a miss
 (retriable), nothing is torn, and ``gc`` sweeps the debris.  Also
-covers the index-lock timeout (:class:`StoreLockTimeout`) against a
-process that genuinely holds the lock, and the dead-pid/live-pid/aged
-rules of the stale-temp sweep.
+covers the dead-pid/live-pid/aged rules of the stale-temp sweep.
 """
 
 import os
@@ -16,14 +14,7 @@ import sys
 import textwrap
 import time
 
-import pytest
-
-from repro.results.store import (
-    ResultStore,
-    StoreLockTimeout,
-    content_key,
-    store_for,
-)
+from repro.results.store import content_key, store_for
 
 
 def child_env():
@@ -111,41 +102,6 @@ class TestKillMidIndexUpdate:
         report = fresh.gc(tmp_grace_s=1e9)
         assert report.stale_tmp
         assert fresh.get(key) == {"value": 1}
-
-
-class TestLockTimeout:
-    def test_timeout_names_the_lock_path(self, tmp_path):
-        root = tmp_path / "results" / "store"
-        root.mkdir(parents=True)
-        holder = subprocess.Popen(
-            [sys.executable, "-c", textwrap.dedent(f"""
-                import fcntl, sys, time
-                handle = open({str(root / "index.lock")!r}, "w")
-                fcntl.flock(handle, fcntl.LOCK_EX)
-                print("locked", flush=True)
-                time.sleep(60)
-            """)],
-            env=child_env(), stdout=subprocess.PIPE, text=True,
-        )
-        try:
-            assert holder.stdout.readline().strip() == "locked"
-            store = ResultStore(root, lock_timeout_s=0.3)
-            with pytest.raises(StoreLockTimeout) as excinfo:
-                store.alias("blocked", "0" * 16, "result")
-            assert str(root / "index.lock") in str(excinfo.value)
-            assert excinfo.value.timeout_s == pytest.approx(0.3)
-            # gc takes the same lock (its unreferenced-scan must not
-            # race alias writers), so it times out identically.
-            with pytest.raises(StoreLockTimeout):
-                store.gc(blob_grace_s=0.0)
-        finally:
-            holder.kill()
-            holder.wait()
-
-    def test_lock_released_by_holder_unblocks(self, tmp_path):
-        store = ResultStore(tmp_path / "store", lock_timeout_s=5.0)
-        store.alias("free", "1" * 16, "result")   # uncontended: no raise
-        assert store.latest("free")["key"] == "1" * 16
 
 
 class TestGcBlobGrace:
