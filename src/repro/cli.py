@@ -564,7 +564,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 outcome = run_distributed_sweep(
                     recipes, queue, store,
                     serial_grace_s=args.serial_grace,
-                    speculate_after_s=args.speculate_after,
                     timeout_s=args.timeout,
                 )
             except DistributedSweepError as exc:
@@ -588,11 +587,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from .distrib.worker import install_shutdown_handler, run_worker
     from .results.store import store_for
 
-    queue = FileWorkQueue(
-        Path(args.queue_dir),
-        lease_s=args.lease,
-        max_attempts=args.max_attempts,
-    )
+    queue = FileWorkQueue(Path(args.queue_dir), lease_s=args.lease)
     store = store_for(Path(args.results_dir))
     stop_event = install_shutdown_handler()
     try:
@@ -1023,11 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
              "in-process (with no live worker it degrades at once)",
     )
     sweep_cmd.add_argument(
-        "--speculate-after", type=float, default=None, metavar="S",
-        help="re-dispatch a straggler still running after S seconds "
-             "(the loser's identical result deduplicates)",
-    )
-    sweep_cmd.add_argument(
         "--timeout", type=float, default=None,
         help="fail the sweep after this many seconds",
     )
@@ -1049,10 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd.add_argument(
         "--lease", type=float, default=30.0,
         help="lease seconds (heartbeats refresh at a third of this)",
-    )
-    worker_cmd.add_argument(
-        "--max-attempts", type=int, default=4,
-        help="failures/expiries before a task is poisoned",
     )
     worker_cmd.add_argument(
         "--max-tasks", type=int, default=None,

@@ -12,7 +12,7 @@ many worker processes — on one host or many, sharing only a filesystem
   simulate straight through (a reclaimed task re-runs from scratch),
   ``put()`` the result blob, mark done.
 * :mod:`repro.distrib.coordinator` — shards a batch of scenario sweep
-  points into recipe tasks, supervises leases (reclaim, speculation),
+  points into recipe tasks, supervises leases (expiry reclaim),
   degrades to in-process serial execution when the tasks stop making
   progress, and collects results in submission order.  Its supervision
   loop also drives the serve daemon's requests.
@@ -23,9 +23,9 @@ lives one level up in :mod:`repro.chaos`, next to the serve daemon's
 crash cases.
 
 Exactly-once delivery is not implemented — it falls out of content
-addressing: a retried or speculatively re-executed task recomputes the
-same deterministic payload under the same content key, so the second
-writer deduplicates instead of duplicating.
+addressing: a reclaimed retry and the original execution it raced
+recompute the same deterministic payload under the same content key,
+so the second writer deduplicates instead of duplicating.
 """
 
 from .coordinator import (

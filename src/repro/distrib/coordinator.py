@@ -11,11 +11,10 @@ serve daemon (:class:`~repro.serve.engine.RequestEngine` calls it with
 one task per request):
 
 * **Reclaim** — expired or corrupt leases go back to ``pending`` with
-  backoff (``FileWorkQueue.reclaim_expired``).
-* **Speculation** — a claim that has been running far longer than its
-  peers (``speculate_after_s``) is re-dispatched while the original
-  keeps running; whichever execution finishes first wins, the loser's
-  byte-identical result deduplicates.
+  backoff (``FileWorkQueue.reclaim_expired``).  Lease expiry is the
+  one straggler rule: a claim that stalls past its lease is retried,
+  and if the original execution finishes after all, its byte-identical
+  result deduplicates.
 * **Degraded serial mode** — when none of the supervised tasks shows
   progress (a new done record, or a lease changing owner, attempts or
   heartbeats) for the grace, the supervisor stops waiting and
@@ -101,7 +100,6 @@ class SweepOutcome:
     results: List[SimResult]
     degraded: bool = False            # coordinator ran tasks in-process
     reclaimed: int = 0                # expired-lease reclaims observed
-    speculated: int = 0               # straggler re-dispatches issued
     duration_s: float = 0.0
     mode: str = "distributed"         # "serial" | "distributed" | degraded
 
@@ -113,8 +111,6 @@ class SweepOutcome:
         ]
         if self.reclaimed:
             lines.append(f"  {self.reclaimed} expired lease(s) reclaimed")
-        if self.speculated:
-            lines.append(f"  {self.speculated} straggler(s) speculated")
         return lines
 
 
@@ -145,16 +141,13 @@ def supervise(
     degraded: threading.Event,
     serial_grace_s: float,
     poll_s: float = 0.05,
-    speculate_after_s: Optional[float] = None,
     timeout_s: Optional[float] = None,
-) -> Tuple[List[Dict[str, Any]], int, int]:
+) -> Tuple[List[Dict[str, Any]], int]:
     """Supervise submitted tasks until every one is done.
 
-    Returns ``(payloads, reclaimed, speculated)``: payloads in task
-    order, plus how many of these tasks' expired leases were reclaimed
-    and how many stragglers were re-dispatched.  Each poll checks for
-    done and poison records, reclaims expired leases and speculates on
-    claims older than ``speculate_after_s``.
+    Returns ``(payloads, reclaimed)``: payloads in task order, plus how
+    many of these tasks' expired leases were reclaimed.  Each poll
+    checks for done and poison records and reclaims expired leases.
 
     **Degrade rule.**  Progress is a new done record or a change in a
     task's lease (owner, attempts, heartbeats).  While some worker's
@@ -175,7 +168,7 @@ def supervise(
     started = last_progress = time.monotonic()
     waiting = {task.task_id for task in tasks}
     signatures: Dict[str, Optional[tuple]] = {}
-    reclaimed = speculated = 0
+    reclaimed = 0
     while True:
         finished = {
             task_id for task_id in waiting
@@ -206,7 +199,6 @@ def supervise(
                 "; ".join(queue.status().summary_lines()) + ")"
             )
         reclaimed += len(waiting.intersection(queue.reclaim_expired()))
-        now = time.time()
         for task_id in sorted(waiting):
             lease = queue.lease(task_id)
             signature = None if lease is None else (
@@ -216,12 +208,6 @@ def supervise(
             if signature != signatures.get(task_id):
                 signatures[task_id] = signature
                 last_progress = time.monotonic()
-            if (
-                speculate_after_s is not None and lease
-                and now - lease.get("claimed_at", now) > speculate_after_s
-                and queue.speculate(task_id)
-            ):
-                speculated += 1
         if (
             degraded.is_set()
             or time.monotonic() - last_progress >= serial_grace_s
@@ -244,7 +230,7 @@ def supervise(
                 continue  # executed something: re-check right away
         time.sleep(poll_s)
     executed = execute_recipes([task.recipe for task in tasks], store, owner)
-    return [payload for payload, _ in executed], reclaimed, speculated
+    return [payload for payload, _ in executed], reclaimed
 
 
 def run_distributed_sweep(
@@ -253,34 +239,31 @@ def run_distributed_sweep(
     store: ResultStore,
     poll_s: float = 0.05,
     serial_grace_s: float = 5.0,
-    speculate_after_s: Optional[float] = None,
     timeout_s: Optional[float] = None,
 ) -> SweepOutcome:
     """Submit task recipes and supervise until every one is terminal.
 
     Workers are *external*: anything running ``repro worker`` against
     the same queue/store directories.  The coordinator submits, then
-    hands every task to :func:`supervise`, which reclaims, speculates
-    and — after ``serial_grace_s`` without progress, or at once when no
-    worker has a live presence record — degrades to executing the
-    remaining tasks itself for the rest of the sweep.
+    hands every task to :func:`supervise`, which reclaims expired
+    leases and — after ``serial_grace_s`` without progress, or at once
+    when no worker has a live presence record — degrades to executing
+    the remaining tasks itself for the rest of the sweep.
     Raises :class:`DistributedSweepError` on poisoned tasks or
     ``timeout_s``.
     """
     started = time.monotonic()
     tasks = [queue.submit(recipe) for recipe in recipes]
     degraded = threading.Event()
-    payloads, reclaimed, speculated = supervise(
+    payloads, reclaimed = supervise(
         queue, store, tasks, "coordinator-serial", degraded,
-        serial_grace_s, poll_s=poll_s,
-        speculate_after_s=speculate_after_s, timeout_s=timeout_s,
+        serial_grace_s, poll_s=poll_s, timeout_s=timeout_s,
     )
     return SweepOutcome(
         task_ids=[task.task_id for task in tasks],
         results=[SimResult.from_json(payload) for payload in payloads],
         degraded=degraded.is_set(),
         reclaimed=reclaimed,
-        speculated=speculated,
         duration_s=time.monotonic() - started,
         mode="degraded serial" if degraded.is_set() else "distributed",
     )

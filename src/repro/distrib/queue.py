@@ -28,9 +28,10 @@ worker processes on any host that can see the filesystem:
 ``done/<id>.json``
     Terminal success: the result blob's content key.  Written before
     the claim is released, so a crash between the two reads as done.
-    Because retried and speculated executions of one task produce the
-    same deterministic payload under the same content key, a second
-    finisher simply observes ``done`` already present and discards.
+    Because a reclaimed retry and the original execution it raced
+    produce the same deterministic payload under the same content key,
+    a second finisher simply observes ``done`` already present and
+    discards.
 
 ``poison/<id>.json``
     Terminal failure: a task that failed (or had its lease expire)
@@ -48,7 +49,7 @@ worker processes on any host that can see the filesystem:
     worker is slow to claim".  An unreadable record counts as absent.
 
 Every state transition is a single ``os.rename`` (one winner).  The
-transitions back to ``pending`` (fail, reclaim, speculate) write the
+transitions back to ``pending`` (fail, reclaim) write the
 retry state into the claim file *before* the rename, so the rename is
 the only visible step — a pending file never briefly holds stale lease
 JSON, and nothing is rewritten after the rename (which could resurrect
@@ -158,8 +159,12 @@ class QueueStatus:
 
     @property
     def open_tasks(self) -> int:
-        """Tasks not yet terminally done or poisoned."""
-        return self.total_tasks - self.done - self.poisoned
+        """Tasks a worker may still pick up or is running.
+
+        Pending plus claimed: a drained task keeps its body in
+        ``tasks/`` but has no marker left, so it is not open.
+        """
+        return self.pending + self.claimed
 
     def to_json(self) -> Dict[str, Any]:
         """Machine-readable census for ``--json`` and ``/status``."""
@@ -319,8 +324,8 @@ class FileWorkQueue:
                 continue
             if self._path("done", task_id).is_file():
                 # Stale marker for a task someone already finished
-                # (e.g. a speculated copy): retire it instead of
-                # running the work a third time.
+                # (a reclaimed task whose original execution completed
+                # after all): retire it instead of running it again.
                 try:
                     pending_path.unlink()
                 except OSError:
@@ -387,9 +392,9 @@ class FileWorkQueue:
 
         ``done`` is written *before* the claim is released so a crash
         between the two steps still reads as done.  If another
-        execution (a speculated copy, a reclaimed retry) finished first,
-        the existing record wins and this call is a no-op — the result
-        blob is byte-identical either way.
+        execution finished first (a reclaimed retry and the original it
+        raced both complete), the existing record wins and this call is
+        a no-op — the result blob is byte-identical either way.
         """
         done_path = self._path("done", task_id)
         first = not done_path.is_file()
@@ -555,39 +560,6 @@ class FileWorkQueue:
                 continue  # another supervisor won
             reclaimed.append(task_id)
         return reclaimed
-
-    def speculate(
-        self, task_id: str, now: Optional[float] = None
-    ) -> bool:
-        """Re-dispatch a straggler whose lease is still live.
-
-        Unlike :meth:`reclaim_expired` this does not count as a
-        failure: ``attempts`` is preserved and the task is immediately
-        claimable.  The original execution keeps running; whichever
-        finishes first writes ``done``, and the loser's identical
-        result deduplicates in the store.
-        """
-        if now is None:
-            now = time.time()
-        claimed_path = self._path("claimed", task_id)
-        lease = _read_json(claimed_path)
-        if lease is None or self._path("done", task_id).is_file():
-            return False
-        pending_path = self._path("pending", task_id)
-        # Re-dispatch state goes into the claim file *before* the
-        # rename (the same single-visible-transition discipline as
-        # fail()): the pending file is born claimable at the preserved
-        # attempt count, never briefly holding the stale lease.
-        atomic_write_json(claimed_path, {
-            "attempts": max(0, int(lease.get("attempts", 1)) - 1),
-            "not_before": now,
-            "speculative": True,
-        })
-        try:
-            os.rename(claimed_path, pending_path)
-        except OSError:
-            return False
-        return True
 
     # -- introspection ---------------------------------------------------
 

@@ -367,7 +367,7 @@ def run_worker(
                 queue.reclaim_expired()
                 status = queue.status()
                 if status.total_tasks and not status.open_tasks:
-                    break  # every task done or poisoned
+                    break  # nothing pending or claimed
                 if time.monotonic() - last_work > idle_exit_s:
                     break
                 time.sleep(poll_s)

@@ -1,9 +1,9 @@
-"""DRAM substrate: timings, banks, address mapping, refresh, devices."""
+"""DRAM substrate: timings, banks, address mapping, refresh, victim rows."""
 
 from .address import LINE_BYTES, MappedAddress, MopAddressMapper
 from .bank import Bank, TimingViolation
-from .commands import Command, CommandCounts, CommandKind
-from .device import BLAST_RADIUS, DramDevice, victim_rows
+from .commands import CommandCounts
+from .device import BLAST_RADIUS, victim_rows
 from .refresh import (
     DDR4_MAX_POSTPONED,
     DDR5_MAX_POSTPONED,
@@ -24,11 +24,8 @@ __all__ = [
     "MopAddressMapper",
     "Bank",
     "TimingViolation",
-    "Command",
     "CommandCounts",
-    "CommandKind",
     "BLAST_RADIUS",
-    "DramDevice",
     "victim_rows",
     "DDR4_MAX_POSTPONED",
     "DDR5_MAX_POSTPONED",

@@ -14,8 +14,8 @@ The bank is a ``__slots__`` class and the hook lists are lazily created:
 the system simulator's controllers dispatch bank activity to trackers
 directly through the mitigation scheme, so in the hot path no hooks are
 registered and ACT/PRE pay no observer-iteration cost at all.  Only the
-standalone :class:`repro.dram.device.DramDevice` and unit tests register
-hooks.
+invariant monitor (:mod:`repro.security.invariants`) and unit tests
+register hooks.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ class TimingViolation(RuntimeError):
 class Bank:
     """A single DRAM bank.
 
-    The bank is purely reactive: callers (the memory controller or the
-    device's refresh logic) issue commands at chosen cycles, and the bank
-    validates timing and maintains row-buffer state.
+    The bank is purely reactive: callers (the memory controller, unit
+    tests) issue commands at chosen cycles, and the bank validates
+    timing and maintains row-buffer state.
     """
 
     __slots__ = (
@@ -94,12 +94,6 @@ class Bank:
     @property
     def is_open(self) -> bool:
         return self.open_row is not None
-
-    def open_time(self, cycle: int) -> int:
-        """Cycles the current row has been open as of ``cycle``."""
-        if self.open_row is None:
-            return 0
-        return cycle - self.act_cycle
 
     # -- commands -------------------------------------------------------
 

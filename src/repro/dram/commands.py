@@ -1,44 +1,9 @@
-"""DRAM command vocabulary shared by the device model and the controller."""
+"""Tallies of the DRAM commands the memory controller issues."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass
 from typing import Dict
-
-
-class CommandKind(enum.Enum):
-    """The DRAM commands the simulator models."""
-
-    ACT = "ACT"    #: activate (open) a row
-    PRE = "PRE"    #: precharge (close) the open row
-    RD = "RD"      #: column read from the open row
-    WR = "WR"      #: column write to the open row
-    REF = "REF"    #: refresh one refresh group
-    RFM = "RFM"    #: refresh-management command (DDR5, in-DRAM mitigation)
-
-
-@dataclass(frozen=True)
-class Command:
-    """A command issued to a specific bank at a specific cycle.
-
-    ``row`` is meaningful only for ACT (RD/WR implicitly target the open
-    row; PRE/REF/RFM are row-agnostic).  ``mitigative`` marks activations
-    injected by a Rowhammer/Row-Press mitigation rather than demand
-    traffic, which is the split Figure 14 of the paper reports.
-    """
-
-    kind: CommandKind
-    bank: int
-    cycle: int
-    row: int | None = None
-    mitigative: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind is CommandKind.ACT and self.row is None:
-            raise ValueError("ACT requires a row")
-        if self.cycle < 0:
-            raise ValueError("cycle must be non-negative")
 
 
 @dataclass
@@ -56,23 +21,6 @@ class CommandCounts:
     @property
     def total_acts(self) -> int:
         return self.demand_acts + self.mitigative_acts
-
-    def record(self, command: Command) -> None:
-        if command.kind is CommandKind.ACT:
-            if command.mitigative:
-                self.mitigative_acts += 1
-            else:
-                self.demand_acts += 1
-        elif command.kind is CommandKind.PRE:
-            self.precharges += 1
-        elif command.kind is CommandKind.RD:
-            self.reads += 1
-        elif command.kind is CommandKind.WR:
-            self.writes += 1
-        elif command.kind is CommandKind.REF:
-            self.refreshes += 1
-        elif command.kind is CommandKind.RFM:
-            self.rfms += 1
 
     def merged_with(self, other: "CommandCounts") -> "CommandCounts":
         return CommandCounts(

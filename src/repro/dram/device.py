@@ -1,20 +1,13 @@
-"""A DRAM channel device: banks, refresh state, and RFM bookkeeping.
+"""Victim rows of an aggressor: the rows a mitigation refreshes.
 
-The device is the boundary between the memory controller and in-DRAM
-logic.  In-DRAM trackers (Mithril, MINT) observe activations through bank
-hooks and perform their mitigations when the controller issues RFM; the
-device counts per-bank activations so the controller knows when RFM is due
-(every ``rfm_threshold`` ACTs, Section III-A).
+The device side of RFM (per-bank ACT counts against the RFM threshold,
+Section III-A) lives in the memory controller, which both simulator
+engines share; the charge accounting uses the row geometry here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
-
-from .bank import Bank
-from .refresh import RefreshScheduler
-from .timing import CycleTimings
 
 BLAST_RADIUS = 2  #: victim rows refreshed on each side of an aggressor
 
@@ -27,51 +20,3 @@ def victim_rows(row: int, blast_radius: int = BLAST_RADIUS) -> List[int]:
             victims.append(row - distance)
         victims.append(row + distance)
     return victims
-
-
-@dataclass
-class DramDevice:
-    """One memory channel's worth of banks plus refresh/RFM state."""
-
-    timings: CycleTimings
-    num_banks: int = 64
-    rfm_threshold: int = 80
-    banks: List[Bank] = field(default_factory=list)
-    refresh: List[RefreshScheduler] = field(default_factory=list)
-    _rfm_counters: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.num_banks < 1:
-            raise ValueError("num_banks must be positive")
-        if not self.banks:
-            self.banks = [
-                Bank(timings=self.timings, bank_id=i)
-                for i in range(self.num_banks)
-            ]
-        if not self.refresh:
-            self.refresh = [
-                RefreshScheduler(self.timings) for _ in range(self.num_banks)
-            ]
-        if not self._rfm_counters:
-            self._rfm_counters = [0] * self.num_banks
-        for bank in self.banks:
-            bank.add_activate_hook(self._make_rfm_hook(bank.bank_id))
-
-    def _make_rfm_hook(self, bank_id: int):
-        def hook(_row: int, _cycle: int) -> None:
-            self._rfm_counters[bank_id] += 1
-
-        return hook
-
-    def rfm_due(self, bank_id: int) -> bool:
-        """True once the bank accumulated rfm_threshold ACTs since last RFM."""
-        return self._rfm_counters[bank_id] >= self.rfm_threshold
-
-    def acts_since_rfm(self, bank_id: int) -> int:
-        return self._rfm_counters[bank_id]
-
-    def issue_rfm(self, bank_id: int, cycle: int) -> int:
-        """Issue an RFM to the bank; returns the completion cycle."""
-        done = self.banks[bank_id].rfm(cycle)
-        self._rfm_counters[bank_id] = 0
-        return done

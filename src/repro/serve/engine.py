@@ -129,7 +129,6 @@ class RequestEngine:
         queue_watermark: int = 256,
         serial_grace_s: float = 2.0,
         poll_s: float = 0.05,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         owner: Optional[str] = None,
     ) -> None:
         self.store = store
@@ -140,7 +139,6 @@ class RequestEngine:
         self.queue_watermark = queue_watermark
         self.serial_grace_s = serial_grace_s
         self.poll_s = poll_s
-        self.retry_after_s = retry_after_s
         self.owner = owner or f"serve:{worker_identity()}"
         self.stats = ServeStats()
         #: Sticky and engine-wide: set once any request degrades.
@@ -183,7 +181,7 @@ class RequestEngine:
             reason = self._shed_reason()
             if reason is not None:
                 self.stats.shed += 1
-                raise RequestShed(reason, self.retry_after_s)
+                raise RequestShed(reason, DEFAULT_RETRY_AFTER_S)
             # The write-ahead step: once this returns, the request
             # survives any crash — replay picks it up from here.
             self.journal.record(key, recipe)
@@ -229,7 +227,7 @@ class RequestEngine:
                 self.stats.shed += 1
                 raise RequestShed(
                     f"waiter limit ({self.max_waiters}) reached",
-                    self.retry_after_s,
+                    DEFAULT_RETRY_AFTER_S,
                 )
             self._waiters += 1
         try:
@@ -375,7 +373,7 @@ class RequestEngine:
         """
         try:
             task = self.queue.submit(entry.recipe)
-            payloads, _reclaimed, _speculated = supervise(
+            payloads, _reclaimed = supervise(
                 self.queue, self.store, [task], self.owner, self.degraded,
                 self.serial_grace_s, poll_s=self.poll_s,
             )

@@ -109,13 +109,3 @@ class TestRefreshAndRfm:
         bank.activate(5, 0)
         with pytest.raises(TimingViolation):
             bank.block_until(1000)
-
-
-class TestOpenTime:
-    def test_open_time_tracks(self, bank, timings):
-        bank.activate(5, 100)
-        assert bank.open_time(100 + timings.tRAS) == timings.tRAS
-        assert bank.open_time(100) == 0
-
-    def test_closed_open_time_zero(self, bank):
-        assert bank.open_time(1000) == 0

@@ -357,6 +357,24 @@ class TestJsonOutput:
         assert doc["open_tasks"] == 1
         assert doc["leases"][0]["owner"] == "w1"
 
+    def test_queue_status_json_after_drain(self, capsys, tmp_path):
+        import json
+
+        from repro.distrib.queue import FileWorkQueue
+
+        queue = FileWorkQueue(tmp_path / "queue")
+        for n in (1, 2, 3):
+            queue.submit({"kind": "test-task", "n": n})
+        queue.claim("w1")
+        assert main(["queue", "drain", "--queue-dir",
+                     str(tmp_path / "queue")]) == 0
+        capsys.readouterr()
+        assert main(["queue", "status", "--queue-dir",
+                     str(tmp_path / "queue"), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_tasks"] == 3   # bodies kept for inspection
+        assert doc["open_tasks"] == 0
+
     def test_queue_status_lists_live_workers(self, capsys, tmp_path):
         import json
         import time

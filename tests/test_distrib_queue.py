@@ -4,7 +4,7 @@ No simulation here: recipes are throwaway dicts, time is passed
 explicitly through ``now=`` so every lease/backoff decision is
 deterministic.  The protocol claims under test: atomic single-winner
 claims, exponential-backoff retries, poison quarantine, expired- and
-corrupt-lease reclaim, straggler speculation, and done-record dedup.
+corrupt-lease reclaim, and done-record dedup.
 """
 
 import json
@@ -116,8 +116,9 @@ class TestClaim:
         task = queue.submit(recipe(1))
         queue.claim("w1")
         queue.complete(task.task_id, "w1", task.task_id)
-        # A speculated copy could leave a pending marker behind a
-        # finished task; claiming must retire it, never re-run.
+        # A reclaimed task whose original execution finished after all
+        # leaves a pending marker behind; claiming must retire it,
+        # never re-run.
         atomic_write_json(
             queue._path("pending", task.task_id),
             {"attempts": 0, "not_before": 0.0},
@@ -274,8 +275,9 @@ class TestReclaim:
         queue = make_queue(tmp_path)
         task = queue.submit(recipe(1))
         queue.claim("w1", now=1000.0)
-        # done lands (a speculated copy finished) but the claim file
-        # lingers; reclaim must release it, not re-pend the task.
+        # done lands (the original a reclaimed retry raced finished)
+        # but the retry's claim lingers; reclaim must release it, not
+        # re-pend the task.
         atomic_write_json(
             queue._path("done", task.task_id),
             {"task_id": task.task_id, "result_key": task.task_id},
@@ -294,25 +296,47 @@ class TestReclaim:
         assert "lease expired" in record["error"]
 
 
-class TestSpeculate:
-    def test_speculation_preserves_attempts(self, tmp_path):
-        queue = make_queue(tmp_path)
-        task = queue.submit(recipe(1))
-        first = queue.claim("w1", now=1000.0)
-        assert queue.speculate(task.task_id, now=1001.0)
-        # Immediately claimable, and NOT counted as a failure: the
-        # speculative copy claims at the same attempt number.
-        second = queue.claim("w2", now=1001.0)
-        assert second is not None
-        assert second.attempts == first.attempts
+class TestStraggler:
+    """A straggler's lease expires, a retry runs, and the original
+    finishes after all: whichever completes first owns ``done``."""
 
-    def test_speculation_refuses_done_or_unclaimed(self, tmp_path):
-        queue = make_queue(tmp_path)
+    def straggle(self, tmp_path):
+        queue = make_queue(tmp_path, backoff_base_s=0.0)
         task = queue.submit(recipe(1))
-        assert not queue.speculate(task.task_id)  # still pending
-        queue.claim("w1")
-        queue.complete(task.task_id, "w1", task.task_id)
-        assert not queue.speculate(task.task_id)  # already done
+        queue.claim("w1", now=1000.0)
+        assert queue.reclaim_expired(now=1000.0 + queue.lease_s + 1.0) == \
+            [task.task_id]
+        return queue, task
+
+    def test_retry_first_then_original_is_a_no_op(self, tmp_path):
+        queue, task = self.straggle(tmp_path)
+        retry = queue.claim("w2", now=1010.0)
+        assert retry.attempts == 2
+        assert queue.complete(task.task_id, "w2", "k" * 16)
+        assert not queue.complete(task.task_id, "w1", "k" * 16)
+        assert queue.done_record(task.task_id)["owner"] == "w2"
+        status = queue.status()
+        assert (status.done, status.claimed, status.open_tasks) == (1, 0, 0)
+
+    def test_original_first_keeps_the_retry_claim_then_dedups(
+        self, tmp_path
+    ):
+        queue, task = self.straggle(tmp_path)
+        queue.claim("w2", now=1010.0)
+        assert queue.complete(task.task_id, "w1", "k" * 16)
+        # The original must not drop the retry's claim on its way out.
+        assert queue.status().claimed == 1
+        assert not queue.complete(task.task_id, "w2", "k" * 16)
+        assert queue.done_record(task.task_id)["owner"] == "w1"
+        status = queue.status()
+        assert (status.done, status.claimed, status.open_tasks) == (1, 0, 0)
+
+    def test_original_first_retires_the_pending_retry(self, tmp_path):
+        queue, task = self.straggle(tmp_path)
+        assert queue.complete(task.task_id, "w1", "k" * 16)
+        assert queue.claim("w2", now=1010.0) is None
+        status = queue.status()
+        assert (status.done, status.pending, status.open_tasks) == (1, 0, 0)
 
 
 class TestIntrospection:
@@ -354,6 +378,7 @@ class TestIntrospection:
         assert status.claimed == 0
         assert status.done == 1
         assert status.total_tasks == 3  # bodies kept for inspection
+        assert status.open_tasks == 0
 
     def test_worker_identity_names_this_process(self):
         import os

@@ -235,6 +235,21 @@ class TestWorkerLoop:
         )
         assert summary.executed == 0
 
+    def test_worker_exits_at_once_on_a_drained_queue(self, tmp_path):
+        # Drained task bodies stay in tasks/ but are not open work:
+        # the worker takes its all-terminal exit, not the idle one.
+        queue = FileWorkQueue(tmp_path / "queue")
+        for recipe in small_recipes():
+            queue.submit(recipe)
+        queue.drain()
+        started = time.monotonic()
+        summary = run_worker(
+            queue, store_for(tmp_path), owner="w1", idle_exit_s=30.0,
+            poll_s=0.01,
+        )
+        assert summary.executed == 0
+        assert time.monotonic() - started < 10.0
+
     def test_worker_blob_matches_serial(self, tmp_path):
         recipes = small_recipes()
         serial_store = store_for(tmp_path / "serial")

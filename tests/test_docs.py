@@ -1,6 +1,8 @@
 """Docs stay in sync with the code: coverage, links, docstrings."""
 
+import argparse
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,11 +48,52 @@ class TestDocsCoverage:
                 f"CLI subcommand {command!r} is not documented"
             )
 
+    def test_cli_table_flags_exist(self):
+        """Every ``--flag`` a README command row names is an option of
+        that subcommand (one of them, for a row naming several)."""
+        readme = (REPO_ROOT / "README.md").read_text()
+        rows = [
+            line for line in readme.splitlines()
+            if line.startswith("| `repro ")
+        ]
+        assert rows, "README has no CLI reference table"
+        stale = []
+        for row in rows:
+            first_cell = row.split("|")[1]
+            options = set()
+            for invocation in re.findall(r"`repro ([^`]*)`", first_cell):
+                options |= _subcommand_options(invocation)
+            for flag in sorted(set(re.findall(r"--[a-z][a-z0-9-]*", row))):
+                if flag not in options:
+                    stale.append(f"{first_cell.strip()}: {flag}")
+        assert not stale, "README names unknown flags: " + ", ".join(stale)
+
     def test_tracker_matrix_names_all_trackers(self):
         readme = (REPO_ROOT / "README.md").read_text()
         for tracker in ("PRAC", "MINT", "Graphene", "PARA", "Mithril",
                         "DSAC"):
             assert tracker in readme
+
+
+def _subcommand_options(invocation):
+    """Option strings of the subparser ``repro <invocation>`` names.
+
+    Words are followed down the subparser tree until one is not a
+    subcommand (a ``<name>`` placeholder, a flag).
+    """
+    parser = build_parser()
+    for word in invocation.split():
+        subparsers = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        if not subparsers or word not in subparsers[0].choices:
+            break
+        parser = subparsers[0].choices[word]
+    return {
+        option for action in parser._actions
+        for option in action.option_strings
+    }
 
 
 class TestLinks:

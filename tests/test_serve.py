@@ -304,6 +304,17 @@ class TestAdmission:
             engine.submit(small_recipe())
         assert "queue" in excinfo.value.reason
 
+    def test_drained_backlog_does_not_shed(self, tmp_path):
+        engine, _store, queue, _journal = make_engine(
+            tmp_path, queue_watermark=3,
+        )
+        for seed in (1, 2, 3):
+            queue.submit(small_recipe(seed=seed))
+        queue.drain()   # bodies stay in tasks/, no work is open
+        entry, disposition = engine.submit(small_recipe())
+        assert disposition == "accepted"
+        assert engine.wait(entry, 60.0) is not None
+
     def test_waiter_cap_sheds_the_wait(self, tmp_path):
         engine, _store, _queue, _journal = make_engine(
             tmp_path, max_waiters=0,
