@@ -132,8 +132,9 @@ class TestSeededEquivalence:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "ROADMAP item 1: the fast engine orders a same-cycle tie "
-            "differently from the reference (5200/192 vs 5196/188 "
+            "ROADMAP item 3: at channel 0, bank 58, cycle 17856 core 2's "
+            "and core 4's same-cycle arrivals enter the bank queue in "
+            "opposite orders in the two engines (5200/192 vs 5196/188 "
             "demand/mitigative ACTs); drop this marker with that fix"
         ),
     )

@@ -11,14 +11,11 @@ cannot silently move results that no oracle checks.  ``simulate_batch``
 must produce the same bytes, since a one-point batch runs the fast
 engine.
 
-One root cause is already seen: at fuzz seed 11, candidate 46, bank 3
-first activates a different row in the two engines at cycle 2038 — a
-same-cycle tie at a ``busy_until`` wakeup, which the fast engine's
-deduplicated bank wakeups order differently from the reference loop.
-
-Regenerate (only for a deliberate semantic change) with::
-
-    PYTHONPATH=src python tests/test_fuzz_divergence_pins.py --regenerate
+All four share one root cause: at the first differing ACT (seed 4,
+candidate 206: bank 7, cycle 400; 6/116: bank 7, cycle 5419; 11/46:
+bank 3, cycle 2038; 13/76: bank 6, cycle 4560) one bank queue holds the
+same requests in a different cross-core order in the two engines.
+Re-pin with ``tools/repin.py``.
 """
 
 from __future__ import annotations
@@ -33,9 +30,9 @@ from repro.results.store import canonical_json
 from repro.scenarios.spec import spec_from_recipe
 from repro.sim.system import simulate_workload
 
-PINS_PATH = Path(__file__).parent / "data" / "fuzz_divergence_pins.json"
+PIN_PATH = Path(__file__).parent / "data" / "fuzz_divergence_pins.json"
 
-PINS = json.loads(PINS_PATH.read_text())
+PINS = json.loads(PIN_PATH.read_text())
 
 
 def _pin_id(pin):
@@ -84,17 +81,5 @@ def test_batch_engine_matches_pin(pin):
     assert _digest(result) == pin["fast_digest"]
 
 
-def _regenerate():
-    for pin in PINS:
-        pin["fast_digest"] = _fast_digest(pin)
-    PINS_PATH.write_text(json.dumps(PINS, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINS_PATH}")
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--regenerate" in sys.argv:
-        _regenerate()
-    else:
-        print(__doc__)
+def pinned():
+    return [{**pin, "fast_digest": _fast_digest(pin)} for pin in PINS]

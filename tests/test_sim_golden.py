@@ -6,11 +6,7 @@ the whole simulation stack (trackers, mitigation schemes, controller,
 event loop) still produces the **same numbers it produced before the
 tracker-kernel/controller refactor**.  The fixture was captured from the
 pre-refactor tree; any diff here means the optimization changed
-simulation semantics, not just speed.
-
-Regenerate (only for a deliberate semantic change) with::
-
-    PYTHONPATH=src python tests/test_sim_golden.py --regenerate
+simulation semantics, not just speed.  Re-pin with ``tools/repin.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.system import SystemSimulator
 from repro.workloads.synthetic import rate_mode_traces
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_simresults.json"
+PIN_PATH = Path(__file__).parent / "data" / "golden_simresults.json"
 
 REQUESTS = 150
 
@@ -69,7 +65,7 @@ def _run_case(workload, defense):
 
 
 def _load_golden():
-    return json.loads(GOLDEN_PATH.read_text())
+    return json.loads(PIN_PATH.read_text())
 
 
 @pytest.mark.parametrize(
@@ -83,20 +79,5 @@ def test_fixture_covers_every_case():
     assert sorted(_load_golden()) == sorted(name for name, _, _ in CASES)
 
 
-def _regenerate():
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        name: _run_case(workload, defense)
-        for name, workload, defense in CASES
-    }
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--regenerate" in sys.argv:
-        _regenerate()
-    else:
-        print(__doc__)
+def pinned():
+    return {name: _run_case(w, defense) for name, w, defense in CASES}

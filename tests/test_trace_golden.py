@@ -4,15 +4,11 @@
 its three columns.  The digests pin the exact request streams the
 generators emit — including the order of their seeded RNG calls — so a
 change to how a generator builds its trace cannot shift a single
-address, write flag or gap unnoticed.  A deliberate change to a
-generator's output re-derives the file with
-``PYTHONPATH=src python tests/test_trace_golden.py --write`` and says
-which digests moved in CHANGES.md.
+address, write flag or gap unnoticed.  Re-pin with ``tools/repin.py``.
 """
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +27,7 @@ from repro.workloads.sources import (
 )
 from repro.workloads.synthetic import trace_for_profile
 
-GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
+PIN_PATH = Path(__file__).parent / "data" / "golden_traces.json"
 
 N_REQUESTS = 600
 
@@ -117,7 +113,7 @@ def trace_digest(trace) -> str:
 
 
 def _golden():
-    return json.loads(GOLDEN.read_text())
+    return json.loads(PIN_PATH.read_text())
 
 
 def test_golden_covers_every_case():
@@ -139,10 +135,5 @@ def test_columns_match_request_view():
     ] == list(zip(trace.addresses, trace.writes, trace.gaps))
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: test_trace_golden.py --write")
-    GOLDEN.write_text(json.dumps(
-        {case: trace_digest(build()) for case, build in sorted(CASES.items())},
-        indent=1, sort_keys=True,
-    ) + "\n")
+def pinned():
+    return {case: trace_digest(build()) for case, build in CASES.items()}

@@ -6,11 +6,7 @@ and RFM victims, with their step indices) is pinned against
 ``tests/data/golden_trackers.json``.  The fixture was captured from the
 pre-kernel-rewrite trackers, so these tests prove the allocation-free
 integer kernels reproduce the old per-call implementations bit for bit.
-
-Regenerate the fixture (only when a deliberate behavior change is made)
-with::
-
-    PYTHONPATH=src python tests/test_tracker_golden.py --regenerate
+Re-pin with ``tools/repin.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from repro.trackers.mithril import MithrilTracker
 from repro.trackers.para import ParaTracker
 from repro.trackers.prac import PracTracker
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trackers.json"
+PIN_PATH = Path(__file__).parent / "data" / "golden_trackers.json"
 
 #: Events per stream.  Large enough to exercise table churn, spillover
 #: swaps, RFM interleaving and threshold resets many times over.
@@ -150,7 +146,7 @@ def _run_case(name):
 
 
 def _load_golden():
-    return json.loads(GOLDEN_PATH.read_text())
+    return json.loads(PIN_PATH.read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -212,18 +208,5 @@ class TestKernelSurfaceMatchesRecord:
         assert _final_state(via_record) == _final_state(via_unit)
 
 
-def _regenerate():
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    payload = {name: _run_case(name) for name in sorted(CASES)}
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
-    total = sum(len(data["log"]) for data in payload.values())
-    print(f"wrote {GOLDEN_PATH} ({total} mitigation events)")
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--regenerate" in sys.argv:
-        _regenerate()
-    else:
-        print(__doc__)
+def pinned():
+    return {name: _run_case(name) for name in CASES}
