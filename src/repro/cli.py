@@ -422,7 +422,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     if args.replay is not None:
         try:
-            spec, outcome = replay_reproducer(store, args.replay)
+            spec, outcome, located = replay_reproducer(store, args.replay)
         except KeyError as exc:
             print(exc.args[0])
             return 2
@@ -433,6 +433,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             return 0
         for line in outcome.violations:
             print(f"  {line}")
+        if located:
+            print(f"    {located}")
         return 1
     if args.fault is not None:
         try:
@@ -458,6 +460,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
               f"{failure.spec.core_summary()} under "
               f"{failure.spec.defense_summary()} "
               f"@ {failure.n_requests} requests -> {failure.store_key}")
+        if failure.first_divergence:
+            print(f"    {failure.first_divergence}")
     return 1 if report.failures else 0
 
 

@@ -16,9 +16,9 @@ count, idle cores one by one, drop trailing idle cores (shrinking the
 topology), simplify attacker sources (phased → first phase, extra rows
 and tuned parameters → defaults), and clamp banks/channels — keeping
 each reduction only if the exact failure signature (the sorted set of
-violated invariant names) still reproduces.  Divergence failures are
-additionally bisected to the first stepped-run window where the
-engines' :func:`state_fingerprint` values disagree.
+violated invariant names) still reproduces.  A shrunk divergence
+failure is then located by :func:`first_divergence`: the earliest
+demand ACT that differs between the engines' per-bank ACT logs.
 
 The shrunk reproducer lands in the content-addressed
 :class:`~repro.results.store.ResultStore` keyed by its explicit recipe
@@ -34,12 +34,15 @@ nothing.
 
 from __future__ import annotations
 
-import dataclasses
 import random
+from collections import namedtuple
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import zip_longest
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..memctrl.request import CORE_ID_MASK, ROW_SHIFT
 from ..results.store import ResultStore
 from ..security import faults
 from ..security.invariants import monitored_run
@@ -163,8 +166,10 @@ def random_spec(rng: random.Random, index: int) -> ScenarioSpec:
 # -- the mutation grammar -------------------------------------------------
 
 
-def _attacker_cores(spec: ScenarioSpec) -> List[int]:
-    return list(spec.attacker_cores())
+def _plain_attackers(spec: ScenarioSpec) -> List[int]:
+    """Cores running a single-phase attacker."""
+    return [i for i in spec.attacker_cores()
+            if isinstance(spec.cores[i], AttackerSource)]
 
 
 def _with_cores(
@@ -182,10 +187,7 @@ def _with_cores(
 
 def _mut_share_bank(rng, spec):
     """Attacker-vs-attacker bank sharing: retarget one onto another."""
-    attackers = [
-        i for i in _attacker_cores(spec)
-        if isinstance(spec.cores[i], AttackerSource)
-    ]
+    attackers = _plain_attackers(spec)
     if len(attackers) < 2:
         return None
     dst, src = rng.sample(attackers, 2)
@@ -199,10 +201,7 @@ def _mut_share_bank(rng, spec):
 
 def _mut_change_pattern(rng, spec):
     """Swap one attacker's pattern, keeping its target bank."""
-    attackers = [
-        i for i in _attacker_cores(spec)
-        if isinstance(spec.cores[i], AttackerSource)
-    ]
+    attackers = _plain_attackers(spec)
     if not attackers:
         return None
     idx = rng.choice(attackers)
@@ -217,10 +216,7 @@ def _mut_change_pattern(rng, spec):
 
 def _mut_perturb_params(rng, spec):
     """Nudge one attacker's K/dwell/decoy/refresh-sync parameters."""
-    attackers = [
-        i for i in _attacker_cores(spec)
-        if isinstance(spec.cores[i], AttackerSource)
-    ]
+    attackers = _plain_attackers(spec)
     if not attackers:
         return None
     idx = rng.choice(attackers)
@@ -250,7 +246,7 @@ def _mut_perturb_params(rng, spec):
 
 def _mut_phase_change(rng, spec):
     """Make an attacker phase-changing (or grow/rotate its phases)."""
-    attackers = _attacker_cores(spec)
+    attackers = spec.attacker_cores()
     if not attackers:
         return None
     idx = rng.choice(attackers)
@@ -345,27 +341,10 @@ class CheckOutcome:
     signature: Tuple[str, ...]   # sorted violated-invariant names
     violations: Tuple[str, ...]  # engine-tagged Violation.describe lines
     divergence: Optional[str]    # field summary when engines disagree
-    elapsed_cycles: int
 
     @property
     def ok(self) -> bool:
         return not self.signature
-
-
-def _result_fields(result) -> Dict[str, Any]:
-    """Every SimResult field, flattened for exact comparison."""
-    return {
-        "elapsed_cycles": result.elapsed_cycles,
-        "core_cycles": result.core_cycles,
-        "core_requests": result.core_requests,
-        "counts": dataclasses.asdict(result.counts),
-        "row_hits": result.row_hits,
-        "row_misses": result.row_misses,
-        "row_conflicts": result.row_conflicts,
-        "rfm_mitigations": result.rfm_mitigations,
-        "tmro_closures": result.tmro_closures,
-        "core_demand_acts": result.core_demand_acts,
-    }
 
 
 def check_scenario(
@@ -398,14 +377,11 @@ def check_scenario(
             f"{engine}: {violation.describe()}"
             for violation in monitor.violations
         )
-    fast_fields = _result_fields(results["fast"])
-    reference_fields = _result_fields(results["reference"])
+    fast, reference = (results[e].to_json() for e in ("fast", "reference"))
+    differing = sorted(field for field in fast
+                       if fast[field] != reference[field])
     divergence = None
-    if fast_fields != reference_fields:
-        differing = sorted(
-            field for field in fast_fields
-            if fast_fields[field] != reference_fields[field]
-        )
+    if differing:
         divergence = "engines disagree on: " + ", ".join(differing)
         names.add("engine-divergence")
         describes.append(f"both: {divergence}")
@@ -413,95 +389,118 @@ def check_scenario(
         signature=tuple(sorted(names)),
         violations=tuple(describes),
         divergence=divergence,
-        elapsed_cycles=results["fast"].elapsed_cycles,
     )
 
 
-_COUNT_FIELDS = (
-    "demand_acts",
-    "mitigative_acts",
-    "precharges",
-    "reads",
-    "writes",
-    "refreshes",
-    "rfms",
-)
+# -- divergence location -------------------------------------------------
 
-_STAT_FIELDS = ("row_hits", "row_misses", "row_conflicts",
-                "rfm_mitigations", "tmro_closures")
+#: One demand ACT and the ``(row, core)`` requests left in its queue.
+Act = namedtuple("Act", "cycle row core queue")
 
 
-def state_fingerprint(sim) -> tuple:
-    """Cheap engine-independent digest of observable run state.
+class ActLog:
+    """Every demand ACT one simulator issues, per ``(channel, bank)``.
 
-    Used by :func:`bisect_divergence` to localize *where* two engines'
-    runs first disagree: at any stop cycle up to which both engines
-    have processed every event, the fingerprints should match.
-    Deliberately excludes the event heap, sequence counter and bank
-    wakeup cache — those are engine-internal representation, not
-    observable behavior.
+    The controller credits an ACT's core after its activate hook runs,
+    so the core is read off ``core_demand_acts`` at its next ACT or read.
     """
-    controllers = []
-    for controller in sim.controllers:
-        counts = controller.counts
-        controllers.append((
-            tuple(getattr(counts, f) for f in _COUNT_FIELDS),
-            tuple(getattr(controller, f) for f in _STAT_FIELDS),
-            tuple(sorted(controller.core_demand_acts.items())),
-            tuple(
-                (bank.open_row, bank.act_cycle) for bank in controller.banks
-            ),
-            tuple(
-                (book.pending_mitigations, book.acts_since_rfm,
-                 len(book.queue))
-                for book in controller.state
-            ),
-        ))
-    return (
-        tuple(
-            (core.index, core.outstanding, core.retired)
-            for core in sim.cores
-        ),
-        tuple(controllers),
-    )
+
+    def __init__(self, sim) -> None:
+        self._logs: Dict[Tuple[int, int], List[Act]] = {}
+        # Per controller: [it, latest ACT's bank log, core counts before]
+        self._latest = [[ctl, [], {}] for ctl in sim.controllers]
+        for channel, latest in enumerate(self._latest):
+            for bank, book in enumerate(latest[0].state):
+                log = self._logs[channel, bank] = []
+                latest[0].banks[bank].add_activate_hook(
+                    partial(self._record, latest, log, book)
+                )
+
+    @staticmethod
+    def _settle(controller, log, before) -> None:
+        if log and log[-1].core is None:
+            counts = controller.core_demand_acts
+            log[-1] = log[-1]._replace(core=next(
+                core for core in counts if counts[core] != before.get(core, 0)
+            ))
+
+    def _record(self, latest, log, book, row, cycle) -> None:
+        self._settle(*latest)
+        log.append(Act(cycle, row, None, tuple(
+            (request >> ROW_SHIFT, (request >> 1) & CORE_ID_MASK)
+            for request in book.queue
+        )))
+        latest[1:] = [log, dict(latest[0].core_demand_acts)]
+
+    def banks(self) -> Dict[Tuple[int, int], List[Act]]:
+        for latest in self._latest:
+            self._settle(*latest)
+        return {key: list(log) for key, log in self._logs.items()}
 
 
-def bisect_divergence(
-    spec: ScenarioSpec,
-    n_requests: int = DEFAULT_FUZZ_REQUESTS,
-    seed: int = 0,
-    stride: int = 2_000,
-) -> Optional[Tuple[int, int]]:
-    """The first stepped-run window where the engines' state diverges.
+class Divergence(namedtuple(
+        "Divergence", "channel bank cycle kind fast reference")):
+    """The earliest differing demand ACT.  ``kind`` is ``queue-order``
+    (same queued requests, opened in a different order), ``row``,
+    ``cycle`` or ``extra-act`` (one bank log is a prefix of the other)."""
 
-    Steps both engines in ``stride``-cycle lockstep and compares
-    :func:`state_fingerprint` at every stop — the stepped-run contract
-    (``run_until`` is a prefix of the straight run) makes the
-    fingerprints total, so the returned ``(clean_cycle,
-    divergent_cycle)`` window bounds the first mismatched event.
-    None when the engines agree end to end.
-    """
-    fast, reference = (
-        build_simulator(
-            spec.system, spec.cores, spec.defense, spec.tmro_ns,
-            n_requests, seed, engine,
+    def describe(self) -> str:
+        fast, reference = (
+            f"core {act.core}'s row {act.row} @ {act.cycle}" if act
+            else "nothing" for act in (self.fast, self.reference)
         )
-        for engine in ("fast", "reference")
+        return (f"first differing ACT: channel {self.channel}, bank "
+                f"{self.bank}, cycle {self.cycle} ({self.kind}): fast "
+                f"opens {fast}; reference opens {reference}")
+
+
+def _kind(fast: Optional[Act], reference: Optional[Act]) -> str:
+    if fast is None or reference is None:
+        return "extra-act"
+    if fast.cycle != reference.cycle:
+        return "cycle"
+    queued = [sorted(act.queue + (act[1:3],)) for act in (fast, reference)]
+    return "queue-order" if queued[0] == queued[1] else "row"
+
+
+def first_divergence(
+    system: SystemConfig, workload, defense: Optional[DefenseConfig] = None,
+    tmro_ns: Optional[float] = None, n_requests: int = 2000, seed: int = 0,
+) -> Optional[Divergence]:
+    """Run both engines on one :func:`build_simulator` point and return
+    the earliest demand ACT whose cycle, row or core differs between
+    their per-bank :class:`ActLog`\\ s, or None when none does."""
+    logs = []
+    for engine in ("fast", "reference"):
+        sim = build_simulator(
+            system, workload, defense, tmro_ns, n_requests, seed, engine
+        )
+        log = ActLog(sim)
+        sim.run()
+        logs.append(log.banks())
+    found = []
+    for (channel, bank), fast in logs[0].items():
+        for a, b in zip_longest(fast, logs[1][channel, bank]):
+            if (a and a[:3]) != (b and b[:3]):
+                found.append(Divergence(
+                    channel, bank, min(act.cycle for act in (a, b) if act),
+                    _kind(a, b), a, b,
+                ))
+                break
+    return min(found, key=lambda d: (d.cycle, d.channel, d.bank),
+               default=None)
+
+
+def _locate(
+    spec: ScenarioSpec, n_requests: int, seed: int, outcome: CheckOutcome
+) -> Optional[str]:
+    """The first differing ACT's text when ``outcome`` diverges."""
+    if "engine-divergence" not in outcome.signature:
+        return None
+    located = first_divergence(
+        spec.system, spec.cores, spec.defense, spec.tmro_ns, n_requests, seed
     )
-    prev_stop = 0
-    stop = stride
-    while True:
-        fast_done = fast.run_until(stop_cycle=stop)
-        ref_done = reference.run_until(stop_cycle=stop)
-        if (
-            fast_done != ref_done
-            or state_fingerprint(fast) != state_fingerprint(reference)
-        ):
-            return (prev_stop, stop)
-        if fast_done:
-            return None
-        prev_stop = stop
-        stop += stride
+    return located and located.describe()
 
 
 # -- shrinking ------------------------------------------------------------
@@ -656,7 +655,7 @@ class FuzzFailure:
     seed: int
     signature: Tuple[str, ...]
     violations: Tuple[str, ...]
-    divergence_window: Optional[Tuple[int, int]]
+    first_divergence: Optional[str]  # Divergence.describe() text
     shrink_steps: Tuple[str, ...]
     shrink_evaluations: int
     store_key: Optional[str]
@@ -704,10 +703,7 @@ def store_reproducer(store: ResultStore, failure: FuzzFailure) -> str:
     payload = {
         "signature": list(failure.signature),
         "violations": list(failure.violations),
-        "divergence_window": (
-            None if failure.divergence_window is None
-            else list(failure.divergence_window)
-        ),
+        "first_divergence": failure.first_divergence,
         "shrink_steps": list(failure.shrink_steps),
         "shrink_evaluations": failure.shrink_evaluations,
         "cores": failure.spec.core_summary(),
@@ -743,13 +739,15 @@ def reproducer_spec(
 
 def replay_reproducer(
     store: ResultStore, key: str, checkpoint_cycles: int = 50_000
-) -> Tuple[ScenarioSpec, CheckOutcome]:
+) -> Tuple[ScenarioSpec, CheckOutcome, Optional[str]]:
     """Re-run a stored reproducer exactly as the fuzzer saw it.
 
     The blob's recipe pins the spec, run shape *and* the injected
     faults, so replaying the planted-fault reproducer re-trips the same
     invariants, and replaying it without its recorded faults would not
-    — which is why the faults ride in the recipe.
+    — which is why the faults ride in the recipe.  The third item is
+    the first differing ACT, located as :func:`fuzz` does, when the
+    replay diverges.
     """
     spec, recipe = reproducer_spec(store, key)
     with ExitStack() as stack:
@@ -759,7 +757,8 @@ def replay_reproducer(
             spec, recipe["n_requests"], recipe["seed"],
             checkpoint_cycles=checkpoint_cycles,
         )
-    return spec, outcome
+        located = _locate(spec, recipe["n_requests"], recipe["seed"], outcome)
+    return spec, outcome, located
 
 
 # -- the main loop --------------------------------------------------------
@@ -807,11 +806,6 @@ def fuzz(
         final = check_scenario(
             shrunk.spec, shrunk.n_requests, seed, checkpoint_cycles
         )
-        window = None
-        if "engine-divergence" in final.signature:
-            window = bisect_divergence(
-                shrunk.spec, shrunk.n_requests, seed
-            )
         failure = FuzzFailure(
             candidate=candidate,
             spec=shrunk.spec,
@@ -819,7 +813,9 @@ def fuzz(
             seed=seed,
             signature=final.signature,
             violations=final.violations,
-            divergence_window=window,
+            first_divergence=_locate(
+                shrunk.spec, shrunk.n_requests, seed, final
+            ),
             shrink_steps=shrunk.steps,
             shrink_evaluations=shrunk.evaluations,
             store_key=None,

@@ -176,8 +176,7 @@ class ReferenceSimulator:
         """Process every event up to and including ``stop_cycle``.
 
         ``None`` runs to completion.  Returns True when the whole run is
-        finished.  Mirrors the optimized engine's ``run_until`` so both
-        engines can be stepped in lockstep for divergence bisection.
+        finished.  Mirrors the optimized engine's ``run_until``.
         """
         if not self._started:
             self._prime()

@@ -290,7 +290,7 @@ class SystemSimulator:
         the original ``run`` loop plus one int comparison against the
         pre-packed stop threshold, so behavior at any stop point is a
         prefix of the straight run — which is what makes stepped runs
-        (the invariant monitor) and divergence bisection bit-faithful.
+        (the invariant monitor) bit-faithful.
         """
         if not self._started:
             self._prime()

@@ -7,8 +7,6 @@ exactly the same :class:`SimResult` as the preserved pre-optimization
 mismatch here means the optimization changed simulation semantics.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.sim.config import DefenseConfig, SystemConfig
@@ -21,21 +19,6 @@ from repro.workloads.trace import Trace
 REQUESTS = 150
 
 
-def result_fields(result):
-    """Every SimResult field, flattened for exact comparison."""
-    return {
-        "elapsed_cycles": result.elapsed_cycles,
-        "core_cycles": result.core_cycles,
-        "core_requests": result.core_requests,
-        "counts": dataclasses.asdict(result.counts),
-        "row_hits": result.row_hits,
-        "row_misses": result.row_misses,
-        "row_conflicts": result.row_conflicts,
-        "rfm_mitigations": result.rfm_mitigations,
-        "tmro_closures": result.tmro_closures,
-    }
-
-
 def assert_equivalent(system, traces, defense=None, tmro_ns=None):
     reference = ReferenceSimulator(
         system, traces, defense, tmro_ns=tmro_ns
@@ -43,7 +26,7 @@ def assert_equivalent(system, traces, defense=None, tmro_ns=None):
     optimized = SystemSimulator(
         system, traces, defense, tmro_ns=tmro_ns
     ).run()
-    assert result_fields(optimized) == result_fields(reference)
+    assert optimized.to_json() == reference.to_json()
 
 
 #: Every tracker the simulator supports appears at least once, so the
@@ -147,6 +130,22 @@ class TestSeededEquivalence:
             DefenseConfig(tracker="para", scheme="no-rp", trh=2000),
         )
 
+    def test_paper_point_first_differing_act(self):
+        """The locator pins the paper point's divergence to one ACT:
+        both engines open from the same queue, in opposite orders."""
+        from repro.scenarios.fuzz import first_divergence
+
+        located = first_divergence(
+            SystemConfig(), "mcf",
+            DefenseConfig(tracker="para", scheme="no-rp", trh=2000),
+            n_requests=800, seed=0,
+        )
+        assert (located.channel, located.bank, located.cycle,
+                located.kind) == (0, 58, 17856, "queue-order")
+        assert (located.fast.row, located.fast.core) == (292430, 2)
+        assert (located.reference.row, located.reference.core) == (
+            552464, 4)
+
     def test_row_press_traffic(self):
         system = SystemConfig(n_cores=1, banks_per_channel=4)
         mapper = system.mapper()
@@ -199,7 +198,7 @@ class TestCompiledPathInvariants:
         compiled = compile_traces(traces, system.mapper())
         from_traces = SystemSimulator(system, traces).run()
         from_compiled = SystemSimulator(system, compiled=compiled).run()
-        assert result_fields(from_traces) == result_fields(from_compiled)
+        assert from_traces.to_json() == from_compiled.to_json()
 
     def test_wrong_mapper_rejected(self):
         from repro.dram.address import MopAddressMapper
@@ -218,4 +217,4 @@ class TestCompiledPathInvariants:
         traces = rate_mode_traces("add", 2, REQUESTS, seed=1)
         first = SystemSimulator(system, traces).run()
         second = SystemSimulator(system, traces).run()
-        assert result_fields(first) == result_fields(second)
+        assert first.to_json() == second.to_json()

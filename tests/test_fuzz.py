@@ -22,8 +22,11 @@ from repro.results.store import ResultStore, content_key
 from repro.scenarios.fuzz import (
     DEFAULT_FUZZ_REQUESTS,
     MIN_SHRINK_REQUESTS,
-    bisect_divergence,
+    Act,
+    Divergence,
+    _kind,
     check_scenario,
+    first_divergence,
     fuzz,
     fuzz_repro_recipe,
     mutate_spec,
@@ -110,9 +113,44 @@ class TestCleanTree:
         assert outcome.ok
         assert outcome.divergence is None
 
-    def test_engines_agree_so_bisection_finds_nothing(self):
+    def test_engines_agree_so_no_act_differs(self):
         spec = random_spec(random.Random(1), 0)
-        assert bisect_divergence(spec, n_requests=80) is None
+        assert first_divergence(
+            spec.system, spec.cores, spec.defense, spec.tmro_ns, 80
+        ) is None
+
+
+class TestKnownDivergence:
+    def test_divergence_is_found_located_and_stored(self, tmp_path):
+        """Seed 11's candidate 46 diverges on the clean tree; the shrunk
+        reproducer's payload names the first differing ACT."""
+        store = ResultStore(tmp_path / "store")
+        report = fuzz(11, 47, store=store)
+        assert [f.signature for f in report.failures] == [
+            ("engine-divergence",)
+        ]
+        failure = report.failures[0]
+        assert failure.first_divergence.startswith(
+            "first differing ACT: channel 0, bank 3, "
+        )
+        payload = store.get(failure.store_key)
+        assert payload["first_divergence"] == failure.first_divergence
+        _, _, located = replay_reproducer(store, failure.store_key)
+        assert located == failure.first_divergence
+
+
+@pytest.mark.parametrize("fast, reference, kind", [
+    (Act(5, 1, 0, ((2, 1),)), Act(5, 2, 1, ((1, 0),)), "queue-order"),
+    (Act(5, 1, 0, ((3, 1),)), Act(5, 2, 1, ((1, 0),)), "row"),
+    (Act(5, 1, 0, ()), Act(9, 1, 0, ()), "cycle"),
+    (Act(5, 1, 0, ()), None, "extra-act"),
+])
+def test_divergence_kinds(fast, reference, kind):
+    assert _kind(fast, reference) == kind
+    assert Divergence(0, 2, 5, kind, fast, reference).describe().startswith(
+        f"first differing ACT: channel 0, bank 2, cycle 5 ({kind}): "
+        "fast opens core 0's row 1 @ 5; reference opens "
+    )
 
 
 class TestPlantedFault:
@@ -141,9 +179,10 @@ class TestPlantedFault:
         assert store.get(key) is not None
         # Replay re-injects the fault recorded in the recipe — no fault
         # is active here, yet the violation reproduces exactly.
-        spec, outcome = replay_reproducer(store, key)
+        spec, outcome, located = replay_reproducer(store, key)
         assert outcome.signature == ("tmro-deadline",)
         assert outcome.violations == report.failures[0].violations
+        assert located is None
 
     def test_reproducer_recipe_pins_the_fault(self, tmp_path):
         store = ResultStore(tmp_path / "store")

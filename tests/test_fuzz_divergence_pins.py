@@ -11,10 +11,12 @@ cannot silently move results that no oracle checks.  ``simulate_batch``
 must produce the same bytes, since a one-point batch runs the fast
 engine.
 
-All four share one root cause: at the first differing ACT (seed 4,
-candidate 206: bank 7, cycle 400; 6/116: bank 7, cycle 5419; 11/46:
-bank 3, cycle 2038; 13/76: bank 6, cycle 4560) one bank queue holds the
-same requests in a different cross-core order in the two engines.
+All four share one root cause, which ``first_divergence`` locates: at
+the first differing demand ACT (channel 0; seed 4, candidate 206: bank
+7, cycle 528; 6/116: bank 7, cycle 6059; 11/46: bank 3, cycle 2038;
+13/76: bank 6, cycle 5216, each the cycle that ACT issues at) both
+engines open a row from the same queued requests, held in a different
+cross-core order, so they open different requests.
 Re-pin with ``tools/repin.py``.
 """
 
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.results.store import canonical_json
+from repro.scenarios.fuzz import first_divergence
 from repro.scenarios.spec import spec_from_recipe
 from repro.sim.system import simulate_workload
 
@@ -79,6 +82,30 @@ def test_batch_engine_matches_pin(pin):
         seed=pin["fuzz_seed"],
     )[0]
     assert _digest(result) == pin["fast_digest"]
+
+
+#: Per pin: (bank, ACT cycle, fast's opened (row, core), reference's).
+FIRST_DIFFERING_ACTS = {
+    "seed4-cand206": (7, 528, (17416, 0), (88, 3)),
+    "seed6-cand116": (7, 6059, (136, 2), (249391, 0)),
+    "seed11-cand46": (3, 2038, (2125582, 2), (1255228, 1)),
+    "seed13-cand76": (6, 5216, (2186133, 2), (1209314, 1)),
+}
+
+
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
+def test_first_differing_act(pin):
+    spec, (cores, defense, tmro_ns) = _point(pin)
+    located = first_divergence(
+        spec.system, cores, defense, tmro_ns, pin["n_requests"],
+        pin["fuzz_seed"],
+    )
+    assert (located.channel, located.kind) == (0, "queue-order")
+    assert (
+        located.bank, located.cycle,
+        (located.fast.row, located.fast.core),
+        (located.reference.row, located.reference.core),
+    ) == FIRST_DIFFERING_ACTS[_pin_id(pin)]
 
 
 def pinned():

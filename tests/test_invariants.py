@@ -27,8 +27,6 @@ from repro.sim.system import SystemSimulator, build_simulator
 from repro.workloads.attacks import hammer_trace, row_press_trace
 from repro.workloads.synthetic import rate_mode_traces
 
-from test_engine_equivalence import result_fields
-
 REQUESTS = 120
 
 DEFENSES = [
@@ -135,7 +133,7 @@ class TestNonPerturbation:
             sim, tmro_ns=tmro_ns, checkpoint_cycles=7_000,
         )
         assert monitor.ok, [v.describe() for v in monitor.violations]
-        assert result_fields(monitored) == result_fields(straight)
+        assert monitored.to_json() == straight.to_json()
         assert monitor.last_checkpoint_cycle == straight.elapsed_cycles
 
     def test_unmonitored_simulator_has_no_hooks(self):

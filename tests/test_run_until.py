@@ -4,24 +4,21 @@ The contract (``SystemSimulator.run_until`` / ``ReferenceSimulator.run_until``):
 pause either engine at any stop cycle, continue it — in one more call or
 in many strides — and every SimResult field is bit-identical to the
 uninterrupted run.  ``monitored_run`` steps every monitored run this way,
-the fuzzer's divergence bisection steps both engines in lockstep, and
-the ``worker-kill-mid-task`` fault stops a worker's run part way.  Also
-pinned: ``run_until`` semantics (``None`` completes, ``done``/``now``
+and the ``worker-kill-mid-task`` fault stops a worker's run part way.
+Also pinned: ``run_until`` semantics (``None`` completes, ``done``/``now``
 progress), that a monitored run keeps the straight run's result, and
-that both engines agree on ``state_fingerprint`` at every shared stop
-cycle.
+that both engines' per-bank ACT logs (the fuzzer's ``ActLog``) agree at
+every shared stop cycle.
 """
 
 import pytest
 
-from repro.scenarios.fuzz import state_fingerprint
+from repro.scenarios.fuzz import ActLog
 from repro.security.invariants import monitored_run
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.system import SystemSimulator
 from repro.workloads.synthetic import rate_mode_traces
-
-from test_engine_equivalence import result_fields
 
 REQUESTS = 120
 
@@ -69,7 +66,7 @@ class TestSteppedEqualsStraightRun:
             stops += 1
             stop += stride
         assert stops >= 12
-        assert result_fields(stepped.finish()) == result_fields(straight)
+        assert stepped.finish().to_json() == straight.to_json()
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
@@ -82,7 +79,7 @@ class TestSteppedEqualsStraightRun:
         assert not paused.run_until(
             stop_cycle=int(straight.elapsed_cycles * fraction)
         )
-        assert result_fields(paused.run()) == result_fields(straight)
+        assert paused.run().to_json() == straight.to_json()
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_stop_past_the_end_completes(self, engine):
@@ -92,7 +89,7 @@ class TestSteppedEqualsStraightRun:
         sim = _build(engine, defense=defense)
         assert sim.run_until(stop_cycle=2 * straight.elapsed_cycles)
         assert sim.now == straight.elapsed_cycles
-        assert result_fields(sim.finish()) == result_fields(straight)
+        assert sim.finish().to_json() == straight.to_json()
 
 
 class TestMonitoredRunEqualsStraightRun:
@@ -107,7 +104,7 @@ class TestMonitoredRunEqualsStraightRun:
             _build(engine, defense=defense),
             checkpoint_cycles=max(1, straight.elapsed_cycles // 9),
         )
-        assert result_fields(monitored) == result_fields(straight)
+        assert monitored.to_json() == straight.to_json()
         assert monitor.last_checkpoint_cycle == straight.elapsed_cycles
 
 
@@ -130,12 +127,14 @@ class TestRunUntilSemantics:
 
     @pytest.mark.parametrize("defense", DEFENSES, ids=_defense_id)
     def test_fingerprints_match_across_engines_at_stop(self, defense):
-        """Both engines, stepped to the same stop cycle, agree on all
-        observable state — the property divergence bisection relies on."""
+        """Both engines, stepped to the same stop cycle, have issued the
+        same demand ACTs: same bank, cycle, row, core and queue."""
         fast = _build("fast", defense=defense)
         reference = _build("reference", defense=defense)
+        fast_log, reference_log = ActLog(fast), ActLog(reference)
         for stop in (1000, 5000, 20000, None):
             fast_done = fast.run_until(stop_cycle=stop)
             ref_done = reference.run_until(stop_cycle=stop)
             assert fast_done == ref_done
-            assert state_fingerprint(fast) == state_fingerprint(reference)
+            assert fast_log.banks() == reference_log.banks()
+        assert any(fast_log.banks().values())

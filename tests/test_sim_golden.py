@@ -44,7 +44,8 @@ CASES = [
 ]
 
 
-def _result_fields(result):
+def _pinned_fields(result):
+    """The SimResult fields the golden file pins (not core_demand_acts)."""
     return {
         "elapsed_cycles": result.elapsed_cycles,
         "core_cycles": list(result.core_cycles),
@@ -61,7 +62,7 @@ def _result_fields(result):
 def _run_case(workload, defense):
     system = SystemConfig(n_cores=2, banks_per_channel=8)
     traces = rate_mode_traces(workload, 2, REQUESTS, seed=5)
-    return _result_fields(SystemSimulator(system, traces, defense).run())
+    return _pinned_fields(SystemSimulator(system, traces, defense).run())
 
 
 def _load_golden():
