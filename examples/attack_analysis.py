@@ -9,7 +9,7 @@ tracking the victims' accumulated charge with the unified model.
 from repro.core.charge import ALPHA_LONG, ConservativeLinearModel
 from repro.core.mitigation import ImpressPScheme, NoRpScheme
 from repro.dram.timing import default_cycle_timings
-from repro.security.simulation import run_security_simulation
+from repro.security.verifier import run_security_simulation
 from repro.trackers.graphene import GrapheneTracker
 from repro.workloads.attacks import (
     decoy_pattern_accesses,

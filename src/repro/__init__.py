@@ -3,8 +3,9 @@ Data-Disturbance Errors via Implicit Row-Press Mitigation" (MICRO 2024).
 
 Public API highlights:
 
-* :mod:`repro.core` — unified charge-loss model, EACT arithmetic, and the
-  No-RP / ExPress / ImPress-N / ImPress-P mitigation schemes.
+* :mod:`repro.core` — unified charge-loss model and the No-RP / ExPress /
+  ImPress-N / ImPress-P mitigation schemes (ImPress-P's EACT is
+  quantized in its close kernel).
 * :mod:`repro.trackers` — Graphene, PARA, Mithril, MINT plus sizing math.
 * :mod:`repro.dram`, :mod:`repro.memctrl`, :mod:`repro.sim` — the DDR5
   memory-system simulator the evaluation runs on.

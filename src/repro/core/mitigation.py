@@ -16,22 +16,17 @@ tracker:
   a fractional EACT and records that weight (Fig 11).  No threshold loss
   with full-precision counters.
 
-The scheme returns aggressor rows that memory-controller-based trackers
-want mitigated; the controller turns those into victim refreshes.
-In-DRAM trackers mitigate under RFM instead and always return nothing
-from the record path.
-
-**Two dispatch surfaces.**  The ``on_activate`` / ``on_row_closed`` /
-``on_rfm`` methods are the readable API used by the security verifier
-and unit tests.  The simulator's controller instead consumes the
-*per-bank kernel lists* built once at construction —
+A scheme is its *per-bank kernel lists*, built once at construction —
 :meth:`MitigationScheme.act_kernels`, :meth:`~MitigationScheme.close_kernels`
 and :meth:`~MitigationScheme.rfm_kernels` — which bind each bank's
-tracker kernel (see :mod:`repro.trackers.base`) directly, so the per-row
-close path costs one call into flat integer state instead of
-``scheme.on_row_closed -> tracker_for -> record -> quantize`` dynamic
-dispatch.  Both surfaces share tracker state and are pinned equal by
-the golden-sequence and golden-SimResult tests.
+tracker kernels (see :mod:`repro.trackers.base`) directly, so the
+per-row close path costs one call into flat integer state.  An act or
+close kernel returns how many mitigations of its row the tracker
+wants; the controller turns those into victim refreshes.  In-DRAM
+trackers mitigate under RFM instead and return 0 from the record path.
+The controller, the security verifier (:mod:`repro.security.verifier`)
+and the tests all drive these same kernels: the act kernel at ACT, the
+close kernel at PRE.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from typing import Callable, List, Optional, Sequence
 
 from ..dram.timing import CycleTimings
 from ..trackers.base import Tracker
-from .eact import quantize_eact
 
 #: Activate kernel: ``(row) -> mitigation count`` (None = no ACT work).
 ActKernel = Optional[Callable[[int], int]]
@@ -85,32 +79,12 @@ class MitigationScheme(abc.ABC):
         return self._close_kernels
 
     def rfm_kernels(self) -> List[Callable[[int], Optional[int]]]:
-        """Per-bank bound ``on_rfm`` methods (skips the tracker lookup)."""
+        """Per-bank bound ``Tracker.on_rfm`` methods."""
         return self._rfm_kernels
-
-    # -- readable API (verifier, tests) ---------------------------------
-
-    def tracker_for(self, bank: int) -> Tracker:
-        """The per-bank tracker instance receiving this bank's records."""
-        return self.trackers[bank]
 
     def tmro_cycles(self) -> Optional[int]:
         """Row-open-time limit the controller must enforce (ExPress only)."""
         return None
-
-    def on_activate(self, bank: int, row: int, cycle: int) -> List[int]:
-        """A row was activated; returns aggressors to mitigate now."""
-        return self.tracker_for(bank).record(row, 1.0, cycle)
-
-    def on_row_closed(
-        self, bank: int, row: int, act_cycle: int, close_cycle: int
-    ) -> List[int]:
-        """A row finished its access (close_cycle is when PRE was issued)."""
-        return []
-
-    def on_rfm(self, bank: int, cycle: int) -> Optional[int]:
-        """RFM arrived at the bank; in-DRAM trackers mitigate here."""
-        return self.tracker_for(bank).on_rfm(cycle)
 
     def storage_bytes_per_bank(self) -> int:
         """Extra per-bank state the scheme itself needs (not the tracker)."""
@@ -174,7 +148,7 @@ class ImpressNScheme(MitigationScheme):
     name = "impress-n"
 
     def _build_close_kernels(self) -> List[CloseKernel]:
-        """One window-credit kernel per bank, tRC/tACT folded in."""
+        """One window-credit kernel per bank, tRC/tACT folded in (Fig 9)."""
         trc = self.timings.tRC
         tact = self.timings.tACT
         kernels: List[CloseKernel] = []
@@ -202,20 +176,6 @@ class ImpressNScheme(MitigationScheme):
             kernels.append(kernel)
         return kernels
 
-    def on_row_closed(
-        self, bank: int, row: int, act_cycle: int, close_cycle: int
-    ) -> List[int]:
-        """Credit one ACT per full tRC window the row stayed open (Fig 9)."""
-        trc = self.timings.tRC
-        visible_from = act_cycle + self.timings.tACT
-        first_boundary = -(-visible_from // trc)  # ceil division
-        credits = close_cycle // trc - first_boundary
-        mitigations: List[int] = []
-        tracker = self.tracker_for(bank)
-        for _ in range(max(0, credits)):
-            mitigations.extend(tracker.record(row, 1.0, close_cycle))
-        return mitigations
-
     def storage_bytes_per_bank(self) -> int:
         """1-byte window timer + 3-byte Open-Row Address register."""
         return 4
@@ -229,7 +189,9 @@ class ImpressPScheme(MitigationScheme):
     Count, truncated to ``fraction_bits`` fractional bits, and recorded
     as the access's weight.  The plain ACT record is *not* also sent —
     EACT already includes the first activation's unit of damage
-    (EACT >= 1 by construction).
+    (EACT >= 1 by construction).  Every bank's tracker must take raw
+    weights at scale ``2**fraction_bits`` (:meth:`Tracker.raw_kernel`),
+    so a counter tracker needs the scheme's ``fraction_bits``.
     """
 
     name = "impress-p"
@@ -251,70 +213,40 @@ class ImpressPScheme(MitigationScheme):
         return [None] * len(self.trackers)
 
     def _build_close_kernels(self) -> List[CloseKernel]:
-        """One EACT kernel per bank.
+        """One EACT kernel per bank (Fig 11).
 
-        When the bank's tracker accepts raw fixed-point weights at the
-        scheme's scale, the kernel quantizes straight to an integer:
-        ``raw = int(eact * scale)``.  That equals
-        ``int(quantize_eact(eact) * scale)`` exactly: ``scale`` is a
-        power of two, so the multiply is a pure exponent shift, and for
-        ``eact >= 1`` the truncation already yields ``raw >= scale`` —
-        ``quantize_eact``'s ``max(..., 1.0)`` leg can never change it.
-        Trackers without a raw kernel (e.g. the accounting tracker)
-        fall back to :func:`quantize_eact` + ``record``.
+        The kernel quantizes EACT = (tON + tPRE)/tRC straight to the
+        tracker's fixed point, ``raw = int(eact * scale)``: truncation
+        drops the low bits, so the recorded damage never exceeds the
+        true damage (the error source behind Fig 12), and for
+        ``eact >= 1`` it never records less than one ACT.
         """
         scale = 1 << self.fraction_bits
         trc = self.timings.tRC
         tpre = self.timings.tPRE
-        fraction_bits = self.fraction_bits
         kernels: List[CloseKernel] = []
-        for tracker in self.trackers:
+        for bank, tracker in enumerate(self.trackers):
             raw_record = tracker.raw_kernel(scale)
-            if raw_record is not None:
+            if raw_record is None:
+                raise ValueError(
+                    f"bank {bank}'s {type(tracker).__name__} takes no raw "
+                    f"weights at {self.fraction_bits} fraction bits"
+                )
 
-                def kernel(
-                    row: int,
-                    act_cycle: int,
-                    close_cycle: int,
-                    raw_record=raw_record,
-                    scale=scale,
-                    trc=trc,
-                    tpre=tpre,
-                ) -> int:
-                    eact = (close_cycle - act_cycle + tpre) / trc
-                    return raw_record(row, int(eact * scale))
-
-            else:
-                record = tracker.record
-
-                def kernel(
-                    row: int,
-                    act_cycle: int,
-                    close_cycle: int,
-                    record=record,
-                    fraction_bits=fraction_bits,
-                    trc=trc,
-                    tpre=tpre,
-                ) -> int:
-                    eact = quantize_eact(
-                        (close_cycle - act_cycle + tpre) / trc, fraction_bits
-                    )
-                    return len(record(row, eact, close_cycle))
+            def kernel(
+                row: int,
+                act_cycle: int,
+                close_cycle: int,
+                raw_record=raw_record,
+                scale=scale,
+                trc=trc,
+                tpre=tpre,
+            ) -> int:
+                eact = (close_cycle - act_cycle + tpre) / trc
+                return raw_record(row, int(eact * scale))
 
             kernels.append(kernel)
         return kernels
-
-    def on_activate(self, bank: int, row: int, cycle: int) -> List[int]:
-        """No-op: damage is recorded at close time, once tON is known."""
-        return []
-
-    def on_row_closed(
-        self, bank: int, row: int, act_cycle: int, close_cycle: int
-    ) -> List[int]:
-        """Record the access's quantized EACT = (tON + tPRE)/tRC (Fig 11)."""
-        total_cycles = close_cycle - act_cycle + self.timings.tPRE
-        eact = quantize_eact(total_cycles / self.timings.tRC, self.fraction_bits)
-        return self.tracker_for(bank).record(row, eact, close_cycle)
 
     def storage_bytes_per_bank(self) -> int:
         """A single 10-bit tON timer, rounded up to bytes."""

@@ -4,9 +4,8 @@ Each bank tracks its open row, when it was opened, and the earliest cycles
 at which the next ACT/PRE/column command is legal.  Banks report two events
 to registered observers:
 
-* ``on_activate(row, cycle)`` — a row was opened; Rowhammer trackers hook
-  this to count activations.
-* ``on_row_closed(row, open_cycles, total_cycles)`` — a row finished
+* an activate hook ``(row, cycle)`` — a row was opened;
+* a close hook ``(row, open_cycles, total_cycles)`` — a row finished
   precharging; ``total_cycles`` includes the precharge time, which is the
   quantity ImPress-P divides by tRC to obtain EACT (Figure 11).
 

@@ -25,9 +25,8 @@ ImPress-N earns its window credits and ImPress-P its EACT records.
 
 **Hot-path engineering** (see ``docs/performance.md``): the scheme's
 per-bank activate/close/RFM kernels are hoisted into flat lists at
-construction, so the step path never goes through
-``scheme.on_row_closed -> tracker_for -> record`` dynamic dispatch; the
-timing fields used per step are cached as plain ints; ``step`` /
+construction, so the step path calls each bank's tracker kernel with
+no dispatch through the scheme; the timing fields used per step are cached as plain ints; ``step`` /
 ``_serve_demand`` read each per-bank object exactly once into locals;
 a bank queue holds one packed int per request (``row | core_id |
 is_write``, see :mod:`.request`), so issuing a request builds no

@@ -1,12 +1,17 @@
-"""Security analysis: charge accounting, T* verification, attack replay."""
+"""Security analysis: charge accounting, T* verification, attack replay.
+
+The verifier and the attack replay drive a scheme's per-bank kernels,
+the record path the memory controller runs.
+"""
 
 from .charge_account import VictimChargeState, access_tcl, pattern_tcl
-from .simulation import SecurityOutcome, run_security_simulation
 from .verifier import (
     PatternResult,
+    SecurityOutcome,
     ThresholdReport,
     effective_threshold,
     replay_pattern,
+    run_security_simulation,
 )
 
 __all__ = [

@@ -1,9 +1,14 @@
-"""Security verifier: measures the effective threshold T* of a defense.
+"""Security verifier: effective threshold T* and attack replay.
 
-The verifier drives a mitigation scheme with adversarial access patterns
-and compares the *true* charge loss (unified model) against the damage
-the scheme *records* for the tracker.  The worst-case ratio between the
-two is the factor by which the tolerated Rowhammer threshold shrinks:
+Both drive a mitigation scheme's bank-0 kernels — the act kernel, then
+the close kernel, per access, in the controller's order — so what is
+verified is the record path the simulator runs.
+
+:func:`effective_threshold` feeds adversarial access patterns to an
+:class:`~repro.trackers.base.AccountingTracker` and compares the *true*
+charge loss (unified model) against the damage the scheme *records* for
+the tracker.  The worst-case ratio between the two is the factor by
+which the tolerated Rowhammer threshold shrinks:
 
     T* = TRH / max_pattern (true damage / recorded damage)
 
@@ -18,12 +23,26 @@ not exhaustive: phase-adversarial variants can squeeze an extra
 (tACT + tPRE)/tRC of invisible open time out of ImPress-N beyond Eq 5's
 one-window statement — see the note in
 :class:`repro.core.mitigation.ImpressNScheme`.
+
+:func:`run_security_simulation` replays an attack pattern through a real
+tracker, applies the unified charge model to the victims and lets each
+mitigation restore their charge.  The peak victim charge relative to
+the critical value answers the threat model's question directly: did
+the attacker flip a bit anywhere?
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.mitigation import (
     ExpressScheme,
@@ -40,7 +59,7 @@ from ..workloads.attacks import (
     k_pattern_accesses,
     row_press_accesses,
 )
-from .charge_account import access_tcl
+from .charge_account import VictimChargeState, access_tcl
 
 SchemeFactory = Callable[[AccountingTracker, CycleTimings], MitigationScheme]
 
@@ -66,31 +85,83 @@ class PatternResult:
         return self.true_damage / self.recorded_damage
 
 
+@dataclass(frozen=True)
+class SecurityOutcome:
+    """Result of one attack replay."""
+
+    peak_charge: float
+    trh: float
+    mitigations: int
+
+    @property
+    def flipped(self) -> bool:
+        return self.peak_charge >= self.trh
+
+    @property
+    def margin(self) -> float:
+        """Fraction of the critical charge the attacker reached."""
+        return self.peak_charge / self.trh
+
+
+def _drive(
+    scheme: MitigationScheme, accesses: Iterable[TimedAccess]
+) -> Iterator[Tuple[TimedAccess, int]]:
+    """Run bank 0's act then close kernel per access; yield the fires.
+
+    Each fire is one mitigation of the access's row.
+    """
+    act = scheme.act_kernels()[0]
+    close = scheme.close_kernels()[0]
+    for access in accesses:
+        fired = act(access.row) if act is not None else 0
+        if close is not None:
+            fired += close(access.row, access.act_cycle, access.close_cycle)
+        yield access, fired
+
+
 def replay_pattern(
     scheme: MitigationScheme,
     accesses: Iterable[TimedAccess],
     target_row: int,
     alpha: float,
     timings: CycleTimings,
-    bank: int = 0,
 ) -> PatternResult:
     """Feed accesses through the scheme; account only the target row."""
-    tracker = scheme.tracker_for(bank)
+    tracker = scheme.trackers[0]
     if not isinstance(tracker, AccountingTracker):
         raise TypeError("replay_pattern requires an AccountingTracker")
     true_damage = 0.0
-    pattern_name = "custom"
-    for access in accesses:
-        scheme.on_activate(bank, access.row, access.act_cycle)
-        scheme.on_row_closed(
-            bank, access.row, access.act_cycle, access.close_cycle
-        )
+    for access, _fired in _drive(scheme, accesses):
         if access.row == target_row:
             true_damage += access_tcl(access, alpha, timings)
     return PatternResult(
-        pattern=pattern_name,
+        pattern="custom",
         true_damage=true_damage,
         recorded_damage=tracker.recorded_for(target_row),
+    )
+
+
+def run_security_simulation(
+    scheme: MitigationScheme,
+    accesses: Iterable[TimedAccess],
+    trh: float,
+    alpha: float,
+    timings: CycleTimings,
+) -> SecurityOutcome:
+    """Replay ``accesses`` against the scheme's bank-0 tracker.
+
+    No RFM is issued, so an in-DRAM tracker that mitigates only under
+    RFM never restores a victim here.
+    """
+    state = VictimChargeState(alpha=alpha, timings=timings)
+    mitigations = 0
+    for access, fired in _drive(scheme, accesses):
+        state.apply_access(access)
+        for _ in range(fired):
+            state.apply_mitigation(access.row)
+        mitigations += fired
+    return SecurityOutcome(
+        peak_charge=state.peak_charge, trh=trh, mitigations=mitigations
     )
 
 

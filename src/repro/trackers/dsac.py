@@ -14,7 +14,7 @@ threshold collapse the paper predicts.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 from .base import RawRecordKernel, Tracker
 
@@ -47,7 +47,7 @@ def underestimation_factor(ton_trc: float, alpha: float = 0.48) -> float:
 class DsacLikeTracker(Tracker):
     """A counter tracker that applies the DSAC weighting itself.
 
-    ``record`` receives the access's open time (in tRC units) as the
+    The raw kernel receives the access's open time (in tRC units) as the
     weight and *re-weighs* it logarithmically — in contrast to ImPress-P
     trackers, which accumulate the weight they are given.  Two further
     DSAC properties the paper criticizes are modeled: newly-installed
@@ -55,10 +55,10 @@ class DsacLikeTracker(Tracker):
     and counters are integer-valued.
 
     The table is a plain int dict; eviction keeps the original
-    first-minimum (insertion-order tie-break) semantics.  The kernel
-    surface (:meth:`record_unit` / :meth:`raw_kernel`) runs the same
-    update without per-call list allocation — a unit activation's DSAC
-    weight is exactly 1, so ``record_unit`` skips the logarithm.
+    first-minimum (insertion-order tie-break) semantics.  Both kernels
+    (:meth:`record_unit` / :meth:`raw_kernel`) run one update,
+    :meth:`_update` — a unit activation's DSAC weight is exactly 1, so
+    ``record_unit`` skips the logarithm.
     """
 
     in_dram = True
@@ -75,57 +75,34 @@ class DsacLikeTracker(Tracker):
         self._table: dict = {}
         self.mitigations = 0
 
-    def record(self, row: int, weight: float = 1.0, cycle: int = 0) -> List[int]:
-        """Credit ``row`` with DSAC's logarithmic time weight.
-
-        ``weight`` carries the access's row-open time in tRC units; the
-        tracker re-weighs it with :func:`dsac_weight`, reproducing the
-        underestimation the paper's Section VII critique exploits.
-        """
-        ton_trc = weight if weight > 1.0 else 1.0
-        return [row] if self._kernel_ton(row, ton_trc) else []
-
     def record_unit(self, row: int) -> int:
-        """Kernel surface: unit ACT; dsac_weight(1) is exactly 1."""
-        table = self._table
-        count = table.get(row)
-        if count is not None:
-            count += 1
-            table[row] = count
-        elif len(table) < self.entries:
-            count = 1
-            table[row] = 1
-        else:
-            victim = min(table, key=table.__getitem__)
-            del table[victim]
-            count = 1
-            table[row] = 1
-        if count >= self.mitigation_threshold:
-            table[row] = 0
-            self.mitigations += 1
-            return 1
-        return 0
+        """One unit ACT; dsac_weight(1) is exactly 1."""
+        return self._update(row, 1)
 
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
         """Kernel taking the open time as a raw ``1/scale`` fixed-point.
 
-        Any power-of-two scale works: the kernel reconstructs the exact
-        float open time (``raw / scale`` is exact) before re-weighing.
+        The open time (in tRC units) is re-weighed logarithmically,
+        reproducing the underestimation the paper's Section VII critique
+        exploits.  Any power-of-two scale works: the kernel reconstructs
+        the exact float open time (``raw / scale`` is exact) first.
         """
-        kernel_ton = self._kernel_ton
+        update = self._update
 
         def _kernel(row: int, raw: int) -> int:
             ton_trc = raw / scale
-            return kernel_ton(row, ton_trc if ton_trc > 1.0 else 1.0)
+            if ton_trc < 1.0:
+                ton_trc = 1.0
+            return update(row, int(1.0 + _log2(ton_trc) * (7.0 / 8.0)))
 
         return _kernel
 
-    def _kernel_ton(self, row: int, ton_trc: float) -> int:
-        """DSAC update for an access open ``ton_trc`` (>= 1) tRC units."""
+    def _update(self, row: int, increment: int) -> int:
+        """Add ``increment`` to a tracked row, or install it at 1."""
         table = self._table
         count = table.get(row)
         if count is not None:
-            count += int(1.0 + _log2(ton_trc) * (7.0 / 8.0))
+            count += increment
             table[row] = count
         elif len(table) < self.entries:
             count = 1  # problem 2: installation weight is 1

@@ -8,17 +8,17 @@ entry's counter reaches the internal threshold, after which that counter
 resets.  The number of entries required is inversely proportional to the
 threshold (Section III-B of the ImPress paper).
 
-For ImPress-P the counters carry fractional EACT bits: ``record`` accepts
-non-integer weights and the counters accumulate them in fixed point.
+For ImPress-P the counters carry fractional EACT bits: the raw kernel
+takes fixed-point weights and the counters accumulate them exactly.
 
 **Kernel engineering.**  The per-activation path is an integer kernel:
 the table maps row -> raw fixed-point count, and the lazy eviction heap
 holds ``(count << 32) | row`` packed ints instead of tuples — packed
 ordering equals tuple ordering (count first, row tie-break) because rows
 are below 2**32, so heap behavior is bit-identical to the original
-tuple heap while each push allocates no container.  ``record`` is the
-validated float API; :meth:`record_unit`/:meth:`raw_kernel` expose the
-same kernel to the mitigation schemes without per-call list building.
+tuple heap while each push allocates no container.
+:meth:`record_unit`/:meth:`raw_kernel` expose the kernel to the
+mitigation schemes.
 """
 
 from __future__ import annotations
@@ -105,21 +105,8 @@ class GrapheneTracker(Tracker):
         """Tracked (E)ACT count of ``row`` (0 when untracked)."""
         return self._table.get(row, 0) / self._scale
 
-    def record(self, row: int, weight: float = 1.0, cycle: int = 0) -> List[int]:
-        """Credit ``weight`` (E)ACTs to ``row`` (Misra-Gries update).
-
-        With ImPress-P the weight is the access's fractional EACT; the
-        fixed-point counters accumulate it exactly at 7 fraction bits.
-        Returns ``[row]`` when the internal threshold is crossed and a
-        victim refresh must be issued.
-        """
-        raw = int(weight * self._scale)
-        if raw < 0:
-            raise ValueError("weight must be non-negative")
-        return [row] if self._kernel(row, raw) else []
-
     def record_unit(self, row: int) -> int:
-        """Kernel surface: one unit ACT (raw weight = scale)."""
+        """One unit ACT (raw weight = scale)."""
         return self._kernel(row, self._scale)
 
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
@@ -131,7 +118,9 @@ class GrapheneTracker(Tracker):
     def _kernel(self, row: int, raw: int) -> int:
         """Misra-Gries update with a raw fixed-point weight.
 
-        Returns the number of mitigations fired (0 or 1).
+        With ImPress-P the weight is the access's fractional EACT.
+        Returns the number of mitigations fired (0 or 1): 1 when the
+        internal threshold is crossed and a victim refresh is due.
         """
         if raw == 0:
             return 0

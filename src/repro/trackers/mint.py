@@ -15,15 +15,14 @@ fresh SAN is drawn uniformly from the next interval.  With ImPress-P,
 CAN advances by EACT, so an access's chance of landing on the selected
 slot is proportional to its EACT (Section VI-C).
 
-The per-activation path is already three integer registers; the kernel
-surface (:meth:`record_unit` / :meth:`raw_kernel`) just skips the float
-conversion and the per-call list.
+The per-activation path is three integer registers, updated by
+:meth:`record_unit` and :meth:`raw_kernel`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from .base import RawRecordKernel, Tracker
 
@@ -102,21 +101,8 @@ class MintTracker(Tracker):
         """Selected Address Register: row captured for the next RFM."""
         return self._sar
 
-    def record(self, row: int, weight: float = 1.0, cycle: int = 0) -> List[int]:
-        """Advance CAN by the access's (E)ACT weight.
-
-        With ImPress-P the EACT weight widens the slot span the access
-        covers, so its capture probability is proportional to its
-        row-open time (Section VI-C).  Never mitigates directly.
-        """
-        raw = int(weight * self._scale)
-        if raw < 0:
-            raise ValueError("weight must be non-negative")
-        self._kernel(row, raw)
-        return []
-
     def record_unit(self, row: int) -> int:
-        """Kernel surface: one unit ACT advances CAN by one scale."""
+        """One unit ACT advances CAN by one scale."""
         return self._kernel(row, self._scale)
 
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
@@ -128,7 +114,10 @@ class MintTracker(Tracker):
     def _kernel(self, row: int, raw: int) -> int:
         """Advance CAN; capture ``row`` when it covers the selected slot.
 
-        Always returns 0: MINT never mitigates on the record path.
+        With ImPress-P the EACT weight widens the slot span the access
+        covers, so its capture probability is proportional to its
+        row-open time (Section VI-C).  Always returns 0: MINT never
+        mitigates on the record path.
         """
         if raw == 0:
             return 0

@@ -74,21 +74,8 @@ class MithrilTracker(Tracker):
         """Misra-Gries spillover floor (in ACT units) untracked rows share."""
         return self._spill / self._scale
 
-    def record(self, row: int, weight: float = 1.0, cycle: int = 0) -> List[int]:
-        """Credit ``weight`` (E)ACTs to ``row`` in the in-DRAM summary.
-
-        Counters carry ImPress-P's fractional EACT bits when configured;
-        mitigation is deferred to :meth:`on_rfm`, so this always returns
-        an empty list.
-        """
-        raw = int(weight * self._scale)
-        if raw < 0:
-            raise ValueError("weight must be non-negative")
-        self._kernel(row, raw)
-        return []
-
     def record_unit(self, row: int) -> int:
-        """Kernel surface: one unit ACT (raw weight = scale)."""
+        """One unit ACT (raw weight = scale)."""
         return self._kernel(row, self._scale)
 
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
@@ -100,7 +87,9 @@ class MithrilTracker(Tracker):
     def _kernel(self, row: int, raw: int) -> int:
         """Misra-Gries update with a raw fixed-point weight.
 
-        Always returns 0: Mithril mitigates under RFM, never here.
+        Counters carry ImPress-P's fractional EACT bits when configured.
+        Always returns 0: Mithril mitigates under :meth:`on_rfm`, never
+        here.
         """
         if raw == 0:
             return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import Optional
 
 from .base import RawRecordKernel, Tracker
 
@@ -51,14 +51,12 @@ def para_failure_probability(p: float, trh: float) -> float:
 class ParaTracker(Tracker):
     """Stateless probabilistic tracker.
 
-    ``record(row, weight)`` mitigates ``row`` with probability
-    ``min(1, p * weight)``; with integer weight 1 this is classic PARA,
-    with fractional EACT weights it is ImPress-P's variable-probability
-    PARA.
-
-    The kernel surface draws from the *same* RNG in the same order as
-    ``record`` (one draw per non-zero-weight activation), so sequences
-    stay reproducible whichever surface drives the tracker.
+    An activation of weight ``w`` mitigates its row with probability
+    ``min(1, p * w)``; with unit weight (:meth:`record_unit`) this is
+    classic PARA, with fractional EACT weights (:meth:`raw_kernel`) it
+    is ImPress-P's variable-probability PARA.  Each non-zero-weight
+    activation takes one draw from ``rng``, so sequences are
+    reproducible from the seed.
     """
 
     in_dram = False
@@ -72,24 +70,8 @@ class ParaTracker(Tracker):
         self.rng = rng or random.Random(0)
         self.mitigations = 0
 
-    def record(self, row: int, weight: float = 1.0, cycle: int = 0) -> List[int]:
-        """Select ``row`` for mitigation with probability ``p * weight``.
-
-        ``weight`` is the access's EACT under ImPress-P, making the
-        selection probability proportional to row-open time; weight 1
-        is classic per-ACT PARA.
-        """
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        if weight == 0:
-            return []
-        if self.rng.random() < min(1.0, self.p * weight):
-            self.mitigations += 1
-            return [row]
-        return []
-
     def record_unit(self, row: int) -> int:
-        """Kernel surface: one unit ACT, selection probability ``p``."""
+        """One unit ACT, selection probability ``p``."""
         if self.rng.random() < self.p:
             self.mitigations += 1
             return 1
@@ -98,9 +80,10 @@ class ParaTracker(Tracker):
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
         """Selection with probability ``p * raw / scale`` (any scale).
 
-        PARA keeps no counters, so any fixed-point scale works — the
-        kernel reconstructs the exact float weight (``raw / scale`` is
-        exact for power-of-two scales) before the draw.
+        ``raw / scale`` is the access's EACT under ImPress-P, making the
+        selection probability proportional to row-open time.  PARA
+        keeps no counters, so any fixed-point scale works: the float
+        weight is exact for power-of-two scales.
         """
         p = self.p
 

@@ -15,7 +15,7 @@ impractical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .base import RawRecordKernel, Tracker
 
@@ -32,8 +32,8 @@ class PracTracker(Tracker):
     storage-wise, but unlike Mithril/MINT it does not wait for RFM, so
     we model it on the MC-visible path.
 
-    The per-activation path is one sparse-dict update; the kernel
-    surface runs it on raw fixed-point weights with no per-call list.
+    The per-activation path is one sparse-dict update on raw
+    fixed-point weights.
     """
 
     in_dram = False
@@ -74,23 +74,8 @@ class PracTracker(Tracker):
         """Per-row activation counter value ((E)ACT units)."""
         return self._counters.get(row, 0) / self._scale
 
-    def record(self, row: int, weight: float = 1.0, cycle: int = 0) -> List[int]:
-        """Advance ``row``'s in-array counter by the (E)ACT weight.
-
-        Crossing the alert threshold raises Alert-Back-Off: the row is
-        returned for victim refresh and its counter resets.  With
-        ImPress-P the counter is widened by fractional EACT bits
-        (Section VI-F).
-        """
-        if not 0 <= row < self.rows_per_bank:
-            raise ValueError(f"row {row} outside the bank")
-        raw = int(weight * self._scale)
-        if raw < 0:
-            raise ValueError("weight must be non-negative")
-        return [row] if self._kernel(row, raw) else []
-
     def record_unit(self, row: int) -> int:
-        """Kernel surface: one unit ACT (raw weight = scale)."""
+        """One unit ACT (raw weight = scale)."""
         return self._kernel(row, self._scale)
 
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
@@ -100,7 +85,13 @@ class PracTracker(Tracker):
         return self._kernel
 
     def _kernel(self, row: int, raw: int) -> int:
-        """Per-row counter update; returns 1 on an ABO alert, else 0."""
+        """Advance ``row``'s in-array counter by the (E)ACT weight.
+
+        Crossing the alert threshold raises Alert-Back-Off: returns 1
+        (the row is due a victim refresh) and the counter resets.  With
+        ImPress-P the counter is widened by fractional EACT bits
+        (Section VI-F).
+        """
         if not 0 <= row < self.rows_per_bank:
             raise ValueError(f"row {row} outside the bank")
         if raw == 0:

@@ -50,29 +50,30 @@ class TestDsacLikeTracker:
         # Problem 2: the installing access always counts as 1, however
         # long the row was open.
         tracker = DsacLikeTracker(entries=4, mitigation_threshold=100)
-        tracker.record(7, weight=256.0)
+        tracker.raw_kernel(1)(7, 256)  # open 256 tRC
         assert tracker.count_for(7) == 1.0
 
     def test_integer_weights_truncate(self):
         # Problem 3: integer counters, like ImPress-N's precision loss.
         tracker = DsacLikeTracker(entries=4, mitigation_threshold=100)
-        tracker.record(7, weight=1.0)     # install at 1
-        tracker.record(7, weight=1.9)     # log weight 1.81 -> int 1
+        kernel = tracker.raw_kernel(128)
+        kernel(7, 128)     # open 1 tRC: install at 1
+        kernel(7, 243)     # open 1.9 tRC: log weight 1.81 -> int 1
         assert tracker.count_for(7) == 2.0
 
     def test_mitigates_at_threshold(self):
         tracker = DsacLikeTracker(entries=4, mitigation_threshold=3)
-        tracker.record(7)
-        tracker.record(7)
-        assert tracker.record(7) == [7]
+        tracker.record_unit(7)
+        tracker.record_unit(7)
+        assert tracker.record_unit(7) == 1
         assert tracker.mitigations == 1
 
     def test_eviction_when_full(self):
         tracker = DsacLikeTracker(entries=2, mitigation_threshold=100)
-        tracker.record(1)
-        tracker.record(2)
-        tracker.record(2)
-        tracker.record(3)
+        tracker.record_unit(1)
+        tracker.record_unit(2)
+        tracker.record_unit(2)
+        tracker.record_unit(3)
         assert 3 in tracker._table
         assert len(tracker._table) == 2
 
@@ -90,7 +91,8 @@ class TestDsacLikeTracker:
         tracker = DsacLikeTracker(entries=4, mitigation_threshold=threshold)
         ton_trc = 256.0
         rounds = 0
-        while not tracker.record(7, weight=ton_trc) and rounds < 1000:
+        kernel = tracker.raw_kernel(1)
+        while not kernel(7, int(ton_trc)) and rounds < 1000:
             rounds += 1
         true_damage = rounds * impress_weight(ton_trc)
         # The attacker lands >10x the threshold in damage before DSAC

@@ -33,17 +33,17 @@ class TestSelection:
         san = tracker.san
         rows = [100, 200, 300, 400]
         for row in rows:
-            tracker.record(row)
+            tracker.record_unit(row)
         # The row occupying the SAN-th activation slot must be in SAR
         # (SAN is integral when fraction_bits is 0).
         assert tracker.sar == rows[int(san) - 1]
 
     def test_rfm_mitigates_and_redraws(self):
         tracker = MintTracker(rfmth=4, rng=random.Random(1))
-        tracker.record(7)
-        tracker.record(8)
-        tracker.record(9)
-        tracker.record(10)
+        tracker.record_unit(7)
+        tracker.record_unit(8)
+        tracker.record_unit(9)
+        tracker.record_unit(10)
         selected = tracker.on_rfm()
         assert selected in (7, 8, 9, 10)
         assert tracker.sar is None
@@ -51,7 +51,7 @@ class TestSelection:
 
     def test_rfm_with_no_capture_returns_none(self):
         tracker = MintTracker(rfmth=100, rng=random.Random(2))
-        tracker.record(7)  # unlikely to hit a far-away SAN every time
+        tracker.record_unit(7)  # unlikely to hit a far-away SAN every time
         if tracker.sar is None:
             assert tracker.on_rfm() is None
 
@@ -62,7 +62,7 @@ class TestSelection:
         for _ in range(4000):
             tracker = MintTracker(rfmth=4, rng=rng)
             for slot, row in enumerate((10, 11, 12, 13)):
-                tracker.record(row)
+                tracker.record_unit(row)
             winner = tracker.on_rfm()
             counts[winner - 10] += 1
         for slot_count in counts.values():
@@ -75,8 +75,9 @@ class TestSelection:
         wins = {20: 0, 21: 0}
         for _ in range(4000):
             tracker = MintTracker(rfmth=4, fraction_bits=7, rng=rng)
-            tracker.record(20, weight=3.0)
-            tracker.record(21, weight=1.0)
+            kernel = tracker.raw_kernel(128)
+            kernel(20, 3 * 128)
+            kernel(21, 128)
             winner = tracker.on_rfm()
             if winner is not None:
                 wins[winner] += 1
@@ -87,13 +88,10 @@ class TestSelection:
             MintTracker(rfmth=0)
         with pytest.raises(ValueError):
             MintTracker(rfmth=4, fraction_bits=-1)
-        tracker = MintTracker()
-        with pytest.raises(ValueError):
-            tracker.record(1, weight=-2.0)
 
     def test_reset(self):
         tracker = MintTracker(rfmth=4, rng=random.Random(5))
-        tracker.record(7)
+        tracker.record_unit(7)
         tracker.reset()
         assert tracker.can == 0.0
         assert tracker.sar is None

@@ -9,6 +9,7 @@ from repro.core.mitigation import (
     NoRpScheme,
 )
 from repro.trackers.base import AccountingTracker
+from repro.trackers.graphene import GrapheneTracker
 
 
 def make(scheme_cls, timings, **kwargs):
@@ -16,11 +17,20 @@ def make(scheme_cls, timings, **kwargs):
     return scheme_cls([tracker], timings, **kwargs), tracker
 
 
+def access(scheme, row, act_cycle, close_cycle, bank=0):
+    """One access in the controller's order: act kernel, close kernel."""
+    act = scheme.act_kernels()[bank]
+    close = scheme.close_kernels()[bank]
+    fired = act(row) if act is not None else 0
+    if close is not None:
+        fired += close(row, act_cycle, close_cycle)
+    return fired
+
+
 class TestNoRp:
     def test_records_one_per_act(self, timings):
         scheme, tracker = make(NoRpScheme, timings)
-        scheme.on_activate(0, 7, 0)
-        scheme.on_row_closed(0, 7, 0, timings.tREFI)
+        access(scheme, 7, 0, timings.tREFI)
         assert tracker.recorded_for(7) == 1.0
 
     def test_no_tmro(self, timings):
@@ -43,22 +53,22 @@ class TestExpress:
 
     def test_records_like_no_rp(self, timings):
         scheme, tracker = make(ExpressScheme, timings, tmro_cycles=224)
-        scheme.on_activate(0, 7, 0)
+        scheme.act_kernels()[0](7)
         assert tracker.recorded_for(7) == 1.0
+        assert scheme.close_kernels() == [None]
 
 
 class TestImpressN:
     def test_act_records_one(self, timings):
         scheme, tracker = make(ImpressNScheme, timings)
-        scheme.on_activate(0, 7, 0)
+        scheme.act_kernels()[0](7)
         assert tracker.recorded_for(7) == 1.0
 
     def test_full_window_earns_credit(self, timings):
         scheme, tracker = make(ImpressNScheme, timings)
         trc = timings.tRC
-        scheme.on_activate(0, 7, 0)
         # Open from 0 (visible from tACT) through three full windows.
-        scheme.on_row_closed(0, 7, 0, 3 * trc)
+        access(scheme, 7, 0, 3 * trc)
         # Visible at boundaries tRC, 2 tRC, 3 tRC -> two boundary pairs.
         assert tracker.recorded_for(7) == 1.0 + 2.0
 
@@ -68,14 +78,12 @@ class TestImpressN:
         scheme, tracker = make(ImpressNScheme, timings)
         trc = timings.tRC
         act = trc - timings.tACT // 2
-        scheme.on_activate(0, 7, act)
-        scheme.on_row_closed(0, 7, act, act + trc + timings.tRAS)
+        access(scheme, 7, act, act + trc + timings.tRAS)
         assert tracker.recorded_for(7) == 1.0
 
     def test_trefi_open_earns_many_credits(self, timings):
         scheme, tracker = make(ImpressNScheme, timings)
-        scheme.on_activate(0, 7, 0)
-        scheme.on_row_closed(0, 7, 0, timings.tREFI)
+        access(scheme, 7, 0, timings.tREFI)
         credits = tracker.recorded_for(7) - 1.0
         expected = timings.tREFI // timings.tRC - 1
         assert credits == pytest.approx(expected)
@@ -87,27 +95,23 @@ class TestImpressN:
 
 class TestImpressP:
     def test_act_records_nothing_until_close(self, timings):
-        scheme, tracker = make(ImpressPScheme, timings)
-        scheme.on_activate(0, 7, 0)
-        assert tracker.recorded_for(7) == 0.0
+        scheme, _ = make(ImpressPScheme, timings)
+        assert scheme.act_kernels() == [None]
 
     def test_minimal_access_records_one(self, timings):
         scheme, tracker = make(ImpressPScheme, timings)
-        scheme.on_activate(0, 7, 0)
-        scheme.on_row_closed(0, 7, 0, timings.tRAS)
+        access(scheme, 7, 0, timings.tRAS)
         assert tracker.recorded_for(7) == pytest.approx(1.0)
 
     def test_fractional_eact(self, timings):
         scheme, tracker = make(ImpressPScheme, timings)
-        scheme.on_activate(0, 7, 0)
         # tON = tRAS + tRC/2: EACT = 1.5 (the paper's example).
-        scheme.on_row_closed(0, 7, 0, timings.tRAS + timings.tRC // 2)
+        access(scheme, 7, 0, timings.tRAS + timings.tRC // 2)
         assert tracker.recorded_for(7) == pytest.approx(1.5)
 
     def test_quantization_truncates(self, timings):
         scheme, tracker = make(ImpressPScheme, timings, fraction_bits=0)
-        scheme.on_activate(0, 7, 0)
-        scheme.on_row_closed(0, 7, 0, timings.tRAS + timings.tRC - 1)
+        access(scheme, 7, 0, timings.tRAS + timings.tRC - 1)
         assert tracker.recorded_for(7) == 1.0
 
     def test_fig10_decoy_fully_charged(self, timings):
@@ -117,18 +121,25 @@ class TestImpressP:
         trc = timings.tRC
         act = trc - timings.tACT // 2
         close = act + trc + timings.tRAS
-        scheme.on_activate(0, 7, act)
-        scheme.on_row_closed(0, 7, act, close)
+        access(scheme, 7, act, close)
         assert tracker.recorded_for(7) == pytest.approx(2.0)
 
     def test_rejects_negative_bits(self, timings):
         with pytest.raises(ValueError):
             ImpressPScheme([AccountingTracker()], timings, fraction_bits=-1)
 
+    def test_rejects_tracker_at_another_scale(self, timings):
+        # A 0-bit Graphene has no raw kernel at 2**7: the scheme refuses
+        # it rather than recording through a different path.
+        tracker = GrapheneTracker(
+            entries=4, internal_threshold=4, fraction_bits=0
+        )
+        with pytest.raises(ValueError, match="fraction bits"):
+            ImpressPScheme([tracker], timings, fraction_bits=7)
+
     def test_per_bank_isolation(self, timings):
         trackers = [AccountingTracker(), AccountingTracker()]
         scheme = ImpressPScheme(trackers, timings)
-        scheme.on_activate(1, 7, 0)
-        scheme.on_row_closed(1, 7, 0, timings.tRAS)
+        access(scheme, 7, 0, timings.tRAS, bank=1)
         assert trackers[0].recorded_for(7) == 0.0
         assert trackers[1].recorded_for(7) == pytest.approx(1.0)

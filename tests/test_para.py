@@ -42,41 +42,37 @@ class TestParaTracker:
     def test_deterministic_with_seed(self):
         a = ParaTracker(p=0.5, rng=random.Random(42))
         b = ParaTracker(p=0.5, rng=random.Random(42))
-        seq_a = [a.record(i) for i in range(100)]
-        seq_b = [b.record(i) for i in range(100)]
+        seq_a = [a.record_unit(i) for i in range(100)]
+        seq_b = [b.record_unit(i) for i in range(100)]
         assert seq_a == seq_b
 
     def test_mitigation_rate_close_to_p(self):
         tracker = ParaTracker(p=0.1, rng=random.Random(7))
         n = 20_000
-        hits = sum(1 for i in range(n) if tracker.record(i))
+        hits = sum(1 for i in range(n) if tracker.record_unit(i))
         assert hits / n == pytest.approx(0.1, rel=0.1)
 
     def test_weight_scales_probability(self):
         # ImPress-P: probability p * EACT.
         tracker = ParaTracker(p=0.05, rng=random.Random(7))
         n = 20_000
-        hits = sum(1 for i in range(n) if tracker.record(i, weight=2.0))
+        kernel = tracker.raw_kernel(1)
+        hits = sum(1 for i in range(n) if kernel(i, 2))
         assert hits / n == pytest.approx(0.1, rel=0.1)
 
     def test_probability_saturates_at_one(self):
         tracker = ParaTracker(p=0.5, rng=random.Random(7))
-        assert tracker.record(3, weight=100.0) == [3]
+        assert tracker.raw_kernel(1)(3, 100) == 1
 
     def test_zero_weight_never_selects(self):
         tracker = ParaTracker(p=1.0, rng=random.Random(7))
-        assert tracker.record(3, weight=0.0) == []
+        assert tracker.raw_kernel(1)(3, 0) == 0
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             ParaTracker(p=0.0)
         with pytest.raises(ValueError):
             ParaTracker(p=1.5)
-
-    def test_rejects_negative_weight(self):
-        tracker = ParaTracker(p=0.5)
-        with pytest.raises(ValueError):
-            tracker.record(3, weight=-1.0)
 
     def test_reset_is_stateless(self):
         tracker = ParaTracker(p=0.5)

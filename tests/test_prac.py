@@ -13,15 +13,15 @@ from repro.trackers.prac import DEFAULT_ROWS_PER_BANK, PracTracker
 class TestAlertFlow:
     def test_alert_at_threshold(self):
         tracker = PracTracker(alert_threshold=3, rows_per_bank=16)
-        assert tracker.record(5) == []
-        assert tracker.record(5) == []
-        assert tracker.record(5) == [5]
+        assert tracker.record_unit(5) == 0
+        assert tracker.record_unit(5) == 0
+        assert tracker.record_unit(5) == 1
         assert tracker.alerts == 1
 
     def test_counter_resets_after_alert(self):
         tracker = PracTracker(alert_threshold=2, rows_per_bank=16)
-        tracker.record(5)
-        tracker.record(5)
+        tracker.record_unit(5)
+        tracker.record_unit(5)
         assert tracker.count_for(5) == 0.0
 
     def test_every_row_has_its_own_counter(self):
@@ -29,13 +29,13 @@ class TestAlertFlow:
         # is tracked exactly no matter how many distinct rows are hit.
         tracker = PracTracker(alert_threshold=1000, rows_per_bank=4096)
         for row in range(4096):
-            tracker.record(row)
+            tracker.record_unit(row)
         assert all(tracker.count_for(row) == 1.0 for row in range(4096))
 
     def test_rejects_out_of_range_row(self):
         tracker = PracTracker(alert_threshold=2, rows_per_bank=4)
         with pytest.raises(ValueError):
-            tracker.record(4)
+            tracker.record_unit(4)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ class TestAlertFlow:
 
     def test_reset(self):
         tracker = PracTracker(alert_threshold=5, rows_per_bank=16)
-        tracker.record(3)
+        tracker.record_unit(3)
         tracker.reset()
         assert tracker.count_for(3) == 0.0
 
@@ -57,8 +57,9 @@ class TestImpressOnPrac:
         tracker = PracTracker(
             alert_threshold=3, rows_per_bank=16, fraction_bits=7
         )
-        assert tracker.record(5, weight=1.5) == []
-        assert tracker.record(5, weight=1.5) == [5]
+        kernel = tracker.raw_kernel(128)
+        assert kernel(5, 192) == 0  # EACT 1.5
+        assert kernel(5, 192) == 1
 
     def test_impress_p_scheme_drives_prac(self):
         timings = default_cycle_timings()
@@ -69,10 +70,10 @@ class TestImpressOnPrac:
         # Two accesses each open for tRAS + tRC (EACT = 2) reach the
         # alert threshold of 4.
         ton = timings.tRAS + timings.tRC
-        scheme.on_activate(0, 9, 0)
-        assert scheme.on_row_closed(0, 9, 0, ton) == []
-        scheme.on_activate(0, 9, 10_000)
-        assert scheme.on_row_closed(0, 9, 10_000, 10_000 + ton) == [9]
+        assert scheme.act_kernels() == [None]
+        close = scheme.close_kernels()[0]
+        assert close(9, 0, ton) == 0
+        assert close(9, 10_000, 10_000 + ton) == 1
 
     def test_storage_widens_by_fraction_bits(self):
         base = PracTracker(alert_threshold=1000, fraction_bits=0)
@@ -88,18 +89,19 @@ class TestImpressOnPrac:
         assert tracker.rows_per_bank == DEFAULT_ROWS_PER_BANK
         assert tracker.storage_kib_per_bank() == pytest.approx(80.0)
 
-    @given(st.floats(min_value=1.0, max_value=8.0))
-    def test_prac_never_undercounts_vs_accounting(self, eact):
-        # With full fractional precision PRAC's counter matches the
-        # exact accounting within one quantum per access.
+    @given(st.integers(min_value=96, max_value=8 * 128))
+    def test_prac_never_undercounts_vs_accounting(self, ton):
+        # With full fractional precision, PRAC under ImPress-P matches
+        # the exact EACT within one quantum per access.
+        timings = default_cycle_timings()
         prac = PracTracker(
             alert_threshold=10_000, rows_per_bank=16, fraction_bits=7
         )
-        exact = AccountingTracker()
+        close = ImpressPScheme([prac], timings).close_kernels()[0]
         for _ in range(10):
-            prac.record(3, weight=eact)
-            exact.record(3, weight=eact)
-        assert prac.count_for(3) >= exact.recorded_for(3) - 10 / 128
+            close(3, 0, ton)
+        exact = 10 * (ton + timings.tPRE) / timings.tRC
+        assert prac.count_for(3) >= exact - 10 / 128
 
 
 class TestPracSecurity:

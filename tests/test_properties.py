@@ -5,10 +5,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.charge import ConservativeLinearModel, TRAS_TRC
-from repro.core.eact import quantize_eact
 from repro.core.mitigation import ImpressNScheme, ImpressPScheme
 from repro.dram.timing import default_cycle_timings
-from repro.security.charge_account import access_tcl
+from repro.security.verifier import replay_pattern
 from repro.trackers.base import AccountingTracker
 from repro.trackers.graphene import GrapheneTracker
 from repro.trackers.mithril import MithrilTracker
@@ -31,7 +30,7 @@ class TestMisraGriesInvariants:
         tracker = GrapheneTracker(entries=entries, internal_threshold=10**9)
         true_counts = {}
         for row in rows:
-            tracker.record(row)
+            tracker.record_unit(row)
             true_counts[row] = true_counts.get(row, 0) + 1
         for row, true in true_counts.items():
             if row in tracker.tracked_rows():
@@ -49,7 +48,7 @@ class TestMisraGriesInvariants:
     def test_mithril_table_never_overflows(self, rows, entries):
         tracker = MithrilTracker(entries=entries)
         for row in rows:
-            tracker.record(row)
+            tracker.record_unit(row)
         assert len(tracker._table) <= entries
 
     @given(
@@ -60,7 +59,7 @@ class TestMisraGriesInvariants:
     def test_mithril_rfm_picks_a_maximum(self, rows):
         tracker = MithrilTracker(entries=4)
         for row in rows:
-            tracker.record(row)
+            tracker.record_unit(row)
         snapshot = dict(tracker._table)
         winner = tracker.on_rfm()
         if winner is not None:
@@ -77,15 +76,11 @@ class TestSchemeConservativeness:
     def test_impress_p_records_within_one_quantum(self, act, extra, rem):
         """ImPress-P's recorded EACT is never more than the true damage
         at alpha=1 and never more than one quantum below it."""
-        tracker = AccountingTracker()
-        scheme = ImpressPScheme([tracker], TIMINGS, fraction_bits=7)
+        scheme = ImpressPScheme([AccountingTracker()], TIMINGS, 7)
         ton = TIMINGS.tRAS + extra * TIMINGS.tRC + rem
-        close = act + ton
-        scheme.on_activate(0, 3, act)
-        scheme.on_row_closed(0, 3, act, close)
-        access = TimedAccess(row=3, act_cycle=act, close_cycle=close)
-        true = access_tcl(access, alpha=1.0, timings=TIMINGS)
-        recorded = tracker.recorded_for(3)
+        access = TimedAccess(row=3, act_cycle=act, close_cycle=act + ton)
+        result = replay_pattern(scheme, [access], 3, 1.0, TIMINGS)
+        true, recorded = result.true_damage, result.recorded_damage
         assert recorded <= true + 1e-9
         assert recorded >= true - 1 / 128 - 1e-9
 
@@ -109,32 +104,32 @@ class TestSchemeConservativeness:
         into the one-window statement; the canonical Fig-10 pattern
         achieves exactly 2.0 (see test_mitigation / test_security).
         """
-        tracker = AccountingTracker()
-        scheme = ImpressNScheme([tracker], TIMINGS)
+        scheme = ImpressNScheme([AccountingTracker()], TIMINGS)
         ton = TIMINGS.tRAS + extra * TIMINGS.tRC + rem
-        close = act + ton
-        scheme.on_activate(0, 3, act)
-        scheme.on_row_closed(0, 3, act, close)
-        access = TimedAccess(row=3, act_cycle=act, close_cycle=close)
-        true = access_tcl(access, alpha=1.0, timings=TIMINGS)
-        recorded = tracker.recorded_for(3)
+        access = TimedAccess(row=3, act_cycle=act, close_cycle=act + ton)
+        result = replay_pattern(scheme, [access], 3, 1.0, TIMINGS)
+        true, recorded = result.true_damage, result.recorded_damage
         slack = (TIMINGS.tRC + TIMINGS.tACT + TIMINGS.tPRE) / TIMINGS.tRC
         assert true <= (1.0 + slack) * recorded + 1e-9
 
 
 class TestModelQuantizationComposition:
     @given(
-        st.floats(min_value=TRAS_TRC, max_value=200.0),
+        st.integers(min_value=TIMINGS.tRAS, max_value=200 * TIMINGS.tRC),
         st.integers(min_value=0, max_value=7),
         st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=100)
-    def test_quantized_eact_bounds_clm(self, ton_trc, bits, alpha):
-        """Quantized EACT at alpha=1 dominates the CLM damage for any
-        alpha <= 1 up to the quantization quantum."""
+    def test_quantized_eact_bounds_clm(self, ton, bits, alpha):
+        """ImPress-P's quantized EACT (alpha=1) dominates the CLM damage
+        for any alpha <= 1 up to the quantization quantum."""
+        assert TIMINGS.tRAS / TIMINGS.tRC == TRAS_TRC
         model = ConservativeLinearModel(alpha=alpha)
-        eact = 1.0 + (ton_trc - TRAS_TRC)
-        recorded = quantize_eact(eact, bits)
+        tracker = AccountingTracker()
+        close = ImpressPScheme([tracker], TIMINGS, bits).close_kernels()[0]
+        close(3, 0, ton)
+        recorded = tracker.recorded_for(3)
+        ton_trc = ton / TIMINGS.tRC
         assert model.tcl_of_open_time(ton_trc) <= recorded + 2.0**-bits + 1e-9
 
 

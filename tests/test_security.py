@@ -9,8 +9,11 @@ from repro.security.charge_account import (
     access_tcl,
     pattern_tcl,
 )
-from repro.security.simulation import run_security_simulation
-from repro.security.verifier import effective_threshold, replay_pattern
+from repro.security.verifier import (
+    effective_threshold,
+    replay_pattern,
+    run_security_simulation,
+)
 from repro.trackers.base import AccountingTracker
 from repro.trackers.graphene import GrapheneTracker
 from repro.workloads.attacks import (
@@ -133,6 +136,29 @@ class TestImpressP:
         accesses = decoy_pattern_accesses(1000, 2000, 16, cyc)
         result = replay_pattern(scheme, accesses, 1000, 1.0, cyc)
         assert result.ratio <= 1.0 + 1e-9
+
+    def test_verifier_runs_the_simulator_kernel(self, cyc, monkeypatch):
+        # Plant a fault in the close kernel the controller binds: it
+        # drops EACT's fraction.  The verifier must see the lost damage.
+        def integer_eact_kernels(scheme):
+            scale = 1 << scheme.fraction_bits
+            trc, tpre = scheme.timings.tRC, scheme.timings.tPRE
+            kernels = []
+            for tracker in scheme.trackers:
+                raw_record = tracker.raw_kernel(scale)
+
+                def kernel(row, act_cycle, close_cycle, raw_record=raw_record):
+                    eact = (close_cycle - act_cycle + tpre) // trc
+                    return raw_record(row, eact * scale)
+
+                kernels.append(kernel)
+            return kernels
+
+        monkeypatch.setattr(
+            ImpressPScheme, "_build_close_kernels", integer_eact_kernels
+        )
+        report = effective_threshold("impress-p", TRH, alpha=1.0, timings=cyc)
+        assert report.relative_threshold < 1.0
 
     def test_unknown_scheme_rejected(self, cyc):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@
 Each tracker is driven by a deterministic seeded activation stream and
 the *exact* sequence of mitigations it emits (record-path mitigations
 and RFM victims, with their step indices) is pinned against
-``tests/data/golden_trackers.json``.  The fixture was captured from the
-pre-kernel-rewrite trackers, so these tests prove the allocation-free
-integer kernels reproduce the old per-call implementations bit for bit.
-Re-pin with ``tools/repin.py``.
+``tests/data/golden_trackers.json``.  The stream drives the kernels the
+mitigation schemes bind (``record_unit`` for unit weights, the
+``raw_kernel`` closure at 7 fraction bits otherwise).  The fixture was
+captured from the pre-kernel-rewrite trackers, so these tests prove the
+allocation-free integer kernels reproduce the old per-call
+implementations bit for bit.  Re-pin with ``tools/repin.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.mitigation import ImpressPScheme
 from repro.trackers.base import AccountingTracker
 from repro.trackers.dsac import DsacLikeTracker
 from repro.trackers.graphene import GrapheneTracker
@@ -33,6 +36,9 @@ STREAM_LENGTH = 4000
 
 #: RFM cadence for the in-DRAM trackers (every N record steps).
 RFM_EVERY = 17
+
+#: Fixed-point scale of the fractional streams (7 fraction bits).
+SCALE = 1 << 7
 
 
 def _stream(seed: int, n_rows: int, fractional: bool):
@@ -58,16 +64,23 @@ def _stream(seed: int, n_rows: int, fractional: bool):
     return events
 
 
-def _replay(tracker, events, use_rfm: bool):
-    """Drive ``tracker`` with ``events``; return the mitigation log.
+def _replay(tracker, events, use_rfm: bool, fractional: bool):
+    """Drive ``tracker``'s kernels with ``events``; return the log.
 
-    The log is a list of ``[step, kind, row]`` entries: ``"m"`` for a
-    record-path mitigation, ``"r"`` for an RFM victim.
+    Unit streams go through ``record_unit``, fractional ones through
+    the raw kernel.  The log is a list of ``[step, kind, row]`` entries:
+    ``"m"`` for a record-path mitigation, ``"r"`` for an RFM victim.
     """
+    raw_kernel = tracker.raw_kernel(SCALE) if fractional else None
     log = []
     for step, (row, weight) in enumerate(events):
-        for victim in tracker.record(row, weight, cycle=step):
-            log.append([step, "m", victim])
+        if raw_kernel is None:
+            fired = tracker.record_unit(row)
+        else:
+            # Weights are exact multiples of 1/128: the raw is lossless.
+            fired = raw_kernel(row, int(weight * SCALE))
+        if fired:
+            log.append([step, "m", row])
         if use_rfm and step % RFM_EVERY == RFM_EVERY - 1:
             victim = tracker.on_rfm(cycle=step)
             if victim is not None:
@@ -141,7 +154,7 @@ def _run_case(name):
     factory, stream_config, use_rfm = CASES[name]
     tracker = factory()
     events = _stream(**stream_config)
-    log = _replay(tracker, events, use_rfm)
+    log = _replay(tracker, events, use_rfm, stream_config["fractional"])
     return {"log": log, "state": _final_state(tracker)}
 
 
@@ -171,41 +184,55 @@ def test_streams_actually_mitigate():
             assert len(data["log"]) > 20, name
 
 
-class TestKernelSurfaceMatchesRecord:
-    """Twin instances — one driven through ``record``, one through the
-    kernel surface — must mitigate identically on the same stream."""
+def _own_scale(tracker):
+    """The scale a tracker's raw kernel takes: its own, or any (7 bits)."""
+    return 1 << getattr(tracker, "fraction_bits", 7)
+
+
+class TestKernelEntryPointsAgree:
+    """Twin instances, each driven through a different kernel entry
+    point, must mitigate identically on the same stream."""
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_raw_kernel_equivalence(self, name):
-        scale = 1 << 7
+    def test_unit_raw_matches_record_unit(self, name):
         factory, stream_config, use_rfm = CASES[name]
-        via_record, via_kernel = factory(), factory()
-        kernel = via_kernel.raw_kernel(scale)
-        if kernel is None:
-            pytest.skip("tracker has no raw kernel at this scale")
-        events = _stream(**stream_config)
-        for step, (row, weight) in enumerate(events):
-            # Weights are exact multiples of 1/128, so the raw
-            # conversion is lossless in both directions.
-            record_count = len(via_record.record(row, weight, cycle=step))
-            kernel_count = kernel(row, int(weight * scale))
-            assert record_count == kernel_count, (name, step)
-            if use_rfm and step % RFM_EVERY == RFM_EVERY - 1:
-                assert via_record.on_rfm(step) == via_kernel.on_rfm(step)
-        assert _final_state(via_record) == _final_state(via_kernel)
-
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_record_unit_equivalence(self, name):
-        factory, stream_config, use_rfm = CASES[name]
-        via_record, via_unit = factory(), factory()
+        via_unit, via_raw = factory(), factory()
+        scale = _own_scale(via_raw)
+        kernel = via_raw.raw_kernel(scale)
         events = _stream(**{**stream_config, "fractional": False})
         for step, (row, _weight) in enumerate(events):
-            record_count = len(via_record.record(row, 1.0, cycle=step))
-            unit_count = via_unit.record_unit(row)
-            assert record_count == unit_count, (name, step)
+            assert via_unit.record_unit(row) == kernel(row, scale), (
+                name,
+                step,
+            )
             if use_rfm and step % RFM_EVERY == RFM_EVERY - 1:
-                assert via_record.on_rfm(step) == via_unit.on_rfm(step)
-        assert _final_state(via_record) == _final_state(via_unit)
+                assert via_unit.on_rfm(step) == via_raw.on_rfm(step)
+        assert _final_state(via_unit) == _final_state(via_raw)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_impress_p_close_matches_raw_kernel(self, name, timings):
+        factory, stream_config, use_rfm = CASES[name]
+        via_raw, via_close = factory(), factory()
+        scale = _own_scale(via_raw)
+        kernel = via_raw.raw_kernel(scale)
+        scheme = ImpressPScheme(
+            [via_close], timings, fraction_bits=scale.bit_length() - 1
+        )
+        close = scheme.close_kernels()[0]
+        # tRC is a multiple of the scale, so a cycle-exact tON gives
+        # every raw weight of the stream exactly.
+        assert timings.tRC % scale == 0
+        cycle = 0
+        events = _stream(**stream_config)
+        for step, (row, weight) in enumerate(events):
+            raw = int(weight * scale)
+            t_on = raw * (timings.tRC // scale) - timings.tPRE
+            fired = close(row, cycle, cycle + t_on)
+            assert fired == kernel(row, raw), (name, step)
+            cycle += t_on + timings.tPRE
+            if use_rfm and step % RFM_EVERY == RFM_EVERY - 1:
+                assert scheme.rfm_kernels()[0](step) == via_raw.on_rfm(step)
+        assert _final_state(via_raw) == _final_state(via_close)
 
 
 def pinned():
