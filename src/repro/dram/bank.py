@@ -1,30 +1,19 @@
 """DRAM bank state machine with JEDEC-style timing enforcement.
 
 Each bank tracks its open row, when it was opened, and the earliest cycles
-at which the next ACT/PRE/column command is legal.  Banks report two events
-to registered observers:
-
-* an activate hook ``(row, cycle)`` — a row was opened;
-* a close hook ``(row, open_cycles, total_cycles)`` — a row finished
-  precharging; ``total_cycles`` includes the precharge time, which is the
-  quantity ImPress-P divides by tRC to obtain EACT (Figure 11).
-
-The bank is a ``__slots__`` class and the hook lists are lazily created:
-the system simulator's controllers dispatch bank activity to trackers
-directly through the mitigation scheme, so in the hot path no hooks are
-registered and ACT/PRE pay no observer-iteration cost at all.  Only the
-invariant monitor (:mod:`repro.security.invariants`) and unit tests
-register hooks.
+at which the next ACT/PRE/column command is legal.  The bank reports no
+events: the memory controller hands each demand ACT and each row close
+to the mitigation scheme's per-bank kernel slots
+(:class:`~repro.memctrl.controller.ChannelController`), and anything that
+observes a run — the batch recorder, the invariant monitor, the
+divergence locator — wraps those slots.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from .timing import CycleTimings
-
-ActivateHook = Callable[[int, int], None]
-CloseHook = Callable[[int, int, int], None]
 
 
 class TimingViolation(RuntimeError):
@@ -47,8 +36,6 @@ class Bank:
         "_ready_act",
         "_ready_pre",
         "_ready_col",
-        "_activate_hooks",
-        "_close_hooks",
     )
 
     def __init__(
@@ -65,20 +52,6 @@ class Bank:
         self._ready_act = 0
         self._ready_pre = 0
         self._ready_col = 0
-        # None until the first observer registers; the common (simulator)
-        # path never registers any, keeping ACT/PRE free of hook loops.
-        self._activate_hooks: Optional[List[ActivateHook]] = None
-        self._close_hooks: Optional[List[CloseHook]] = None
-
-    def add_activate_hook(self, hook: ActivateHook) -> None:
-        if self._activate_hooks is None:
-            self._activate_hooks = []
-        self._activate_hooks.append(hook)
-
-    def add_close_hook(self, hook: CloseHook) -> None:
-        if self._close_hooks is None:
-            self._close_hooks = []
-        self._close_hooks.append(hook)
 
     # -- timing queries -----------------------------------------------
 
@@ -112,9 +85,6 @@ class Bank:
         self._ready_pre = cycle + timings.tRAS
         self._ready_col = cycle + timings.tRCD
         self._ready_act = cycle + timings.tRC
-        if self._activate_hooks is not None:
-            for hook in self._activate_hooks:
-                hook(row, cycle)
 
     def column_access(self, cycle: int) -> int:
         """Issue a RD/WR burst; returns the cycle data is available."""
@@ -135,16 +105,11 @@ class Bank:
             raise TimingViolation(
                 f"bank {self.bank_id}: PRE at {cycle} before {self._ready_pre}"
             )
-        row = self.open_row
         open_cycles = cycle - self.act_cycle
-        total_cycles = open_cycles + self.timings.tPRE
         self.open_row = None
         ready = cycle + self.timings.tPRE
         if ready > self._ready_act:
             self._ready_act = ready
-        if self._close_hooks is not None:
-            for hook in self._close_hooks:
-                hook(row, open_cycles, total_cycles)
         return open_cycles
 
     def block_until(self, cycle: int) -> None:

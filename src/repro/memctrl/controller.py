@@ -22,6 +22,10 @@ Scheduling priority per bank (Section III and the baseline of Table II):
 
 Every row closure is reported to the mitigation scheme, which is how
 ImPress-N earns its window credits and ImPress-P its EACT records.
+The per-bank kernel slots that carry those reports (``_act_kernels``,
+``_close_kernels``, ``_rfm_kernels``) are also the one place anything
+observes a run: the batch recorder, the invariant monitor and the
+divergence locator wrap them.
 
 **Hot-path engineering** (see ``docs/performance.md``): the scheme's
 per-bank activate/close/RFM kernels are hoisted into flat lists at
@@ -159,12 +163,14 @@ class ChannelController:
     # -- helpers ---------------------------------------------------------
 
     def _close_row(self, bank_id: int, cycle: int) -> int:
-        """Precharge the open row; feeds the scheme.  Returns PRE cycle.
+        """Precharge the open row; feeds the bank's close slot.  Returns
+        the PRE cycle.
 
         The precharge arithmetic is inlined (``Bank.precharge`` minus the
         timing assertions — the controller computes ``pre_cycle`` from
-        ``earliest_pre`` itself, so the checks cannot fire); observer
-        hooks still run when a device/test registered any.
+        ``earliest_pre`` itself, so the checks cannot fire).  Every row
+        close reaches ``_close_kernels[bank_id]`` when the slot is set,
+        so an observer that must see each close fills a None slot.
         """
         bank = self.banks[bank_id]
         book = self.state[bank_id]
@@ -175,10 +181,6 @@ class ChannelController:
         ready_act = pre_cycle + self._tPRE
         if ready_act > bank._ready_act:
             bank._ready_act = ready_act
-        if bank._close_hooks is not None:
-            open_cycles = pre_cycle - bank.act_cycle
-            for hook in bank._close_hooks:
-                hook(row, open_cycles, open_cycles + self._tPRE)
         self.counts.precharges += 1
         close_kernel = self._close_kernels[bank_id]
         if close_kernel is not None:
@@ -354,20 +356,18 @@ class ChannelController:
             col_cycle = act_cycle + self._tRCD
             bank._ready_col = col_cycle
             bank._ready_act = act_cycle + self._tRC
-            if bank._activate_hooks is not None:
-                for hook in bank._activate_hooks:
-                    hook(row, act_cycle)
             book.act_cycle = act_cycle
             book.acts_since_rfm += 1
             counts.demand_acts += 1
-            # Looked up per ACT: the batch recorder swaps these slots
-            # after construction.
-            act_kernel = self._act_kernels[bank_id]
-            if act_kernel is not None:
-                book.pending_mitigations += act_kernel(row)
             core_acts = self.core_demand_acts
             core_id = (request >> 1) & CORE_ID_MASK
             core_acts[core_id] = core_acts.get(core_id, 0) + 1
+            # Looked up per ACT: observers (the batch recorder, the
+            # invariant monitor, the divergence locator) swap these
+            # slots after construction and read the ACT's core above.
+            act_kernel = self._act_kernels[bank_id]
+            if act_kernel is not None:
+                book.pending_mitigations += act_kernel(row)
             bank._ready_col = col_cycle + tccd
             data_cycle = col_cycle + self._tCAS
             book.columns_since_act = 1

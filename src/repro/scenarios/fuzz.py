@@ -401,40 +401,34 @@ Act = namedtuple("Act", "cycle row core queue")
 class ActLog:
     """Every demand ACT one simulator issues, per ``(channel, bank)``.
 
-    The controller credits an ACT's core after its activate hook runs,
-    so the core is read off ``core_demand_acts`` at its next ACT or read.
+    Wraps each bank's act slot (a None slot gets a shim returning 0).
+    The controller credits an ACT's core in ``core_demand_acts`` before
+    it calls the slot, so the ACT's core is the one whose count moved.
     """
 
     def __init__(self, sim) -> None:
         self._logs: Dict[Tuple[int, int], List[Act]] = {}
-        # Per controller: [it, latest ACT's bank log, core counts before]
-        self._latest = [[ctl, [], {}] for ctl in sim.controllers]
-        for channel, latest in enumerate(self._latest):
-            for bank, book in enumerate(latest[0].state):
+        for channel, controller in enumerate(sim.controllers):
+            seen: Dict[int, int] = {}
+            slots = controller._act_kernels
+            for bank, book in enumerate(controller.state):
                 log = self._logs[channel, bank] = []
-                latest[0].banks[bank].add_activate_hook(
-                    partial(self._record, latest, log, book)
+                slots[bank] = partial(
+                    self._record, controller.core_demand_acts, seen, log,
+                    book, slots[bank],
                 )
 
     @staticmethod
-    def _settle(controller, log, before) -> None:
-        if log and log[-1].core is None:
-            counts = controller.core_demand_acts
-            log[-1] = log[-1]._replace(core=next(
-                core for core in counts if counts[core] != before.get(core, 0)
-            ))
-
-    def _record(self, latest, log, book, row, cycle) -> None:
-        self._settle(*latest)
-        log.append(Act(cycle, row, None, tuple(
+    def _record(counts, seen, log, book, kernel, row) -> int:
+        core = next(core for core in counts if counts[core] != seen.get(core))
+        seen[core] = counts[core]
+        log.append(Act(book.act_cycle, row, core, tuple(
             (request >> ROW_SHIFT, (request >> 1) & CORE_ID_MASK)
             for request in book.queue
         )))
-        latest[1:] = [log, dict(latest[0].core_demand_acts)]
+        return 0 if kernel is None else kernel(row)
 
     def banks(self) -> Dict[Tuple[int, int], List[Act]]:
-        for latest in self._latest:
-            self._settle(*latest)
         return {key: list(log) for key, log in self._logs.items()}
 
 

@@ -5,11 +5,13 @@ patterns; this module instead watches a live simulation and flags the
 first moment a defense's guarantee is broken.  An
 :class:`InvariantMonitor` attaches to either engine
 (:class:`~repro.sim.system.SystemSimulator` or
-:class:`~repro.sim.reference.ReferenceSimulator`) through the banks'
-lazy observer hooks and the controllers' kernel dispatch lists — both of
-which cost nothing when no monitor is attached, so default runs are
-unaffected (perfbench's ``paper_quick``, ``attack_sweep`` and
-``serve_mix`` workloads time default runs, hooks detached).
+:class:`~repro.sim.reference.ReferenceSimulator`) by wrapping the
+controllers' per-bank kernel slots: each act slot counts the
+mitigations it fires, and each close slot — a None one included, so
+every row close is seen — runs the per-closure checks below before the
+real kernel.  Nothing is wrapped until a monitor attaches, so default
+runs are unaffected (perfbench's ``paper_quick``, ``attack_sweep`` and
+``serve_mix`` workloads time default runs, monitor detached).
 
 Invariants checked:
 
@@ -106,8 +108,8 @@ class InvariantMonitor:
     ``run_until`` steps.  Call :meth:`checkpoint` periodically — it
     polls the checkpoint-scoped invariants and stamps subsequent
     violations with its cycle.  Detached simulators
-    pay nothing: the bank hooks and kernel wrappers only exist once a
-    monitor attaches.
+    pay nothing: the kernel-slot wrappers only exist once a monitor
+    attaches.
     """
 
     def __init__(
@@ -127,7 +129,7 @@ class InvariantMonitor:
     # -- wiring -----------------------------------------------------------
 
     def attach(self, sim, tmro_ns: Optional[float] = None) -> "InvariantMonitor":
-        """Hook into ``sim``'s banks and kernel tables.
+        """Wrap ``sim``'s per-bank act and close kernel slots.
 
         ``tmro_ns`` overrides the defense-derived intended tMRO for
         simulators constructed with an explicit ``tmro_ns`` argument
@@ -209,6 +211,43 @@ class InvariantMonitor:
 
         self._violate = violate
 
+        def counting(kernel, ledger):
+            def counted(row: int) -> int:
+                fired = kernel(row)
+                ledger.produced += fired
+                return fired
+
+            return counted
+
+        def checking(kernel, ledger, channel, bank_id):
+            def checked(row: int, act: int, close: int) -> int:
+                open_cycles = close - act
+                self.closures_checked += 1
+                if deadline is not None and open_cycles > deadline:
+                    violate(
+                        "tmro-deadline", close, channel, bank_id,
+                        f"row {row} open {open_cycles} cycles, "
+                        f"intended tMRO {intended_tmro} "
+                        f"(+{self.tmro_slack_cycles} slack)",
+                    )
+                if bound is not None:
+                    true_damage = tcl(open_cycles / trc)
+                    recorded_damage = recorded(act, close)
+                    if true_damage > bound * recorded_damage + _EPS:
+                        violate(
+                            "damage-ratio", close, channel, bank_id,
+                            f"row {row}: true damage "
+                            f"{true_damage:.4f} exceeds {bound:.4f}x "
+                            f"recorded {recorded_damage:.4f}",
+                        )
+                if kernel is None:
+                    return 0
+                fired = kernel(row, act, close)
+                ledger.produced += fired
+                return fired
+
+            return checked
+
         for channel, controller in enumerate(sim.controllers):
             ledger = _ControllerLedger(controller)
             self._ledgers.append(ledger)
@@ -218,53 +257,14 @@ class InvariantMonitor:
                     for sched in controller.refresh
                 ]
             )
-            for bank_id, bank in enumerate(controller.banks):
-
-                def on_close(
-                    row: int,
-                    open_cycles: int,
-                    total_cycles: int,
-                    bank=bank,
-                    channel=channel,
-                    bank_id=bank_id,
-                ) -> None:
-                    act = bank.act_cycle
-                    close = act + open_cycles
-                    self.closures_checked += 1
-                    if deadline is not None and open_cycles > deadline:
-                        violate(
-                            "tmro-deadline", close, channel, bank_id,
-                            f"row {row} open {open_cycles} cycles, "
-                            f"intended tMRO {intended_tmro} "
-                            f"(+{self.tmro_slack_cycles} slack)",
-                        )
-                    if bound is not None:
-                        true_damage = tcl(open_cycles / trc)
-                        recorded_damage = recorded(act, close)
-                        if true_damage > bound * recorded_damage + _EPS:
-                            violate(
-                                "damage-ratio", close, channel, bank_id,
-                                f"row {row}: true damage "
-                                f"{true_damage:.4f} exceeds {bound:.4f}x "
-                                f"recorded {recorded_damage:.4f}",
-                            )
-
-                bank.add_close_hook(on_close)
-
-            def counting(kernel, ledger=ledger):
-                def counted(*args) -> int:
-                    fired = kernel(*args)
-                    ledger.produced += fired
-                    return fired
-
-                return counted
-
-            for i, kernel in enumerate(controller._act_kernels):
-                if kernel is not None:
-                    controller._act_kernels[i] = counting(kernel)
-            for i, kernel in enumerate(controller._close_kernels):
-                if kernel is not None:
-                    controller._close_kernels[i] = counting(kernel)
+            acts = controller._act_kernels
+            closes = controller._close_kernels
+            for bank_id in range(controller.num_banks):
+                if acts[bank_id] is not None:
+                    acts[bank_id] = counting(acts[bank_id], ledger)
+                closes[bank_id] = checking(
+                    closes[bank_id], ledger, channel, bank_id
+                )
         return self
 
     # -- checkpoint-scoped checks ----------------------------------------

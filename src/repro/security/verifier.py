@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Iterable,
     Iterator,
     List,
@@ -60,8 +59,6 @@ from ..workloads.attacks import (
     row_press_accesses,
 )
 from .charge_account import VictimChargeState, access_tcl
-
-SchemeFactory = Callable[[AccountingTracker, CycleTimings], MitigationScheme]
 
 
 @dataclass(frozen=True)

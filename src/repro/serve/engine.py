@@ -271,11 +271,6 @@ class RequestEngine:
             return "pending", None
         return "unknown", None
 
-    def inflight_keys(self) -> List[str]:
-        """Content keys currently executing (sorted)."""
-        with self._lock:
-            return sorted(self._inflight)
-
     def status(self) -> Dict[str, Any]:
         """The ``/status`` document: every robustness dial at once."""
         with self._lock:

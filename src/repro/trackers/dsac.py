@@ -82,18 +82,20 @@ class DsacLikeTracker(Tracker):
     def raw_kernel(self, scale: int) -> Optional[RawRecordKernel]:
         """Kernel taking the open time as a raw ``1/scale`` fixed-point.
 
-        The open time (in tRC units) is re-weighed logarithmically,
-        reproducing the underestimation the paper's Section VII critique
-        exploits.  Any power-of-two scale works: the kernel reconstructs
-        the exact float open time (``raw / scale`` is exact) first.
+        The open time (in tRC units), clamped at one tRC, is re-weighed
+        by :func:`dsac_weight`, reproducing the underestimation the
+        paper's Section VII critique exploits.  Any power-of-two scale
+        works: the kernel reconstructs the exact float open time
+        (``raw / scale`` is exact) first.
         """
         update = self._update
+        weight = dsac_weight
 
         def _kernel(row: int, raw: int) -> int:
             ton_trc = raw / scale
             if ton_trc < 1.0:
                 ton_trc = 1.0
-            return update(row, int(1.0 + _log2(ton_trc) * (7.0 / 8.0)))
+            return update(row, int(weight(ton_trc)))
 
         return _kernel
 

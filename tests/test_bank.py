@@ -29,12 +29,6 @@ class TestActivate:
             bank.activate(6, timings.tRC - 1)
         bank.activate(6, timings.tRC)
 
-    def test_hook_fires(self, bank):
-        seen = []
-        bank.add_activate_hook(lambda row, cycle: seen.append((row, cycle)))
-        bank.activate(9, 3)
-        assert seen == [(9, 3)]
-
 
 class TestPrecharge:
     def test_enforces_tras(self, bank, timings):
@@ -46,15 +40,6 @@ class TestPrecharge:
     def test_rejects_closed(self, bank):
         with pytest.raises(TimingViolation):
             bank.precharge(100)
-
-    def test_close_hook_reports_total_time(self, bank, timings):
-        seen = []
-        bank.add_close_hook(
-            lambda row, open_c, total_c: seen.append((row, open_c, total_c))
-        )
-        bank.activate(5, 0)
-        bank.precharge(timings.tRAS)
-        assert seen == [(5, timings.tRAS, timings.tRAS + timings.tPRE)]
 
     def test_minimum_access_is_one_trc(self, bank, timings):
         # tRAS + tPRE == tRC: a minimal access is exactly one EACT.

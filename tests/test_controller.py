@@ -294,25 +294,30 @@ class TestEngineRequestPath:
             engine(system, [Trace([])] * system.n_cores)
 
     @staticmethod
-    def _hooked_run(engine, defense):
-        """One run with an ACT and a close hook on every bank; returns
-        the per-bank hook logs and the result."""
+    def _observed_run(engine, defense):
+        """One run with a logging shim in every bank's act and close
+        slot (a None slot gets one that returns 0); returns the per-bank
+        logs and the result."""
         sim = build_simulator(
             SystemConfig(n_cores=2, banks_per_channel=8), "mcf", defense,
             n_requests=300, engine=engine,
         )
         logs = []
         for controller in sim.controllers:
-            for bank in controller.banks:
+            acts, closes = controller._act_kernels, controller._close_kernels
+            for bank, book in enumerate(controller.state):
                 log = []
-                bank.add_activate_hook(
-                    lambda row, cycle, log=log: log.append(("act", row, cycle))
-                )
-                bank.add_close_hook(
-                    lambda row, open_cycles, total, log=log: log.append(
-                        ("close", row, open_cycles, total)
-                    )
-                )
+
+                def act(row, log=log, book=book, kernel=acts[bank]):
+                    log.append(("act", row, book.act_cycle))
+                    return kernel(row) if kernel else 0
+
+                def close(row, act_cycle, pre_cycle, log=log,
+                          kernel=closes[bank]):
+                    log.append(("close", row, act_cycle, pre_cycle))
+                    return kernel(row, act_cycle, pre_cycle) if kernel else 0
+
+                acts[bank], closes[bank] = act, close
                 logs.append(log)
         return logs, sim.run()
 
@@ -320,14 +325,16 @@ class TestEngineRequestPath:
         DefenseConfig(tracker="graphene", scheme="impress-p"),
         DefenseConfig(tracker="para", scheme="no-rp", trh=100),
     ])
-    def test_bank_hooks_fire_alike_in_both_engines(self, defense):
-        """Every demand ACT and every close reaches the bank's hooks, in
-        the same order and with the same arguments in both engines."""
-        fast_logs, fast = self._hooked_run("fast", defense)
-        ref_logs, ref = self._hooked_run("reference", defense)
+    def test_kernel_slots_see_alike_in_both_engines(self, defense):
+        """Every demand ACT and every close reaches the bank's kernel
+        slots, in the same order and with the same arguments in both
+        engines — including a no-rp close slot that starts as None."""
+        fast_logs, fast = self._observed_run("fast", defense)
+        ref_logs, ref = self._observed_run("reference", defense)
         assert fast_logs == ref_logs
         for logs, result in ((fast_logs, fast), (ref_logs, ref)):
             acts = sum(entry[0] == "act" for log in logs for entry in log)
-            assert acts == result.counts.demand_acts > 0
+            closes = sum(entry[0] == "close" for log in logs for entry in log)
+            assert acts == closes == result.counts.demand_acts > 0
         if defense.tracker == "para":
             assert fast.counts.mitigative_acts > 0

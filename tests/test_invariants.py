@@ -5,8 +5,8 @@ Three contracts:
 * **No false positives** — every defense in the equivalence matrix,
   including attack traffic, runs violation-free under the monitor.
 * **No perturbation** — a monitored run's SimResult is bit-identical to
-  an unmonitored one, and an unmonitored simulator carries no hooks at
-  all (the zero-cost-when-disabled guarantee).
+  an unmonitored one, and an unmonitored simulator's kernel slots hold
+  the kernels it was built with (the zero-cost-when-disabled guarantee).
 * **True positives** — the planted ``lax-tmro`` fault trips the
   ``tmro-deadline`` invariant; tampering with conservation or refresh
   state trips their checks.
@@ -136,18 +136,41 @@ class TestNonPerturbation:
         assert monitored.to_json() == straight.to_json()
         assert monitor.last_checkpoint_cycle == straight.elapsed_cycles
 
-    def test_unmonitored_simulator_has_no_hooks(self):
+    def test_unmonitored_simulator_keeps_its_kernels(self):
         system = SystemConfig(n_cores=2, banks_per_channel=8)
         traces = rate_mode_traces("mcf", 2, 40, seed=0)
         sim = SystemSimulator(
             system, traces, DefenseConfig(tracker="graphene",
                                           scheme="impress-p")
         )
+
+        def slots():
+            return [
+                kernel
+                for controller in sim.controllers
+                for name in ("_act_kernels", "_close_kernels", "_rfm_kernels")
+                for kernel in getattr(controller, name)
+            ]
+
+        built = slots()
         sim.run()
-        for controller in sim.controllers:
-            for bank in controller.banks:
-                assert bank._close_hooks is None
-                assert bank._activate_hooks is None
+        assert list(map(id, slots())) == list(map(id, built))
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize(
+        "scheme", ["no-rp", "express", "impress-n", "impress-p"]
+    )
+    def test_every_closure_is_checked(self, engine, scheme):
+        """The monitor's close slot sees one closure per demand ACT,
+        None slots (No-RP, ExPress) included."""
+        sim = build_simulator(
+            SystemConfig(n_cores=2, banks_per_channel=8), "mcf",
+            DefenseConfig(tracker="graphene", scheme=scheme),
+            n_requests=REQUESTS, engine=engine,
+        )
+        result, monitor = monitored_run(sim, checkpoint_cycles=7_000)
+        assert monitor.ok, [v.describe() for v in monitor.violations]
+        assert monitor.closures_checked == result.counts.demand_acts > 0
 
     def test_double_attach_rejected(self):
         system = SystemConfig(n_cores=1, banks_per_channel=4)

@@ -28,7 +28,7 @@ class TestRows:
         assert list(microbench.ROWS) == [
             "ukernel_graphene", "ukernel_para", "ukernel_mithril",
             "ukernel_mint", "ukernel_prac", "ukernel_dsac",
-            "single_core", "single_core_reference",
+            "single_core", "single_core_reference", "single_core_monitored",
             "tracker_grid_serial", "tracker_grid_batch",
         ]
 

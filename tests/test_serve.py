@@ -334,7 +334,7 @@ class TestReplay:
         assert engine.replay_journal() == 1
         assert engine.stats.replayed == 1
         deadline = time.monotonic() + 60.0
-        while engine.inflight_keys() and time.monotonic() < deadline:
+        while engine.status()["inflight"] and time.monotonic() < deadline:
             time.sleep(0.01)
         assert store.get(key) is not None
         assert journal.depth() == 0

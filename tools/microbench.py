@@ -4,7 +4,8 @@
 perfbench (``BENCHMARK.json``) times four workloads end to end.  This
 script times what those cannot show one by one: each tracker's record
 kernel alone (``ukernel_*``), the fast engine against the reference
-engine (``single_core`` / ``single_core_reference``), and the batch
+engine (``single_core`` / ``single_core_reference``), the invariant
+monitor's per-close path (``single_core_monitored``), and the batch
 tier against per-point runs on one defense grid
 (``tracker_grid_serial`` / ``tracker_grid_batch``)::
 
@@ -141,6 +142,27 @@ def single_core_row(engine: str, requests: int = PAIR_REQUESTS) -> TimedPass:
     return timed_pass
 
 
+def single_core_monitored_row(requests: int = PAIR_REQUESTS) -> TimedPass:
+    """``mcf`` on one core under ExPress, through ``monitored_run``.
+
+    ExPress's close slots start as None, so every row close runs the
+    invariant monitor's close shim alone.  Work is simulated DRAM
+    cycles.
+    """
+    from repro.security.invariants import monitored_run
+    from repro.sim.config import DefenseConfig, SystemConfig
+    from repro.sim.system import build_simulator
+
+    system = SystemConfig(n_cores=1)
+    defense = DefenseConfig(tracker="graphene", scheme="express")
+
+    def timed_pass() -> int:
+        sim = build_simulator(system, "mcf", defense, None, requests, 0)
+        return monitored_run(sim)[0].elapsed_cycles
+
+    return timed_pass
+
+
 def grid_defenses() -> list:
     """The pinned 16-lane defense grid of the serial/batch pair.
 
@@ -221,6 +243,7 @@ ROWS: Dict[str, Callable[..., TimedPass]] = {
     },
     "single_core": functools.partial(single_core_row, "fast"),
     "single_core_reference": functools.partial(single_core_row, "reference"),
+    "single_core_monitored": single_core_monitored_row,
     "tracker_grid_serial": functools.partial(grid_row, False),
     "tracker_grid_batch": functools.partial(grid_row, True),
 }
