@@ -811,10 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--requests", type=int, default=1000)
     simulate.add_argument(
         "--engine", choices=ENGINE_NAMES, default="fast",
-        help="engine tier: the pinned reference loop, the fast event "
-             "engine (default), or the batch tier (a single point "
-             "degenerates to one fast run; scenario presets always use "
-             "the fast engine)",
+        help="engine tier: the pinned reference loop or the fast event "
+             "engine (default; scenario presets always use the fast "
+             "engine)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 

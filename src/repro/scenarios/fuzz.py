@@ -508,6 +508,7 @@ class ShrinkResult:
     n_requests: int
     steps: Tuple[str, ...]
     evaluations: int
+    outcome: CheckOutcome   # the check of ``spec`` at ``n_requests``
 
 
 def _simplified_attacker(source: AttackerSource) -> AttackerSource:
@@ -523,7 +524,7 @@ def _simplified_attacker(source: AttackerSource) -> AttackerSource:
 
 def shrink(
     spec: ScenarioSpec,
-    signature: Tuple[str, ...],
+    outcome: CheckOutcome,
     n_requests: int = DEFAULT_FUZZ_REQUESTS,
     seed: int = 0,
     checkpoint_cycles: int = 50_000,
@@ -531,9 +532,11 @@ def shrink(
 ) -> ShrinkResult:
     """Greedily minimize a failing candidate, preserving its signature.
 
-    Each pass proposes a strictly smaller candidate and keeps it only
-    if re-checking still yields exactly ``signature``; passes repeat
-    until a fixpoint (or the evaluation budget runs out).  Passes, in
+    ``outcome`` is the failing check of ``spec``.  Each pass proposes a
+    strictly smaller candidate and keeps it only if re-checking still
+    yields exactly ``outcome.signature``; passes repeat until a fixpoint
+    (or the evaluation budget runs out).  The result carries the check
+    of the candidate kept last, so the caller never re-runs it.  Passes, in
     order: halve ``n_requests``, idle cores one by one, drop trailing
     idle cores (shrinking ``n_cores``), simplify attacker sources
     (phased → first phase, tuned parameters → defaults), and clamp the
@@ -541,16 +544,20 @@ def shrink(
     """
     evaluations = 0
     steps: List[str] = []
+    signature = outcome.signature
 
     def still_fails(candidate: ScenarioSpec, candidate_requests: int) -> bool:
-        nonlocal evaluations
+        nonlocal evaluations, outcome
         if evaluations >= max_evaluations:
             return False
         evaluations += 1
-        outcome = check_scenario(
+        checked = check_scenario(
             candidate, candidate_requests, seed, checkpoint_cycles
         )
-        return outcome.signature == signature
+        if checked.signature != signature:
+            return False
+        outcome = checked
+        return True
 
     changed = True
     while changed and evaluations < max_evaluations:
@@ -633,6 +640,7 @@ def shrink(
         n_requests=n_requests,
         steps=tuple(steps),
         evaluations=evaluations,
+        outcome=outcome,
     )
 
 
@@ -793,22 +801,19 @@ def fuzz(
         if outcome.ok:
             continue
         shrunk = shrink(
-            spec, outcome.signature, n_requests, seed,
+            spec, outcome, n_requests, seed,
             checkpoint_cycles=checkpoint_cycles,
             max_evaluations=max_shrink_evaluations,
-        )
-        final = check_scenario(
-            shrunk.spec, shrunk.n_requests, seed, checkpoint_cycles
         )
         failure = FuzzFailure(
             candidate=candidate,
             spec=shrunk.spec,
             n_requests=shrunk.n_requests,
             seed=seed,
-            signature=final.signature,
-            violations=final.violations,
+            signature=shrunk.outcome.signature,
+            violations=shrunk.outcome.violations,
             first_divergence=_locate(
-                shrunk.spec, shrunk.n_requests, seed, final
+                shrunk.spec, shrunk.n_requests, seed, shrunk.outcome
             ),
             shrink_steps=shrunk.steps,
             shrink_evaluations=shrunk.evaluations,

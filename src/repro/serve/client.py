@@ -62,7 +62,7 @@ class RequestOutcome:
     """A completed request plus the effort it took."""
 
     key: str
-    payload: str
+    payload: Dict[str, Any]
     source: str          # "hit" | "coalesced" | "accepted" | "poll"
     submits: int = 0     # POST /request round trips
     polls: int = 0       # GET /result round trips
@@ -172,7 +172,7 @@ class ServeClient:
         eat the whole budget.
         """
         started = time.monotonic()
-        outcome = RequestOutcome(key="", payload="", source="")
+        outcome = RequestOutcome(key="", payload={}, source="")
         key: Optional[str] = None
         errors = 0
 

@@ -36,7 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..distrib.queue import FileWorkQueue
+from ..distrib.queue import FileWorkQueue, atomic_write_json
 from ..distrib.worker import TASK_KIND, sweep_task_recipe
 from ..results.store import store_for
 from ..scenarios.spec import spec_from_recipe
@@ -145,15 +145,13 @@ class ServeDaemon:
 
         path = endpoint_path(self.results_dir)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({
+        atomic_write_json(path, {
             "version": SERVE_VERSION,
             "host": self.address[0],
             "port": self.address[1],
             "pid": os.getpid(),
             "started_at": time.time(),
-        }, indent=2) + "\n")
-        os.replace(tmp, path)
+        })
 
     def serve_in_thread(self) -> threading.Thread:
         """Serve from a background thread (the in-process test mode)."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.mitigation import (
+    SCHEME_NAMES,
     ExpressScheme,
     ImpressNScheme,
     ImpressPScheme,
@@ -46,7 +47,6 @@ TRACKER_NAMES = (
 #: concrete DDR5 deployment would use
 #: :data:`repro.trackers.prac.DEFAULT_ROWS_PER_BANK`.
 PRAC_SIM_ROWS_PER_BANK = 1 << 26
-SCHEME_NAMES = ("no-rp", "express", "impress-n", "impress-p")
 
 #: ExPress's default tMRO in the paper's scheme comparisons: tRAS + tRC
 #: (Section VI-C), which pins its T* to the same value as ImPress-N.

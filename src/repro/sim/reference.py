@@ -2,8 +2,12 @@
 
 This is a frozen copy of the pre-optimization :class:`SystemSimulator`
 event loop (per-request address mapping, one heap entry per wakeup with
-a global sequence counter, no bank-wakeup deduplication).  It exists for
-two reasons:
+a global sequence counter, no bank-wakeup deduplication).  Only the
+loop is frozen: the controller wiring, the core state and the
+:class:`~repro.sim.stats.SimResult` collection are the shell both
+engines share (:mod:`repro.sim.core`), so the oracle and the fast
+engine differ in event order and nothing else.  It exists for two
+reasons:
 
 * **Equivalence testing** — ``tests/test_engine_equivalence.py`` runs
   seeded workloads through both engines and asserts the
@@ -20,85 +24,23 @@ correct formulation.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from ..core.mitigation import MitigationScheme
-from ..dram.commands import CommandCounts
-from ..memctrl.controller import ChannelController
-from ..memctrl.request import CORE_ID_BITS, CORE_ID_MASK, pack_request
-from ..workloads.trace import Trace
-from .config import DefenseConfig, SystemConfig
-from .core import CoreState
-from .stats import SimResult
-
-#: Retry delay when a core finds its target bank queue full (must match
-#: the optimized engine's value for equivalence to hold).
-QUEUE_RETRY_CYCLES = 16
-
-EVENT_CORE = 0
-EVENT_BANK = 1
-EVENT_DONE = 2
+from ..memctrl.request import pack_request
+from .core import (
+    EVENT_BANK,
+    EVENT_CORE,
+    EVENT_DONE,
+    QUEUE_RETRY_CYCLES,
+    CoreState,
+    _EngineShell,
+)
 
 
-class ReferenceSimulator:
+class ReferenceSimulator(_EngineShell):
     """The original event loop, preserved verbatim for equivalence runs."""
 
-    __slots__ = (
-        "system", "defense", "mapper", "controllers", "cores",
-        "_heap", "_seq", "_now", "_started", "_remaining", "_pending_done",
-    )
-
-    def __init__(
-        self,
-        system: SystemConfig,
-        traces: Sequence[Trace],
-        defense: Optional[DefenseConfig] = None,
-        tmro_ns: Optional[float] = None,
-    ) -> None:
-        if len(traces) != system.n_cores:
-            raise ValueError("need one trace per core")
-        if system.n_cores > CORE_ID_MASK:
-            raise ValueError(
-                f"n_cores {system.n_cores} exceeds the {CORE_ID_BITS}-bit "
-                "core-id field"
-            )
-        self.system = system
-        self.defense = defense or DefenseConfig()
-        self.mapper = system.mapper()
-        timings = system.timings
-        tmro_cycles = (
-            timings.clock.cycles(tmro_ns) if tmro_ns is not None else None
-        )
-        self.controllers: List[ChannelController] = []
-        for _channel in range(system.channels):
-            scheme: MitigationScheme = self.defense.build_scheme(
-                timings, system.banks_per_channel
-            )
-            self.controllers.append(
-                ChannelController(
-                    timings=timings,
-                    num_banks=system.banks_per_channel,
-                    scheme=scheme,
-                    use_rfm=self.defense.uses_rfm,
-                    rfmth=self.defense.effective_rfmth(),
-                    tmro_cycles=tmro_cycles
-                    if tmro_cycles is not None
-                    else self.defense.express_tmro_cycles(timings),
-                    mop_burst_lines=system.mop_burst_lines,
-                    idle_close_cycles=system.idle_close_cycles,
-                )
-            )
-        self.cores = [
-            CoreState(core_id=i, trace=trace, mlp=system.mlp)
-            for i, trace in enumerate(traces)
-        ]
-        self._heap: List = []
-        # Only the relative order of sequence numbers matters.
-        self._seq = 0
-        self._now = 0
-        self._started = False
-        self._remaining = 0
-        self._pending_done = 0
+    __slots__ = ()
 
     # -- event plumbing ---------------------------------------------------
 
@@ -154,20 +96,6 @@ class ReferenceSimulator:
             self._push(first_gap, EVENT_CORE, core.core_id)
         self._remaining = sum(len(core.trace) for core in self.cores)
 
-    @property
-    def now(self) -> int:
-        """Cycle of the most recently processed event."""
-        return self._now
-
-    @property
-    def done(self) -> bool:
-        """True once every request has been issued and retired."""
-        return (
-            self._started
-            and self._remaining == 0
-            and self._pending_done == 0
-        )
-
     def run_until(
         self,
         stop_cycle: Optional[int] = None,
@@ -221,46 +149,3 @@ class ReferenceSimulator:
         self._remaining = remaining
         self._pending_done = pending_done
         return remaining == 0 and pending_done == 0
-
-    def run(self, max_cycles: int = 1 << 34) -> SimResult:
-        """Run every core's trace to completion; returns the SimResult."""
-        self.run_until(None, max_cycles)
-        if self._remaining > 0:
-            raise RuntimeError("event heap drained with work remaining")
-        return self.finish()
-
-    def finish(self) -> SimResult:
-        """Flush open rows and collect the result (run must be done)."""
-        end_cycle = self._now
-        for controller in self.controllers:
-            controller.flush_open_rows(end_cycle + 1)
-        return self._collect(end_cycle)
-
-    def _collect(self, end_cycle: int) -> SimResult:
-        counts = CommandCounts()
-        hits = misses = conflicts = rfm_mitigations = tmro_closures = 0
-        core_acts = [0] * len(self.cores)
-        for controller in self.controllers:
-            counts = counts.merged_with(controller.counts)
-            hits += controller.row_hits
-            misses += controller.row_misses
-            conflicts += controller.row_conflicts
-            rfm_mitigations += controller.rfm_mitigations
-            tmro_closures += controller.tmro_closures
-            for core_id, acts in controller.core_demand_acts.items():
-                core_acts[core_id] += acts
-        return SimResult(
-            elapsed_cycles=end_cycle,
-            core_cycles=[
-                core.finish_cycle if core.finish_cycle is not None else end_cycle
-                for core in self.cores
-            ],
-            core_requests=[core.retired for core in self.cores],
-            counts=counts,
-            row_hits=hits,
-            row_misses=misses,
-            row_conflicts=conflicts,
-            rfm_mitigations=rfm_mitigations,
-            tmro_closures=tmro_closures,
-            core_demand_acts=core_acts,
-        )

@@ -1,8 +1,9 @@
 """Discrete-event system simulator: cores -> controllers -> banks.
 
-Wires the trace-driven cores to one :class:`ChannelController` per
-channel and runs an event loop at DRAM-clock granularity.  Three event
-kinds circulate:
+The fast engine: an event loop at DRAM-clock granularity over the
+shell both engines share (:mod:`repro.sim.core`), which wires the
+trace-driven cores to one :class:`ChannelController` per channel and
+collects the result.  Three event kinds circulate:
 
 * ``core`` — a core tries to issue its next request;
 * ``bank`` — a bank may have work (demand, refresh, RFM, mitigation);
@@ -46,22 +47,20 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence
 
-from ..core.mitigation import MitigationScheme
-from ..dram.commands import CommandCounts
-from ..memctrl.controller import BANK_QUEUE_CAPACITY, ChannelController
-from ..memctrl.request import CORE_ID_BITS, CORE_ID_MASK, ROW_SHIFT
+from ..memctrl.controller import BANK_QUEUE_CAPACITY
+from ..memctrl.request import CORE_ID_BITS, ROW_SHIFT
 from ..workloads.compiled import CompiledTrace, compile_traces, mapper_key
 from ..workloads.trace import Trace
 from .config import DefenseConfig, SystemConfig
-from .core import CoreState
+from .core import (
+    EVENT_BANK,
+    EVENT_CORE,
+    EVENT_DONE,
+    QUEUE_RETRY_CYCLES,
+    CoreState,
+    _EngineShell,
+)
 from .stats import SimResult
-
-#: Retry delay when a core finds its target bank queue full.
-QUEUE_RETRY_CYCLES = 16
-
-EVENT_CORE = 0
-EVENT_BANK = 1
-EVENT_DONE = 2
 
 # Packed-event layout, most-significant first: cycle | seq | kind | payload.
 # Heap order on the packed int therefore equals order on the old
@@ -82,14 +81,12 @@ _DONE_TAG = EVENT_DONE << _KIND_SHIFT
 _NO_STOP = 1 << 120
 
 
-class SystemSimulator:
+class SystemSimulator(_EngineShell):
     """One simulation run of traces against a defense configuration."""
 
     __slots__ = (
-        "system", "defense", "mapper", "controllers", "cores",
-        "_compiled", "_heap", "_seq", "_now", "_started", "_remaining",
-        "_pending_done", "_bank_wake", "_bank_ctrls", "_local_banks",
-        "_books", "_issue_arrays",
+        "_compiled", "_bank_wake", "_bank_ctrls", "_local_banks", "_books",
+        "_issue_arrays",
     )
 
     def __init__(
@@ -111,16 +108,7 @@ class SystemSimulator:
             raise ValueError(
                 "compiled traces do not correspond to the traces argument"
             )
-        if len(traces) != system.n_cores:
-            raise ValueError("need one trace per core")
-        if system.n_cores > CORE_ID_MASK:
-            raise ValueError(
-                f"n_cores {system.n_cores} exceeds the {CORE_ID_BITS}-bit "
-                "core-id field"
-            )
-        self.system = system
-        self.defense = defense or DefenseConfig()
-        self.mapper = system.mapper()
+        super().__init__(system, traces, defense, tmro_ns)
         if compiled is None:
             compiled = compile_traces(traces, self.mapper)
         elif any(
@@ -133,39 +121,6 @@ class SystemSimulator:
         if total_banks > _PAYLOAD_MASK:
             raise ValueError("bank count exceeds event payload range")
         self._compiled: List[CompiledTrace] = list(compiled)
-        timings = system.timings
-        tmro_cycles = (
-            timings.clock.cycles(tmro_ns) if tmro_ns is not None else None
-        )
-        self.controllers: List[ChannelController] = []
-        for _channel in range(system.channels):
-            scheme: MitigationScheme = self.defense.build_scheme(
-                timings, system.banks_per_channel
-            )
-            self.controllers.append(
-                ChannelController(
-                    timings=timings,
-                    num_banks=system.banks_per_channel,
-                    scheme=scheme,
-                    use_rfm=self.defense.uses_rfm,
-                    rfmth=self.defense.effective_rfmth(),
-                    tmro_cycles=tmro_cycles
-                    if tmro_cycles is not None
-                    else self.defense.express_tmro_cycles(timings),
-                    mop_burst_lines=system.mop_burst_lines,
-                    idle_close_cycles=system.idle_close_cycles,
-                )
-            )
-        self.cores = [
-            CoreState(core_id=i, trace=trace, mlp=system.mlp)
-            for i, trace in enumerate(traces)
-        ]
-        self._heap: List[int] = []
-        self._seq = 0
-        self._now = 0
-        self._started = False
-        self._remaining = 0
-        self._pending_done = 0
         #: Cycle of each bank's single live heap entry, -1 when none.
         self._bank_wake: List[int] = [-1] * total_banks
         # Flat-bank dispatch tables: the event loop indexes a controller
@@ -264,20 +219,6 @@ class SystemSimulator:
             )
         self._remaining = sum(len(core.trace) for core in self.cores)
 
-    @property
-    def now(self) -> int:
-        """Cycle of the most recently processed event."""
-        return self._now
-
-    @property
-    def done(self) -> bool:
-        """True once every request has been issued and retired."""
-        return (
-            self._started
-            and self._remaining == 0
-            and self._pending_done == 0
-        )
-
     def run_until(
         self,
         stop_cycle: Optional[int] = None,
@@ -374,52 +315,9 @@ class SystemSimulator:
         self._pending_done = pending_done
         return remaining == 0 and pending_done == 0
 
-    def run(self, max_cycles: int = 1 << 34) -> SimResult:
-        """Run every core's trace to completion; returns the SimResult."""
-        self.run_until(None, max_cycles)
-        if self._remaining > 0:
-            raise RuntimeError("event heap drained with work remaining")
-        return self.finish()
 
-    def finish(self) -> SimResult:
-        """Flush open rows and collect the result (run must be done)."""
-        end_cycle = self._now
-        for controller in self.controllers:
-            controller.flush_open_rows(end_cycle + 1)
-        return self._collect(end_cycle)
-
-    def _collect(self, end_cycle: int) -> SimResult:
-        counts = CommandCounts()
-        hits = misses = conflicts = rfm_mitigations = tmro_closures = 0
-        core_acts = [0] * len(self.cores)
-        for controller in self.controllers:
-            counts = counts.merged_with(controller.counts)
-            hits += controller.row_hits
-            misses += controller.row_misses
-            conflicts += controller.row_conflicts
-            rfm_mitigations += controller.rfm_mitigations
-            tmro_closures += controller.tmro_closures
-            for core_id, acts in controller.core_demand_acts.items():
-                core_acts[core_id] += acts
-        return SimResult(
-            elapsed_cycles=end_cycle,
-            core_cycles=[
-                core.finish_cycle if core.finish_cycle is not None else end_cycle
-                for core in self.cores
-            ],
-            core_requests=[core.retired for core in self.cores],
-            counts=counts,
-            row_hits=hits,
-            row_misses=misses,
-            row_conflicts=conflicts,
-            rfm_mitigations=rfm_mitigations,
-            tmro_closures=tmro_closures,
-            core_demand_acts=core_acts,
-        )
-
-
-#: Engine tiers :func:`simulate_workload` dispatches between.
-ENGINE_NAMES = ("reference", "fast", "batch")
+#: Engine tiers :func:`build_simulator` dispatches between.
+ENGINE_NAMES = ("reference", "fast")
 
 
 def build_simulator(
@@ -442,8 +340,10 @@ def build_simulator(
     """
     from ..workloads.compiled import compiled_point_traces
 
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"cannot build a {engine!r} simulator")
+    if engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose one of {ENGINE_NAMES}"
+        )
     if not isinstance(workload, str):
         system.validate_sources(tuple(workload))
     compiled = compiled_point_traces(
@@ -484,26 +384,11 @@ def simulate_workload(
     compiled trace set.
 
     ``engine`` selects the tier: ``"fast"`` (default, the oracle-pinned
-    event engine), ``"reference"`` (the preserved original loop), or
-    ``"batch"`` (the batch tier — a single point degenerates to one
-    fast-engine run, so this mainly validates the plumbing; batch wins
-    come from :func:`repro.sim.batch.simulate_batch` over grids).  All
-    three produce bit-identical results.
+    event engine) or ``"reference"`` (the preserved original loop); both
+    produce bit-identical results.  The batch tier runs grids, not
+    points: :func:`repro.sim.batch.simulate_batch`.
     """
     system = system or SystemConfig()
-    if engine not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose one of {ENGINE_NAMES}"
-        )
-    if engine == "batch":
-        from .batch import simulate_batch
-
-        return simulate_batch(
-            [(name, defense, tmro_ns)],
-            system=system,
-            n_requests_per_core=n_requests_per_core,
-            seed=seed,
-        )[0]
     return build_simulator(
         system, name, defense, tmro_ns, n_requests_per_core, seed, engine
     ).run()

@@ -20,9 +20,9 @@ and hand-fixed once (see docs/static_analysis.md for the full history):
 * ``no-wallclock-nondeterminism`` — byte-identical replay dies the
   moment simulation state reads the clock or an unseeded RNG.
 * ``simresult-parity`` — the "new metric collected by one engine only"
-  bug class: engines must assign the same ``SimResult`` fields, and
-  the batch tier's follower substitution list must keep covering every
-  mutable field.
+  bug class: every ``SimResult`` construction in the engine shell or
+  either engine must assign every field, and the batch tier's follower
+  substitution list must keep covering every mutable field.
 * ``columnar-traces`` — per-request ``TraceRequest`` objects once cost
   a ``repro serve`` cold miss as much host time as its simulations;
   generators fill ``Trace`` columns instead.
@@ -622,8 +622,9 @@ class SimResultParity(Rule):
     """Both engines and the batch tier agree on ``SimResult`` fields.
 
     The cross-module check: the ``SimResult(...)`` constructions in
-    ``sim/system.py`` and ``sim/reference.py`` must each pass *every*
-    dataclass field explicitly (a new metric collected by one engine
+    ``sim/core.py`` (the engine shell), ``sim/system.py`` and
+    ``sim/reference.py`` must each pass *every* dataclass field
+    explicitly (a new metric collected by one engine
     only is exactly the bug class the equivalence matrix catches too
     late), ``to_json``/``from_json`` must round-trip every field, and
     the batch tier's follower substitution list
@@ -632,11 +633,12 @@ class SimResultParity(Rule):
     """
 
     rule_id = "simresult-parity"
-    summary = ("SimResult fields assigned by sim/system.py, "
+    summary = ("SimResult fields assigned by sim/core.py, sim/system.py, "
                "sim/reference.py and the batch substitution list agree")
 
     _ROLES = {
         "sim/stats.py": "stats",
+        "sim/core.py": "shell",
         "sim/system.py": "system",
         "sim/reference.py": "reference",
         "sim/batch.py": "batch",
@@ -655,7 +657,7 @@ class SimResultParity(Rule):
         if not fields:
             return
 
-        for role in ("system", "reference"):
+        for role in ("shell", "system", "reference"):
             parsed = by_role.get(role)
             if parsed is None:
                 continue

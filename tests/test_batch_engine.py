@@ -241,7 +241,7 @@ class TestEngineSelection:
         reference = simulate_workload(
             "mcf", defense, engine="reference", **kwargs
         )
-        batch = simulate_workload("mcf", defense, engine="batch", **kwargs)
+        batch = simulate_batch([("mcf", defense, None)], **kwargs)[0]
         assert result_blob(fast) == result_blob(reference)
         assert result_blob(fast) == result_blob(batch)
 

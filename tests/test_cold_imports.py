@@ -159,16 +159,6 @@ def test_only_a_multi_recipe_miss_loads_the_batch_tier(tmp_path):
 
 
 class TestWithoutNumpy:
-    def test_simulate_batch_engine_runs(self):
-        proc = run_child("""
-            from repro.cli import main
-
-            raise SystemExit(main(["simulate", "mcf", "--engine", "batch",
-                                   "--requests", "20"]))
-        """, block_numpy=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("mcf + graphene/impress-p: ")
-
     def test_batched_sweep_loads_no_numpy(self):
         loaded, blobs = child_json(SWEEP)
         assert "repro.sim.batch" in loaded

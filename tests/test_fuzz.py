@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.results.store import ResultStore, content_key
+from repro.scenarios import fuzz as fuzz_module
 from repro.scenarios.fuzz import (
     DEFAULT_FUZZ_REQUESTS,
     MIN_SHRINK_REQUESTS,
@@ -169,6 +170,23 @@ class TestPlantedFault:
         assert failure.shrink_steps
         assert any(
             isinstance(source, IdleSource) for source in failure.spec.cores
+        )
+
+    def test_each_failure_is_checked_once_plus_its_shrink(self, monkeypatch):
+        # The shrunk spec's verdict is the check shrink accepted last;
+        # fuzz() must not run it again.
+        calls = []
+        real = fuzz_module.check_scenario
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz_module, "check_scenario", counting)
+        report = self._fuzz_with_fault()
+        assert report.failures
+        assert len(calls) == SMOKE_BUDGET + sum(
+            failure.shrink_evaluations for failure in report.failures
         )
 
     def test_reproducer_replays_to_same_violation(self, tmp_path):

@@ -633,6 +633,26 @@ def test_simresult_parity_fires_on_missing_engine_field(tmp_path):
     assert "row_hits" in report.findings[0].message
 
 
+def test_simresult_parity_fires_on_missing_shell_field(tmp_path):
+    write_tree(tmp_path, {
+        "sim/stats.py": _PARITY_STATS,
+        "sim/core.py": """
+            class _EngineShell:
+                def _collect(self):
+                    return SimResult(elapsed_cycles=1, core_cycles=[1],
+                                     counts={})
+        """,
+        "sim/system.py": """
+            class SystemSimulator(_EngineShell):
+                pass
+        """,
+    })
+    report = check(tmp_path, "simresult-parity")
+    assert len(report.findings) == 1
+    assert report.findings[0].file == "sim/core.py"
+    assert "row_hits" in report.findings[0].message
+
+
 def test_simresult_parity_fires_on_uncopied_mutable_field(tmp_path):
     write_tree(tmp_path, {
         "sim/stats.py": _PARITY_STATS,
