@@ -73,6 +73,14 @@ def workload_set(quick: bool) -> List[str]:
     return list(SPEC_NAMES + STREAM_NAMES)
 
 
+def crossed(
+    names: Iterable[str], defenses: Iterable[Optional[DefenseConfig]]
+) -> List[SweepPoint]:
+    """Every workload under every defense, with no tMRO override."""
+    defenses = list(defenses)
+    return [(name, defense, None) for name in names for defense in defenses]
+
+
 def spec_of(names: Iterable[str]) -> List[str]:
     return [name for name in names if name in SPEC_NAMES]
 

@@ -7,14 +7,27 @@ Graphene and PARA, plus the baseline's activation share of total energy
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from ..sim.config import DefenseConfig
-from .common import TRH, workload_set
+from .common import TRH, SweepPoint, crossed, workload_set
 from .registry import RunContext, register
 
 TRACKERS = ("graphene", "para")
 SCHEMES = ("no-rp", "express", "impress-p")
+
+
+def _defense(tracker: str, scheme: str) -> DefenseConfig:
+    """The one builder :func:`points` and :func:`run` share, so they
+    never drift."""
+    return DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH)
+
+
+def points(ctx: RunContext) -> List[SweepPoint]:
+    """The (tracker x scheme) grid and the unprotected baseline."""
+    return crossed(workload_set(ctx.quick), [None] + [
+        _defense(tracker, scheme) for tracker in TRACKERS for scheme in SCHEMES
+    ])
 
 
 @register(
@@ -29,22 +42,13 @@ SCHEMES = ("no-rp", "express", "impress-p")
         "graphene_impress_p_energy": data["graphene"]["impress-p"],
     },
     paper_values={"activation_share": 0.11},
+    points=points,
 )
 def run(ctx: RunContext) -> Dict[str, Dict[str, float]]:
     """{tracker: {scheme: mean relative DRAM energy vs unprotected}}
     plus an ``activation_share`` entry for the unprotected baseline."""
     runner = ctx.sweep_runner()
     names = workload_set(ctx.quick)
-    # Batch the (tracker x scheme) grid and the unprotected baseline.
-    runner.run_many(
-        [(name, None) for name in names]
-        + [
-            (name, DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH))
-            for tracker in TRACKERS
-            for scheme in SCHEMES
-            for name in names
-        ]
-    )
     output: Dict[str, Dict[str, float]] = {}
     shares = []
     for name in names:
@@ -56,7 +60,7 @@ def run(ctx: RunContext) -> Dict[str, Dict[str, float]]:
     for tracker in TRACKERS:
         output[tracker] = {}
         for scheme in SCHEMES:
-            defense = DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH)
+            defense = _defense(tracker, scheme)
             ratios = []
             for name in names:
                 unprotected = runner.run(name, None)

@@ -9,15 +9,51 @@ incompatible with in-DRAM trackers.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from ..sim.config import DefenseConfig
-from .common import MINT_TRH, TRH, category_geomeans, workload_set
+from .common import (
+    MINT_TRH, TRH, SweepPoint, category_geomeans, crossed, workload_set,
+)
 from .registry import RunContext, register
 
 MC_TRACKERS = ("graphene", "para")
 MC_SCHEMES = ("express", "impress-n", "impress-p")
 IN_DRAM_SCHEMES = ("impress-n", "impress-p")
+
+
+def _defenses() -> Tuple[
+    Dict[str, DefenseConfig], Dict[str, Dict[str, DefenseConfig]]
+]:
+    """Each tracker's No-RP baseline and its scheme grid; the one
+    builder :func:`points` and :func:`run` share, so they never drift."""
+    grid: Dict[str, Dict[str, DefenseConfig]] = {}
+    baselines: Dict[str, DefenseConfig] = {}
+    for tracker in MC_TRACKERS:
+        baselines[tracker] = DefenseConfig(
+            tracker=tracker, scheme="no-rp", trh=TRH
+        )
+        grid[tracker] = {
+            scheme: DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH)
+            for scheme in MC_SCHEMES
+        }
+    # In-DRAM (MINT): both schemes against the RFM-80 No-RP baseline.
+    baselines["mint"] = DefenseConfig(
+        tracker="mint", scheme="no-rp", trh=MINT_TRH
+    )
+    grid["mint"] = {
+        scheme: DefenseConfig(tracker="mint", scheme=scheme, trh=MINT_TRH)
+        for scheme in IN_DRAM_SCHEMES
+    }
+    return baselines, grid
+
+
+def points(ctx: RunContext) -> List[SweepPoint]:
+    """Every workload crossed with every baseline and scheme config."""
+    baselines, grid = _defenses()
+    return crossed(workload_set(ctx.quick), [*baselines.values()] + [
+        defense for schemes in grid.values() for defense in schemes.values()
+    ])
 
 
 @register(
@@ -39,39 +75,13 @@ IN_DRAM_SCHEMES = ("impress-n", "impress-p")
         "graphene_impress_p_stream": 1.0,
         "mint_impress_p_spec": 1.0,
     },
+    points=points,
 )
 def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
     """{tracker: {scheme: {workload/geomean: perf normalized to No-RP}}}."""
     runner = ctx.sweep_runner()
     names = workload_set(ctx.quick)
-    # The whole grid: each tracker's No-RP baseline plus every scheme.
-    grid: Dict[str, Dict[str, DefenseConfig]] = {}
-    baselines: Dict[str, DefenseConfig] = {}
-    for tracker in MC_TRACKERS:
-        baselines[tracker] = DefenseConfig(
-            tracker=tracker, scheme="no-rp", trh=TRH
-        )
-        grid[tracker] = {
-            scheme: DefenseConfig(tracker=tracker, scheme=scheme, trh=TRH)
-            for scheme in MC_SCHEMES
-        }
-    # In-DRAM (MINT): both schemes against the RFM-80 No-RP baseline.
-    baselines["mint"] = DefenseConfig(
-        tracker="mint", scheme="no-rp", trh=MINT_TRH
-    )
-    grid["mint"] = {
-        scheme: DefenseConfig(tracker="mint", scheme=scheme, trh=MINT_TRH)
-        for scheme in IN_DRAM_SCHEMES
-    }
-    # Every workload crossed with every baseline and scheme config,
-    # evaluated by one run_many batch; the assembly below then reads
-    # every point back as a cache hit.
-    defenses = list(baselines.values()) + [
-        defense for schemes in grid.values() for defense in schemes.values()
-    ]
-    runner.run_many(
-        [(name, defense) for name in names for defense in defenses]
-    )
+    baselines, grid = _defenses()
     output: Dict[str, Dict[str, Dict[str, float]]] = {}
     for tracker, schemes in grid.items():
         baseline = baselines[tracker]

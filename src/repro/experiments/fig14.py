@@ -7,15 +7,32 @@ activations against ImPress-P's near-zero overhead.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from ..sim.config import DefenseConfig
 from ..sim.metrics import relative_acts
-from .common import TRH, workload_set
+from .common import TRH, SweepPoint, crossed, workload_set
 from .registry import RunContext, register
 
 TRACKERS = ("graphene", "para")
 SCHEMES = ("no-rp", "express", "impress-p")
+
+
+def _defenses() -> Dict[Tuple[str, str], DefenseConfig]:
+    """The (tracker, scheme) grid; the one builder :func:`points` and
+    :func:`run` share, so they never drift."""
+    return {
+        (tracker, scheme): DefenseConfig(
+            tracker=tracker, scheme=scheme, trh=TRH
+        )
+        for tracker in TRACKERS
+        for scheme in SCHEMES
+    }
+
+
+def points(ctx: RunContext) -> List[SweepPoint]:
+    """The (workload x defense) grid plus the unprotected baseline."""
+    return crossed(workload_set(ctx.quick), [None, *_defenses().values()])
 
 
 @register(
@@ -32,25 +49,13 @@ SCHEMES = ("no-rp", "express", "impress-p")
         "graphene_express_demand": 1.56,
         "graphene_impress_p_demand": 1.0,
     },
+    points=points,
 )
 def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
     """{tracker: {scheme: {"demand"|"mitigative": mean relative ACTs}}}."""
     runner = ctx.sweep_runner()
     names = workload_set(ctx.quick)
-    defenses = {
-        (tracker, scheme): DefenseConfig(
-            tracker=tracker, scheme=scheme, trh=TRH
-        )
-        for tracker in TRACKERS
-        for scheme in SCHEMES
-    }
-    # Batch the whole (workload x defense) grid plus the shared
-    # unprotected baseline; the loops below only see cache hits.
-    runner.run_many(
-        [(name, None) for name in names]
-        + [(name, defense) for name in names
-           for defense in defenses.values()]
-    )
+    defenses = _defenses()
     output: Dict[str, Dict[str, Dict[str, float]]] = {}
     for tracker in TRACKERS:
         output[tracker] = {}

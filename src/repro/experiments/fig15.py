@@ -7,16 +7,34 @@ workload set).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..sim.config import DefenseConfig
 from ..sim.metrics import geomean
-from .common import workload_set
+from .common import SweepPoint, crossed, workload_set
 from .registry import RunContext, register
 
 TRACKERS = ("graphene", "para")
 SCHEMES = ("no-rp", "express", "impress-p")
 THRESHOLDS: Sequence[float] = (4000.0, 2000.0, 1000.0)
+
+
+def _defenses() -> Dict[Tuple[str, str, float], DefenseConfig]:
+    """The (tracker, scheme, TRH) grid; the one builder :func:`points`
+    and :func:`run` share, so they never drift."""
+    return {
+        (tracker, scheme, trh): DefenseConfig(
+            tracker=tracker, scheme=scheme, trh=trh
+        )
+        for tracker in TRACKERS
+        for scheme in SCHEMES
+        for trh in THRESHOLDS
+    }
+
+
+def points(ctx: RunContext) -> List[SweepPoint]:
+    """The full threshold grid plus the unprotected baseline."""
+    return crossed(workload_set(ctx.quick), [None, *_defenses().values()])
 
 
 @register(
@@ -29,25 +47,13 @@ THRESHOLDS: Sequence[float] = (4000.0, 2000.0, 1000.0)
         "graphene_impress_p_trh1000": data["graphene"]["impress-p"][1000.0],
         "graphene_no_rp_trh1000": data["graphene"]["no-rp"][1000.0],
     },
+    points=points,
 )
 def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[float, float]]]:
     """{tracker: {scheme: {trh: geomean perf vs unprotected}}}."""
     runner = ctx.sweep_runner()
     names = workload_set(ctx.quick)
-    defenses = {
-        (tracker, scheme, trh): DefenseConfig(
-            tracker=tracker, scheme=scheme, trh=trh
-        )
-        for tracker in TRACKERS
-        for scheme in SCHEMES
-        for trh in THRESHOLDS
-    }
-    # Fan out the full threshold grid plus the unprotected baseline.
-    runner.run_many(
-        [(name, None) for name in names]
-        + [(name, defense) for name in names
-           for defense in defenses.values()]
-    )
+    defenses = _defenses()
     output: Dict[str, Dict[str, Dict[float, float]]] = {}
     for tracker in TRACKERS:
         output[tracker] = {}

@@ -7,38 +7,25 @@ to the tracker's No-RP baseline; (c) MINT with ImPress-N at RFM-60
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..sim.config import DefenseConfig
-from .common import MINT_TRH, TRH, category_geomeans, workload_set
+from .common import (
+    MINT_TRH, TRH, SweepPoint, category_geomeans, crossed, workload_set,
+)
 from .registry import RunContext, register
 
 MC_TRACKERS = ("graphene", "para")
 ALPHAS: Sequence[float] = (0.35, 1.0)
 
 
-@register(
-    name="fig16",
-    title="ExPress vs ImPress-N at alpha = 0.35 and 1",
-    paper_ref="Figure 16 (Appendix A)",
-    tags=("figure", "simulation", "paper"),
-    cost=70.0,
-    summarize=lambda data: {
-        "graphene_impress_n_a1_stream": (
-            data["graphene"]["impress-n a=1.0"]["STREAM (GMean)"]
-        ),
-        "graphene_express_a1_stream": (
-            data["graphene"]["express a=1.0"]["STREAM (GMean)"]
-        ),
-    },
-)
-def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """{tracker: {"scheme a=x": {workload/geomean: perf vs No-RP}}}."""
-    runner = ctx.sweep_runner()
-    names = workload_set(ctx.quick)
-    # Build each grid config once; the run_many batch and the assembly
-    # loops below share the same objects, so the batch and the cache
-    # lookups can never drift apart.
+def _defenses() -> Tuple[
+    Dict[str, DefenseConfig],
+    Dict[Tuple[str, str, float], DefenseConfig],
+    Dict[float, DefenseConfig],
+]:
+    """The baselines, the MC-tracker grid and MINT's configs; the one
+    builder :func:`points` and :func:`run` share, so they never drift."""
     baselines = {
         tracker: DefenseConfig(tracker=tracker, scheme="no-rp", trh=TRH)
         for tracker in MC_TRACKERS
@@ -60,16 +47,38 @@ def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
         )
         for alpha in ALPHAS
     }
-    # One batch covers the figure: every workload crossed with every
-    # baseline, MC-tracker, and MINT defense configuration.
-    defenses = (
-        list(baselines.values())
-        + list(mc_defenses.values())
-        + list(mint_defenses.values())
-    )
-    runner.run_many(
-        [(name, defense) for name in names for defense in defenses]
-    )
+    return baselines, mc_defenses, mint_defenses
+
+
+def points(ctx: RunContext) -> List[SweepPoint]:
+    """Every workload crossed with every baseline, MC-tracker and MINT
+    defense configuration."""
+    return crossed(workload_set(ctx.quick), [
+        defense for configs in _defenses() for defense in configs.values()
+    ])
+
+
+@register(
+    name="fig16",
+    title="ExPress vs ImPress-N at alpha = 0.35 and 1",
+    paper_ref="Figure 16 (Appendix A)",
+    tags=("figure", "simulation", "paper"),
+    cost=70.0,
+    summarize=lambda data: {
+        "graphene_impress_n_a1_stream": (
+            data["graphene"]["impress-n a=1.0"]["STREAM (GMean)"]
+        ),
+        "graphene_express_a1_stream": (
+            data["graphene"]["express a=1.0"]["STREAM (GMean)"]
+        ),
+    },
+    points=points,
+)
+def run(ctx: RunContext) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """{tracker: {"scheme a=x": {workload/geomean: perf vs No-RP}}}."""
+    runner = ctx.sweep_runner()
+    names = workload_set(ctx.quick)
+    baselines, mc_defenses, mint_defenses = _defenses()
     output: Dict[str, Dict[str, Dict[str, float]]] = {}
     for tracker in MC_TRACKERS:
         baseline = baselines[tracker]

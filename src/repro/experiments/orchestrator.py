@@ -129,6 +129,8 @@ class RunReport:
     outcomes: List[Outcome]
     wall_s: float
     results_dir: Path
+    #: Seconds the serial path's shared sweep took (0 on the pool path).
+    sweep_s: float = 0.0
 
     @property
     def by_name(self) -> Dict[str, Outcome]:
@@ -165,7 +167,8 @@ class RunReport:
             f"({ran} executed, {len(self.outcomes) - ran} from cache)",
             f"- jobs: {self.jobs}",
             f"- options: `{json.dumps(self.options, sort_keys=True)}`",
-            f"- wall clock: {self.wall_s:.1f} s",
+            f"- wall clock: {self.wall_s:.1f} s "
+            f"(shared sweep {self.sweep_s:.1f} s)",
             "",
             "## Paper vs measured",
             "",
@@ -316,6 +319,13 @@ class Orchestrator:
         everything registered).  Scheduling is costliest-first so the
         longest sweeps start immediately and short analytic experiments
         fill the remaining pool slots.
+
+        A serial run (``jobs == 1``, or one experiment to run) first
+        simulates the union of the uncached experiments' points in one
+        ``run_many``, emitting ``[sweep] N points (K simulated) in
+        X.XXs``.  Each ``duration_s`` then excludes that simulation;
+        ``summary.json``'s ``sweep_s`` holds it (0 on the pool path,
+        where each experiment batches its own points).
         """
         selected = registry.select(only=only)
         if not selected:
@@ -335,7 +345,15 @@ class Orchestrator:
 
         failures: Dict[str, str] = {}
         payloads = [(e.name, self.options()) for e in to_run]
-        for raw in self._execute_all(payloads):
+        ctx = None
+        sweep_s = 0.0
+        if payloads and (self.jobs == 1 or len(payloads) == 1):
+            # One run-local context lets every experiment read the
+            # shared sweep's results without pinning anything in
+            # module globals.
+            ctx = RunContext(**self.options())
+            sweep_s = self._sweep(ctx, to_run)
+        for raw in self._execute_all(payloads, ctx):
             name = raw["name"]
             if "error" in raw:
                 failures[name] = raw["error"]
@@ -376,22 +394,52 @@ class Orchestrator:
             outcomes=ordered,
             wall_s=time.perf_counter() - started,
             results_dir=self.results_dir,
+            sweep_s=sweep_s,
         )
         self._write_artifacts(report)
         self.last_report = report
         return report
 
+    def _sweep(self, ctx: RunContext, experiments: List[Experiment]) -> float:
+        """Simulate the union of ``experiments``' points in one
+        ``run_many`` on ``ctx``'s runner; returns its seconds.
+
+        A failure here is not charged to anyone: each experiment's own
+        :meth:`Experiment.run` re-evaluates its points and raises under
+        its own name, while the others still complete."""
+        started = time.perf_counter()
+        try:
+            points = list(dict.fromkeys(
+                point
+                for experiment in experiments
+                if experiment.points is not None
+                for point in experiment.points(ctx)
+            ))
+            if not points:
+                return 0.0
+            runner = ctx.sweep_runner()
+            before = runner.cache_stats().misses
+            runner.run_many(points)
+        except Exception as exc:
+            self._emit(f"[sweep] failed ({type(exc).__name__}: {exc}); "
+                       "each experiment evaluates its own points")
+            return time.perf_counter() - started
+        elapsed = time.perf_counter() - started
+        simulated = runner.cache_stats().misses - before
+        self._emit(f"[sweep] {len(points)} points ({simulated} simulated) "
+                   f"in {elapsed:.2f}s")
+        return elapsed
+
     def _execute_all(
-        self, payloads: Sequence[Tuple[str, Dict[str, Any]]]
+        self,
+        payloads: Sequence[Tuple[str, Dict[str, Any]]],
+        ctx: Optional[RunContext],
     ) -> Iterable[Dict[str, Any]]:
-        """Yield raw execution results as they complete."""
+        """Yield raw execution results as they complete: in ``ctx``
+        when one is given, else across a process pool."""
         if not payloads:
             return
-        if self.jobs == 1 or len(payloads) == 1:
-            # All payloads of a run share one option dict; one run-local
-            # context lets them share cached baselines without pinning
-            # anything in module globals.
-            ctx = RunContext(**payloads[0][1])
+        if ctx is not None:
             for payload in payloads:
                 self._emit(f"[start] {payload[0]}")
                 yield _execute(payload, ctx)
@@ -433,6 +481,7 @@ class Orchestrator:
             "options": report.options,
             "jobs": report.jobs,
             "wall_s": round(report.wall_s, 3),
+            "sweep_s": round(report.sweep_s, 3),
             "experiments": {
                 outcome.name: {
                     "cached": outcome.cached,

@@ -2,7 +2,9 @@
 
 Each experiment module declares its experiments with the
 :func:`register` decorator on the one public function that computes
-each, which takes only the :class:`RunContext`::
+each, which takes only the :class:`RunContext`.  A simulated
+experiment also declares ``points``: the ``(workload, defense,
+tmro_ns)`` triples the function reads back through the runner::
 
     @register(
         name="fig13",
@@ -10,10 +12,15 @@ each, which takes only the :class:`RunContext`::
         paper_ref="Section VI-D, Figure 13",
         tags=("figure", "simulation", "paper"),
         cost=40.0,
+        points=points,  # def points(ctx) -> List[SweepPoint]
     )
     def run(ctx: RunContext):
         runner = ctx.sweep_runner()
-        ...
+        ...  # runner.speedup(...) on declared points: cache hits
+
+:meth:`Experiment.run` simulates the points in one ``run_many``
+before calling the function; a serial ``repro run`` simulates the
+union of every scheduled experiment's points in one call first.
 
 The registry is the single source of truth that
 :mod:`repro.experiments.orchestrator` and the ``repro run`` /
@@ -42,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-from .common import DEFAULT_REQUESTS, SweepRunner
+from .common import DEFAULT_REQUESTS, SweepPoint, SweepRunner
 
 #: Tag carried by every experiment that belongs to the paper's
 #: evaluation proper (``repro run --only paper`` runs exactly these);
@@ -95,8 +102,14 @@ class Experiment:
     #: Paper-quoted values for (a subset of) the summarized metrics,
     #: used by the orchestrator's paper-vs-measured report.
     paper_values: Mapping[str, float] = field(default_factory=dict)
+    #: The sweep triples ``fn`` reads back through the context's runner
+    #: (None for experiments that simulate nothing through it).
+    points: Optional[Callable[[RunContext], List[SweepPoint]]] = None
 
     def run(self, ctx: RunContext) -> Any:
+        """Evaluate the declared points in one batch, then assemble."""
+        if self.points is not None:
+            ctx.sweep_runner().run_many(self.points(ctx))
         return self.fn(ctx)
 
     def summary_of(self, result: Any) -> Dict[str, float]:
@@ -118,6 +131,7 @@ def register(
     cost: float = 1.0,
     summarize: Optional[Callable[[Any], Dict[str, float]]] = None,
     paper_values: Optional[Mapping[str, float]] = None,
+    points: Optional[Callable[[RunContext], List[SweepPoint]]] = None,
 ) -> Callable[[Callable[[RunContext], Any]], Callable[[RunContext], Any]]:
     """Decorator registering ``fn`` as the experiment ``name``.
 
@@ -139,6 +153,7 @@ def register(
             module=fn.__module__,
             summarize=summarize,
             paper_values=dict(paper_values or {}),
+            points=points,
         )
         return fn
 

@@ -7,16 +7,12 @@ who wins, what is flat, where the crossovers are.
 import pytest
 
 from repro.experiments import (
-    energy,
     fig3,
     fig4,
     fig5,
     fig6_7_8,
     fig12,
-    fig13,
-    fig14,
     fig15,
-    fig16,
     fig18_19,
     tables,
 )
@@ -92,14 +88,14 @@ class TestAnalyticExperiments:
 class TestSimulationExperiments:
     def test_fig3_stream_sensitive_spec_not(self, ctx, monkeypatch):
         monkeypatch.setattr(fig3, "TMRO_VALUES_NS", (36.0, 636.0))
-        series = fig3.run(ctx)
+        series = registry.get("fig3").run(ctx)
         # STREAM suffers at tMRO = 36 ns; at 636 ns nothing changes.
         assert series[36.0]["STREAM (GMean)"] < 0.97
         assert series[636.0]["STREAM (GMean)"] == pytest.approx(1.0, abs=0.03)
         assert series[36.0]["SPEC (GMean)"] == pytest.approx(1.0, abs=0.07)
 
     def test_fig13_impress_p_beats_express(self, ctx):
-        data = fig13.run(ctx)
+        data = registry.get("fig13").run(ctx)
         for tracker in ("graphene", "para"):
             express = data[tracker]["express"]["STREAM (GMean)"]
             impress_p = data[tracker]["impress-p"]["STREAM (GMean)"]
@@ -107,13 +103,13 @@ class TestSimulationExperiments:
             assert impress_p == pytest.approx(1.0, abs=0.05)
 
     def test_fig13_mint_impress_p_matches_no_rp(self, ctx):
-        data = fig13.run(ctx)
+        data = registry.get("fig13").run(ctx)
         assert data["mint"]["impress-p"]["SPEC (GMean)"] == pytest.approx(
             1.0, abs=0.03
         )
 
     def test_fig14_express_demand_acts_inflate(self, ctx):
-        data = fig14.run(ctx)
+        data = registry.get("fig14").run(ctx)
         for tracker in ("graphene", "para"):
             assert data[tracker]["express"]["demand"] > 1.1
             assert data[tracker]["impress-p"]["demand"] == pytest.approx(
@@ -122,7 +118,7 @@ class TestSimulationExperiments:
 
     def test_fig15_impress_p_tracks_no_rp(self, ctx, monkeypatch):
         monkeypatch.setattr(fig15, "THRESHOLDS", (4000.0, 1000.0))
-        data = fig15.run(ctx)
+        data = registry.get("fig15").run(ctx)
         for tracker in ("graphene", "para"):
             for trh in (4000.0, 1000.0):
                 no_rp = data[tracker]["no-rp"][trh]
@@ -130,7 +126,7 @@ class TestSimulationExperiments:
                 assert impress_p == pytest.approx(no_rp, abs=0.05)
 
     def test_fig16_impress_n_at_least_express_on_stream(self, ctx):
-        data = fig16.run(ctx)
+        data = registry.get("fig16").run(ctx)
         for tracker in ("graphene", "para"):
             for alpha in (0.35, 1.0):
                 express = data[tracker][f"express a={alpha}"]["STREAM (GMean)"]
@@ -141,14 +137,14 @@ class TestSimulationExperiments:
 
     def test_fig5_low_tmro_hurts_stream(self, ctx, monkeypatch):
         monkeypatch.setattr(fig5, "TMRO_VALUES_NS", (36.0, 636.0))
-        data = fig5.run(ctx)
+        data = registry.get("fig5").run(ctx)
         for tracker in ("graphene", "para"):
             stream = data[tracker]["STREAM"]
             assert stream[36.0] < stream[float("inf")] + 0.02
             assert stream[36.0] < 0.97
 
     def test_energy_express_worst(self, ctx):
-        data = energy.run(ctx)
+        data = registry.get("energy").run(ctx)
         share = data["baseline"]["activation_share"]
         assert 0.03 < share < 0.35
         for tracker in ("graphene", "para"):

@@ -2,11 +2,13 @@
 
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.common import SweepRunner
 from repro.experiments.orchestrator import (
     Orchestrator,
     OrchestratorError,
@@ -16,6 +18,8 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.registry import PAPER_TAG, Experiment, RunContext
 from repro.results import store_for
+from repro.sim import batch
+from repro.sim.config import DefenseConfig
 
 EXPERIMENT_DIR = Path(registry.__file__).parent
 #: Modules that host experiments (everything except the plumbing).
@@ -172,11 +176,31 @@ class TestCache:
     def test_progress_streams(self, tmp_path):
         messages = []
         self.make(tmp_path, progress=messages.append).run(only=["table1"])
+        # An analytic experiment declares no points: no sweep line.
+        assert not any(m.startswith("[sweep]") for m in messages)
         assert "[start] table1" in messages
         assert any(m.startswith("[done]  table1") for m in messages)
         messages.clear()
-        self.make(tmp_path, progress=messages.append).run(only=["table1"])
-        assert messages == ["[cache] table1"]
+        self.make(tmp_path, progress=messages.append).run(
+            only=["table1", "fig3"]
+        )
+        # fig3 at quick scale: 6 workloads x (baseline + 6 tMRO values),
+        # simulated by one shared sweep before the first [start].
+        assert messages[0] == "[cache] table1"
+        assert re.fullmatch(
+            r"\[sweep\] 42 points \(42 simulated\) in \d+\.\d\ds",
+            messages[1],
+        )
+        assert messages[2] == "[start] fig3"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["sweep_s"] > 0
+        messages.clear()
+        self.make(tmp_path, progress=messages.append).run(
+            only=["table1", "fig3"]
+        )
+        assert sorted(messages) == ["[cache] fig3", "[cache] table1"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["sweep_s"] == 0
 
 
 class TestParallelEquivalence:
@@ -202,6 +226,114 @@ class TestParallelEquivalence:
         assert serial.by_name["fig3"].summary == (
             parallel.by_name["fig3"].summary
         )
+
+
+#: The experiments that simulate through the context's runner.
+SIMULATED = ["fig3", "fig5", "fig13", "fig14", "fig15", "fig16", "energy"]
+
+
+class TestUnionSweep:
+    """A serial run simulates every experiment's points in one call."""
+
+    @pytest.fixture(scope="class")
+    def union_run(self, tmp_path_factory):
+        calls = []  # (runner, misses before, misses after) per run_many
+        original = SweepRunner.run_many
+
+        def recording(runner, points):
+            before = runner.cache_stats().misses
+            results = original(runner, points)
+            calls.append((runner, before, runner.cache_stats().misses))
+            return results
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SweepRunner, "run_many", recording)
+            report = Orchestrator(
+                results_dir=tmp_path_factory.mktemp("union"),
+                quick=True, n_requests=40,
+            ).run(only=SIMULATED)
+        return report, calls
+
+    @pytest.mark.slow
+    def test_one_run_many_simulates_and_every_read_hits(self, union_run):
+        _, calls = union_run
+        simulating = [call for call in calls if call[2] > call[1]]
+        assert len(simulating) == 1
+        runner, _, misses = simulating[0]
+        assert calls[0] is simulating[0]
+        # Nothing after the union (the per-experiment run_many calls,
+        # the assembly's run()/speedup() reads) simulates a point.
+        assert all(call[0] is runner for call in calls)
+        assert runner.cache_stats().misses == misses
+
+    @pytest.mark.slow
+    def test_union_results_equal_each_experiment_alone(self, union_run):
+        report, _ = union_run
+        for name in SIMULATED:
+            experiment, ctx = registry.get(name), RunContext(n_requests=40)
+            alone = experiment.run(ctx)
+            assert report.by_name[name].result == jsonify(alone), name
+            # Alone, the experiment simulates exactly its own points: a
+            # read it forgot to declare would be one more miss, even
+            # when another experiment declares that point.
+            declared = set(experiment.points(ctx))
+            assert ctx.sweep_runner().cache_stats().misses == len(declared)
+
+    def test_unbuildable_points_fail_by_name(self, tmp_path, monkeypatch):
+        # ExPress cannot limit rows to 1 ns (below tRAS): the simulator
+        # build raises, so the union run_many does too.
+        bad = DefenseConfig(
+            tracker="graphene", scheme="express", trh=4000.0, tmro_ns=1.0
+        )
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "badpoints",
+            Experiment(
+                name="badpoints", fn=lambda ctx: {}, title="badpoints",
+                paper_ref="-", tags=("test",), cost=1000.0,
+                module=__name__, points=lambda ctx: [("mcf", bad, None)],
+            ),
+        )
+        messages = []
+        with pytest.raises(OrchestratorError) as failure:
+            Orchestrator(
+                results_dir=tmp_path, n_requests=40,
+                progress=messages.append,
+            ).run(only=["badpoints", "fig3", "table1"])
+        assert "1 experiment(s) failed: badpoints" in str(failure.value)
+        assert "tMRO cannot be below tRAS" in str(failure.value)
+        assert sum(m.startswith("[sweep] failed") for m in messages) == 1
+        assert "[fail]  badpoints" in messages
+        store = store_for(tmp_path)
+        assert store.latest("fig3") is not None
+        assert store.latest("table1") is not None
+
+    def test_oracle_runner_never_reaches_the_batch_tier(
+        self, tmp_path, monkeypatch
+    ):
+        # perfbench/pin.py pins through per-point runs by rebinding
+        # RunContext.sweep_runner; the union must take its runner there.
+        batched = RunContext.sweep_runner
+
+        def oracle_runner(ctx):
+            runner = batched(ctx)
+            runner.use_batch = False
+            return runner
+
+        calls = []
+        real = batch.simulate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(RunContext, "sweep_runner", oracle_runner)
+        monkeypatch.setattr(batch, "simulate_batch", counting)
+        report = Orchestrator(results_dir=tmp_path, n_requests=40).run(
+            only=["fig3", "fig14"]
+        )
+        assert [o.cached for o in report.outcomes] == [False, False]
+        assert calls == []
 
 
 class TestFailureHandling:
