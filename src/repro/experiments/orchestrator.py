@@ -29,6 +29,7 @@ metadata recorded alongside), never results.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -167,8 +168,7 @@ class RunReport:
             f"({ran} executed, {len(self.outcomes) - ran} from cache)",
             f"- jobs: {self.jobs}",
             f"- options: `{json.dumps(self.options, sort_keys=True)}`",
-            f"- wall clock: {self.wall_s:.1f} s "
-            f"(shared sweep {self.sweep_s:.1f} s)",
+            f"- wall clock: {self.wall_s:.1f} s",
             "",
             "## Paper vs measured",
             "",
@@ -402,31 +402,26 @@ class Orchestrator:
 
     def _sweep(self, ctx: RunContext, experiments: List[Experiment]) -> float:
         """Simulate the union of ``experiments``' points in one
-        ``run_many`` on ``ctx``'s runner; returns its seconds.
-
-        A failure here is not charged to anyone: each experiment's own
-        :meth:`Experiment.run` re-evaluates its points and raises under
-        its own name, while the others still complete."""
+        ``run_many``; returns its seconds.  A failure is charged to no
+        one: each experiment's own :meth:`Experiment.run` raises it."""
+        declared = [e.points for e in experiments if e.points is not None]
+        if not declared:
+            return 0.0
         started = time.perf_counter()
+        runner = ctx.sweep_runner()
+        before = runner.cache_stats()
         try:
-            points = list(dict.fromkeys(
-                point
-                for experiment in experiments
-                if experiment.points is not None
-                for point in experiment.points(ctx)
+            runner.run_many(itertools.chain.from_iterable(
+                points(ctx) for points in declared
             ))
-            if not points:
-                return 0.0
-            runner = ctx.sweep_runner()
-            before = runner.cache_stats().misses
-            runner.run_many(points)
         except Exception as exc:
             self._emit(f"[sweep] failed ({type(exc).__name__}: {exc}); "
                        "each experiment evaluates its own points")
             return time.perf_counter() - started
         elapsed = time.perf_counter() - started
-        simulated = runner.cache_stats().misses - before
-        self._emit(f"[sweep] {len(points)} points ({simulated} simulated) "
+        after = runner.cache_stats()
+        self._emit(f"[sweep] {after.size - before.size} points "
+                   f"({after.misses - before.misses} simulated) "
                    f"in {elapsed:.2f}s")
         return elapsed
 

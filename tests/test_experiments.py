@@ -17,6 +17,7 @@ from repro.experiments import (
     tables,
 )
 from repro.experiments import registry
+from repro.experiments.common import SweepRunner
 from repro.experiments.registry import RunContext
 
 #: Analytic experiments read nothing from their context.
@@ -158,7 +159,13 @@ def test_simulated_experiments_take_their_runner_from_the_context(
     # perfbench/pin.py pins through the oracle path by rebinding
     # RunContext.sweep_runner; a figure that built its own SweepRunner
     # would escape it.  ablation is exempt: its studies vary the
-    # SystemConfig, which a shared runner fixes.
+    # SystemConfig, which a shared runner fixes.  Experiment.run
+    # evaluates the declared points through the context's runner
+    # itself, so only the assembly step (the registered function) is
+    # watched: it must read through ctx.sweep_runner() and build no
+    # runner of its own.
+    context = RunContext(quick=True, n_requests=40)
+    runner = context.sweep_runner()
     calls = []
     original = RunContext.sweep_runner
 
@@ -166,8 +173,9 @@ def test_simulated_experiments_take_their_runner_from_the_context(
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(RunContext, "sweep_runner", counting)
-    context = RunContext(quick=True, n_requests=40)
+    def private_runner(self, *args, **kwargs):
+        raise AssertionError("an experiment built its own SweepRunner")
+
     simulated = [
         experiment
         for experiment in registry.select(tags=("simulation",))
@@ -175,9 +183,12 @@ def test_simulated_experiments_take_their_runner_from_the_context(
     ]
     assert len(simulated) == 7
     for experiment in simulated:
+        runner.run_many(experiment.points(context))
+        before = runner.cache_stats()
         del calls[:]
-        before = context.sweep_runner().cache_stats()
-        experiment.run(context)
+        with monkeypatch.context() as patch:
+            patch.setattr(RunContext, "sweep_runner", counting)
+            patch.setattr(SweepRunner, "__init__", private_runner)
+            experiment.fn(context)
         assert calls, f"{experiment.name} never called ctx.sweep_runner()"
-        after = context.sweep_runner().cache_stats()
-        assert after.hits + after.misses > before.hits + before.misses
+        assert runner.cache_stats().hits > before.hits, experiment.name
