@@ -297,11 +297,14 @@ class Orchestrator:
         config_hash = data.get("config_hash")
         if config_hash is None:
             return None
+        summary = data.get("summary", {})
         return Outcome(
             name=experiment.name,
             cached=True,
             duration_s=float(data.get("duration_s", 0.0)),
-            summary=dict(data.get("summary", {})),
+            # The blob's keys are sorted: restore summarize's order.
+            summary={key: summary[key]
+                     for key in data.get("summary_order", summary)},
             result=data.get("result"),
             config_hash=config_hash,
         )
@@ -458,7 +461,8 @@ class Orchestrator:
         # a cache-sourced outcome only dedups against the existing one.
         self.store.put(
             experiment_recipe(outcome.name, options),
-            outcome.artifact(options),
+            {**outcome.artifact(options),
+             "summary_order": list(outcome.summary)},
             name=outcome.name,
             kind="experiment",
             overwrite=not outcome.cached,

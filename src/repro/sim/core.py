@@ -57,10 +57,6 @@ class CoreState:
     def exhausted(self) -> bool:
         return self.index >= self.trace_length
 
-    @property
-    def done(self) -> bool:
-        return self.index >= self.trace_length and self.outstanding == 0
-
     def can_issue(self) -> bool:
         return self.index < self.trace_length and self.outstanding < self.mlp
 

@@ -1,10 +1,8 @@
-"""Reference simulation engine: the original, unoptimized event loop.
+"""Reference simulation engine: the original event discipline.
 
-This is a frozen copy of the pre-optimization :class:`SystemSimulator`
-event loop (per-request address mapping, one heap entry per wakeup with
-a global sequence counter, no bank-wakeup deduplication).  Only the
-loop is frozen: the controller wiring, the core state and the
-:class:`~repro.sim.stats.SimResult` collection are the shell both
+This is the pre-optimization :class:`SystemSimulator` event loop.  Only
+the loop is the oracle's own: the controller wiring, the core state and
+the :class:`~repro.sim.stats.SimResult` collection are the shell both
 engines share (:mod:`repro.sim.core`), so the oracle and the fast
 engine differ in event order and nothing else.  It exists for two
 reasons:
@@ -17,13 +15,23 @@ reasons:
   the optimized one on the same single-core run (``single_core`` /
   ``single_core_reference``) and reports the speedup factor.
 
-Do not optimize this module; it is deliberately the slow, obviously
-correct formulation.
+The event discipline is frozen (only interpreter overhead may go):
+
+* one heap entry per wakeup, a ``(cycle, seq, kind, payload)`` tuple
+  ordered by the global push counter ``_seq``;
+* no bank-wakeup deduplication;
+* :meth:`ChannelController.step` on every bank event, busy no-ops
+  included;
+* per-request ``mapper.map_address``;
+* the checked ``can_accept`` / ``enqueue`` / ``pack_request`` path.
+
+``TestOracleDiscipline`` (``tests/test_engine_equivalence.py``) pins
+one point's ``step`` calls and pushes, so dedup or a dropped push fails.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Optional
 
 from ..memctrl.request import pack_request
@@ -38,63 +46,55 @@ from .core import (
 
 
 class ReferenceSimulator(_EngineShell):
-    """The original event loop, preserved verbatim for equivalence runs."""
+    """The original event discipline, kept for equivalence runs."""
 
     __slots__ = ()
 
-    # -- event plumbing ---------------------------------------------------
-
-    def _push(self, cycle: int, kind: int, payload: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (cycle, self._seq, kind, payload))
-
-    def _flat_bank(self, channel: int, bank: int) -> int:
-        return channel * self.system.banks_per_channel + bank
-
-    def _unflatten(self, flat: int) -> tuple:
-        per = self.system.banks_per_channel
-        return flat // per, flat % per
-
-    # -- core issue logic -------------------------------------------------
-
     def _try_issue(self, core: CoreState, cycle: int) -> None:
+        trace, core_id = core.trace, core.core_id
+        addresses, writes, gaps = trace.addresses, trace.writes, trace.gaps
+        map_address, controllers = self.mapper.map_address, self.controllers
+        heap, per = self._heap, self.system.banks_per_channel
         while core.can_issue():
-            request = core.trace[core.index]
-            mapped = self.mapper.map_address(request.address)
-            controller = self.controllers[mapped.channel]
-            if not controller.can_accept(mapped.bank):
-                self._push(cycle + QUEUE_RETRY_CYCLES, EVENT_CORE, core.core_id)
+            index = core.index
+            mapped = map_address(addresses[index])
+            channel, bank = mapped.channel, mapped.bank
+            controller = controllers[channel]
+            if not controller.can_accept(bank):
+                self._seq += 1
+                heappush(heap, (cycle + QUEUE_RETRY_CYCLES, self._seq,
+                                EVENT_CORE, core_id))
                 return
             controller.enqueue(
-                mapped.bank,
-                pack_request(mapped.row, core.core_id, request.is_write),
+                bank, pack_request(mapped.row, core_id, writes[index])
             )
-            self._push(
-                cycle, EVENT_BANK, self._flat_bank(mapped.channel, mapped.bank)
-            )
+            self._seq += 1
+            heappush(heap, (cycle, self._seq, EVENT_BANK,
+                            channel * per + bank))
             core.issue()
             if core.outstanding >= core.mlp:
                 core.stalled_on_mlp = True
                 return
             if not core.exhausted:
-                gap = core.trace[core.index].gap_cycles
+                gap = gaps[core.index]
                 if gap > 0:
-                    self._push(cycle + gap, EVENT_CORE, core.core_id)
+                    self._seq += 1
+                    heappush(heap, (cycle + gap, self._seq, EVENT_CORE,
+                                    core_id))
                     return
                 # gap == 0: keep issuing at this cycle.
-
-    # -- main loop ----------------------------------------------------------
 
     def _prime(self) -> None:
         """Seed the heap with each core's first issue event (run once)."""
         self._started = True
         for core in self.cores:
-            if len(core.trace) == 0:
+            if core.trace_length == 0:
                 core.finish_cycle = 0
                 continue
-            first_gap = core.trace[0].gap_cycles
-            self._push(first_gap, EVENT_CORE, core.core_id)
-        self._remaining = sum(len(core.trace) for core in self.cores)
+            self._seq += 1
+            heappush(self._heap, (core.trace.gaps[0], self._seq,
+                                  EVENT_CORE, core.core_id))
+        self._remaining = sum(core.trace_length for core in self.cores)
 
     def run_until(
         self,
@@ -108,12 +108,15 @@ class ReferenceSimulator(_EngineShell):
         """
         if not self._started:
             self._prime()
-        remaining = self._remaining
-        pending_done = self._pending_done
-        while (remaining > 0 or pending_done > 0) and self._heap:
-            if stop_cycle is not None and self._heap[0][0] > stop_cycle:
+        heap, cores, controllers = self._heap, self.cores, self.controllers
+        per = self.system.banks_per_channel
+        extra_latency = self.system.extra_latency_cycles
+        try_issue = self._try_issue
+        remaining, pending_done = self._remaining, self._pending_done
+        while (remaining > 0 or pending_done > 0) and heap:
+            if stop_cycle is not None and heap[0][0] > stop_cycle:
                 break
-            cycle, _seq, kind, payload = heapq.heappop(self._heap)
+            cycle, _seq, kind, payload = heappop(heap)
             if cycle > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles "
@@ -121,31 +124,30 @@ class ReferenceSimulator(_EngineShell):
                 )
             self._now = cycle
             if kind == EVENT_CORE:
-                self._try_issue(self.cores[payload], cycle)
+                try_issue(cores[payload], cycle)
             elif kind == EVENT_BANK:
-                channel, bank = self._unflatten(payload)
-                controller = self.controllers[channel]
-                next_wake = controller.step(bank, cycle)
+                controller = controllers[payload // per]
+                next_wake = controller.step(payload % per, cycle)
                 if controller.done_core >= 0:
-                    self._push(
-                        controller.done_cycle
-                        + self.system.extra_latency_cycles,
-                        EVENT_DONE,
-                        controller.done_core,
-                    )
+                    self._seq += 1
+                    heappush(heap, (controller.done_cycle + extra_latency,
+                                    self._seq, EVENT_DONE,
+                                    controller.done_core))
                     controller.done_core = -1
                     remaining -= 1
                     pending_done += 1
                 if next_wake >= cycle:
-                    self._push(max(next_wake, cycle + 1), EVENT_BANK, payload)
+                    if next_wake == cycle:
+                        next_wake = cycle + 1
+                    self._seq += 1
+                    heappush(heap, (next_wake, self._seq, EVENT_BANK, payload))
             else:  # EVENT_DONE
                 pending_done -= 1
-                core = self.cores[payload]
+                core = cores[payload]
                 core.retire(cycle)
                 if core.stalled_on_mlp:
                     core.stalled_on_mlp = False
                     if not core.exhausted:
-                        self._try_issue(core, cycle)
-        self._remaining = remaining
-        self._pending_done = pending_done
+                        try_issue(core, cycle)
+        self._remaining, self._pending_done = remaining, pending_done
         return remaining == 0 and pending_done == 0

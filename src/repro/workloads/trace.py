@@ -9,10 +9,10 @@ compute-bound ones large gaps).
 
 Generators append straight to the columns and hand them to
 :meth:`Trace.from_columns`, which checks the per-request guarantees
-once per trace.  :class:`~repro.workloads.compiled.CompiledTrace` reads
-the columns directly.  The per-request :class:`TraceRequest` view —
-what the reference engine and tests index and iterate — is built on
-first use and cached.
+once per trace.  Both engines read the columns directly (the fast one
+through :class:`~repro.workloads.compiled.CompiledTrace`).  The
+per-request :class:`TraceRequest` view, which only tests index and
+iterate, is built on first use and cached.
 """
 
 from __future__ import annotations
@@ -97,9 +97,7 @@ class Trace:
         return iter(self.requests)
 
     def __getitem__(self, index: int) -> TraceRequest:
-        # The reference engine indexes once per request: skip the
-        # property call once the view exists.
-        return (self._requests or self.requests)[index]
+        return self.requests[index]
 
     def offset_by(self, byte_offset: int) -> "Trace":
         """Shift all addresses — used for rate-mode core copies."""

@@ -9,6 +9,7 @@ mismatch here means the optimization changed simulation semantics.
 
 import pytest
 
+from repro.memctrl.controller import ChannelController
 from repro.sim.config import DefenseConfig, SystemConfig
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.system import SystemSimulator
@@ -156,6 +157,44 @@ class TestSeededEquivalence:
             system, [trace],
             DefenseConfig(tracker="graphene", scheme="impress-p", trh=200),
         )
+
+
+class TestOracleDiscipline:
+    """The reference keeps its event discipline: one push per wakeup,
+    no dedup, a ``step`` on every bank event.  The fast engine's dedup
+    skips most of those steps, which is why the counts differ."""
+
+    @staticmethod
+    def counted_run(engine, monkeypatch):
+        calls = [0]
+        step = ChannelController.step
+
+        def counting(controller, bank, cycle):
+            calls[0] += 1
+            return step(controller, bank, cycle)
+
+        monkeypatch.setattr(ChannelController, "step", counting)
+        system = SystemConfig()
+        traces = rate_mode_traces("mcf", system.n_cores, 160, seed=0)
+        sim = engine(
+            system, traces,
+            DefenseConfig(tracker="graphene", scheme="impress-p"),
+        )
+        sim.run()
+        return sim, traces, calls[0]
+
+    def test_reference_steps_and_pushes(self, monkeypatch):
+        sim, _, steps = self.counted_run(ReferenceSimulator, monkeypatch)
+        assert steps == 9159
+        assert sim._seq == 11783
+
+    def test_fast_engine_steps(self, monkeypatch):
+        _, _, steps = self.counted_run(SystemSimulator, monkeypatch)
+        assert steps == 2121
+
+    def test_reference_reads_the_trace_columns(self, monkeypatch):
+        _, traces, _ = self.counted_run(ReferenceSimulator, monkeypatch)
+        assert [trace._requests for trace in traces] == [None] * len(traces)
 
 
 def _fuzzed_specs(seed=2026, count=8):

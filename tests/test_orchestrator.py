@@ -123,6 +123,30 @@ class TestCache:
         assert [o.cached for o in second.outcomes] == [True]
         assert second.outcomes[0].result == first.outcomes[0].result
 
+    def test_cached_rerun_keeps_summary_order(self, tmp_path):
+        # table1 summarizes tRC before tRAS, and the store blob is
+        # written with sorted keys: the cached path must restore tRC
+        # first, in the artifact and in the comparison rows.
+        def artifacts():
+            return (
+                json.loads((tmp_path / "table1.json").read_text()),
+                json.loads((tmp_path / "summary.json").read_text()),
+            )
+
+        fresh = self.make(tmp_path).run(only=["table1"])
+        fresh_artifact, fresh_summary = artifacts()
+        cached = self.make(tmp_path).run(only=["table1"])
+        cached_artifact, cached_summary = artifacts()
+        assert [o.cached for o in cached.outcomes] == [True]
+        assert list(fresh_artifact["summary"]) == list(
+            cached_artifact["summary"])
+        assert list(fresh_artifact["summary"]) == ["tRC_ns", "tRAS_ns"]
+        assert list(fresh_summary["experiments"]["table1"]["summary"]) == (
+            list(cached_summary["experiments"]["table1"]["summary"]))
+        assert fresh_summary["comparison"] == cached_summary["comparison"]
+        assert list(fresh.outcomes[0].summary) == list(
+            cached.outcomes[0].summary)
+
     def test_force_bypasses_cache(self, tmp_path):
         self.make(tmp_path).run(only=["table1"])
         forced = self.make(tmp_path, force=True).run(only=["table1"])
