@@ -97,6 +97,30 @@ def jsonify(obj: Any) -> Any:
     return str(obj)
 
 
+def key_order(obj: Any) -> Any:
+    """Every mapping's key order in the JSON value ``obj``, as lists.
+
+    The store writes blobs with sorted keys; lists keep their order, so
+    this record lets :func:`in_key_order` restore the original one.
+    ``None`` stands for a value holding no mapping.
+    """
+    if isinstance(obj, dict):
+        return [[key, key_order(value)] for key, value in obj.items()]
+    if isinstance(obj, list):
+        orders = [key_order(value) for value in obj]
+        return orders if any(order is not None for order in orders) else None
+    return None
+
+
+def in_key_order(obj: Any, order: Any) -> Any:
+    """``obj`` with each mapping's keys in ``order`` (see :func:`key_order`)."""
+    if order is None:
+        return obj
+    if isinstance(obj, dict):
+        return {key: in_key_order(obj[key], sub) for key, sub in order}
+    return [in_key_order(value, sub) for value, sub in zip(obj, order)]
+
+
 @dataclass
 class Outcome:
     """What happened to one scheduled experiment."""
@@ -302,10 +326,11 @@ class Orchestrator:
             name=experiment.name,
             cached=True,
             duration_s=float(data.get("duration_s", 0.0)),
-            # The blob's keys are sorted: restore summarize's order.
+            # The blob's keys are sorted: restore the fresh run's order.
             summary={key: summary[key]
                      for key in data.get("summary_order", summary)},
-            result=data.get("result"),
+            result=in_key_order(data.get("result"),
+                                data.get("result_order")),
             config_hash=config_hash,
         )
 
@@ -462,7 +487,8 @@ class Orchestrator:
         self.store.put(
             experiment_recipe(outcome.name, options),
             {**outcome.artifact(options),
-             "summary_order": list(outcome.summary)},
+             "summary_order": list(outcome.summary),
+             "result_order": key_order(outcome.result)},
             name=outcome.name,
             kind="experiment",
             overwrite=not outcome.cached,

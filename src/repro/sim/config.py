@@ -79,6 +79,8 @@ class SystemConfig:
             raise ValueError("cores, channels and banks must be positive")
         if self.mlp < 1:
             raise ValueError("mlp must be positive")
+        if self.extra_latency_cycles < 0:
+            raise ValueError("extra_latency_cycles must be non-negative")
 
     def mapper(self) -> MopAddressMapper:
         return MopAddressMapper(

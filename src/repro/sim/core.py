@@ -85,7 +85,7 @@ class _EngineShell:
 
     __slots__ = (
         "system", "defense", "mapper", "controllers", "cores",
-        "_heap", "_seq", "_now", "_started", "_remaining", "_pending_done",
+        "_heap", "_now", "_started", "_remaining", "_pending_done",
     )
 
     def __init__(
@@ -130,8 +130,6 @@ class _EngineShell:
             for i, trace in enumerate(traces)
         ]
         self._heap: list = []
-        # Only the relative order of sequence numbers matters.
-        self._seq = 0
         self._now = 0
         self._started = False
         self._remaining = 0

@@ -86,7 +86,7 @@ class SystemSimulator(_EngineShell):
 
     __slots__ = (
         "_compiled", "_bank_wake", "_bank_ctrls", "_local_banks", "_books",
-        "_issue_arrays",
+        "_issue_arrays", "_seq",
     )
 
     def __init__(
@@ -121,6 +121,9 @@ class SystemSimulator(_EngineShell):
         if total_banks > _PAYLOAD_MASK:
             raise ValueError("bank count exceeds event payload range")
         self._compiled: List[CompiledTrace] = list(compiled)
+        # Heap tie-breaker: only the relative order of sequence numbers
+        # matters.
+        self._seq = 0
         #: Cycle of each bank's single live heap entry, -1 when none.
         self._bank_wake: List[int] = [-1] * total_banks
         # Flat-bank dispatch tables: the event loop indexes a controller

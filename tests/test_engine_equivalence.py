@@ -11,7 +11,7 @@ import pytest
 
 from repro.memctrl.controller import ChannelController
 from repro.sim.config import DefenseConfig, SystemConfig
-from repro.sim.reference import ReferenceSimulator
+from repro.sim.reference import ReferenceSimulator, _schedule
 from repro.sim.system import SystemSimulator
 from repro.workloads.attacks import hammer_trace, row_press_trace
 from repro.workloads.synthetic import rate_mode_traces
@@ -184,9 +184,16 @@ class TestOracleDiscipline:
         return sim, traces, calls[0]
 
     def test_reference_steps_and_pushes(self, monkeypatch):
-        sim, _, steps = self.counted_run(ReferenceSimulator, monkeypatch)
+        pushes = [0]
+
+        def counting(calendar, heap, cycle, event):
+            pushes[0] += 1
+            _schedule(calendar, heap, cycle, event)
+
+        monkeypatch.setattr("repro.sim.reference._schedule", counting)
+        _, _, steps = self.counted_run(ReferenceSimulator, monkeypatch)
         assert steps == 9159
-        assert sim._seq == 11783
+        assert pushes[0] == 11783
 
     def test_fast_engine_steps(self, monkeypatch):
         _, _, steps = self.counted_run(SystemSimulator, monkeypatch)

@@ -29,7 +29,8 @@ class TestRows:
             "ukernel_graphene", "ukernel_para", "ukernel_mithril",
             "ukernel_mint", "ukernel_prac", "ukernel_dsac",
             "single_core", "single_core_reference", "single_core_monitored",
-            "tracker_grid_serial", "tracker_grid_batch",
+            "colocated_reference", "tracker_grid_serial",
+            "tracker_grid_batch",
         ]
 
     @pytest.mark.parametrize("label, fast, slow", microbench.PAIRS)

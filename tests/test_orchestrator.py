@@ -14,7 +14,9 @@ from repro.experiments.orchestrator import (
     OrchestratorError,
     _execute,
     experiment_recipe,
+    in_key_order,
     jsonify,
+    key_order,
 )
 from repro.experiments.registry import PAPER_TAG, Experiment, RunContext
 from repro.results import store_for
@@ -146,6 +148,30 @@ class TestCache:
         assert fresh_summary["comparison"] == cached_summary["comparison"]
         assert list(fresh.outcomes[0].summary) == list(
             cached.outcomes[0].summary)
+
+    @pytest.mark.parametrize("name", ["fig7", "fig3"])
+    def test_cached_rerun_keeps_result_order(self, tmp_path, name):
+        # fig7's result lists its points before the fitted lines, and
+        # fig3's nests per-tMRO mappings under float keys whose string
+        # forms do not sort numerically: every mapping must come back
+        # in the fresh run's order, not the blob's sorted one.
+        def result_text():
+            artifact = json.loads((tmp_path / f"{name}.json").read_text())
+            return json.dumps(artifact["result"])
+
+        self.make(tmp_path).run(only=[name])
+        fresh = result_text()
+        cached = self.make(tmp_path).run(only=[name])
+        assert [o.cached for o in cached.outcomes] == [True]
+        assert result_text() == fresh
+
+    def test_key_order_round_trips_nested_mappings(self):
+        data = {"b": [{"y": 1, "x": [2, {"q": 0, "p": 1}]}, 3], "a": {}}
+        restored = in_key_order(
+            json.loads(json.dumps(data, sort_keys=True)),
+            json.loads(json.dumps(key_order(data), sort_keys=True)),
+        )
+        assert json.dumps(restored) == json.dumps(data)
 
     def test_force_bypasses_cache(self, tmp_path):
         self.make(tmp_path).run(only=["table1"])

@@ -6,9 +6,10 @@ in many strides — and every SimResult field is bit-identical to the
 uninterrupted run.  ``monitored_run`` steps every monitored run this way,
 and the ``worker-kill-mid-task`` fault stops a worker's run part way.
 Also pinned: ``run_until`` semantics (``None`` completes, ``done``/``now``
-progress), that a monitored run keeps the straight run's result, and
-that both engines' per-bank ACT logs (the fuzzer's ``ActLog``) agree at
-every shared stop cycle.
+progress), that a monitored run keeps the straight run's result, that
+both engines' per-bank ACT logs (the fuzzer's ``ActLog``) agree at
+every shared stop cycle, and the reference's calendar bookkeeping at
+every stop.
 """
 
 import pytest
@@ -52,6 +53,13 @@ def _build(engine, workload="mcf", defense=None, seed=7):
     return ENGINES[engine](system, traces, defense)
 
 
+def assert_calendar_consistent(sim):
+    """``_heap`` holds each pending cycle once, and ``_calendar`` one
+    non-empty bucket under each of those cycles and no other."""
+    assert sorted(sim._heap) == sorted(sim._calendar)
+    assert all(sim._calendar.values())
+
+
 class TestSteppedEqualsStraightRun:
     @pytest.mark.parametrize("defense", DEFENSES, ids=_defense_id)
     @pytest.mark.parametrize("engine", ["fast", "reference"])
@@ -71,7 +79,8 @@ class TestSteppedEqualsStraightRun:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
     def test_stop_position_does_not_matter(self, engine, fraction):
-        """One stop anywhere, then ``run()``, equals the straight run."""
+        """One stop anywhere, then ``run()``, equals the straight run;
+        the reference's calendar is consistent at the stop and after."""
         defense = DefenseConfig(tracker="graphene", scheme="impress-p")
         straight = _build(engine, "add_copy", defense).run()
 
@@ -79,7 +88,11 @@ class TestSteppedEqualsStraightRun:
         assert not paused.run_until(
             stop_cycle=int(straight.elapsed_cycles * fraction)
         )
+        if engine == "reference":
+            assert_calendar_consistent(paused)
         assert paused.run().to_json() == straight.to_json()
+        if engine == "reference":
+            assert_calendar_consistent(paused)
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_stop_past_the_end_completes(self, engine):
@@ -90,6 +103,34 @@ class TestSteppedEqualsStraightRun:
         assert sim.run_until(stop_cycle=2 * straight.elapsed_cycles)
         assert sim.now == straight.elapsed_cycles
         assert sim.finish().to_json() == straight.to_json()
+
+
+class TestReferenceCalendar:
+    @pytest.mark.parametrize("defense", DEFENSES, ids=_defense_id)
+    def test_after_a_full_run(self, defense):
+        sim = _build("reference", defense=defense)
+        sim.run()
+        assert_calendar_consistent(sim)
+
+    def test_run_ending_partway_through_a_cycle(self):
+        """The last retirement is not the last event of its cycle: with
+        a 100-cycle idle-close timer, the one request's completion and
+        its bank's idle-close wakeup share cycle 144, completion first.
+        The unprocessed wakeup stays pending under its cycle."""
+        system = SystemConfig(
+            n_cores=1, banks_per_channel=8, idle_close_cycles=100
+        )
+        traces = rate_mode_traces("mcf", 1, 1, seed=7)
+        sim = ReferenceSimulator(system, traces)
+        result = sim.run()
+        assert sim.now == 144
+        assert sim._heap == [144]
+        assert len(sim._calendar[144]) == 1
+        assert_calendar_consistent(sim)
+        assert sim.run_until() is True
+        assert sim._heap == [144]
+        fast = SystemSimulator(system, traces).run()
+        assert result.to_json() == fast.to_json()
 
 
 class TestMonitoredRunEqualsStraightRun:

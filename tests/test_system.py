@@ -38,6 +38,12 @@ class TestBasicRuns:
         with pytest.raises(ValueError):
             SystemSimulator(system, traces)
 
+    def test_negative_extra_latency_rejected(self):
+        # A completion before its column command would schedule an
+        # event in the past of the cycle being processed.
+        with pytest.raises(ValueError, match="extra_latency_cycles"):
+            SystemConfig(extra_latency_cycles=-1)
+
     def test_stream_has_higher_hit_rate_than_spec(self):
         stream = simulate_workload(
             "copy", system=small_system(), n_requests_per_core=400

@@ -4,7 +4,8 @@
 perfbench (``BENCHMARK.json``) times four workloads end to end.  This
 script times what those cannot show one by one: each tracker's record
 kernel alone (``ukernel_*``), the fast engine against the reference
-engine (``single_core`` / ``single_core_reference``), the invariant
+engine (``single_core`` / ``single_core_reference``), the reference
+on a co-located attacker (``colocated_reference``), the invariant
 monitor's per-close path (``single_core_monitored``), and the batch
 tier against per-point runs on one defense grid
 (``tracker_grid_serial`` / ``tracker_grid_batch``)::
@@ -55,6 +56,8 @@ PAIR_REQUESTS = 1500
 #: Large enough that per-lane simulation dominates the batch tier's
 #: replay overhead (its speedup saturates above ~600 requests/core).
 GRID_REQUESTS = 600
+#: The fuzzer's run size.
+COLOCATED_REQUESTS = 160
 
 #: Kernel records per configured request: 400 requests drive 12k
 #: records, enough churn to fill every tracker's table.
@@ -163,6 +166,30 @@ def single_core_monitored_row(requests: int = PAIR_REQUESTS) -> TimedPass:
     return timed_pass
 
 
+def colocated_reference_row(
+    requests: int = COLOCATED_REQUESTS,
+) -> TimedPass:
+    """The reference engine on the 8-core ``colocated_hammer_mcf`` preset.
+
+    A co-located attacker is where the reference's undeduplicated bank
+    wakeups pile up into duplicate chains, which the one-core
+    ``single_core_reference`` barely has.  Work is simulated DRAM
+    cycles.
+    """
+    from repro.scenarios.registry import get_scenario
+    from repro.sim.system import build_simulator
+
+    spec = get_scenario("colocated_hammer_mcf")
+
+    def timed_pass() -> int:
+        return build_simulator(
+            spec.system, spec.cores, spec.defense, spec.tmro_ns, requests,
+            0, "reference",
+        ).run().elapsed_cycles
+
+    return timed_pass
+
+
 def grid_defenses() -> list:
     """The pinned 16-lane defense grid of the serial/batch pair.
 
@@ -244,6 +271,7 @@ ROWS: Dict[str, Callable[..., TimedPass]] = {
     "single_core": functools.partial(single_core_row, "fast"),
     "single_core_reference": functools.partial(single_core_row, "reference"),
     "single_core_monitored": single_core_monitored_row,
+    "colocated_reference": colocated_reference_row,
     "tracker_grid_serial": functools.partial(grid_row, False),
     "tracker_grid_batch": functools.partial(grid_row, True),
 }
