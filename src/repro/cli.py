@@ -58,6 +58,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
+import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -1177,7 +1179,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``repro fuzz | head -1``).  Exit as a process
+        # killed by SIGPIPE does, not with a command's own failure code;
+        # stdout goes to devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

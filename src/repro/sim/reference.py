@@ -17,17 +17,25 @@ reasons:
 
 The event discipline is frozen (its cost may change, its order never):
 
-* one calendar entry per wakeup, FIFO within a cycle: events run in
-  ``(cycle, push order)``, each cycle's ``(kind, payload)`` events in
-  one bucket of ``_calendar`` and the pending cycles in ``_heap``;
-* no bank-wakeup deduplication;
+* one logical wakeup per push, FIFO within a cycle: events run in
+  ``(cycle, push order)``, each cycle's ``(kind, payload, count)``
+  entries in one bucket of ``_calendar`` and the pending cycles in
+  ``_heap``;
+* no bank-wakeup deduplication: every wakeup persists as its own
+  chain.  Adjacent wakeups of one bank share one entry whose ``count``
+  says how many they are; data returns and core issues never merge;
 * :meth:`ChannelController.step` on every bank event, busy no-ops
-  included;
+  included.  A run of ``count`` wakeups steps once for the first and
+  once more for the rest: every step that works leaves the bank busy
+  past ``cycle``, so the rest are identical no-ops and one evaluation
+  stands for all of them;
 * per-request ``mapper.map_address``;
 * the checked ``can_accept`` / ``enqueue`` / ``pack_request`` path.
 
 ``TestOracleDiscipline`` (``tests/test_engine_equivalence.py``) pins
-one point's ``step`` calls and pushes, so dedup or a dropped push fails.
+one point's logical bank events and pushes, so dedup or a dropped push
+fails; ``TestRunCompression`` runs the reference against one entry per
+wakeup and requires the same result and ACT streams.
 """
 
 from __future__ import annotations
@@ -46,18 +54,29 @@ from .core import (
 )
 
 
-def _schedule(calendar: dict, heap: list, cycle: int, event: tuple) -> None:
-    """Queue ``event`` at ``cycle``, behind everything already there.
+def _schedule(
+    calendar: dict, heap: list, cycle: int, kind: int, payload: int,
+    count: int = 1,
+) -> None:
+    """Queue ``count`` wakeups ``(kind, payload)`` at ``cycle``, behind
+    everything already there.
 
-    Every push of the reference goes through here: one calendar entry
-    per wakeup, never merged with another.
+    Every push of the reference goes through here.  A bank wakeup joins
+    the bucket's last entry when that entry wakes the same bank: its
+    ``count`` events still run right after that entry's, where separate
+    entries would put them.  Data returns and core issues change state
+    when they run, so each keeps its own entry.
     """
     bucket = calendar.get(cycle)
     if bucket is None:
-        calendar[cycle] = [event]
+        calendar[cycle] = [(kind, payload, count)]
         heappush(heap, cycle)
+        return
+    last = bucket[-1]
+    if kind == EVENT_BANK and last[1] == payload and last[0] == EVENT_BANK:
+        bucket[-1] = (EVENT_BANK, payload, last[2] + count)
     else:
-        bucket.append(event)
+        bucket.append((kind, payload, count))
 
 
 class ReferenceSimulator(_EngineShell):
@@ -67,8 +86,8 @@ class ReferenceSimulator(_EngineShell):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Each pending cycle's ``(kind, payload)`` events in push
-        #: order; ``_heap`` holds exactly the cycles with a bucket.
+        #: Each pending cycle's ``(kind, payload, count)`` entries in
+        #: push order; ``_heap`` holds exactly the cycles with a bucket.
         self._calendar: dict = {}
 
     def _try_issue(self, core: CoreState, cycle: int) -> None:
@@ -84,12 +103,12 @@ class ReferenceSimulator(_EngineShell):
             controller = controllers[channel]
             if not controller.can_accept(bank):
                 schedule(calendar, heap, cycle + QUEUE_RETRY_CYCLES,
-                         (EVENT_CORE, core_id))
+                         EVENT_CORE, core_id)
                 return
             controller.enqueue(
                 bank, pack_request(mapped.row, core_id, writes[index])
             )
-            schedule(calendar, heap, cycle, (EVENT_BANK, channel * per + bank))
+            schedule(calendar, heap, cycle, EVENT_BANK, channel * per + bank)
             core.issue()
             if core.outstanding >= core.mlp:
                 core.stalled_on_mlp = True
@@ -97,8 +116,7 @@ class ReferenceSimulator(_EngineShell):
             if not core.exhausted:
                 gap = gaps[core.index]
                 if gap > 0:
-                    schedule(calendar, heap, cycle + gap,
-                             (EVENT_CORE, core_id))
+                    schedule(calendar, heap, cycle + gap, EVENT_CORE, core_id)
                     return
                 # gap == 0: keep issuing at this cycle.
 
@@ -110,7 +128,7 @@ class ReferenceSimulator(_EngineShell):
                 core.finish_cycle = 0
                 continue
             _schedule(self._calendar, self._heap, core.trace.gaps[0],
-                      (EVENT_CORE, core.core_id))
+                      EVENT_CORE, core.core_id)
         self._remaining = sum(core.trace_length for core in self.cores)
 
     def run_until(
@@ -146,17 +164,21 @@ class ReferenceSimulator(_EngineShell):
             # event pushed for this cycle joins its end and runs last.
             # Nothing is pushed for an earlier cycle: a completion never
             # precedes its column command (extra latency is >= 0).
+            # A bank wake pushed for this cycle comes from an issue, so
+            # it never merges into an entry already read: the entry
+            # being processed then is a core issue or a data return.
             events = iter(calendar[cycle])
-            for kind, payload in events:
+            for kind, payload, count in events:
                 if kind == EVENT_CORE:
                     try_issue(cores[payload], cycle)
                 elif kind == EVENT_BANK:
                     controller = controllers[payload // per]
-                    next_wake = controller.step(payload % per, cycle)
+                    bank = payload % per
+                    next_wake = controller.step(bank, cycle)
                     if controller.done_core >= 0:
                         schedule(calendar, heap,
                                  controller.done_cycle + extra_latency,
-                                 (EVENT_DONE, controller.done_core))
+                                 EVENT_DONE, controller.done_core)
                         controller.done_core = -1
                         remaining -= 1
                         pending_done += 1
@@ -164,7 +186,18 @@ class ReferenceSimulator(_EngineShell):
                         if next_wake == cycle:
                             next_wake = cycle + 1
                         schedule(calendar, heap, next_wake,
-                                 (EVENT_BANK, payload))
+                                 EVENT_BANK, payload)
+                    if count > 1:
+                        # The first step left the bank busy past this
+                        # cycle or found nothing to do, so the other
+                        # count - 1 steps are identical no-ops: one
+                        # evaluation stands for all of them.
+                        next_wake = controller.step(bank, cycle)
+                        if next_wake >= cycle:
+                            if next_wake == cycle:
+                                next_wake = cycle + 1
+                            schedule(calendar, heap, next_wake,
+                                     EVENT_BANK, payload, count - 1)
                 else:  # EVENT_DONE
                     pending_done -= 1
                     core = cores[payload]

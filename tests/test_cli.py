@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -295,6 +301,26 @@ class TestFuzzCommand:
                      "--results-dir", str(tmp_path)])
         assert code == 2
         assert "no fuzz reproducer" in capsys.readouterr().out
+
+    def test_closed_pipe_exits_141_without_traceback(self, tmp_path):
+        """``repro fuzz | head -1``: exit 1 would mean failures found,
+        so a reader that leaves gets the SIGPIPE status instead."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fuzz", "--seed", "0",
+             "--budget", "30", "--results-dir", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("candidate 0:")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in stderr
 
 
 class TestResultsCommands:

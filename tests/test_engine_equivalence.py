@@ -7,10 +7,15 @@ exactly the same :class:`SimResult` as the preserved pre-optimization
 mismatch here means the optimization changed simulation semantics.
 """
 
+import json
+from heapq import heappush
+from pathlib import Path
+
 import pytest
 
 from repro.memctrl.controller import ChannelController
 from repro.sim.config import DefenseConfig, SystemConfig
+from repro.sim.core import EVENT_BANK, EVENT_CORE, EVENT_DONE
 from repro.sim.reference import ReferenceSimulator, _schedule
 from repro.sim.system import SystemSimulator
 from repro.workloads.attacks import hammer_trace, row_press_trace
@@ -18,6 +23,8 @@ from repro.workloads.synthetic import rate_mode_traces
 from repro.workloads.trace import Trace
 
 REQUESTS = 150
+
+PIN_PATH = Path(__file__).parent / "data" / "fuzz_divergence_pins.json"
 
 
 def assert_equivalent(system, traces, defense=None, tmro_ns=None):
@@ -160,9 +167,11 @@ class TestSeededEquivalence:
 
 
 class TestOracleDiscipline:
-    """The reference keeps its event discipline: one push per wakeup,
-    no dedup, a ``step`` on every bank event.  The fast engine's dedup
-    skips most of those steps, which is why the counts differ."""
+    """The reference keeps its event discipline: one logical push per
+    wakeup, no dedup, a ``step`` per bank event.  Adjacent wakeups of
+    one bank share a calendar entry and two ``step`` calls, so the
+    physical counts sit below the logical ones.  The fast engine's
+    dedup skips most of those steps, which is why its count differs."""
 
     @staticmethod
     def counted_run(engine, monkeypatch):
@@ -184,16 +193,27 @@ class TestOracleDiscipline:
         return sim, traces, calls[0]
 
     def test_reference_steps_and_pushes(self, monkeypatch):
-        pushes = [0]
+        pushes = {"logical": 0, "bank": 0, "calls": 0, "entries": 0}
 
-        def counting(calendar, heap, cycle, event):
-            pushes[0] += 1
-            _schedule(calendar, heap, cycle, event)
+        def counting(calendar, heap, cycle, kind, payload, count=1):
+            before = len(calendar.get(cycle, ()))
+            _schedule(calendar, heap, cycle, kind, payload, count)
+            pushes["logical"] += count
+            pushes["calls"] += 1
+            pushes["bank"] += count if kind == EVENT_BANK else 0
+            pushes["entries"] += len(calendar[cycle]) - before
 
         monkeypatch.setattr("repro.sim.reference._schedule", counting)
-        _, _, steps = self.counted_run(ReferenceSimulator, monkeypatch)
-        assert steps == 9159
-        assert pushes[0] == 11783
+        sim, _, steps = self.counted_run(ReferenceSimulator, monkeypatch)
+        pending = sum(
+            count for bucket in sim._calendar.values()
+            for kind, _, count in bucket if kind == EVENT_BANK
+        )
+        assert pushes["bank"] - pending == 9159
+        assert pushes["logical"] == 11783
+        assert steps == 5173
+        assert pushes["calls"] == 7797
+        assert pushes["entries"] == 5288
 
     def test_fast_engine_steps(self, monkeypatch):
         _, _, steps = self.counted_run(SystemSimulator, monkeypatch)
@@ -264,3 +284,129 @@ class TestCompiledPathInvariants:
         first = SystemSimulator(system, traces).run()
         second = SystemSimulator(system, traces).run()
         assert first.to_json() == second.to_json()
+
+
+def _one_entry_per_wakeup(calendar, heap, cycle, kind, payload, count=1):
+    """``_schedule`` without runs: ``count`` separate one-count entries."""
+    bucket = calendar.get(cycle)
+    if bucket is None:
+        bucket = calendar[cycle] = []
+        heappush(heap, cycle)
+    bucket.extend([(kind, payload, 1)] * count)
+
+
+def _bank_streams(sim):
+    """Every ACT and row close, in order, per ``(channel, bank)``: each
+    bank's act and close slots are wrapped (a None slot gets a shim)."""
+    streams = {}
+    for channel, controller in enumerate(sim.controllers):
+        acts, closes = controller._act_kernels, controller._close_kernels
+        for bank, book in enumerate(controller.state):
+            log = streams[channel, bank] = []
+
+            def act(row, log=log, book=book, kernel=acts[bank]):
+                log.append(("act", book.act_cycle, row, tuple(book.queue)))
+                return 0 if kernel is None else kernel(row)
+
+            def close(row, act_cycle, pre_cycle, log=log,
+                      kernel=closes[bank]):
+                log.append(("close", row, act_cycle, pre_cycle))
+                return (0 if kernel is None
+                        else kernel(row, act_cycle, pre_cycle))
+
+            acts[bank], closes[bank] = act, close
+    return streams
+
+
+def _compression_cases():
+    """``(id, build_simulator arguments)`` for every run-compression case:
+    the matrix's defenses, the fuzzed specs, the divergence pins and a
+    co-located attacker."""
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.spec import spec_from_recipe
+
+    system = SystemConfig(n_cores=2, banks_per_channel=8)
+    cases = [
+        (f"matrix-{_defense_id(defense)}",
+         (system, "mcf", defense, None, REQUESTS, 7))
+        for defense in DEFENSES
+    ]
+    cases += [
+        (f"fuzzed-{index}",
+         (spec.system, spec.cores, spec.defense, spec.tmro_ns, REQUESTS, 0))
+        for index, spec in enumerate(_fuzzed_specs())
+    ]
+    for pin in json.loads(PIN_PATH.read_text()):
+        spec = spec_from_recipe(pin["scenario"])
+        cases.append((
+            f"pin-seed{pin['fuzz_seed']}-cand{pin['candidate']}",
+            (spec.system, spec.cores, spec.defense, spec.tmro_ns,
+             pin["n_requests"], pin["fuzz_seed"]),
+        ))
+    spec = get_scenario("colocated_hammer_mcf")
+    cases.append((
+        "colocated_hammer_mcf",
+        (spec.system, spec.cores, spec.defense, spec.tmro_ns, 160, 0),
+    ))
+    return cases
+
+
+COMPRESSION_CASES = _compression_cases()
+
+
+class TestRunCompression:
+    """Runs of one bank's wakeups are exact: the reference as shipped
+    and the reference with one calendar entry per wakeup produce the
+    same result, the same per-bank ACT/close streams, the same logical
+    pushes and the same wakeups left pending at the end."""
+
+    def test_only_adjacent_bank_wakeups_share_an_entry(self):
+        """A core has one issue pending at a time, so no run ever offers
+        two adjacent core entries to merge; the contract is pinned here
+        directly."""
+        calendar, heap = {}, []
+        for kind, payload, count in [
+            (EVENT_BANK, 3, 1), (EVENT_BANK, 3, 2), (EVENT_CORE, 1, 1),
+            (EVENT_CORE, 1, 1), (EVENT_DONE, 0, 1), (EVENT_DONE, 0, 1),
+            (EVENT_BANK, 3, 1), (EVENT_BANK, 4, 1), (EVENT_BANK, 3, 1),
+        ]:
+            _schedule(calendar, heap, 5, kind, payload, count)
+        assert heap == [5]
+        assert calendar[5] == [
+            (EVENT_BANK, 3, 3), (EVENT_CORE, 1, 1), (EVENT_CORE, 1, 1),
+            (EVENT_DONE, 0, 1), (EVENT_DONE, 0, 1), (EVENT_BANK, 3, 1),
+            (EVENT_BANK, 4, 1), (EVENT_BANK, 3, 1),
+        ]
+
+    @pytest.mark.parametrize(
+        "args", [args for _, args in COMPRESSION_CASES],
+        ids=[case_id for case_id, _ in COMPRESSION_CASES],
+    )
+    def test_runs_match_one_entry_per_wakeup(self, args, monkeypatch):
+        """The unrun discipline goes first: it always ends, and its end
+        cycle bounds the shipped run, so a run that loses a data return
+        fails instead of stepping refresh wakes forever."""
+        from repro.sim import reference
+        from repro.sim.system import build_simulator
+
+        def run(schedule, max_cycles):
+            pushes = [0]
+
+            def counting(calendar, heap, cycle, kind, payload, count=1):
+                pushes[0] += count
+                schedule(calendar, heap, cycle, kind, payload, count)
+
+            sim = build_simulator(*args, engine="reference")
+            streams = _bank_streams(sim)
+            with monkeypatch.context() as patch:
+                patch.setattr(reference, "_schedule", counting)
+                result = sim.run(max_cycles)
+            pending = {
+                cycle: [(kind, payload) for kind, payload, count in bucket
+                        for _ in range(count)]
+                for cycle, bucket in sim._calendar.items()
+            }
+            return result.to_json(), streams, pushes[0], pending
+
+        expected = run(_one_entry_per_wakeup, 1 << 34)
+        assert run(_schedule, expected[0]["elapsed_cycles"]) == expected

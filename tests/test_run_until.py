@@ -17,6 +17,7 @@ import pytest
 from repro.scenarios.fuzz import ActLog
 from repro.security.invariants import monitored_run
 from repro.sim.config import DefenseConfig, SystemConfig
+from repro.sim.core import EVENT_BANK, EVENT_CORE
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.system import SystemSimulator
 from repro.workloads.synthetic import rate_mode_traces
@@ -55,9 +56,21 @@ def _build(engine, workload="mcf", defense=None, seed=7):
 
 def assert_calendar_consistent(sim):
     """``_heap`` holds each pending cycle once, and ``_calendar`` one
-    non-empty bucket under each of those cycles and no other."""
+    non-empty bucket under each of those cycles and no other.  Every
+    entry stands for at least one wakeup, adjacent wakeups of one bank
+    share an entry, and a core has at most one issue pending, so core
+    entries have nothing to merge with."""
     assert sorted(sim._heap) == sorted(sim._calendar)
     assert all(sim._calendar.values())
+    entries = [entry for bucket in sim._calendar.values() for entry in bucket]
+    assert all(count >= 1 for _, _, count in entries)
+    for bucket in sim._calendar.values():
+        assert not any(
+            kind == EVENT_BANK and (kind, payload) == nxt[:2]
+            for (kind, payload, _), nxt in zip(bucket, bucket[1:])
+        )
+    cores = [payload for kind, payload, _ in entries if kind == EVENT_CORE]
+    assert len(cores) == len(set(cores))
 
 
 class TestSteppedEqualsStraightRun:

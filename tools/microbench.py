@@ -173,8 +173,10 @@ def colocated_reference_row(
 
     A co-located attacker is where the reference's undeduplicated bank
     wakeups pile up into duplicate chains, which the one-core
-    ``single_core_reference`` barely has.  Work is simulated DRAM
-    cycles.
+    ``single_core_reference`` barely has.  The chains' adjacent wakeups
+    of one bank run as one calendar entry and two ``step`` calls, so
+    this row times how cheaply the loop keeps them.  Work is simulated
+    DRAM cycles.
     """
     from repro.scenarios.registry import get_scenario
     from repro.sim.system import build_simulator
